@@ -4,8 +4,10 @@
 //! Two shapes per design, named with [`BenchmarkId`]:
 //!
 //! - `trial`: build a fresh machine, map the working set, and run one
-//!   batched program — the campaign engine's per-trial shape, which
-//!   exercises the SlotMap page-table setup path too;
+//!   batched program — the per-trial shape of oracle-armed campaign
+//!   trials (unarmed ones restore a shard's template instead, see
+//!   `secbench::run`), which exercises the SlotMap page-table setup path
+//!   too;
 //! - `steady`: re-run the batch on a warm machine — the pure
 //!   translation/dispatch cost the SoA layout and packed LRU optimize.
 

@@ -101,6 +101,53 @@ fn wait_done(socket: &Path, id: u64) {
     }
 }
 
+/// Polls a job until its status line reports `running`; panics if it
+/// finishes first. The signal tests call this right before they signal,
+/// so the signal lands while the job is mid-flight.
+fn wait_running(socket: &Path, id: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let out = client(socket, &["status", &id.to_string()]);
+        let line = String::from_utf8_lossy(&out.stdout).into_owned();
+        if line.contains(" running") {
+            return;
+        }
+        assert!(
+            !line.contains(" done ") && !line.contains(" failed"),
+            "job {id} ended before it was seen running: {line}"
+        );
+        assert!(Instant::now() < deadline, "job {id} never started: {line}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// Whether job `id` wrote its terminal marker — which every finished job
+/// does before its manifest entry turns terminal.
+fn finished_on_disk(state: &Path, id: u64) -> bool {
+    state
+        .join("jobs")
+        .join(id.to_string())
+        .join("done.txt")
+        .exists()
+}
+
+/// Server flags for the signal tests: two jobs side by side, each on one
+/// worker, and every shard's first attempt stalled 10 ms. The stalls pace
+/// a 40-trial job (144 shards) to at least 1.4 s on any machine, so a
+/// signal sent once both jobs run lands mid-flight; they change no output.
+const PACED_PAIR: [&str; 10] = [
+    "--queue-capacity",
+    "4",
+    "--max-active",
+    "2",
+    "--workers",
+    "2",
+    "--inject-stall",
+    "1000",
+    "--inject-stall-ms",
+    "10",
+];
+
 fn shutdown_and_wait(socket: &Path, mut server: ServerGuard) {
     let out = client(socket, &["shutdown"]);
     assert!(
@@ -174,14 +221,7 @@ fn a_full_queue_rejects_submissions_with_the_typed_exit_code() {
 
 #[test]
 fn sigterm_drains_in_flight_jobs_and_a_restart_finishes_them_byte_identically() {
-    let flags = [
-        "--queue-capacity",
-        "4",
-        "--max-active",
-        "2",
-        "--workers",
-        "2",
-    ];
+    let flags = PACED_PAIR;
     let submissions: [&[&str]; 2] = [
         &["submit", "--trials", "40", "--seed", "11", "--tag", "ref-a"],
         &["submit", "--trials", "40", "--seed", "22", "--tag", "ref-b"],
@@ -213,11 +253,9 @@ fn sigterm_drains_in_flight_jobs_and_a_restart_finishes_them_byte_identically() 
     for s in &submissions {
         assert!(client(&socket, s).status.success());
     }
-    // Let both jobs start, then drain while they are (very likely still)
-    // in flight. If the machine is fast enough that they already
-    // finished, the test still validates the restart path — the resumed
-    // server just finds nothing to do.
-    std::thread::sleep(Duration::from_millis(800));
+    // Drain once both jobs run: the pacing keeps them in flight.
+    wait_running(&socket, 1);
+    wait_running(&socket, 2);
     let pid = server.0.id().to_string();
     assert!(Command::new("kill")
         .args(["-TERM", &pid])
@@ -235,6 +273,12 @@ fn sigterm_drains_in_flight_jobs_and_a_restart_finishes_them_byte_identically() 
             assert!(Instant::now() < deadline, "server never drained on SIGTERM");
             std::thread::sleep(Duration::from_millis(100));
         }
+    }
+    for id in [1, 2] {
+        assert!(
+            !finished_on_disk(&state, id),
+            "job {id} finished before SIGTERM landed: nothing was drained mid-flight"
+        );
     }
     let manifest =
         std::fs::read_to_string(state.join("manifest.txt")).expect("drained manifest exists");
@@ -295,14 +339,7 @@ fn wait_cancelled(socket: &Path, id: u64) -> String {
 
 #[test]
 fn kill_dash_nine_mid_job_recovers_on_restart_byte_identically() {
-    let flags = [
-        "--queue-capacity",
-        "4",
-        "--max-active",
-        "2",
-        "--workers",
-        "2",
-    ];
+    let flags = PACED_PAIR;
     let submissions: [&[&str]; 2] = [
         &[
             "submit", "--trials", "40", "--seed", "33", "--tag", "crash-a",
@@ -335,8 +372,11 @@ fn kill_dash_nine_mid_job_recovers_on_restart_byte_identically() {
     for s in &submissions {
         assert!(client(&socket, s).status.success());
     }
-    // Let the jobs start (and checkpoint), then kill without mercy.
-    std::thread::sleep(Duration::from_millis(800));
+    // Let both jobs run (and checkpoint a few shards), then kill without
+    // mercy. The pacing keeps them in flight well past the pause.
+    wait_running(&socket, 1);
+    wait_running(&socket, 2);
+    std::thread::sleep(Duration::from_millis(300));
     let pid = server.0.id().to_string();
     assert!(Command::new("kill")
         .args(["-KILL", &pid])
@@ -345,6 +385,12 @@ fn kill_dash_nine_mid_job_recovers_on_restart_byte_identically() {
         .success());
     let status = server.0.wait().expect("killed server reaped");
     assert!(!status.success(), "SIGKILL is not a clean exit: {status}");
+    for id in [1, 2] {
+        assert!(
+            !finished_on_disk(&state, id),
+            "job {id} finished before the kill landed: nothing was recovered mid-flight"
+        );
+    }
 
     let server = start_server(&socket, &state, &flags);
     wait_until_listening(&socket);

@@ -3,10 +3,20 @@
 //! Each vulnerability benchmark is run 500 times with the victim's secret
 //! address mapped to the tested block and 500 times not mapped
 //! (Section 5.3: "24 vulnerability types × 1,000 simulations = 24,000
-//! runs"). Every trial uses a fresh machine — fresh TLB contents and a
-//! fresh Random Fill Engine seed — and observes the final step through the
-//! TLB-miss counter. The counts of slow trials give the empirical
-//! probabilities `p1*` and `p2*` and the channel capacity `C*`.
+//! runs"). Every trial starts from fresh TLB contents and a fresh Random
+//! Fill Engine seed, and observes the final step through the TLB-miss
+//! counter. The counts of slow trials give the empirical probabilities
+//! `p1*` and `p2*` and the channel capacity `C*`.
+//!
+//! Freshness comes from restoring, not rebuilding: each shard sets one
+//! machine up (processes, mapped regions, programmed secure region) and
+//! every trial runs on a clone of it reseeded with the trial's seed. A
+//! restored trial starts in exactly the state a fresh build with its seed
+//! and the same setup would have — the template has executed nothing, so
+//! its TLBs are empty and no engine has drawn. Trials armed by the shadow
+//! oracle (`--oracle`, `--inject-corruption`) still build fresh: the
+//! oracle must watch that machine's setup and carry that trial's
+//! reporting context.
 
 use std::num::NonZeroUsize;
 
@@ -214,9 +224,12 @@ impl std::error::Error for SetupError {
     }
 }
 
-/// Builds the per-trial machine: TLB design + geometry, victim and
+/// Builds a cell's post-setup machine: TLB design + geometry, victim and
 /// attacker processes, their mapped regions, and the programmed secure
-/// region (victim-ASID and `sbase`/`ssize` registers).
+/// region (victim-ASID and `sbase`/`ssize` registers). The machine is not
+/// yet seeded for any trial: callers [`Machine::reseed`] it (or a clone of
+/// it) with the trial's seed, which therefore overrides any seed the
+/// `customize` hook sets.
 ///
 /// Setup failures (which a fresh machine should never produce, but a
 /// customized one from an ablation hook can) are reported with the
@@ -224,7 +237,6 @@ impl std::error::Error for SetupError {
 fn build_machine(
     spec: &BenchmarkSpec,
     design: TlbDesign,
-    seed: u64,
     rf_eviction: RandomFillEviction,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Result<Machine, SetupError> {
@@ -240,7 +252,6 @@ fn build_machine(
     let builder = MachineBuilder::new()
         .design(design)
         .tlb_config(spec.config)
-        .seed(seed)
         .rf_eviction(rf_eviction);
     let mut m = customize(builder).build();
     let victim = m.os_mut().create_process();
@@ -266,46 +277,40 @@ fn build_machine(
     Ok(m)
 }
 
-/// Runs one trial; returns `true` when the timed step was slow (the miss
-/// counter advanced).
-///
-/// When `settings.oracle` arms this trial (sampled by seed), the machine
-/// runs with the shadow oracle in lockstep and a reporting context of
-/// `tag|vulnerability|design|placement|seed`; a planned corruption (the
-/// `--inject-corruption` harness) is scheduled before execution. Unarmed
-/// trials build exactly as before.
-fn run_trial(
+/// Builds a fresh machine for a trial the shadow oracle arms: the oracle
+/// runs in lockstep with a reporting context of
+/// `tag|vulnerability|design|placement|seed`, and a planned corruption
+/// (the `--inject-corruption` harness) is scheduled before execution.
+fn armed_machine(
     spec: &BenchmarkSpec,
     design: TlbDesign,
     placement: Placement,
-    program: &[sectlb_sim::cpu::Instr],
     seed: u64,
     settings: &TrialSettings,
+    oracle: OracleConfig,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<bool, SetupError> {
-    let oracle = settings.oracle.filter(|o| o.armed(seed));
-    let arm: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync) = &|b| {
-        let b = customize(b);
-        if oracle.is_some() {
-            b.oracle(true)
-        } else {
-            b
-        }
-    };
-    let mut m = build_machine(spec, design, seed, settings.rf_eviction, arm)?;
-    if let Some(o) = oracle {
-        m.set_oracle_context(format!(
-            "{}|{}|{}|{:?}|{:#x}",
-            o.tag, spec.vulnerability, design, placement, seed
-        ));
-        if let Some((op_index, selector, kind)) = o.corruption(seed) {
-            m.schedule_corruption(op_index, selector, kind);
-        }
+) -> Result<Machine, SetupError> {
+    let mut m = build_machine(spec, design, settings.rf_eviction, &|b| {
+        customize(b).oracle(true)
+    })?;
+    m.reseed(seed);
+    m.set_oracle_context(format!(
+        "{}|{}|{}|{:?}|{:#x}",
+        oracle.tag, spec.vulnerability, design, placement, seed
+    ));
+    if let Some((op_index, selector, kind)) = oracle.corruption(seed) {
+        m.schedule_corruption(op_index, selector, kind);
     }
+    Ok(m)
+}
+
+/// Runs one trial's program on `m`; returns `true` when the timed step
+/// was slow (the miss counter advanced).
+fn timed_step_was_slow(mut m: Machine, program: &[sectlb_sim::cpu::Instr]) -> bool {
     m.run_batch(program);
     let reads = &m.stats().counter_reads;
     assert_eq!(reads.len(), 2, "benchmark reads the counter exactly twice");
-    Ok(reads[1] > reads[0])
+    reads[1] > reads[0]
 }
 
 /// Measures one vulnerability on one design.
@@ -321,8 +326,10 @@ pub fn run_vulnerability(
     run_vulnerability_with_builder(vulnerability, design, settings, |b| b)
 }
 
-/// [`run_vulnerability`] with a hook customizing the per-trial machine
+/// [`run_vulnerability`] with a hook customizing the cell's machine
 /// (used by the ablation studies, e.g. to sweep the SP partition split).
+/// Every trial reseeds the machine after the hook ran, so a seed the hook
+/// sets never reaches a trial.
 pub fn run_vulnerability_with_builder(
     vulnerability: &Vulnerability,
     design: TlbDesign,
@@ -378,11 +385,13 @@ pub fn try_run_trial_range(
     let v = &spec.vulnerability;
     let mut n_mapped_miss = 0;
     let mut n_not_mapped_miss = 0;
-    // The benchmark program depends only on (spec, placement), so it is
-    // generated once per shard instead of once per trial — the trial loop
-    // proper allocates nothing for the op sequence.
+    // The benchmark program depends only on (spec, placement), and the
+    // post-setup machine only on the cell, so both are built once per
+    // shard instead of once per trial. Every unarmed trial restores the
+    // template: a clone reseeded with the trial's seed (module docs).
     let mapped_program = generate_program(spec, Placement::Mapped);
     let not_mapped_program = generate_program(spec, Placement::NotMapped);
+    let template = build_machine(spec, design, settings.rf_eviction, customize)?;
     for t in range.clone() {
         // Cooperative cell-deadline preemption: unwinds with a typed
         // payload the resilient engine reports as TIMEOUT. A no-op unless
@@ -398,7 +407,17 @@ pub fn try_run_trial_range(
             ),
         ] {
             let seed = derive_trial_seed(settings.base_seed, v, design, placement, t);
-            if run_trial(spec, design, placement, program, seed, settings, customize)? {
+            let m = match settings.oracle.filter(|o| o.armed(seed)) {
+                Some(oracle) => {
+                    armed_machine(spec, design, placement, seed, settings, oracle, customize)?
+                }
+                None => {
+                    let mut m = template.clone();
+                    m.reseed(seed);
+                    m
+                }
+            };
+            if timed_step_was_slow(m, program) {
                 *counter += 1;
             }
         }

@@ -139,7 +139,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Seeds the RF TLB's Random Fill Engine (ignored by other designs).
+    /// Seeds every Random Fill Engine on the machine: an RF D-TLB, an RF
+    /// L2 (see [`MachineBuilder::l2`]) and an RF I-TLB (see
+    /// [`MachineBuilder::itlb`]) each derive their own seed from it, as
+    /// [`Machine::reseed`] documents. Machines without an RF TLB ignore
+    /// it.
     pub fn seed(mut self, seed: u64) -> MachineBuilder {
         self.seed = seed;
         self
@@ -224,7 +228,9 @@ impl MachineBuilder {
     }
 
     /// A boxed single-level TLB (hierarchy components, reference path).
-    fn make_core(&self, design: TlbDesign, config: TlbConfig, seed: u64) -> Box<dyn TlbCore> {
+    /// RF engines start from a placeholder seed; [`MachineBuilder::build`]
+    /// reseeds them.
+    fn make_core(&self, design: TlbDesign, config: TlbConfig) -> Box<dyn TlbCore> {
         if self.reference_path {
             return match design {
                 TlbDesign::Sa => Box::new(SaTlbRef::new(config)),
@@ -233,7 +239,7 @@ impl MachineBuilder {
                     None => Box::new(SpTlbRef::new(config)),
                 },
                 TlbDesign::Rf => {
-                    let mut tlb = RfTlbRef::with_seed(config, seed);
+                    let mut tlb = RfTlbRef::new(config);
                     tlb.set_random_fill_eviction(self.rf_eviction);
                     tlb.set_invalidation_policy(self.rf_invalidation);
                     Box::new(tlb)
@@ -250,7 +256,7 @@ impl MachineBuilder {
                 None => Box::new(SpTlb::new(config)),
             },
             TlbDesign::Rf => {
-                let mut tlb = RfTlb::with_seed(config, seed);
+                let mut tlb = RfTlb::new(config);
                 tlb.set_random_fill_eviction(self.rf_eviction);
                 tlb.set_invalidation_policy(self.rf_invalidation);
                 Box::new(tlb)
@@ -263,9 +269,9 @@ impl MachineBuilder {
 
     /// A single-level TLB as an enum-dispatched unit (the fast path), or
     /// a [`TlbUnit::Dyn`] when the reference path is selected.
-    fn make_tlb(&self, design: TlbDesign, config: TlbConfig, seed: u64) -> TlbUnit {
+    fn make_tlb(&self, design: TlbDesign, config: TlbConfig) -> TlbUnit {
         if self.reference_path {
-            return TlbUnit::Dyn(self.make_core(design, config, seed));
+            return TlbUnit::Dyn(self.make_core(design, config));
         }
         match design {
             TlbDesign::Sa => SaTlb::new(config).into(),
@@ -274,7 +280,7 @@ impl MachineBuilder {
                 None => SpTlb::new(config).into(),
             },
             TlbDesign::Rf => {
-                let mut tlb = RfTlb::with_seed(config, seed);
+                let mut tlb = RfTlb::new(config);
                 tlb.set_random_fill_eviction(self.rf_eviction);
                 tlb.set_invalidation_policy(self.rf_invalidation);
                 tlb.into()
@@ -288,8 +294,8 @@ impl MachineBuilder {
     /// Builds the machine.
     pub fn build(self) -> Machine {
         let tlb = if let Some((design, config, latency)) = self.l2 {
-            let l1 = self.make_core(self.design, self.config, self.seed);
-            let l2 = self.make_core(design, config, self.seed ^ 0x12);
+            let l1 = self.make_core(self.design, self.config);
+            let l2 = self.make_core(design, config);
             let hier = TlbHierarchy::new(l1, l2, latency);
             if self.reference_path {
                 TlbUnit::Dyn(Box::new(hier))
@@ -297,11 +303,11 @@ impl MachineBuilder {
                 TlbUnit::Hier(hier)
             }
         } else {
-            self.make_tlb(self.design, self.config, self.seed)
+            self.make_tlb(self.design, self.config)
         };
         let itlb = self
             .itlb
-            .map(|(design, config)| self.make_tlb(design, config, self.seed ^ 0x17b));
+            .map(|(design, config)| self.make_tlb(design, config));
         let oracle = self.oracle.unwrap_or(cfg!(debug_assertions)).then(|| {
             Box::new(Oracle::new(MachineSetup {
                 design: self.design,
@@ -320,7 +326,7 @@ impl MachineBuilder {
                 itlb: self.itlb.map(|(d, c)| (d, c.entries(), c.ways())),
             }))
         });
-        Machine {
+        let mut machine = Machine {
             tlb,
             itlb,
             design: self.design,
@@ -332,7 +338,9 @@ impl MachineBuilder {
             fetch_latch: None,
             stats: ExecStats::new(),
             oracle,
-        }
+        };
+        machine.reseed(self.seed);
+        machine
     }
 }
 
@@ -343,6 +351,13 @@ impl Default for MachineBuilder {
 }
 
 /// A simulated single-core machine.
+///
+/// `Clone` is a deep copy — TLB contents and engine state, page tables,
+/// counters, and the oracle's record — so a clone never shares state
+/// with its source: the walker's auto-map writes, for one, land only in
+/// the copy that ran. Together with [`Machine::reseed`] this lets a
+/// campaign set a machine up once and restore it for every trial.
+#[derive(Clone)]
 pub struct Machine {
     tlb: TlbUnit,
     itlb: Option<TlbUnit>,
@@ -467,6 +482,28 @@ impl Machine {
     /// TLB misses per kilo instruction over everything executed so far.
     pub fn mpki(&self) -> Option<f64> {
         self.stats.mpki(self.tlb.stats().misses)
+    }
+
+    /// Replaces every Random Fill Engine on the machine with one seeded
+    /// as if the machine had been built with [`MachineBuilder::seed`]`(seed)`
+    /// — the one place the per-TLB seeds are derived. The D-TLB's L1 gets
+    /// `seed`, an L2 `seed ^ 0x12`, and an I-TLB `seed ^ 0x17b`. Nothing
+    /// else changes: contents, counters, page tables and registers stay
+    /// as they are. The oracle's recorded setup takes the new seed, so a
+    /// capture replays with the engines this machine runs.
+    ///
+    /// A clone of a post-setup machine that has executed nothing, reseeded
+    /// with `seed`, is indistinguishable from a fresh build with `seed`
+    /// and the same setup (`tests/differential_equivalence.rs`).
+    pub fn reseed(&mut self, seed: u64) {
+        self.tlb.reseed(0, seed);
+        self.tlb.reseed(1, seed ^ 0x12);
+        if let Some(itlb) = &mut self.itlb {
+            itlb.reseed(0, seed ^ 0x17b);
+        }
+        if let Some(o) = &mut self.oracle {
+            o.setup.seed = seed;
+        }
     }
 
     /// Registers `region` as the secure region of victim `asid`: prepares

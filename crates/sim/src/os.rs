@@ -31,7 +31,7 @@ pub enum FlushPolicy {
 }
 
 /// A process: an address space identified by an ASID.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Process {
     asid: Asid,
     page_table: PageTable,
@@ -81,7 +81,7 @@ impl From<MapError> for OsError {
 }
 
 /// The OS model: a process table, a frame allocator, and policy knobs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Os {
     processes: BTreeMap<Asid, Process>,
     frames: FrameAllocator,

@@ -257,7 +257,7 @@ pub struct SuspectReport {
 /// The per-machine oracle state (the machine holds one when the oracle is
 /// enabled). The checking logic lives in `machine.rs`, next to the state
 /// it inspects.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Oracle {
     pub(crate) setup: MachineSetup,
     pub(crate) context: Option<String>,

@@ -23,6 +23,7 @@ use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, SecureRegion, Vpn};
 
 /// A TLB of any design, dispatched by `match` instead of vtable.
+#[derive(Clone)]
 pub enum TlbUnit {
     /// The set-associative baseline (also FA / 1E configurations).
     Sa(SaTlb),
@@ -211,6 +212,14 @@ impl TlbCore for TlbUnit {
 
     fn set_secure_region(&mut self, region: Option<SecureRegion>) {
         dispatch!(self, t => t.set_secure_region(region))
+    }
+
+    fn reseed(&mut self, level: usize, seed: u64) {
+        dispatch!(self, t => t.reseed(level, seed))
+    }
+
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
     }
 
     fn snapshot(&self) -> Vec<SnapshotEntry> {

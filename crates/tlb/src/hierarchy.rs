@@ -18,6 +18,7 @@ use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator, WalkResult};
 use crate::types::{Asid, SecureRegion, Vpn};
 
 /// A two-level TLB: an L1 design backed by an L2 design.
+#[derive(Clone)]
 pub struct TlbHierarchy {
     l1: Box<dyn TlbCore>,
     l2: Box<dyn TlbCore>,
@@ -127,6 +128,10 @@ impl TlbCore for TlbHierarchy {
         "L1+L2"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn level_stats(&self, level: usize) -> Option<&TlbStats> {
         match level {
             0 => Some(self.l1.stats()),
@@ -168,6 +173,13 @@ impl TlbCore for TlbHierarchy {
     fn set_secure_region(&mut self, region: Option<SecureRegion>) {
         self.l1.set_secure_region(region);
         self.l2.set_secure_region(region);
+    }
+
+    fn reseed(&mut self, level: usize, seed: u64) {
+        match level {
+            0 => self.l1.reseed(0, seed),
+            l => self.l2.reseed(l - 1, seed),
+        }
     }
 
     fn snapshot(&self) -> Vec<SnapshotEntry> {
@@ -220,6 +232,26 @@ mod tests {
             Box::new(SaTlb::new(TlbConfig::sa(64, 4).expect("valid"))),
             8,
         )
+    }
+
+    #[test]
+    fn reseed_reaches_each_level_and_clones_run_alike() {
+        let rf_pair = |l1, l2| TlbHierarchy::new(Box::new(mk_rf(l1)), Box::new(mk_rf(l2)), 8);
+        let mut reseeded = rf_pair(3, 5);
+        reseeded.reseed(0, 11);
+        reseeded.reseed(1, 13);
+        let mut copy = reseeded.clone();
+        let mut built = rf_pair(11, 13);
+        for i in 0..60u64 {
+            let (asid, vpn) = (Asid(1 + (i % 2) as u16), Vpn(0x100 + i % 5));
+            let r = built.access(asid, vpn, &mut Ident);
+            assert_eq!(reseeded.access(asid, vpn, &mut Ident), r, "access {i}");
+            assert_eq!(copy.access(asid, vpn, &mut Ident), r, "clone, access {i}");
+        }
+        for t in [&reseeded, &copy] {
+            assert_eq!(t.snapshot(), built.snapshot());
+            assert_eq!(t.level_stats(1), built.level_stats(1));
+        }
     }
 
     #[test]
@@ -293,14 +325,16 @@ mod tests {
         );
     }
 
+    /// An 8-entry RF TLB protecting a 3-page region of ASID 1.
+    fn mk_rf(seed: u64) -> RfTlb {
+        let mut t = RfTlb::with_seed(TlbConfig::sa(8, 4).expect("valid"), seed);
+        t.set_victim_asid(Some(Asid(1)));
+        t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+        t
+    }
+
     #[test]
     fn rf_at_both_levels_closes_the_leak() {
-        let mk_rf = |seed| {
-            let mut t = RfTlb::with_seed(TlbConfig::sa(8, 4).expect("valid"), seed);
-            t.set_victim_asid(Some(Asid(1)));
-            t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
-            t
-        };
         let mut h = TlbHierarchy::new(Box::new(mk_rf(3)), Box::new(mk_rf(5)), 8);
         // The request itself is served through no-fill buffers at both
         // levels; only *random* secure pages may become resident.

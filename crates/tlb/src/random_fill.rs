@@ -370,6 +370,10 @@ impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
         "RF"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn set_victim_asid(&mut self, victim: Option<Asid>) {
         if self.victim_asid != victim {
             self.flush_all();
@@ -383,6 +387,12 @@ impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
             self.flush_all();
         }
         self.region = region;
+    }
+
+    fn reseed(&mut self, level: usize, seed: u64) {
+        if level == 0 {
+            self.rfe = RandomFillEngine::from_seed(seed);
+        }
     }
 
     fn snapshot(&self) -> Vec<SnapshotEntry> {
@@ -658,6 +668,39 @@ mod tests {
             "the interleaving must actually exercise the no-fill paths \
              (got {no_fill_misses})"
         );
+    }
+
+    #[test]
+    fn reseeding_equals_building_with_the_seed() {
+        // Only the engine changes: a programmed TLB reseeded with 99 draws
+        // exactly what a TLB built with 99 and programmed alike draws.
+        let mut reseeded = rf();
+        reseeded.reseed(0, 99);
+        reseeded.reseed(1, 7); // no level 1: ignored
+        let mut built = RfTlb::with_seed(TlbConfig::security_eval(), 99);
+        built.set_victim_asid(Some(VICTIM));
+        built.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+        for i in 0..60u64 {
+            let (asid, vpn) = if i % 2 == 0 {
+                (VICTIM, Vpn(0x100 + i % 3))
+            } else {
+                (ATTACKER, Vpn(0x100 + 4 * (i % 9)))
+            };
+            let a = reseeded.access(asid, vpn, &mut Ident);
+            assert_eq!(a, built.access(asid, vpn, &mut Ident), "access {i}");
+        }
+        assert_eq!(reseeded.snapshot(), built.snapshot());
+        assert_eq!(reseeded.stats(), built.stats());
+    }
+
+    #[test]
+    fn boxed_clones_share_no_state() {
+        let original = rf();
+        let mut copy = original.clone_box();
+        copy.access(VICTIM, Vpn(0x100), &mut Ident);
+        assert_eq!(copy.stats().accesses, 1);
+        assert_eq!(original.stats().accesses, 0);
+        assert!(original.snapshot().is_empty());
     }
 
     #[test]

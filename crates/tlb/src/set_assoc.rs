@@ -150,6 +150,10 @@ impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
         "SA"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn snapshot(&self) -> Vec<SnapshotEntry> {
         self.array.snapshot_level(0)
     }

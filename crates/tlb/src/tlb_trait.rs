@@ -182,6 +182,18 @@ pub trait TlbCore: sealed::Sealed {
     /// RF TLB has them; other designs ignore this.
     fn set_secure_region(&mut self, _region: Option<crate::types::SecureRegion>) {}
 
+    /// Replaces the randomness source of `level` (0 is the L1) with one
+    /// seeded from `seed`, exactly as if that level had been built with
+    /// it. Only the RF design owns randomness — its Random Fill Engine —
+    /// so every other design, and every level a TLB does not have,
+    /// ignores this. Entries, replacement state and counters are
+    /// untouched.
+    fn reseed(&mut self, _level: usize, _seed: u64) {}
+
+    /// A deep copy behind a fresh box: entries, replacement state,
+    /// counters, programmed registers and the RF engine's state.
+    fn clone_box(&self) -> Box<dyn TlbCore>;
+
     /// Structural dump of every valid entry across all levels, in
     /// deterministic `(level, set, way)` order — the shadow oracle's view
     /// of the TLB state. Does not disturb replacement state or counters.
@@ -204,6 +216,12 @@ pub trait TlbCore: sealed::Sealed {
         selector: u64,
         kind: crate::check::CorruptionKind,
     ) -> Option<crate::check::CorruptionReport>;
+}
+
+impl Clone for Box<dyn TlbCore> {
+    fn clone(&self) -> Box<dyn TlbCore> {
+        self.clone_box()
+    }
 }
 
 pub(crate) mod sealed {
