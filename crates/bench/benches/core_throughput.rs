@@ -1,5 +1,8 @@
 //! Criterion benchmarks of the simulator's batched hot path, one group
-//! per TLB design point (SA / FA / SP / RF).
+//! per TLB design point: the security-evaluation geometry (SA / FA / SP /
+//! RF at 32 entries) plus the two Figure 7 geometries whose probes scan
+//! the most ways (`FA128`, an SA TLB with one 128-way set, and
+//! `SP-FA32`, the SP TLB on a fully associative 32-entry array).
 //!
 //! Two shapes per design, named with [`BenchmarkId`]:
 //!
@@ -19,12 +22,14 @@ use sectlb_tlb::types::{SecureRegion, Vpn};
 
 const PAGES: u64 = 64;
 
-fn design_points() -> [(&'static str, TlbDesign, TlbConfig); 4] {
+fn design_points() -> [(&'static str, TlbDesign, TlbConfig); 6] {
     [
         ("SA", TlbDesign::Sa, TlbConfig::sa(32, 8).expect("valid")),
         ("FA", TlbDesign::Sa, TlbConfig::fa(32).expect("valid")),
         ("SP", TlbDesign::Sp, TlbConfig::sa(32, 8).expect("valid")),
         ("RF", TlbDesign::Rf, TlbConfig::sa(32, 8).expect("valid")),
+        ("FA128", TlbDesign::Sa, TlbConfig::fa(128).expect("valid")),
+        ("SP-FA32", TlbDesign::Sp, TlbConfig::fa(32).expect("valid")),
     ]
 }
 

@@ -527,7 +527,16 @@ impl Machine {
     /// Performs the instruction fetch for this execution step: with an
     /// I-TLB configured and a code page established by `JumpTo`, the code
     /// page is translated (sequential fetches within the page hit).
+    #[inline]
     fn fetch(&mut self) {
+        if self.itlb.is_some() {
+            self.fetch_itlb();
+        }
+    }
+
+    /// [`Machine::fetch`] on a machine with an I-TLB, out of line.
+    #[inline(never)]
+    fn fetch_itlb(&mut self) {
         let Some(itlb) = &mut self.itlb else { return };
         let Some(&page) = self.code_pages.get(&self.current_asid) else {
             return;
@@ -557,6 +566,9 @@ impl Machine {
 
     /// The instruction semantics proper; returns the D-TLB access result
     /// for memory instructions (the oracle checks it against a pure walk).
+    /// Inlined into [`Machine::run_batch`]'s loop, so a TLB hit there
+    /// makes no out-of-line call.
+    #[inline(always)]
     fn exec_inner(&mut self, instr: Instr) -> Option<AccessResult> {
         self.fetch();
         match instr {

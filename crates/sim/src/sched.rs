@@ -57,9 +57,7 @@ pub fn run_round_robin(machine: &mut Machine, programs: &[Program], quantum: usi
             any_ran = true;
             machine.exec(Instr::SetAsid(program.asid));
             let end = (*cursor + quantum).min(program.instrs.len());
-            for &i in &program.instrs[*cursor..end] {
-                machine.exec(i);
-            }
+            machine.run_batch(&program.instrs[*cursor..end]);
             *cursor = end;
         }
         if !any_ran {

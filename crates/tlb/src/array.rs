@@ -10,16 +10,21 @@
 //! reference) and the replacement-state representation (packed rank words
 //! or reference timestamps). See `crate::store` for the profiles.
 
+use std::ops::Range;
+
 use crate::check::{CorruptionKind, IntegrityError, IntegrityKind, SnapshotEntry};
 use crate::config::TlbConfig;
 use crate::lru::Replacement;
 use crate::store::{EntryStore, SoaProfile, StoreProfile};
-use crate::types::{Asid, PageSize, TlbEntry, Vpn};
+use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 
 /// The `sets × ways` entry array plus replacement state.
 #[derive(Debug, Clone)]
 pub(crate) struct EntryArray<P: StoreProfile = SoaProfile> {
     config: TlbConfig,
+    /// `sets - 1`: the set-index mask, cached so a probe does not divide
+    /// `entries / ways` for every access.
+    set_mask: usize,
     /// `sets * ways` entries, row-major by set.
     store: P::Store,
     lru: P::Lru,
@@ -34,6 +39,7 @@ impl<P: StoreProfile> EntryArray<P> {
     pub(crate) fn new(config: TlbConfig) -> EntryArray<P> {
         EntryArray {
             config,
+            set_mask: config.sets() - 1,
             store: P::Store::new(config.entries()),
             lru: P::Lru::new(config.sets(), config.ways()),
             mega_entries: 0,
@@ -45,6 +51,7 @@ impl<P: StoreProfile> EntryArray<P> {
         self.config
     }
 
+    #[inline]
     fn index(&self, set: usize, way: usize) -> usize {
         set * self.config.ways() + way
     }
@@ -56,17 +63,10 @@ impl<P: StoreProfile> EntryArray<P> {
     /// The set an entry of the given page size indexes into. Large-page
     /// entries index with the set bits *above* their page offset, as
     /// multi-size hardware TLBs do.
+    #[inline]
     pub(crate) fn set_of_sized(&self, vpn: Vpn, size: PageSize) -> usize {
-        self.config.set_of(Vpn(vpn.0 >> size.span_shift()))
-    }
-
-    /// Resident entries of a large-page class (gates that class's probe).
-    fn resident_of(&self, size: PageSize) -> usize {
-        match size {
-            PageSize::Base => usize::MAX,
-            PageSize::Mega => self.mega_entries,
-            PageSize::Giga => self.giga_entries,
-        }
+        // `TlbConfig::set_of` on the span-shifted VPN.
+        (vpn.0 >> size.span_shift()) as usize & self.set_mask
     }
 
     /// Adjusts the per-class residency counters for a valid entry
@@ -84,14 +84,15 @@ impl<P: StoreProfile> EntryArray<P> {
         }
     }
 
-    /// Probes one page-size class for `(asid, vpn)`.
+    /// Probes one page-size class for `(asid, vpn)`: the lowest matching
+    /// way of the size's set.
+    #[inline]
     fn probe_sized(&self, asid: Asid, vpn: Vpn, size: PageSize) -> Option<(usize, usize)> {
         let ways = self.config.ways();
-        let aligned = size.align(vpn);
         let set = self.set_of_sized(vpn, size);
         let base = set * ways;
-        (0..ways)
-            .find(|&w| self.store.matches_sized(base + w, asid, aligned, size))
+        self.store
+            .find(base..base + ways, asid, size.align(vpn), size)
             .map(|w| (set, w))
     }
 
@@ -99,28 +100,39 @@ impl<P: StoreProfile> EntryArray<P> {
     /// in the page's set, then — only when entries of the class exist at
     /// all — a megapage probe in the superpage's set, then a gigapage
     /// probe.
+    #[inline]
     pub(crate) fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<(usize, usize)> {
-        let ways = self.config.ways();
-        // Base-page probe: the common case, a straight scan over the
-        // set's lanes.
-        let set = self.config.set_of(vpn);
-        let base = set * ways;
-        for w in 0..ways {
-            if self
-                .store
-                .matches_sized(base + w, asid, vpn, PageSize::Base)
-            {
-                return Some((set, w));
-            }
+        if let Some(hit) = self.probe_sized(asid, vpn, PageSize::Base) {
+            return Some(hit);
         }
-        for size in [PageSize::Mega, PageSize::Giga] {
-            if self.resident_of(size) > 0 {
-                if let Some(hit) = self.probe_sized(asid, vpn, size) {
-                    return Some(hit);
-                }
-            }
+        if self.mega_entries == 0 && self.giga_entries == 0 {
+            return None;
         }
-        None
+        self.probe_large(asid, vpn)
+    }
+
+    /// The megapage then gigapage probes of [`EntryArray::lookup`], each
+    /// gated on its class having resident entries. Kept out of line so the
+    /// base-page hit path stays small.
+    #[inline(never)]
+    fn probe_large(&self, asid: Asid, vpn: Vpn) -> Option<(usize, usize)> {
+        [
+            (PageSize::Mega, self.mega_entries),
+            (PageSize::Giga, self.giga_entries),
+        ]
+        .into_iter()
+        .filter(|&(_, resident)| resident > 0)
+        .find_map(|(size, _)| self.probe_sized(asid, vpn, size))
+    }
+
+    /// The hit path every design shares: looks `(asid, vpn)` up and, when
+    /// resident, marks its way most recently used and returns the
+    /// translation.
+    #[inline(always)]
+    pub(crate) fn hit(&mut self, asid: Asid, vpn: Vpn) -> Option<(Ppn, PageSize)> {
+        let (set, way) = self.lookup(asid, vpn)?;
+        self.lru.touch(set, way);
+        Some(self.store.hit(self.index(set, way)))
     }
 
     /// Marks `(set, way)` most recently used.
@@ -136,21 +148,16 @@ impl<P: StoreProfile> EntryArray<P> {
     }
 
     /// The way a fill into `set` would replace, considering only `ways`:
-    /// an invalid way if one exists, otherwise the LRU way of the subset.
+    /// the lowest invalid way if one exists, otherwise the LRU way of the
+    /// range.
     ///
-    /// Returns `None` for an empty subset.
-    pub(crate) fn choose_victim_among(
-        &self,
-        set: usize,
-        ways: impl Iterator<Item = usize> + Clone,
-    ) -> Option<usize> {
-        if let Some(w) = ways
-            .clone()
-            .find(|&w| !self.store.valid(self.index(set, w)))
-        {
-            return Some(w);
+    /// Returns `None` for an empty range.
+    pub(crate) fn choose_victim_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
+        let base = self.index(set, 0);
+        match self.store.first_invalid(base + ways.start..base + ways.end) {
+            Some(offset) => Some(ways.start + offset),
+            None => self.lru.lru_among(set, ways),
         }
-        self.lru.lru_among(set, ways)
     }
 
     /// The way a fill into `set` would replace, over all ways.
@@ -178,14 +185,13 @@ impl<P: StoreProfile> EntryArray<P> {
     /// Invalidates `(set, way)`; returns whether it held a valid entry.
     pub(crate) fn invalidate_at(&mut self, set: usize, way: usize) -> bool {
         let idx = self.index(set, way);
-        let was_valid = self.store.valid(idx);
-        if was_valid {
-            let old = self.store.get(idx);
+        let old = self.store.get(idx);
+        if old.valid {
             self.count_entry(&old, false);
         }
         self.store.invalidate(idx);
         self.lru.reset(set, way);
-        was_valid
+        old.valid
     }
 
     /// Invalidates every entry.
@@ -568,6 +574,34 @@ mod tests {
             .filter(|e| e.matches(Asid(1), Vpn(2)))
             .count();
         assert_eq!(dups, 1);
+    }
+
+    /// A tag corruption can leave two resident entries with one key (in
+    /// one set, so both are probed). Which of them a lookup returns is
+    /// observable under `--inject-corruption` — the PPN handed back, the
+    /// way refreshed — so both profiles must return the lowest way.
+    #[test]
+    fn profiles_agree_on_duplicate_keys_after_tag_corruption() {
+        fn run<P: StoreProfile>(corrupt: u64) -> (Option<(usize, usize)>, Option<Ppn>) {
+            let mut a = EntryArray::<P>::new(TlbConfig::fa(4).unwrap());
+            // Ways 0 and 1 hold pages 4 and 5; flipping the selected
+            // entry's tag bit 0 turns its page into the other one.
+            a.fill_at(0, 0, entry(1, 4 + corrupt));
+            a.fill_at(0, 1, entry(1, 5 - corrupt));
+            let (_, way, before, after) = a.corrupt_nth(corrupt, CorruptionKind::Tag).unwrap();
+            assert_eq!(
+                (way, before.vpn, after.vpn),
+                (corrupt as usize, Vpn(4), Vpn(5))
+            );
+            assert_eq!(a.valid_entries().filter(|e| e.vpn == Vpn(5)).count(), 2);
+            let way = a.lookup(Asid(1), Vpn(5));
+            (way, a.hit(Asid(1), Vpn(5)).map(|(ppn, _)| ppn))
+        }
+        for corrupt in [0, 1] {
+            let fast = run::<SoaProfile>(corrupt);
+            assert_eq!(fast, run::<AosProfile>(corrupt), "corrupting way {corrupt}");
+            assert_eq!(fast.0, Some((0, 0)), "the lowest way must win");
+        }
     }
 
     /// The two store profiles must behave identically through the whole

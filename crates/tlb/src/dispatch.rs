@@ -111,8 +111,10 @@ macro_rules! dispatch {
 
 impl TlbUnit {
     /// Handles one translation request (see [`TlbCore::access`]); the
-    /// monomorphic fast path the machine's hot loop calls.
-    #[inline]
+    /// monomorphic fast path the machine's hot loop calls. Inlined
+    /// together with the SA/SP/RF/FS/FT hit paths, so a hit costs no call;
+    /// misses and the other variants are out-of-line calls.
+    #[inline(always)]
     pub fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         dispatch!(self, t => t.access(asid, vpn, walker))
     }

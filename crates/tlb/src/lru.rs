@@ -21,6 +21,7 @@
 //! in lockstep.
 
 use std::fmt;
+use std::ops::Range;
 
 /// LRU state for one set of `ways` entries.
 #[derive(Debug, Clone)]
@@ -110,10 +111,10 @@ pub trait Replacement: fmt::Debug + Clone {
     /// Clears all recency state.
     fn reset_all(&mut self);
 
-    /// The least recently used way of `set` among a subset of ways.
-    /// Returns `None` for an empty subset. Ties (untouched/reset ways)
+    /// The least recently used way of `set` within the way range `ways`.
+    /// Returns `None` for an empty range. Ties (untouched/reset ways)
     /// break toward the lowest way index.
-    fn lru_among(&self, set: usize, ways: impl Iterator<Item = usize> + Clone) -> Option<usize>;
+    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize>;
 }
 
 /// The reference [`Replacement`] implementation: one [`LruSet`] (u64
@@ -146,7 +147,7 @@ impl Replacement for StampLru {
         }
     }
 
-    fn lru_among(&self, set: usize, ways: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
         self.sets[set].lru_among(ways)
     }
 }
@@ -188,32 +189,47 @@ enum Ranks {
     Wide { ranks: Vec<u16>, clocks: Vec<u16> },
 }
 
-/// Compacts positive ranks to `1 ..= k` preserving their relative order
-/// (zero lanes stay zero); returns `k`, the new clock value. `row` holds
-/// the widened lanes of one set.
-fn renormalize(row: &mut [u64]) -> usize {
-    // New ranks are stashed in the high bits so in-progress counts still
-    // see every lane's old value in the low bits; committed at the end.
-    const LOW: u64 = 0xffff_ffff;
-    let mut compacted = 0;
-    for w in 0..row.len() {
-        let old = row[w] & LOW;
-        if old == 0 {
-            continue;
-        }
-        // New rank = 1 + number of positive ranks strictly below this
-        // one. Positive ranks are distinct, so this is a permutation.
-        let below = row
-            .iter()
-            .filter(|&&r| (r & LOW) > 0 && (r & LOW) < old)
-            .count() as u64;
-        compacted = compacted.max(below + 1);
-        row[w] |= (below + 1) << 32;
+/// Compacts a set's positive ranks to `1 ..= k` preserving their
+/// relative order (zero lanes stay zero); returns `k`, the new clock
+/// value.
+///
+/// Works in place without scratch space: it visits the positive ranks in
+/// increasing order and hands out `1, 2, …`. A rank's new value never
+/// exceeds its old one (positive ranks are distinct, so at most `old - 1`
+/// of them lie below it), so every rewritten lane is at most the last
+/// old rank visited and the search for the next one, which looks only
+/// above it, never sees a rewritten lane.
+#[cold]
+#[inline(never)]
+fn renormalize(row: &mut [u16]) -> u16 {
+    let mut floor = 0;
+    let mut next = 0;
+    while let Some(w) = (0..row.len())
+        .filter(|&w| row[w] > floor)
+        .min_by_key(|&w| row[w])
+    {
+        floor = row[w];
+        next += 1;
+        row[w] = next;
     }
-    for r in row.iter_mut() {
-        *r >>= 32;
+    next
+}
+
+/// [`renormalize`] on a SWAR rank word: unpacks its eight 8-bit lanes
+/// onto the stack, compacts them, and packs them back.
+#[cold]
+#[inline(never)]
+fn renormalize_word(word: &mut u64) -> u8 {
+    let mut row = [0u16; 8];
+    for (w, r) in row.iter_mut().enumerate() {
+        *r = ((*word >> (w * 8)) & 0xff) as u16;
     }
-    compacted as usize
+    let clock = renormalize(&mut row);
+    *word = row
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (w, &r)| acc | (u64::from(r) << (w * 8)));
+    clock as u8
 }
 
 impl PackedLru {
@@ -245,36 +261,28 @@ impl Replacement for PackedLru {
         PackedLru { ways, ranks }
     }
 
+    #[inline(always)]
     fn touch(&mut self, set: usize, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
-        let ways = self.ways;
         match &mut self.ranks {
             Ranks::Swar { words, clocks } => {
-                if clocks[set] == u8::MAX {
+                let (word, clock) = (&mut words[set], &mut clocks[set]);
+                if *clock == u8::MAX {
                     // Rare: compact ranks to 1..=k in the same order.
-                    let mut row: Vec<u64> =
-                        (0..ways).map(|w| (words[set] >> (w * 8)) & 0xff).collect();
-                    clocks[set] = renormalize(&mut row) as u8;
-                    words[set] = row
-                        .iter()
-                        .enumerate()
-                        .fold(0, |acc, (w, &r)| acc | (r << (w * 8)));
+                    *clock = renormalize_word(word);
                 }
-                clocks[set] += 1;
+                *clock += 1;
                 let shift = way * 8;
-                words[set] = (words[set] & !(0xff << shift)) | (u64::from(clocks[set]) << shift);
+                *word = (*word & !(0xff << shift)) | (u64::from(*clock) << shift);
             }
             Ranks::Wide { ranks, clocks } => {
-                if clocks[set] == u16::MAX {
-                    let row = &mut ranks[set * ways..(set + 1) * ways];
-                    let mut wide: Vec<u64> = row.iter().map(|&r| u64::from(r)).collect();
-                    clocks[set] = renormalize(&mut wide) as u16;
-                    for (r, &w) in row.iter_mut().zip(&wide) {
-                        *r = w as u16;
-                    }
+                let row = &mut ranks[set * self.ways..(set + 1) * self.ways];
+                let clock = &mut clocks[set];
+                if *clock == u16::MAX {
+                    *clock = renormalize(row);
                 }
-                clocks[set] += 1;
-                ranks[set * ways + way] = clocks[set];
+                *clock += 1;
+                row[way] = *clock;
             }
         }
     }
@@ -300,15 +308,22 @@ impl Replacement for PackedLru {
         }
     }
 
-    fn lru_among(&self, set: usize, ways: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+    #[inline]
+    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
+        // `min_by_key` keeps the first of equal minima: the lowest way.
         match &self.ranks {
             Ranks::Swar { words, .. } => {
                 let word = words[set];
-                ways.min_by_key(|&w| (((word >> (w * 8)) & 0xff), w))
+                ways.min_by_key(|&w| (word >> (w * 8)) & 0xff)
             }
             Ranks::Wide { ranks, .. } => {
+                let start = ways.start;
                 let row = &ranks[set * self.ways..(set + 1) * self.ways];
-                ways.min_by_key(|&w| (row[w], w))
+                row[ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &r)| r)
+                    .map(|(offset, _)| start + offset)
             }
         }
     }

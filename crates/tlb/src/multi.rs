@@ -93,11 +93,9 @@ impl<P: StoreProfile> sealed::Sealed for MsTlbGen<P> {}
 impl<P: StoreProfile> TlbCore for MsTlbGen<P> {
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
-        if let Some((class, set, way)) = self.find(asid, vpn) {
+        if let Some((ppn, size)) = self.classes.iter_mut().find_map(|c| c.hit(asid, vpn)) {
             self.stats.hits += 1;
-            self.classes[class].touch(set, way);
-            let e = self.classes[class].entry(set, way);
-            return AccessResult::hit_sized(e.ppn, e.size);
+            return AccessResult::hit_sized(ppn, size);
         }
         self.stats.misses += 1;
         let walk = walker.translate(asid, vpn);

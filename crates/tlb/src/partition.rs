@@ -189,20 +189,11 @@ impl<P: StoreProfile> SpTlbGen<P> {
         }
         true
     }
-}
 
-impl<P: StoreProfile> sealed::Sealed for SpTlbGen<P> {}
-
-impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        // Hit path identical to the SA TLB (Figure 1): search every way.
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.stats.hits += 1;
-            self.array.touch(set, way);
-            let e = self.array.entry(set, way);
-            return AccessResult::hit_sized(e.ppn, e.size);
-        }
+    /// The miss half of [`TlbCore::access`], out of line like the SA
+    /// design's.
+    #[inline(never)]
+    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.misses += 1;
         let walk = walker.translate(asid, vpn);
         let Some(ppn) = walk.ppn else {
@@ -245,6 +236,21 @@ impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
             walk_cycles: walk.cycles,
             size: walk.size,
         }
+    }
+}
+
+impl<P: StoreProfile> sealed::Sealed for SpTlbGen<P> {}
+
+impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
+    #[inline(always)]
+    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
+        self.stats.accesses += 1;
+        // Hit path identical to the SA TLB (Figure 1): search every way.
+        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
+            self.stats.hits += 1;
+            return AccessResult::hit_sized(ppn, size);
+        }
+        self.miss(asid, vpn, walker)
     }
 
     fn probe(&self, asid: Asid, vpn: Vpn) -> bool {

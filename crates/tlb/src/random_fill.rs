@@ -233,20 +233,11 @@ impl<P: StoreProfile> RfTlbGen<P> {
             size: walk.size,
         }
     }
-}
 
-impl<P: StoreProfile> sealed::Sealed for RfTlbGen<P> {}
-
-impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        // TLB hit: identical to the SA TLB.
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.stats.hits += 1;
-            self.array.touch(set, way);
-            let e = self.array.entry(set, way);
-            return AccessResult::hit_sized(e.ppn, e.size);
-        }
+    /// The miss half of [`TlbCore::access`] — the Figure 3 procedure —
+    /// out of line like the SA design's.
+    #[inline(never)]
+    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.misses += 1;
         let sec_d = self.is_secure(asid, vpn);
         // Probe (no fill) the replacement choice R of D's set for its Sec
@@ -322,6 +313,21 @@ impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
                 self.no_fill_response(asid, vpn, walker, fill_cycles)
             }
         }
+    }
+}
+
+impl<P: StoreProfile> sealed::Sealed for RfTlbGen<P> {}
+
+impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
+    #[inline(always)]
+    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
+        self.stats.accesses += 1;
+        // TLB hit: identical to the SA TLB.
+        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
+            self.stats.hits += 1;
+            return AccessResult::hit_sized(ppn, size);
+        }
+        self.miss(asid, vpn, walker)
     }
 
     fn probe(&self, asid: Asid, vpn: Vpn) -> bool {

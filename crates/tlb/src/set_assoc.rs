@@ -57,19 +57,12 @@ impl<P: StoreProfile> SaTlbGen<P> {
     pub(crate) fn stats_mut(&mut self) -> &mut TlbStats {
         &mut self.stats
     }
-}
 
-impl<P: StoreProfile> sealed::Sealed for SaTlbGen<P> {}
-
-impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.stats.hits += 1;
-            self.array.touch(set, way);
-            let e = self.array.entry(set, way);
-            return AccessResult::hit_sized(e.ppn, e.size);
-        }
+    /// The miss half of [`TlbCore::access`]: walk, then fill the set's
+    /// replacement choice. Out of line, so the hit path stays small
+    /// enough to inline into the machine's batch loop.
+    #[inline(never)]
+    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.misses += 1;
         let walk = walker.translate(asid, vpn);
         let Some(ppn) = walk.ppn else {
@@ -108,6 +101,20 @@ impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
             walk_cycles: walk.cycles,
             size: walk.size,
         }
+    }
+}
+
+impl<P: StoreProfile> sealed::Sealed for SaTlbGen<P> {}
+
+impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
+    #[inline(always)]
+    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
+        self.stats.accesses += 1;
+        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
+            self.stats.hits += 1;
+            return AccessResult::hit_sized(ppn, size);
+        }
+        self.miss(asid, vpn, walker)
     }
 
     fn probe(&self, asid: Asid, vpn: Vpn) -> bool {

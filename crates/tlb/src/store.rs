@@ -4,11 +4,11 @@
 //! The entry array of every TLB design (see `crate::array`) is generic
 //! over how entries are stored. Two backends exist:
 //!
-//! - [`SoaStore`] — struct-of-arrays: tags, PPNs, ASIDs, and the
-//!   valid/*Sec*/size bits live in parallel arrays (the flag bits packed
-//!   one-per-entry into `u64` words). The hot lookup scan touches only
-//!   the lanes it needs — a tag word, an ASID, and two bits — instead of
-//!   dragging whole [`TlbEntry`] structs through the cache.
+//! - [`SoaStore`] — struct-of-arrays with three lanes: VPNs, PPNs, and
+//!   one packed tag word per entry holding the valid bit, page size,
+//!   ASID, and *Sec* bit. A way probe compares the tag word (with *Sec*
+//!   masked off) and the VPN, two contiguous lanes, instead of dragging
+//!   whole [`TlbEntry`] structs through the cache.
 //! - [`AosStore`] — the original `Vec<TlbEntry>` layout, kept as the
 //!   reference implementation the differential equivalence suite runs
 //!   against.
@@ -20,6 +20,7 @@
 //! slow path, reachable through the `*Ref` design aliases.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::lru::{PackedLru, Replacement, StampLru};
 use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
@@ -28,10 +29,11 @@ use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 ///
 /// Indices are flat (`set * ways + way`); geometry stays the caller's
 /// concern. Implementations must be value-faithful: `get` after `set`
-/// returns the exact entry written, and `matches_sized` must equal the
-/// field-by-field comparison documented on it — entry residency is
-/// observable behavior (it is what the paper's attacks measure), so the
-/// backends have to be bit-for-bit interchangeable.
+/// returns the exact entry written (an invalid entry's fields included),
+/// and [`EntryStore::find`] must equal the field-by-field comparison
+/// documented on it — entry residency is observable behavior (it is what
+/// the paper's attacks measure), so the backends have to be bit-for-bit
+/// interchangeable.
 pub trait EntryStore: fmt::Debug + Clone {
     /// Storage for `capacity` entries, all invalid.
     fn new(capacity: usize) -> Self;
@@ -42,9 +44,6 @@ pub trait EntryStore: fmt::Debug + Clone {
     /// Overwrites the entry at `idx`.
     fn set(&mut self, idx: usize, entry: TlbEntry);
 
-    /// Whether the entry at `idx` is valid.
-    fn valid(&self, idx: usize) -> bool;
-
     /// Marks the entry at `idx` invalid.
     fn invalidate(&mut self, idx: usize) {
         self.set(idx, TlbEntry::invalid());
@@ -53,11 +52,18 @@ pub trait EntryStore: fmt::Debug + Clone {
     /// Invalidates every entry.
     fn clear(&mut self);
 
-    /// The hot-path probe: whether the entry at `idx` is valid, has page
-    /// size `size`, and matches `(asid, aligned)`, where `aligned` is the
-    /// requested VPN already aligned to `size`. Equivalent to
+    /// The hot-path probe over one set's slots: the offset within `slots`
+    /// of the lowest entry that is valid, has page size `size`, and
+    /// matches `(asid, aligned)`, where `aligned` is the requested VPN
+    /// already aligned to `size`. Each slot is equivalent to
     /// `e.size == size && e.matches(asid, vpn)` on the stored entry.
-    fn matches_sized(&self, idx: usize, asid: Asid, aligned: Vpn, size: PageSize) -> bool;
+    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize>;
+
+    /// The translation a hit on `idx` returns: its PPN and page size.
+    fn hit(&self, idx: usize) -> (Ppn, PageSize);
+
+    /// The offset within `slots` of the lowest invalid entry, if any.
+    fn first_invalid(&self, slots: Range<usize>) -> Option<usize>;
 }
 
 /// The original array-of-structs layout: one [`TlbEntry`] per slot.
@@ -81,118 +87,122 @@ impl EntryStore for AosStore {
         self.entries[idx] = entry;
     }
 
-    fn valid(&self, idx: usize) -> bool {
-        self.entries[idx].valid
-    }
-
     fn clear(&mut self) {
         self.entries.fill(TlbEntry::invalid());
     }
 
-    fn matches_sized(&self, idx: usize, asid: Asid, aligned: Vpn, size: PageSize) -> bool {
+    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize> {
+        self.entries[slots]
+            .iter()
+            .position(|e| e.valid && e.size == size && e.vpn == aligned && e.asid == asid)
+    }
+
+    fn hit(&self, idx: usize) -> (Ppn, PageSize) {
         let e = &self.entries[idx];
-        e.valid && e.size == size && e.vpn == aligned && e.asid == asid
+        (e.ppn, e.size)
+    }
+
+    fn first_invalid(&self, slots: Range<usize>) -> Option<usize> {
+        self.entries[slots].iter().position(|e| !e.valid)
     }
 }
 
-/// Struct-of-arrays storage: parallel tag/PPN/ASID arrays plus packed
-/// valid/*Sec*/size bits (one bit per entry in `u64` words).
+/// Struct-of-arrays storage: VPN and PPN lanes plus one packed tag word
+/// per entry.
+///
+/// A tag word holds the ASID in bits 0..16, the valid bit at 16, the
+/// page-size code (0 base, 1 mega, 2 giga) in bits 17..19 and the *Sec*
+/// bit at 19. With *Sec* masked off, two words are equal exactly when
+/// the entries' valid bits, sizes and ASIDs are, so a way probe is one
+/// word compare plus the VPN compare.
 #[derive(Debug, Clone)]
 pub struct SoaStore {
     vpns: Vec<u64>,
     ppns: Vec<u64>,
-    asids: Vec<u16>,
-    /// Valid bits, entry `i` at bit `i % 64` of word `i / 64`.
-    valid: Vec<u64>,
-    /// *Sec* bits, same packing.
-    sec: Vec<u64>,
-    /// Page-size bits (set = megapage), same packing.
-    mega: Vec<u64>,
-    /// Page-size bits (set = gigapage), same packing. At most one of
-    /// `mega`/`giga` is set per entry; both clear means a base page.
-    giga: Vec<u64>,
+    tags: Vec<u32>,
 }
 
 impl SoaStore {
+    const VALID: u32 = 1 << 16;
+    const SIZE_SHIFT: u32 = 17;
+    const SEC: u32 = 1 << 19;
+
+    /// Packs an entry's tag word.
     #[inline]
-    fn bit(words: &[u64], idx: usize) -> bool {
-        (words[idx / 64] >> (idx % 64)) & 1 == 1
+    fn tag(valid: bool, size: PageSize, asid: Asid, sec: bool) -> u32 {
+        let size = match size {
+            PageSize::Base => 0,
+            PageSize::Mega => 1,
+            PageSize::Giga => 2,
+        };
+        let valid = if valid { Self::VALID } else { 0 };
+        let sec = if sec { Self::SEC } else { 0 };
+        u32::from(asid.0) | valid | size << Self::SIZE_SHIFT | sec
     }
 
+    /// The page size a tag word encodes.
     #[inline]
-    fn set_bit(words: &mut [u64], idx: usize, value: bool) {
-        let mask = 1u64 << (idx % 64);
-        if value {
-            words[idx / 64] |= mask;
-        } else {
-            words[idx / 64] &= !mask;
+    fn size_of(tag: u32) -> PageSize {
+        match (tag >> Self::SIZE_SHIFT) & 3 {
+            0 => PageSize::Base,
+            1 => PageSize::Mega,
+            _ => PageSize::Giga,
         }
     }
 }
 
 impl EntryStore for SoaStore {
     fn new(capacity: usize) -> SoaStore {
-        let words = capacity.div_ceil(64);
         SoaStore {
             vpns: vec![0; capacity],
             ppns: vec![0; capacity],
-            asids: vec![0; capacity],
-            valid: vec![0; words],
-            sec: vec![0; words],
-            mega: vec![0; words],
-            giga: vec![0; words],
+            tags: vec![0; capacity],
         }
     }
 
     fn get(&self, idx: usize) -> TlbEntry {
+        let tag = self.tags[idx];
         TlbEntry {
-            valid: Self::bit(&self.valid, idx),
+            valid: tag & Self::VALID != 0,
             vpn: Vpn(self.vpns[idx]),
             ppn: Ppn(self.ppns[idx]),
-            asid: Asid(self.asids[idx]),
-            sec: Self::bit(&self.sec, idx),
-            size: if Self::bit(&self.giga, idx) {
-                PageSize::Giga
-            } else if Self::bit(&self.mega, idx) {
-                PageSize::Mega
-            } else {
-                PageSize::Base
-            },
+            asid: Asid(tag as u16),
+            sec: tag & Self::SEC != 0,
+            size: Self::size_of(tag),
         }
     }
 
     fn set(&mut self, idx: usize, entry: TlbEntry) {
         self.vpns[idx] = entry.vpn.0;
         self.ppns[idx] = entry.ppn.0;
-        self.asids[idx] = entry.asid.0;
-        Self::set_bit(&mut self.valid, idx, entry.valid);
-        Self::set_bit(&mut self.sec, idx, entry.sec);
-        Self::set_bit(&mut self.mega, idx, entry.size == PageSize::Mega);
-        Self::set_bit(&mut self.giga, idx, entry.size == PageSize::Giga);
-    }
-
-    fn valid(&self, idx: usize) -> bool {
-        Self::bit(&self.valid, idx)
+        self.tags[idx] = Self::tag(entry.valid, entry.size, entry.asid, entry.sec);
     }
 
     fn clear(&mut self) {
-        // Only the valid bits gate every probe; stale lanes behind a
-        // cleared valid bit are unobservable, so one memset suffices.
-        self.valid.fill(0);
-        self.sec.fill(0);
-        self.mega.fill(0);
-        self.giga.fill(0);
+        // Zero is the invalid entry's image in every lane.
         self.vpns.fill(0);
         self.ppns.fill(0);
-        self.asids.fill(0);
+        self.tags.fill(0);
     }
 
-    fn matches_sized(&self, idx: usize, asid: Asid, aligned: Vpn, size: PageSize) -> bool {
-        Self::bit(&self.valid, idx)
-            && Self::bit(&self.mega, idx) == (size == PageSize::Mega)
-            && Self::bit(&self.giga, idx) == (size == PageSize::Giga)
-            && self.vpns[idx] == aligned.0
-            && self.asids[idx] == asid.0
+    #[inline]
+    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize> {
+        let key = Self::tag(true, size, asid, false);
+        let tags = &self.tags[slots.clone()];
+        let vpns = &self.vpns[slots];
+        tags.iter()
+            .zip(vpns)
+            .position(|(&t, &v)| t & !Self::SEC == key && v == aligned.0)
+    }
+
+    #[inline]
+    fn hit(&self, idx: usize) -> (Ppn, PageSize) {
+        (Ppn(self.ppns[idx]), Self::size_of(self.tags[idx]))
+    }
+
+    #[inline]
+    fn first_invalid(&self, slots: Range<usize>) -> Option<usize> {
+        self.tags[slots].iter().position(|&t| t & Self::VALID == 0)
     }
 }
 
@@ -240,20 +250,20 @@ mod tests {
     }
 
     fn roundtrip<S: EntryStore>() {
-        let mut s = S::new(70); // spans two flag words
+        let mut s = S::new(70);
         for idx in [0, 1, 63, 64, 69] {
             for entry in [
                 sample(true, false, PageSize::Base),
                 sample(true, true, PageSize::Mega),
                 sample(true, false, PageSize::Giga),
                 sample(false, false, PageSize::Base),
+                sample(false, true, PageSize::Giga),
             ] {
                 s.set(idx, entry);
                 assert_eq!(s.get(idx), entry, "entry {idx} must roundtrip");
-                assert_eq!(s.valid(idx), entry.valid);
             }
             s.invalidate(idx);
-            assert!(!s.valid(idx));
+            assert_eq!(s.get(idx), TlbEntry::invalid());
         }
     }
 
@@ -274,23 +284,41 @@ mod tests {
             size: PageSize::Mega,
         };
         s.set(5, e);
+        // A secure twin with another ASID: the probe masks Sec off.
+        s.set(
+            6,
+            TlbEntry {
+                asid: Asid(4),
+                sec: true,
+                ..e
+            },
+        );
         for (asid, vpn, size) in [
             (Asid(3), Vpn(0x2ff), PageSize::Mega),
             (Asid(3), Vpn(0x200), PageSize::Base),
             (Asid(3), Vpn(0x2ff), PageSize::Giga),
             (Asid(4), Vpn(0x2ff), PageSize::Mega),
+            (Asid(5), Vpn(0x2ff), PageSize::Mega),
             (Asid(3), Vpn(0x400), PageSize::Mega),
         ] {
             let aligned = size.align(vpn);
-            let stored = s.get(5);
-            let reference = stored.size == size && stored.matches(asid, vpn);
+            let reference = (0..8).position(|i| {
+                let stored = s.get(i);
+                stored.size == size && stored.matches(asid, vpn)
+            });
             assert_eq!(
-                s.matches_sized(5, asid, aligned, size),
+                s.find(0..8, asid, aligned, size),
                 reference,
                 "probe ({asid}, {vpn}, {size:?}) must match the entry comparison"
             );
         }
-        assert!(!s.matches_sized(0, Asid(3), Vpn(0), PageSize::Base));
+        assert_eq!(s.find(0..5, Asid(3), Vpn(0x200), PageSize::Mega), None);
+        assert_eq!(s.find(4..8, Asid(3), Vpn(0x200), PageSize::Mega), Some(1));
+        assert_eq!(s.find(0..8, Asid(0), Vpn(0), PageSize::Base), None);
+        assert_eq!(s.hit(5), (Ppn(1), PageSize::Mega));
+        assert_eq!(s.first_invalid(0..8), Some(0));
+        assert_eq!(s.first_invalid(5..8), Some(2));
+        assert_eq!(s.first_invalid(5..7), None);
     }
 
     #[test]
@@ -307,7 +335,6 @@ mod tests {
         }
         s.clear();
         for i in 0..100 {
-            assert!(!s.valid(i));
             assert_eq!(s.get(i), TlbEntry::invalid());
         }
     }

@@ -96,6 +96,7 @@ impl<P: StoreProfile> TpTlbGen<P> {
 impl<P: StoreProfile> sealed::Sealed for TpTlbGen<P> {}
 
 impl<P: StoreProfile> TlbCore for TpTlbGen<P> {
+    #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.inner.access(asid, vpn, walker)
     }

@@ -91,6 +91,7 @@ pub struct AccessResult {
 
 impl AccessResult {
     /// A plain hit costing no walk cycles.
+    #[inline]
     pub fn hit_sized(ppn: Ppn, size: crate::types::PageSize) -> AccessResult {
         AccessResult {
             hit: true,

@@ -15,6 +15,7 @@ pub struct Vpn(pub u64);
 
 impl Vpn {
     /// The virtual page containing a virtual address.
+    #[inline]
     pub fn of_addr(vaddr: u64) -> Vpn {
         Vpn(vaddr >> PAGE_SHIFT)
     }
@@ -99,6 +100,7 @@ impl PageSize {
     pub const ALL: [PageSize; 3] = [PageSize::Base, PageSize::Mega, PageSize::Giga];
 
     /// Base pages covered by one translation of this size.
+    #[inline]
     pub fn span_pages(self) -> u64 {
         match self {
             PageSize::Base => 1,
@@ -109,6 +111,7 @@ impl PageSize {
 
     /// Bits of the base-page VPN below this size's frame number (0, 9,
     /// or 18): the shift the set index of a sized entry is taken above.
+    #[inline]
     pub fn span_shift(self) -> u32 {
         match self {
             PageSize::Base => 0,
@@ -118,6 +121,7 @@ impl PageSize {
     }
 
     /// Aligns a VPN down to this size's boundary.
+    #[inline]
     pub fn align(self, vpn: Vpn) -> Vpn {
         Vpn(vpn.0 & !(self.span_pages() - 1))
     }

@@ -11,9 +11,10 @@
 //!
 //! Proptest drives random sequences (loads, stores, whole-TLB flushes,
 //! per-ASID flushes, targeted invalidations, context switches) through
-//! both machines on all seven design points: SA, FA (set-associative
-//! with one set), SP, RF, the temporal-partitioning FS and FT designs,
-//! and the multi-page-size MS design. A dedicated MS sweep additionally
+//! both machines on all seven designs: SA, FA (set-associative with one
+//! set), SP, RF, the temporal-partitioning FS and FT designs, and the
+//! multi-page-size MS design — plus four Figure 7 geometries (FA 128, SP
+//! on FA 32, 1E, and RF on 2W 128). A dedicated MS sweep additionally
 //! maps megapages and gigapages so every entry class fills, evicts, and
 //! invalidates on both paths.
 //!
@@ -52,9 +53,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 const BASE: u64 = 0x100;
 
-/// The seven design points of the equivalence sweep: paper name, machine
-/// design, and geometry.
-fn variants() -> [(&'static str, TlbDesign, TlbConfig); 7] {
+/// The design points of the equivalence sweep: name, machine design, and
+/// geometry. The seven designs at the security-evaluation geometry, plus
+/// the Figure 7 geometries whose way probes scan the most or fewest ways:
+/// a 128-way set, SP's partitions on one 32-way set, a single entry, and
+/// 64 two-way sets under RF's set-randomized fills.
+fn variants() -> [(&'static str, TlbDesign, TlbConfig); 11] {
     [
         ("SA", TlbDesign::Sa, TlbConfig::sa(32, 8).expect("valid")),
         ("FA", TlbDesign::Sa, TlbConfig::fa(32).expect("valid")),
@@ -63,6 +67,14 @@ fn variants() -> [(&'static str, TlbDesign, TlbConfig); 7] {
         ("FS", TlbDesign::Fs, TlbConfig::sa(32, 8).expect("valid")),
         ("FT", TlbDesign::Ft, TlbConfig::sa(32, 8).expect("valid")),
         ("MS", TlbDesign::Ms, TlbConfig::sa(32, 8).expect("valid")),
+        ("FA 128", TlbDesign::Sa, TlbConfig::fa(128).expect("valid")),
+        ("SP FA 32", TlbDesign::Sp, TlbConfig::fa(32).expect("valid")),
+        ("1E", TlbDesign::Sa, TlbConfig::single_entry()),
+        (
+            "RF 2W 128",
+            TlbDesign::Rf,
+            TlbConfig::sa(128, 2).expect("valid"),
+        ),
     ]
 }
 
