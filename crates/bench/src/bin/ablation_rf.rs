@@ -11,12 +11,13 @@
 //! N|auto] [--checkpoint PATH] [--resume PATH] [--retries N]
 //! [--kill-after N] [--inject-* ...] [--events PATH] [--metrics PATH]`
 //!
-//! With `--workers` or any fault-tolerance flag the 24×2 sweep runs on
-//! the resilient engine, one shard per (vulnerability, eviction) cell.
-//! `--adaptive` stops each cell's trials as soon as its leak verdict is
-//! statistically settled (the printed C* then reflects the settled
-//! prefix), which never flips a verdict.
+//! The 24×2 sweep runs on the campaign engine, one task per
+//! vulnerability row (both evictions). `--adaptive` stops each cell's
+//! trials as soon as its leak verdict is statistically settled (the
+//! printed C* then reflects the settled prefix), which never flips a
+//! verdict.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
@@ -51,7 +52,6 @@ fn main() {
     let measure = |v, eviction| {
         let settings = TrialSettings {
             trials,
-            workers: None, // sharding happens at cell granularity
             rf_eviction: eviction,
             oracle,
             ..TrialSettings::default()
@@ -61,74 +61,48 @@ fn main() {
             None => run_vulnerability(v, TlbDesign::Rf, &settings).capacity(),
         }
     };
-    // One engine task per (vulnerability, eviction) cell, in print order.
-    // The adaptive alpha joins the fingerprint: an adaptive checkpoint
-    // holds settled prefixes, which an exhaustive resume must not trust.
+    // One engine task per vulnerability row, in print order. The adaptive
+    // alpha joins the fingerprint: an adaptive checkpoint holds settled
+    // prefixes, which an exhaustive resume must not trust.
     let mut coords = vec![u64::from(trials)];
     if let Some(test) = &test {
         coords.push(test.alpha.to_bits());
     }
-    let mut engine_stats = None;
+    let tasks: Vec<usize> = (0..vulns.len()).collect();
     obs.campaign_begin();
-    let capacities: Vec<Result<(f64, f64), &'static str>> =
-        match campaign::engine_workers(workers, &policy) {
-            Some(engine_workers) => {
-                let tasks: Vec<usize> = (0..vulns.len()).collect();
-                let outcome = campaign::run_campaign_observed(
-                    "ablation_rf",
-                    coords,
-                    &tasks,
-                    engine_workers,
-                    &policy,
-                    obs.telemetry(),
-                    &|&i: &usize| format!("{} on RF TLB, both evictions", vulns[i]),
-                    |&i: &usize| {
-                        (
-                            measure(&vulns[i], RandomFillEviction::RandomWay),
-                            measure(&vulns[i], RandomFillEviction::LruWay),
-                        )
-                    },
-                );
-                obs.campaign_end();
-                engine_stats = Some(outcome.stats.clone());
-                let caps: Vec<Result<(f64, f64), &'static str>> =
-                    outcome
-                        .results
-                        .iter()
-                        .map(|r| match r.done() {
-                            Some(&pair) => Ok(pair),
-                            None => Err(campaign::gap_marker(std::slice::from_ref(r))
-                                .unwrap_or("QUARANTINED")),
-                        })
-                        .collect();
-                outcome.eprint_summary();
-                if outcome.exit_code() != 0 {
-                    let summary = oracle::conclude("ablation_rf", Path::new("repro"));
-                    render(&vulns, &caps, &summary);
-                    summary.eprint();
-                    obs.oracle_summary(&summary);
-                    obs.finish(Some(&outcome.stats));
-                    std::process::exit(summary.exit_code(outcome.exit_code()));
-                }
-                caps
-            }
-            None => vulns
-                .iter()
-                .map(|v| {
-                    Ok((
-                        measure(v, RandomFillEviction::RandomWay),
-                        measure(v, RandomFillEviction::LruWay),
-                    ))
-                })
-                .collect(),
-        };
+    let outcome = campaign::run_campaign_observed(
+        "ablation_rf",
+        coords,
+        &tasks,
+        workers.unwrap_or(NonZeroUsize::MIN),
+        &policy,
+        obs.telemetry(),
+        &|&i: &usize| format!("{} on RF TLB, both evictions", vulns[i]),
+        |&i: &usize| {
+            (
+                measure(&vulns[i], RandomFillEviction::RandomWay),
+                measure(&vulns[i], RandomFillEviction::LruWay),
+            )
+        },
+    );
     obs.campaign_end();
+    let capacities: Vec<Result<(f64, f64), &'static str>> = outcome
+        .results
+        .iter()
+        .map(|r| match r.done() {
+            Some(&pair) => Ok(pair),
+            None => Err(campaign::gap_marker(std::slice::from_ref(r)).unwrap_or("QUARANTINED")),
+        })
+        .collect();
+    if campaign::flagged(workers, &policy) {
+        outcome.eprint_summary();
+    }
     let summary = oracle::conclude("ablation_rf", Path::new("repro"));
     render(&vulns, &capacities, &summary);
     summary.eprint();
     obs.oracle_summary(&summary);
-    obs.finish(engine_stats.as_ref());
-    std::process::exit(summary.exit_code(0));
+    obs.finish(Some(&outcome.stats));
+    std::process::exit(summary.exit_code(outcome.exit_code()));
 }
 
 fn render(

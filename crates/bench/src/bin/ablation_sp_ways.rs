@@ -10,9 +10,10 @@
 //! PATH] [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
 //! [--events PATH] [--metrics PATH]`
 //!
-//! With `--workers` or any fault-tolerance flag the sweep runs on the
-//! resilient engine, one shard per victim-way split.
+//! The sweep runs on the campaign engine, one task per victim-way
+//! split.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
@@ -41,7 +42,6 @@ fn main() {
         });
     let settings = TrialSettings {
         trials,
-        workers: None, // sharding happens at sweep-point granularity
         oracle: cli::oracle_flags(&args, &policy, "ablation_sp_ways"),
         ..TrialSettings::default()
     };
@@ -62,57 +62,39 @@ fn main() {
     };
     let mut obs = Observability::from_args("ablation_sp_ways", &args);
     let splits: Vec<usize> = (1..config.ways()).collect();
-    match campaign::engine_workers(workers, &policy) {
-        Some(engine_workers) => {
-            obs.campaign_begin();
-            let outcome = campaign::run_campaign_observed(
-                "ablation_sp_ways",
-                [u64::from(trials)],
-                &splits,
-                engine_workers,
-                &policy,
-                obs.telemetry(),
-                &|&w: &usize| format!("SP TLB with {w} victim way(s)"),
-                sweep_point,
-            );
-            obs.campaign_end();
-            for (victim_ways, result) in splits.iter().zip(&outcome.results) {
-                match result.done() {
-                    Some((capacity, alone, co)) => {
-                        println!("{victim_ways:>11} {capacity:>16.3} {alone:>14.3} {co:>18.3}")
-                    }
-                    None => {
-                        let gap =
-                            campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUAR");
-                        println!("{victim_ways:>11} {gap:>16} {gap:>14} {gap:>18}")
-                    }
-                }
+    obs.campaign_begin();
+    let outcome = campaign::run_campaign_observed(
+        "ablation_sp_ways",
+        [u64::from(trials)],
+        &splits,
+        workers.unwrap_or(NonZeroUsize::MIN),
+        &policy,
+        obs.telemetry(),
+        &|&w: &usize| format!("SP TLB with {w} victim way(s)"),
+        sweep_point,
+    );
+    obs.campaign_end();
+    for (victim_ways, result) in splits.iter().zip(&outcome.results) {
+        match result.done() {
+            Some((capacity, alone, co)) => {
+                println!("{victim_ways:>11} {capacity:>16.3} {alone:>14.3} {co:>18.3}")
             }
-            print_reading();
-            let summary = oracle::conclude("ablation_sp_ways", Path::new("repro"));
-            print_suspects(&summary);
-            outcome.eprint_summary();
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(Some(&outcome.stats));
-            std::process::exit(summary.exit_code(outcome.exit_code()));
-        }
-        None => {
-            obs.campaign_begin();
-            for victim_ways in splits {
-                let (capacity, alone, co) = sweep_point(&victim_ways);
-                println!("{victim_ways:>11} {capacity:>16.3} {alone:>14.3} {co:>18.3}");
+            None => {
+                let gap = campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUAR");
+                println!("{victim_ways:>11} {gap:>16} {gap:>14} {gap:>18}")
             }
-            obs.campaign_end();
-            print_reading();
-            let summary = oracle::conclude("ablation_sp_ways", Path::new("repro"));
-            print_suspects(&summary);
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(None);
-            std::process::exit(summary.exit_code(0));
         }
     }
+    print_reading();
+    let summary = oracle::conclude("ablation_sp_ways", Path::new("repro"));
+    print_suspects(&summary);
+    if campaign::flagged(workers, &policy) {
+        outcome.eprint_summary();
+    }
+    summary.eprint();
+    obs.oracle_summary(&summary);
+    obs.finish(Some(&outcome.stats));
+    std::process::exit(summary.exit_code(outcome.exit_code()));
 }
 
 /// Every sweep point shares the same design and vulnerability context

@@ -100,7 +100,7 @@ fn main() {
     }
     let _ = attack_all_designs(&key, &AttackSettings::default());
     println!("(50% is chance level: the attacker learns nothing)");
-    if policy.wants_engine() || workers.is_some() {
+    if campaign::flagged(workers, &policy) {
         outcome.eprint_summary();
     }
     summary.eprint();

@@ -9,13 +9,15 @@
 //!
 //! `--quick` runs 10 decryptions and the alone/omnetpp workloads only.
 //! Run with `--release`; the full sweep executes billions of simulated
-//! instructions. Every cell is an independent deterministic simulation,
-//! so `--workers` shards the sweep without changing any number; each
-//! cell is simulated once and feeds both its IPC and MPKI panels. The
-//! fault-tolerance flags run the sweep on the resilient engine — this is
-//! the longest campaign in the harness, so `--checkpoint`/`--resume`
-//! matter most here.
+//! instructions. Every cell is an independent deterministic simulation
+//! and one task of the campaign engine, so `--workers` shards the sweep
+//! without changing any number; each cell is simulated once and feeds
+//! both its IPC and MPKI panels. A cell whose setup fails is retried and
+//! then quarantined (rendered `QUAR`, exit 4). This is the longest
+//! campaign in the harness, so `--checkpoint`/`--resume` matter most
+//! here.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::exit::EXIT_SETUP;
@@ -89,57 +91,37 @@ fn main() {
     // cell renders its gap marker (QUAR / TIMEOUT / PARTIAL) in both
     // panels instead of a number.
     obs.campaign_begin();
-    let (cells, outcome): (Vec<Result<(f64, f64), &'static str>>, _) =
-        match campaign::engine_workers(workers, &policy) {
-            Some(engine_workers) => {
-                let outcome = campaign::run_campaign_observed(
-                    "fig7",
-                    [u64::from(quick)],
-                    &tasks,
-                    engine_workers,
-                    &policy,
-                    obs.telemetry(),
-                    &|&(d, c, w, r): &(TlbDesign, TlbConfig, Workload, usize)| {
-                        format!("{d} TLB {} {} x{r}", c.label(), w.label())
-                    },
-                    |&(d, c, w, r)| {
-                        // A setup error panics the shard: the engine
-                        // retries it deterministically and renders the
-                        // cell QUAR if it keeps failing.
-                        match run_cell_oracle(d, c, w, r, oracle_cfg, |b| b) {
-                            Ok(cell) => (cell.ipc, cell.mpki),
-                            Err(e) => panic!("{e}"),
-                        }
-                    },
-                );
-                (
-                    outcome
-                        .results
-                        .iter()
-                        .map(|r| match r.done() {
-                            Some(&pair) => Ok(pair),
-                            None => Err(campaign::gap_marker(std::slice::from_ref(r))
-                                .map_or("QUAR", |m| if m == "QUARANTINED" { "QUAR" } else { m })),
-                        })
-                        .collect(),
-                    Some(outcome),
-                )
+    let outcome = campaign::run_campaign_observed(
+        "fig7",
+        [u64::from(quick)],
+        &tasks,
+        workers.unwrap_or(NonZeroUsize::MIN),
+        &policy,
+        obs.telemetry(),
+        &|&(d, c, w, r): &(TlbDesign, TlbConfig, Workload, usize)| {
+            format!("{d} TLB {} {} x{r}", c.label(), w.label())
+        },
+        |&(d, c, w, r)| {
+            // A setup error panics the shard: the engine retries it
+            // deterministically and renders the cell QUAR if it keeps
+            // failing.
+            match run_cell_oracle(d, c, w, r, oracle_cfg, |b| b) {
+                Ok(cell) => (cell.ipc, cell.mpki),
+                Err(e) => panic!("{e}"),
             }
-            None => (
-                tasks
-                    .iter()
-                    .map(|&(d, c, w, r)| {
-                        let cell =
-                            run_cell_oracle(d, c, w, r, oracle_cfg, |b| b).unwrap_or_else(|e| {
-                                eprintln!("error: {e}");
-                                std::process::exit(EXIT_SETUP);
-                            });
-                        Ok((cell.ipc, cell.mpki))
-                    })
-                    .collect(),
-                None,
-            ),
-        };
+        },
+    );
+    let cells: Vec<Result<(f64, f64), &'static str>> = outcome
+        .results
+        .iter()
+        .map(|r| match r.done() {
+            Some(&pair) => Ok(pair),
+            None => Err(match campaign::gap_marker(std::slice::from_ref(r)) {
+                Some("QUARANTINED") | None => "QUAR",
+                Some(marker) => marker,
+            }),
+        })
+        .collect();
     obs.campaign_end();
     let summary = oracle::conclude("fig7", Path::new("repro"));
 
@@ -213,15 +195,11 @@ fn main() {
         );
     }
 
-    let base_exit = match &outcome {
-        Some(outcome) => {
-            outcome.eprint_summary();
-            outcome.exit_code()
-        }
-        None => 0,
-    };
+    if campaign::flagged(workers, &policy) {
+        outcome.eprint_summary();
+    }
     summary.eprint();
     obs.oracle_summary(&summary);
-    obs.finish(outcome.as_ref().map(|o| &o.stats));
-    std::process::exit(summary.exit_code(base_exit));
+    obs.finish(Some(&outcome.stats));
+    std::process::exit(summary.exit_code(outcome.exit_code()));
 }

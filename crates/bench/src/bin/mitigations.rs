@@ -10,13 +10,14 @@
 //! flush-on-switch, FT `fence.t` full clear) and the multi-page-size
 //! TLB to the survey; the classic five rows keep their exact output.
 //!
-//! With `--workers` or any fault-tolerance flag the survey runs on the
-//! resilient engine, one shard per mitigation: a panicking survey row is
-//! retried deterministically and, if it keeps failing, reported as
-//! quarantined instead of aborting the others. `--adaptive` stops each
-//! of a row's 24 cells as soon as its verdict is statistically settled;
-//! the defended counts are guaranteed to match the exhaustive run.
+//! The survey runs on the campaign engine, one task per mitigation: a
+//! panicking survey row is retried deterministically and, if it keeps
+//! failing, reported as quarantined instead of aborting the others.
+//! `--adaptive` stops each of a row's 24 cells as soon as its verdict is
+//! statistically settled; the defended counts are guaranteed to match
+//! the exhaustive run.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
@@ -41,7 +42,6 @@ fn main() {
     };
     let settings = TrialSettings {
         trials: cli::trials_flag(&args, 300),
-        workers: None, // sharding happens at mitigation granularity below
         oracle: cli::oracle_flags(&args, &policy, "mitigations"),
         ..TrialSettings::default()
     };
@@ -53,110 +53,79 @@ fn main() {
     println!("Section 2.3: existing mitigations vs. the 24 vulnerability types");
     println!("({} trials per placement)\n", settings.trials);
     println!("{:<42} {:>10} {:>8}", "approach", "measured", "paper");
-    // One row = 24 adaptive cells; the count plus total trials saved.
-    let row = |m: &Mitigation, test: &SequentialTest| {
-        let (count, saved) = defended_count_adaptive(*m, &settings, test);
-        (count as u64, saved)
-    };
-    match campaign::engine_workers(workers, &policy) {
-        Some(engine_workers) => {
-            let tasks: Vec<Mitigation> = survey.to_vec();
-            // The adaptive alpha joins the fingerprint (and the record
-            // shape changes), so adaptive and exhaustive checkpoints can
-            // never cross-resume.
-            let mut saved_total = 0;
-            obs.campaign_begin();
-            let outcome = match &test {
-                Some(test) => {
-                    let outcome = campaign::run_campaign_observed(
-                        "mitigations",
-                        [
-                            u64::from(settings.trials),
-                            settings.base_seed,
-                            test.alpha.to_bits(),
-                        ],
-                        &tasks,
-                        engine_workers,
-                        &policy,
-                        obs.telemetry(),
-                        &|m: &Mitigation| m.label().to_owned(),
-                        |m: &Mitigation| row(m, test),
-                    );
-                    saved_total = outcome
-                        .results
-                        .iter()
-                        .filter_map(|r| r.done().map(|&(_, saved)| saved))
-                        .sum();
-                    outcome.map(|(count, _)| count)
-                }
-                None => campaign::run_campaign_observed(
-                    "mitigations",
-                    [u64::from(settings.trials), settings.base_seed],
-                    &tasks,
-                    engine_workers,
-                    &policy,
-                    obs.telemetry(),
-                    &|m: &Mitigation| m.label().to_owned(),
-                    |m: &Mitigation| defended_count(*m, &settings, THRESHOLD) as u64,
-                ),
-            };
-            obs.campaign_end();
-            for (m, result) in tasks.iter().zip(&outcome.results) {
-                match result.done() {
-                    Some(measured) => println!(
-                        "{:<42} {:>7}/24 {:>5}/24",
-                        m.label(),
-                        measured,
-                        m.paper_defended_count()
-                    ),
-                    None => println!(
-                        "{:<42} {:>10} {:>5}/24",
-                        m.label(),
-                        campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED"),
-                        m.paper_defended_count()
-                    ),
-                }
-            }
-            print_reading();
-            print_saved(&test, saved_total);
-            let summary = oracle::conclude("mitigations", Path::new("repro"));
-            print_suspects(&summary);
-            outcome.eprint_summary();
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(Some(&outcome.stats));
-            std::process::exit(summary.exit_code(outcome.exit_code()));
+    let tasks: Vec<Mitigation> = survey.to_vec();
+    let pool_workers = workers.unwrap_or(NonZeroUsize::MIN);
+    let label = |m: &Mitigation| m.label().to_owned();
+    // The adaptive alpha joins the fingerprint (and the record shape
+    // changes), so adaptive and exhaustive checkpoints can never
+    // cross-resume.
+    let mut saved_total = 0;
+    obs.campaign_begin();
+    let outcome = match &test {
+        Some(test) => {
+            let outcome = campaign::run_campaign_observed(
+                "mitigations",
+                [
+                    u64::from(settings.trials),
+                    settings.base_seed,
+                    test.alpha.to_bits(),
+                ],
+                &tasks,
+                pool_workers,
+                &policy,
+                obs.telemetry(),
+                &label,
+                |m: &Mitigation| {
+                    let (count, saved) = defended_count_adaptive(*m, &settings, test);
+                    (count as u64, saved)
+                },
+            );
+            saved_total = outcome
+                .results
+                .iter()
+                .filter_map(|r| r.done().map(|&(_, saved)| saved))
+                .sum();
+            outcome.map(|(count, _)| count)
         }
-        None => {
-            obs.campaign_begin();
-            let mut saved_total = 0;
-            for &m in survey {
-                let measured = match &test {
-                    Some(test) => {
-                        let (count, saved) = row(&m, test);
-                        saved_total += saved;
-                        count as usize
-                    }
-                    None => defended_count(m, &settings, THRESHOLD),
-                };
-                println!(
-                    "{:<42} {:>7}/24 {:>5}/24",
-                    m.label(),
-                    measured,
-                    m.paper_defended_count()
-                );
-            }
-            obs.campaign_end();
-            print_reading();
-            print_saved(&test, saved_total);
-            let summary = oracle::conclude("mitigations", Path::new("repro"));
-            print_suspects(&summary);
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(None);
-            std::process::exit(summary.exit_code(0));
+        None => campaign::run_campaign_observed(
+            "mitigations",
+            [u64::from(settings.trials), settings.base_seed],
+            &tasks,
+            pool_workers,
+            &policy,
+            obs.telemetry(),
+            &label,
+            |m: &Mitigation| defended_count(*m, &settings, THRESHOLD) as u64,
+        ),
+    };
+    obs.campaign_end();
+    for (m, result) in tasks.iter().zip(&outcome.results) {
+        match result.done() {
+            Some(measured) => println!(
+                "{:<42} {:>7}/24 {:>5}/24",
+                m.label(),
+                measured,
+                m.paper_defended_count()
+            ),
+            None => println!(
+                "{:<42} {:>10} {:>5}/24",
+                m.label(),
+                campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED"),
+                m.paper_defended_count()
+            ),
         }
     }
+    print_reading();
+    print_saved(&test, saved_total);
+    let summary = oracle::conclude("mitigations", Path::new("repro"));
+    print_suspects(&summary);
+    if campaign::flagged(workers, &policy) {
+        outcome.eprint_summary();
+    }
+    summary.eprint();
+    obs.oracle_summary(&summary);
+    obs.finish(Some(&outcome.stats));
+    std::process::exit(summary.exit_code(outcome.exit_code()));
 }
 
 fn print_saved(test: &Option<SequentialTest>, saved: u64) {

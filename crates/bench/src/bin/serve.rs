@@ -73,7 +73,7 @@ use std::time::Duration;
 use sectlb_bench::cli;
 use sectlb_bench::exit::{EXIT_CANCELLED, EXIT_DEGRADED, EXIT_SETUP, EXIT_USAGE};
 use sectlb_secbench::iofault::{self, IoInjector};
-use sectlb_secbench::report::build_table4_resilient_observed;
+use sectlb_secbench::report::build_table4_resilient_observed_for;
 use sectlb_secbench::resilience::{FaultPlan, RunPolicy};
 use sectlb_secbench::run::TrialSettings;
 use sectlb_secbench::service::{
@@ -84,6 +84,7 @@ use sectlb_secbench::service::{
 use sectlb_secbench::supervisor::{self, BudgetPolicy, CancelFlag, StopReason, Supervisor};
 use sectlb_secbench::telemetry::{duration_ns, Event, Telemetry};
 use sectlb_secbench::CheckpointPolicy;
+use sectlb_sim::machine::TlbDesign;
 
 /// Longest request line the server will read; anything longer is a
 /// malformed frame rejected on that one connection.
@@ -228,8 +229,13 @@ impl Server {
             .unwrap_or_else(|_| Telemetry::disabled());
         self.telemetry.emit(Event::JobStarted { job: job.id });
         let started = std::time::Instant::now();
-        let built =
-            build_table4_resilient_observed(&settings, self.job_workers, &policy, &job_events);
+        let built = build_table4_resilient_observed_for(
+            &TlbDesign::ALL,
+            &settings,
+            self.job_workers,
+            &policy,
+            &job_events,
+        );
         job_events.flush();
         match built {
             Err(e) => {

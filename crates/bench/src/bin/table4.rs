@@ -19,24 +19,21 @@
 //! [`sectlb_secbench::oracle::EXIT_SUSPECT`].
 //!
 //! The table is bitwise identical for every worker count; `--workers`
-//! only shards the 24×3-cell campaign across threads and reports the
-//! pool's throughput counters. With `--workers` or any fault-tolerance
-//! flag the campaign runs on the resilient engine: worker panics are
-//! isolated and deterministically retried, progress is checkpointed
-//! crash-safely, and cells whose shards keep failing are quarantined in
-//! the rendered table (exit code 4) instead of aborting the run.
-
-use std::path::Path;
+//! only shards the 24×3-cell campaign across threads. Every run goes
+//! through the campaign engine: worker panics are isolated and
+//! deterministically retried, and cells whose shards keep failing are
+//! quarantined in the rendered table (exit code 4) instead of aborting
+//! the run. With `--workers` or any engine flag (checkpointing, fault
+//! injection, budgets, `--adaptive`) the progress line names the engine
+//! and the pool's throughput counters follow on stderr.
 
 use std::num::NonZeroUsize;
+use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_secbench::oracle;
-use sectlb_secbench::report::{
-    build_table4_adaptive_observed_for, build_table4_resilient_observed_for,
-    build_table4_with_stats_for,
-};
+use sectlb_secbench::report::build_table4_resilient_observed_for;
 use sectlb_secbench::run::TrialSettings;
 use sectlb_secbench::supervisor;
 use sectlb_sim::machine::TlbDesign;
@@ -44,8 +41,8 @@ use sectlb_sim::machine::TlbDesign;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workers = cli::workers_flag(&args);
-    let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
+    let mut policy = cli::campaign_flags(&args);
+    policy.adaptive = cli::adaptive_flags(&args);
     let designs = cli::designs_flag(&args).unwrap_or_else(|| TlbDesign::ALL.to_vec());
     let settings = TrialSettings {
         trials: cli::trials_flag(&args, TrialSettings::default().trials),
@@ -53,112 +50,68 @@ fn main() {
         oracle: cli::oracle_flags(&args, &policy, "table4"),
         ..TrialSettings::default()
     };
-    // --adaptive always runs on the engine (its round scheduler lives
-    // there), defaulting to one worker like the fault-tolerance flags.
-    let engine = campaign::engine_workers(workers, &policy).or(adaptive.map(|_| NonZeroUsize::MIN));
+    let pool_workers = workers.unwrap_or(NonZeroUsize::MIN);
+    let flagged = campaign::flagged(workers, &policy);
+    // A flagless run runs on one worker and keeps its historical "serial"
+    // label: `results/table4.txt` captures this line.
     eprintln!(
         "running {} trials x 2 placements x 24 vulnerabilities x {} designs ({}) ...",
         settings.trials,
         designs.len(),
-        match engine {
-            Some(w) if adaptive.is_some() =>
-                format!("{w} workers, resilient engine, adaptive early stopping"),
-            Some(w) => format!("{w} workers, resilient engine"),
-            None => "serial".to_owned(),
+        match (flagged, policy.adaptive) {
+            (false, _) => "serial".to_owned(),
+            (true, Some(_)) =>
+                format!("{pool_workers} workers, resilient engine, adaptive early stopping"),
+            (true, None) => format!("{pool_workers} workers, resilient engine"),
         }
     );
     let mut obs = Observability::from_args("table4", &args);
-    if let Some(engine_workers) = engine {
-        supervisor::install_signal_handlers();
-        obs.campaign_begin();
-        let built = match adaptive {
-            Some(a) => build_table4_adaptive_observed_for(
-                &designs,
-                &settings,
-                engine_workers,
-                &policy,
-                &a,
-                obs.telemetry(),
-            ),
-            None => build_table4_resilient_observed_for(
-                &designs,
-                &settings,
-                engine_workers,
-                &policy,
-                obs.telemetry(),
-            ),
-        };
-        obs.campaign_end();
-        let report = match built {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("{e}");
-                obs.finish(None);
-                std::process::exit(e.exit_code());
-            }
-        };
-        let summary = oracle::conclude("table4", Path::new("repro"));
-        println!("{}", report.render_with_suspects(&summary));
-        report.eprint_summary();
-        if !summary.is_empty() {
-            println!(
-                "WARNING: {} cell(s) SUSPECT; the TLB model misbehaved there",
-                summary.suspects.len()
-            );
-        } else if !report.partial.is_empty() {
-            println!(
-                "WARNING: {} cell(s) incomplete (budget); resume to finish the verdicts",
-                report.partial.len()
-            );
-        } else if report.quarantined.is_empty() && report.table.all_verdicts_match() {
-            println!("all measured defense verdicts match the theoretical ones");
-        } else if !report.quarantined.is_empty() {
-            println!(
-                "WARNING: {} cell(s) quarantined; verdicts incomplete",
-                report.quarantined.len()
-            );
-        } else {
-            println!("WARNING: some measured verdicts disagree with theory");
-        }
-        summary.eprint();
-        obs.oracle_summary(&summary);
-        obs.finish(Some(&report.stats));
-        std::process::exit(summary.exit_code(report.exit_code()));
-    }
+    supervisor::install_signal_handlers();
     obs.campaign_begin();
-    let (table, stats) = build_table4_with_stats_for(&designs, &settings);
+    let built = build_table4_resilient_observed_for(
+        &designs,
+        &settings,
+        pool_workers,
+        &policy,
+        obs.telemetry(),
+    );
     obs.campaign_end();
+    let mut report = match built {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            obs.finish(None);
+            std::process::exit(e.exit_code());
+        }
+    };
     let summary = oracle::conclude("table4", Path::new("repro"));
-    let suspect: Vec<(usize, usize)> = table
-        .rows
-        .iter()
-        .enumerate()
-        .flat_map(|(r, row)| {
-            let v = row.vulnerability.to_string();
-            designs
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| summary.affects(&[&v, d.name()]))
-                .map(|(c, _)| (r, c))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    println!("{}", table.render_annotated(&[], &suspect));
+    report.suspect = report.suspect_cells(&summary);
+    println!("{}", report.render());
+    if flagged {
+        report.eprint_summary();
+    }
     if !summary.is_empty() {
         println!(
             "WARNING: {} cell(s) SUSPECT; the TLB model misbehaved there",
             summary.suspects.len()
         );
-    } else if table.all_verdicts_match() {
+    } else if !report.partial.is_empty() {
+        println!(
+            "WARNING: {} cell(s) incomplete (budget); resume to finish the verdicts",
+            report.partial.len()
+        );
+    } else if report.quarantined.is_empty() && report.table.all_verdicts_match() {
         println!("all measured defense verdicts match the theoretical ones");
+    } else if !report.quarantined.is_empty() {
+        println!(
+            "WARNING: {} cell(s) quarantined; verdicts incomplete",
+            report.quarantined.len()
+        );
     } else {
         println!("WARNING: some measured verdicts disagree with theory");
     }
-    if let Some(stats) = &stats {
-        println!("\n{}", stats.render());
-    }
     summary.eprint();
     obs.oracle_summary(&summary);
-    obs.finish(stats.as_ref());
-    std::process::exit(summary.exit_code(0));
+    obs.finish(Some(&report.stats));
+    std::process::exit(summary.exit_code(report.exit_code()));
 }

@@ -92,7 +92,7 @@ fn main() {
             }
         }
     }
-    if workers.is_some() || policy.wants_engine() {
+    if campaign::flagged(workers, &policy) {
         outcome.eprint_summary();
     }
     let summary = oracle::conclude("table5", Path::new("repro"));

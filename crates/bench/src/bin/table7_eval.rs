@@ -11,18 +11,16 @@
 //! PATH] [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
 //! [--events PATH] [--metrics PATH]`
 //!
-//! With `--workers` or any fault-tolerance flag the family × design grid
-//! runs on the resilient engine, one shard per cell.
+//! The family × design grid runs on the campaign engine, one task per
+//! cell.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
-use sectlb_secbench::extended::{
-    extended_benchmarks, run_extended_oracle, run_extended_with_workers, ExtDesign,
-};
+use sectlb_secbench::extended::{extended_benchmarks, run_extended_oracle, ExtDesign};
 use sectlb_secbench::oracle;
-use sectlb_secbench::run::Measurement;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -40,83 +38,49 @@ fn main() {
     }
     println!();
     let benches = extended_benchmarks();
-    match campaign::engine_workers(workers, &policy) {
-        Some(engine_workers) => {
-            // One engine task per (family, design) cell, row-major.
-            let cells: Vec<(usize, ExtDesign)> = (0..benches.len())
-                .flat_map(|b| ExtDesign::ALL.map(|d| (b, d)))
-                .collect();
-            obs.campaign_begin();
-            let outcome = campaign::run_campaign_observed(
-                "table7_eval",
-                [u64::from(trials)],
-                &cells,
-                engine_workers,
-                &policy,
-                obs.telemetry(),
-                &|&(b, d): &(usize, ExtDesign)| format!("{} on {}", benches[b].name, d.label()),
-                |&(b, d): &(usize, ExtDesign)| {
-                    run_extended_oracle(&benches[b], d, trials, oracle_cfg)
-                },
-            );
-            obs.campaign_end();
-            let summary = oracle::conclude("table7_eval", Path::new("repro"));
-            for (bi, bench) in benches.iter().enumerate() {
-                print!("{:<38} {:<30}", bench.name, bench.pattern);
-                for (di, d) in ExtDesign::ALL.into_iter().enumerate() {
-                    if summary.affects(&[bench.name, d.label()]) {
-                        print!(" {:>18}", "SUSPECT");
-                        continue;
-                    }
-                    let result = &outcome.results[bi * ExtDesign::ALL.len() + di];
-                    match result.done() {
-                        Some(m) => print!(" {:>18.3}", m.capacity()),
-                        None => print!(
-                            " {:>18}",
-                            campaign::gap_marker(std::slice::from_ref(result))
-                                .unwrap_or("QUARANTINED")
-                        ),
-                    }
-                }
-                println!();
+    // One engine task per (family, design) cell, row-major.
+    let cells: Vec<(usize, ExtDesign)> = (0..benches.len())
+        .flat_map(|b| ExtDesign::ALL.map(|d| (b, d)))
+        .collect();
+    obs.campaign_begin();
+    let outcome = campaign::run_campaign_observed(
+        "table7_eval",
+        [u64::from(trials)],
+        &cells,
+        workers.unwrap_or(NonZeroUsize::MIN),
+        &policy,
+        obs.telemetry(),
+        &|&(b, d): &(usize, ExtDesign)| format!("{} on {}", benches[b].name, d.label()),
+        |&(b, d): &(usize, ExtDesign)| run_extended_oracle(&benches[b], d, trials, oracle_cfg),
+    );
+    obs.campaign_end();
+    let summary = oracle::conclude("table7_eval", Path::new("repro"));
+    for (bi, bench) in benches.iter().enumerate() {
+        print!("{:<38} {:<30}", bench.name, bench.pattern);
+        for (di, d) in ExtDesign::ALL.into_iter().enumerate() {
+            if summary.affects(&[bench.name, d.label()]) {
+                print!(" {:>18}", "SUSPECT");
+                continue;
             }
-            print_reading();
-            outcome.eprint_summary();
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(Some(&outcome.stats));
-            std::process::exit(summary.exit_code(outcome.exit_code()));
+            let result = &outcome.results[bi * ExtDesign::ALL.len() + di];
+            match result.done() {
+                Some(m) => print!(" {:>18.3}", m.capacity()),
+                None => print!(
+                    " {:>18}",
+                    campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED")
+                ),
+            }
         }
-        None => {
-            obs.campaign_begin();
-            let mut lines = Vec::new();
-            for bench in &benches {
-                let caps: Vec<Measurement> = ExtDesign::ALL
-                    .into_iter()
-                    .map(|d| run_extended_with_workers(bench, d, trials, None, oracle_cfg))
-                    .collect();
-                lines.push(caps);
-            }
-            obs.campaign_end();
-            let summary = oracle::conclude("table7_eval", Path::new("repro"));
-            for (bench, caps) in benches.iter().zip(&lines) {
-                print!("{:<38} {:<30}", bench.name, bench.pattern);
-                for (d, m) in ExtDesign::ALL.into_iter().zip(caps) {
-                    if summary.affects(&[bench.name, d.label()]) {
-                        print!(" {:>18}", "SUSPECT");
-                    } else {
-                        print!(" {:>18.3}", m.capacity());
-                    }
-                }
-                println!();
-            }
-            print_reading();
-            summary.eprint();
-            obs.oracle_summary(&summary);
-            obs.finish(None);
-            std::process::exit(summary.exit_code(0));
-        }
+        println!();
     }
+    print_reading();
+    if campaign::flagged(workers, &policy) {
+        outcome.eprint_summary();
+    }
+    summary.eprint();
+    obs.oracle_summary(&summary);
+    obs.finish(Some(&outcome.stats));
+    std::process::exit(summary.exit_code(outcome.exit_code()));
 }
 
 fn print_reading() {

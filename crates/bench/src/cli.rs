@@ -1,12 +1,13 @@
 //! Flag parsing shared by every campaign driver binary.
 //!
-//! All drivers accept `--workers N` (parallel deterministic trial engine;
-//! `auto` picks the machine's available parallelism) and most accept
-//! `--trials N`. Campaign outputs are bitwise identical for every worker
-//! count — the flag only changes wall-clock time.
+//! All drivers accept `--workers N` (worker threads of the campaign
+//! engine, one when absent; `auto` picks the machine's available
+//! parallelism) and most accept `--trials N`. Campaign outputs are
+//! bitwise identical for every worker count — the flag only changes
+//! wall-clock time.
 //!
-//! The fault-tolerance flags ([`parse_campaign`]) route a driver through
-//! the resilient engine (`sectlb_secbench::resilience`):
+//! The fault-tolerance flags ([`parse_campaign`]) configure the campaign
+//! engine (`sectlb_secbench::resilience`):
 //!
 //! - `--retries N` — deterministic re-runs per panicked shard (default 2)
 //! - `--checkpoint PATH` / `--checkpoint-every N` — crash-safe progress
@@ -38,6 +39,8 @@
 //!   cooperatively preempted and its cell rendered TIMEOUT
 //! - `--adaptive[=ALPHA]` ([`parse_adaptive`]) — sequential early
 //!   stopping per cell, guaranteed to agree with the exhaustive verdicts
+//!   (`table4` sets it as [`RunPolicy::adaptive`]; the survey drivers run
+//!   it inside their own tasks)
 //!
 //! The shadow-oracle flag ([`parse_oracle`]) arms the lockstep reference
 //! model: `--oracle[=RATE]` checks RATE‰ of trials (default: all).
@@ -102,7 +105,7 @@ pub fn parse_workers(args: &[String]) -> Result<Option<NonZeroUsize>, String> {
         Some("auto") => Ok(Some(available_workers())),
         Some("0") => Err(
             "--workers must be at least 1: a pool of zero workers cannot run any trials \
-             (omit the flag for the serial path, or use 'auto' for all cores)"
+             (omit the flag for one worker, or use 'auto' for all cores)"
                 .to_owned(),
         ),
         Some(n) => match n.parse::<usize>().ok().and_then(NonZeroUsize::new) {
@@ -176,8 +179,8 @@ pub fn parse_oracle(
 /// Parses the fault-tolerance flags into a [`RunPolicy`].
 ///
 /// With none of the flags present this returns `RunPolicy::default()`
-/// (and [`RunPolicy::wants_engine`] is false, so drivers keep their
-/// legacy paths).
+/// (and [`RunPolicy::has_options`] is false: without `--workers` too,
+/// the run is flagless and prints only its table).
 pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
     let mut policy = RunPolicy::default();
     if let Some(retries) = flag_num::<u32>(args, "--retries")? {
@@ -480,7 +483,7 @@ mod tests {
         assert_eq!(parse_trials(&args(&["prog"]), 500), Ok(500));
         let policy = parse_campaign(&args(&["prog"])).expect("defaults");
         assert_eq!(policy, RunPolicy::default());
-        assert!(!policy.wants_engine());
+        assert!(!policy.has_options());
     }
 
     #[test]
@@ -541,7 +544,7 @@ mod tests {
             "99",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine());
+        assert!(policy.has_options());
         assert_eq!(policy.max_retries, 5);
         assert_eq!(policy.stop_after, Some(10));
         assert_eq!(policy.stall_deadline, Some(Duration::from_millis(250)));
@@ -580,10 +583,7 @@ mod tests {
     fn inject_corruption_arms_the_oracle_and_the_engine() {
         let a = args(&["prog", "--inject-corruption", "--fault-seed", "7"]);
         let policy = parse_campaign(&a).expect("parses");
-        assert!(
-            policy.wants_engine(),
-            "corruption routes through the engine"
-        );
+        assert!(policy.has_options(), "corruption sets an option");
         assert_eq!(
             policy.faults.as_ref().expect("faults").corrupt_per_mille,
             1000
@@ -618,7 +618,7 @@ mod tests {
             "40",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine(), "a budget routes through the engine");
+        assert!(policy.has_options(), "a budget sets an option");
         assert_eq!(policy.budget.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(policy.budget.cell_deadline, Some(Duration::from_millis(40)));
     }
@@ -655,7 +655,7 @@ mod tests {
     fn worker_death_parses_and_conflicts_with_kill_after() {
         let policy =
             parse_campaign(&args(&["prog", "--inject-worker-death", "1:2"])).expect("parses");
-        assert!(policy.wants_engine(), "death routes through the engine");
+        assert!(policy.has_options(), "death injection sets an option");
         assert_eq!(policy.faults.expect("faults").worker_death, Some((1, 2)));
         for bad in ["3", "1:", ":2", "a:b", "1:2:3"] {
             let err = parse_campaign(&args(&["prog", "--inject-worker-death", bad]))
@@ -703,7 +703,7 @@ mod tests {
             "11",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine());
+        assert!(policy.has_options());
         let faults = policy.faults.expect("faults");
         assert_eq!(
             faults.io,

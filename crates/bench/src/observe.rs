@@ -124,7 +124,8 @@ impl Observability {
     /// Flushes the event stream and, when `--metrics PATH` was given,
     /// writes the aggregated snapshot (conventionally
     /// `BENCH_<driver>.json`). Call exactly once, right before the
-    /// driver exits; `stats` is `None` for serial (non-engine) runs.
+    /// driver exits; `stats` is `None` for runs without an engine
+    /// campaign (`replay`).
     pub fn finish(&mut self, stats: Option<&PoolStats>) {
         if !self.enabled() {
             return;

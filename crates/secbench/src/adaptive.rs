@@ -13,41 +13,38 @@
 //!   channel capacity entirely on one side of the defended threshold.
 //!   Borderline cells run to the full budget, so the adaptive verdict for
 //!   every cell equals the exhaustive run's verdict (pinned by
-//!   `tests/adaptive_agreement.rs` on the golden Table 2 enumeration).
+//!   `crates/secbench/tests/budget_adaptive.rs` on the golden Table 2
+//!   enumeration).
 //! - **Determinism** — trials are only ever *truncated to a prefix* of
-//!   the exhaustive trial sequence, scheduled in rounds of one
-//!   [`TRIALS_PER_SHARD`]-sized shard per undecided cell. A cell's
-//!   stopping point is a pure function of its own prefix measurements,
-//!   never of worker scheduling, so any worker count (and any
-//!   checkpoint/resume interleaving) produces identical measurements,
-//!   identical verdicts, and identical trials-saved accounting.
+//!   the exhaustive trial sequence, one [`TRIALS_PER_SHARD`]-sized shard
+//!   at a time ([`next_trials`]). A cell's stopping point is a pure
+//!   function of its own prefix measurements, never of worker
+//!   scheduling, so any worker count (and any checkpoint/resume
+//!   interleaving) produces identical measurements, identical verdicts,
+//!   and identical trials-saved accounting.
 //!
-//! The round scheduler drives the fault-tolerant engine
-//! ([`crate::resilience`]) for each round, so panic isolation,
-//! quarantine, stall watchdogs, fault injection, and the resource budget
-//! ([`crate::supervisor`]) all compose with early stopping. Checkpoints
-//! are cell-granular ([`AdaptiveCellState`]) rather than shard-granular:
-//! the file records each cell's merged prefix and whether it has been
-//! decided.
+//! The campaign engine runs the schedule when
+//! [`crate::resilience::RunPolicy::adaptive`] is set: rounds of one shard
+//! per undecided cell, so panic isolation, quarantine, stall watchdogs,
+//! fault injection, and the resource budget ([`crate::supervisor`]) all
+//! compose with early stopping. Its checkpoints are cell-granular
+//! ([`AdaptiveCellState`]) rather than shard-granular: the file records
+//! each cell's merged prefix and whether it has been decided. Drivers
+//! whose engine tasks are whole rows of cells run the same schedule per
+//! cell with [`run_vulnerability_adaptive_with_builder`].
 
-use std::num::NonZeroUsize;
-use std::time::Instant;
+use std::ops::Range;
 
 use sectlb_model::Vulnerability;
 use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 
 use crate::capacity::binary_channel_capacity;
-use crate::checkpoint::{Checkpoint, Record};
-use crate::parallel::{distribute_trial_counts, PoolStats, Shard, TRIALS_PER_SHARD};
+use crate::checkpoint::Record;
+use crate::parallel::TRIALS_PER_SHARD;
 use crate::report::DEFENDED_THRESHOLD;
-use crate::resilience::{
-    cells_fingerprint, run_sharded_resilient_observed, CampaignError, CellGap, CellOutcome,
-    RunPolicy, ShardOutcome, StallEvent,
-};
+use crate::resilience::cells_fingerprint;
 use crate::run::{run_trial_range, Measurement, TrialSettings};
 use crate::spec::BenchmarkSpec;
-use crate::supervisor::{BudgetPolicy, StopReason, Supervisor};
-use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
 /// The `--adaptive[=ALPHA]` configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,47 +167,11 @@ impl Record for AdaptiveCellState {
     }
 }
 
-/// The outcome of an adaptive campaign.
-#[derive(Debug)]
-pub struct AdaptiveOutcome {
-    /// One outcome per cell, in input order. A decided cell is
-    /// [`CellOutcome::Measured`] with its (possibly truncated-prefix)
-    /// measurement; budget stops and quarantines are explicit, exactly
-    /// as on the exhaustive engine.
-    pub cells: Vec<CellOutcome>,
-    /// Pool counters aggregated over every round, including
-    /// [`PoolStats::trials_saved`].
-    pub stats: PoolStats,
-    /// Cells restored from a resume checkpoint (decided or in progress).
-    pub resumed: usize,
-    /// Watchdog reports from every round. `task` is remapped to the
-    /// *cell* index (rounds renumber their shard lists).
-    pub stalls: Vec<StallEvent>,
-    /// Why the supervisor stopped the campaign early, if it did.
-    pub stop: Option<StopReason>,
-    /// The exhaustive per-cell trial budget the campaign was truncating
-    /// (`settings.trials`) — the baseline for trials-saved accounting.
-    pub full_trials: u32,
-}
-
-impl AdaptiveOutcome {
-    /// Per-placement trials the early stops avoided, per cell.
-    pub fn saved_per_cell(&self) -> Vec<u32> {
-        self.cells
-            .iter()
-            .map(|c| match c {
-                CellOutcome::Measured(m) => self.full_trials.saturating_sub(m.trials),
-                _ => 0,
-            })
-            .collect()
-    }
-}
-
 /// The adaptive campaign's checkpoint fingerprint: the exhaustive
 /// campaign's fingerprint chained with the test parameters, so an
 /// adaptive checkpoint can never be resumed by (or resume) an exhaustive
 /// run or a different-alpha run.
-fn adaptive_fingerprint(
+pub(crate) fn fingerprint(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
     test: &SequentialTest,
@@ -221,328 +182,24 @@ fn adaptive_fingerprint(
     )
 }
 
-/// [`crate::resilience::measure_cells_resilient`] with sequential early
-/// stopping: identical trial prefixes, identical verdicts, fewer trials.
-///
-/// Rounds of one shard per undecided cell run through the fault-tolerant
-/// engine; after each round the sequential test retires every settled
-/// cell. `policy.checkpoint`/`policy.resume` operate on the cell-granular
-/// adaptive format; `policy.stop_after` is not meaningful here (rounds
-/// renumber shards) and is ignored — reject it at the CLI.
-pub fn measure_cells_adaptive(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<AdaptiveOutcome, CampaignError> {
-    measure_cells_adaptive_observed(
-        cells,
-        settings,
-        workers,
-        policy,
-        adaptive,
-        &Telemetry::disabled(),
-        customize,
-    )
-}
-
-/// [`measure_cells_adaptive`] with a [`Telemetry`] handle: the campaign
-/// start/stop envelope, a resume restore, per-round shard-lifecycle
-/// events from the engine, an [`Event::AdaptiveStop`] per settled cell,
-/// and checkpoint flushes. The round runs themselves emit no nested
-/// campaign envelopes — they are internal engine invocations.
-pub fn measure_cells_adaptive_observed(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    telemetry: &Telemetry,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<AdaptiveOutcome, CampaignError> {
-    let full = settings.trials;
-    let test = SequentialTest::table4(adaptive.alpha);
-    let fingerprint = adaptive_fingerprint(cells, settings, &test);
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStart {
-            driver: telemetry.driver().to_owned(),
-            fingerprint,
-            tasks: cells.len() as u64,
-            workers: workers.get() as u64,
-        });
+/// The next trials of a cell's adaptive schedule after its measured
+/// prefix `m`: one [`TRIALS_PER_SHARD`]-sized shard, or `None` once the
+/// cell is settled — the sequential test decided it, or it reached the
+/// `full` exhaustive budget. The engine's round scheduler and the
+/// per-cell loop both step through this, so their stopping points agree.
+pub fn next_trials(m: &Measurement, full: u32, test: &SequentialTest) -> Option<Range<u32>> {
+    if m.trials >= full || test.decide(m).is_some() {
+        return None;
     }
-    let specs: Vec<BenchmarkSpec> = cells
-        .iter()
-        .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
-        .collect();
-
-    let mut states: Vec<AdaptiveCellState> = vec![
-        AdaptiveCellState {
-            m: Measurement::ZERO,
-            decided: false,
-        };
-        cells.len()
-    ];
-    // Terminal gaps (quarantine / timeout) are never checkpointed: a
-    // resume retries those cells from their recorded prefix.
-    let mut quarantined: Vec<Option<crate::resilience::ShardFailure>> = vec![None; cells.len()];
-    let mut timed_out = vec![false; cells.len()];
-
-    let mut resumed = 0usize;
-    let mut prior = std::time::Duration::ZERO;
-    if let Some(path) = &policy.resume {
-        if path.exists() {
-            let loaded = Checkpoint::load(path)?;
-            loaded.validate(fingerprint, cells.len())?;
-            prior = loaded.consumed;
-            for (i, state) in loaded.decoded::<AdaptiveCellState>()? {
-                states[i] = state;
-                resumed += 1;
-            }
-            if telemetry.is_armed() {
-                telemetry.emit(Event::Resume {
-                    restored: resumed as u64,
-                    consumed_ns: duration_ns(prior),
-                });
-            }
-        }
-    }
-
-    // Wall-clock already consumed by the resume chain counts against the
-    // whole-campaign deadline, exactly as on the exhaustive engine.
-    let outer = Supervisor::with_consumed(policy.budget, prior);
-    let mut stop: Option<StopReason> = None;
-    let mut stats = PoolStats {
-        wall: std::time::Duration::ZERO,
-        workers: Vec::new(),
-        quarantined: 0,
-        stalled: 0,
-        skipped: 0,
-        preempted: 0,
-        trials_saved: 0,
-        deaths: 0,
-        reclaimed: 0,
-    };
-    let mut stalls: Vec<StallEvent> = Vec::new();
-    let started = Instant::now();
-
-    // Settles every cell whose current prefix decides it (also covers
-    // resumed cells and the trials == full case), emitting exactly one
-    // adaptive-stop event per newly settled cell.
-    let settle = |states: &mut [AdaptiveCellState]| {
-        for (i, state) in states.iter_mut().enumerate() {
-            if !state.decided && (state.m.trials >= full || test.decide(&state.m).is_some()) {
-                state.decided = true;
-                if telemetry.is_armed() {
-                    let (v, d) = &cells[i];
-                    telemetry.emit(Event::AdaptiveStop {
-                        cell: format!("{v} on {d} TLB"),
-                        trials: u64::from(state.m.trials),
-                        saved: u64::from(full.saturating_sub(state.m.trials)),
-                    });
-                }
-            }
-        }
-    };
-
-    loop {
-        settle(&mut states);
-        let live: Vec<usize> = (0..cells.len())
-            .filter(|&i| !states[i].decided && quarantined[i].is_none() && !timed_out[i])
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        if let Some(reason) = outer.should_stop() {
-            stop = Some(reason);
-            break;
-        }
-        // The whole-campaign deadline shrinks each round; the engine's
-        // own supervisor then enforces the remainder at shard claims.
-        let round_budget = BudgetPolicy {
-            deadline: policy
-                .budget
-                .deadline
-                .map(|d| d.saturating_sub(outer.elapsed())),
-            cell_deadline: policy.budget.cell_deadline,
-        };
-        let round_policy = RunPolicy {
-            checkpoint: None,
-            resume: None,
-            stop_after: None,
-            budget: round_budget,
-            ..policy.clone()
-        };
-        let tasks: Vec<Shard> = live
-            .iter()
-            .map(|&i| Shard {
-                cell: i,
-                lo: states[i].m.trials,
-                hi: (states[i].m.trials + TRIALS_PER_SHARD).min(full),
-            })
-            .collect();
-        let run = run_sharded_resilient_observed(
-            &tasks,
-            workers,
-            &round_policy,
-            fingerprint,
-            &|shard| {
-                let (v, d) = &cells[shard.cell];
-                format!(
-                    "{v} on {d} TLB, trials {}..{} (adaptive)",
-                    shard.lo, shard.hi
-                )
-            },
-            telemetry,
-            |shard| {
-                run_trial_range(
-                    &specs[shard.cell],
-                    cells[shard.cell].1,
-                    settings,
-                    shard.lo..shard.hi,
-                    customize,
-                )
-            },
-        )?;
-
-        for (shard, outcome) in tasks.iter().zip(&run.results) {
-            match outcome {
-                ShardOutcome::Done(partial) => {
-                    states[shard.cell].m = states[shard.cell].m.merge(*partial);
-                }
-                ShardOutcome::Quarantined(failure) => {
-                    quarantined[shard.cell] = Some(failure.clone());
-                }
-                ShardOutcome::TimedOut(_) => timed_out[shard.cell] = true,
-                ShardOutcome::Skipped(_) => {}
-            }
-        }
-        let mut round_stats = run.stats.clone();
-        let executed: Vec<Shard> = tasks
-            .iter()
-            .zip(&run.results)
-            .filter(|(_, r)| r.is_done())
-            .map(|(s, _)| *s)
-            .collect();
-        distribute_trial_counts(&mut round_stats, &executed);
-        merge_round_stats(&mut stats, &round_stats);
-        stalls.extend(run.stalls.iter().map(|s| StallEvent {
-            worker: s.worker,
-            task: tasks.get(s.task).map_or(s.task, |shard| shard.cell),
-            waited: s.waited,
-        }));
-        if let Some(cp) = &policy.checkpoint {
-            let mut ck = Checkpoint::new(fingerprint, cells.len());
-            // Settle decisions before persisting so a resumed process
-            // sees the same decided set this one would compute.
-            settle(&mut states);
-            for (i, state) in states.iter().enumerate() {
-                if state.m.trials > 0 || state.decided {
-                    ck.record(i, state);
-                }
-            }
-            ck.consumed = outer.elapsed();
-            ck.save(&cp.path)?;
-            if telemetry.is_armed() {
-                telemetry.emit(Event::CheckpointFlush {
-                    path: cp.path.display().to_string(),
-                    done: ck.done.len() as u64,
-                    tasks: cells.len() as u64,
-                });
-            }
-        }
-        if let Some(reason) = run.stop {
-            stop = Some(reason);
-            break;
-        }
-    }
-    stats.wall = started.elapsed();
-
-    let outcomes: Vec<CellOutcome> = states
-        .iter()
-        .enumerate()
-        .map(|(i, state)| {
-            if let Some(failure) = quarantined[i].clone() {
-                CellOutcome::Quarantined {
-                    partial: state.m,
-                    failure,
-                }
-            } else if timed_out[i] {
-                CellOutcome::Partial {
-                    partial: state.m,
-                    gap: CellGap::Timeout,
-                }
-            } else if state.decided {
-                CellOutcome::Measured(state.m)
-            } else {
-                CellOutcome::Partial {
-                    partial: state.m,
-                    gap: CellGap::Stopped(stop.unwrap_or(StopReason::Interrupted)),
-                }
-            }
-        })
-        .collect();
-    stats.trials_saved = outcomes
-        .iter()
-        .map(|c| match c {
-            CellOutcome::Measured(m) => u64::from(full.saturating_sub(m.trials)),
-            _ => 0,
-        })
-        .sum();
-
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStop {
-            reason: stop.map_or("complete", stop_reason_str).to_owned(),
-            completed: states.iter().filter(|s| s.decided).count() as u64,
-            total: cells.len() as u64,
-            wall_ns: duration_ns(stats.wall),
-        });
-        telemetry.flush();
-    }
-
-    Ok(AdaptiveOutcome {
-        cells: outcomes,
-        stats,
-        resumed,
-        stalls,
-        stop,
-        full_trials: full,
-    })
-}
-
-/// Folds one round's pool counters into the campaign totals. Worker
-/// vectors are merged index-wise (round `k`'s worker `w` is the same
-/// logical slot as round `k+1`'s worker `w`); wall time accumulates when
-/// the rounds run back to back.
-fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
-    for (w, stats) in round.workers.iter().enumerate() {
-        if w >= total.workers.len() {
-            total.workers.push(*stats);
-        } else {
-            let slot = &mut total.workers[w];
-            slot.shards += stats.shards;
-            slot.trials += stats.trials;
-            slot.busy += stats.busy;
-            slot.retried += stats.retried;
-            slot.stolen += stats.stolen;
-        }
-    }
-    total.quarantined += round.quarantined;
-    total.stalled += round.stalled;
-    total.skipped += round.skipped;
-    total.preempted += round.preempted;
-    total.deaths += round.deaths;
-    total.reclaimed += round.reclaimed;
+    Some(m.trials..(m.trials + TRIALS_PER_SHARD).min(full))
 }
 
 /// Serial adaptive measurement of one cell — the early-stopping analogue
-/// of [`crate::run::run_vulnerability`], used by the lighter drivers
-/// (mitigation matrices, RF ablations) that don't run the sharded
-/// engine. The shard-prefix schedule matches the campaign engine's, so
-/// the stopping point (and measurement) is identical to
-/// [`measure_cells_adaptive`] on the same cell.
+/// of [`crate::run::run_vulnerability`], used by the drivers whose engine
+/// tasks are whole survey rows (mitigation matrices, RF ablations). It
+/// steps through the same [`next_trials`] schedule as the campaign
+/// engine, so the stopping point (and measurement) is identical to an
+/// adaptive engine run on the same cell.
 pub fn run_vulnerability_adaptive(
     vulnerability: &Vulnerability,
     design: TlbDesign,
@@ -563,18 +220,8 @@ pub fn run_vulnerability_adaptive_with_builder(
 ) -> Measurement {
     let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
     let mut m = Measurement::ZERO;
-    while m.trials < settings.trials {
-        if m.trials > 0 && test.decide(&m).is_some() {
-            break;
-        }
-        let hi = (m.trials + TRIALS_PER_SHARD).min(settings.trials);
-        m = m.merge(run_trial_range(
-            &spec,
-            design,
-            settings,
-            m.trials..hi,
-            customize,
-        ));
+    while let Some(range) = next_trials(&m, settings.trials, test) {
+        m = m.merge(run_trial_range(&spec, design, settings, range, customize));
     }
     m
 }

@@ -236,20 +236,22 @@ fn run_trial(
     }
 }
 
-/// Measures a contiguous range of extended-trial indices — the shard
-/// unit [`run_extended_with_workers`] distributes over its pool.
-///
-/// The per-trial seed depends only on the trial index, so any sharding
-/// of `0..trials` merges to the same totals.
-fn run_extended_range(
+/// Measures one extended benchmark on one design variant (serially).
+pub fn run_extended(bench: &ExtBenchmark, design: ExtDesign, trials: u32) -> Measurement {
+    run_extended_oracle(bench, design, trials, None)
+}
+
+/// [`run_extended`] with optional shadow-oracle guardrails — the engine
+/// task of the `table7_eval` driver, one per (family, design) cell.
+pub fn run_extended_oracle(
     bench: &ExtBenchmark,
     design: ExtDesign,
-    range: std::ops::Range<u32>,
+    trials: u32,
     oracle: Option<OracleConfig>,
 ) -> Measurement {
     let mut n_mapped_miss = 0;
     let mut n_not_mapped_miss = 0;
-    for t in range.clone() {
+    for t in 0..trials {
         let seed = (u64::from(t) << 4) ^ 0x0ec4_eded;
         if run_trial(bench, design, Placement::Mapped, seed, oracle) {
             n_mapped_miss += 1;
@@ -259,50 +261,10 @@ fn run_extended_range(
         }
     }
     Measurement {
-        trials: range.len() as u32,
+        trials,
         n_mapped_miss,
         n_not_mapped_miss,
     }
-}
-
-/// Measures one extended benchmark on one design variant (serially).
-pub fn run_extended(bench: &ExtBenchmark, design: ExtDesign, trials: u32) -> Measurement {
-    run_extended_oracle(bench, design, trials, None)
-}
-
-/// [`run_extended`] with optional shadow-oracle guardrails — the entry
-/// point of the `table7_eval` driver's `--oracle` mode.
-pub fn run_extended_oracle(
-    bench: &ExtBenchmark,
-    design: ExtDesign,
-    trials: u32,
-    oracle: Option<OracleConfig>,
-) -> Measurement {
-    run_extended_range(bench, design, 0..trials, oracle)
-}
-
-/// [`run_extended`] sharded across a worker pool; bitwise identical to
-/// the serial path for any worker count.
-pub fn run_extended_with_workers(
-    bench: &ExtBenchmark,
-    design: ExtDesign,
-    trials: u32,
-    workers: Option<std::num::NonZeroUsize>,
-    oracle: Option<OracleConfig>,
-) -> Measurement {
-    let Some(workers) = workers else {
-        return run_extended_oracle(bench, design, trials, oracle);
-    };
-    let chunks: Vec<std::ops::Range<u32>> = (0..trials)
-        .step_by(crate::parallel::TRIALS_PER_SHARD as usize)
-        .map(|lo| lo..(lo + crate::parallel::TRIALS_PER_SHARD).min(trials))
-        .collect();
-    let (partials, _stats) = crate::parallel::run_sharded(&chunks, workers, |range| {
-        run_extended_range(bench, design, range.clone(), oracle)
-    });
-    partials
-        .into_iter()
-        .fold(Measurement::ZERO, Measurement::merge)
 }
 
 #[cfg(test)]
@@ -379,18 +341,5 @@ mod tests {
     #[test]
     fn six_families_are_covered() {
         assert_eq!(extended_benchmarks().len(), 6);
-    }
-
-    #[test]
-    fn sharded_extended_runs_match_serial_bitwise() {
-        let bench = &extended_benchmarks()[0];
-        for design in [ExtDesign::Sa, ExtDesign::RfPrecise] {
-            let serial = run_extended(bench, design, 60);
-            for workers in [1usize, 3] {
-                let w = std::num::NonZeroUsize::new(workers);
-                let parallel = run_extended_with_workers(bench, design, 60, w, None);
-                assert_eq!(parallel, serial, "workers={workers}");
-            }
-        }
     }
 }

@@ -11,16 +11,19 @@
 //! - [`run`] — the trial harness: 500 "mapped" + 500 "not mapped" runs per
 //!   vulnerability per TLB design, miss-counter observations, and the
 //!   empirical `p1*`, `p2*`, `C*`;
-//! - [`parallel`] — the sharded campaign engine: the
-//!   `(vulnerability, design, placement, trial-chunk)` space spread over
-//!   scoped worker threads with bitwise-deterministic seeding, so any
-//!   worker count (including the serial path) yields identical tables;
-//! - [`scheduler`] — the work-stealing shard scheduler beneath both
-//!   engines: per-worker deques (LIFO owner pop, FIFO steal) whose
-//!   claim order never changes *what* runs, only *who* runs it;
-//! - [`resilience`] — the fault-tolerant campaign engine: panic isolation
-//!   with deterministic retry, shard quarantine, a stall watchdog, and a
-//!   deterministic fault-injection harness for testing all of the above;
+//! - [`resilience`] — the campaign engine, the one way campaign work is
+//!   sharded: a worker pool with panic isolation and deterministic retry,
+//!   shard quarantine, checkpoint/resume, a stall watchdog, and a
+//!   deterministic fault-injection harness; the cells layer on top of it;
+//!   and [`resilience::RunPolicy`], whose options (all off by default)
+//!   steer every run;
+//! - [`parallel`] — the engine's shard plan and throughput counters: the
+//!   `(vulnerability, design, placement, trial-chunk)` space with
+//!   bitwise-deterministic seeding, so any worker count yields identical
+//!   tables;
+//! - [`scheduler`] — the work-stealing shard scheduler beneath the
+//!   engine: per-worker deques (LIFO owner pop, FIFO steal) whose claim
+//!   order never changes *what* runs, only *who* runs it;
 //! - [`supervisor`] — the resource-budgeted campaign supervisor:
 //!   wall-clock deadlines, per-shard timeouts with cooperative
 //!   preemption, and signal-safe graceful shutdown, all draining through
@@ -93,19 +96,16 @@ pub mod supervisor;
 pub mod telemetry;
 pub mod theory;
 
-pub use adaptive::{
-    measure_cells_adaptive, measure_cells_adaptive_observed, AdaptiveOutcome, AdaptivePolicy,
-    SequentialTest,
-};
+pub use adaptive::{AdaptivePolicy, SequentialTest};
 pub use capacity::binary_channel_capacity;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 pub use iofault::{IoFault, IoFaultKind, IoInjector};
 pub use oracle::{OracleConfig, OracleSummary, SuspectCell, EXIT_SUSPECT};
-pub use parallel::{measure_cells, run_sharded, PoolStats, WorkerStats};
+pub use parallel::{PoolStats, WorkerStats};
 pub use resilience::{
-    measure_cells_resilient, measure_cells_resilient_observed, run_sharded_resilient,
-    run_sharded_resilient_observed, CampaignError, CampaignOutcome, CellOutcome, FaultPlan,
-    ResilientRun, RunPolicy, ShardFailure, ShardOutcome, EXIT_QUARANTINED,
+    measure_cells_resilient_observed, run_sharded_resilient_observed, CampaignError,
+    CampaignOutcome, CellOutcome, FaultPlan, ResilientRun, RunPolicy, ShardFailure, ShardOutcome,
+    EXIT_QUARANTINED,
 };
 pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialSettings};
 pub use scheduler::{Claim, StealQueues};

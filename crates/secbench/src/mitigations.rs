@@ -148,31 +148,14 @@ pub fn run_mitigation(
     })
 }
 
-/// Counts how many of the 24 vulnerability types a mitigation defends.
-///
-/// With `settings.workers` set, the 24 rows are sharded across the
-/// worker pool (each row measured serially inside its shard — the outer
-/// grain is coarse enough); the count is identical to the serial path
-/// because every row's measurement is an independent pure function of
-/// its coordinates.
+/// Counts how many of the 24 vulnerability types a mitigation defends,
+/// measuring the rows serially — one survey row is one engine task of
+/// the `mitigations` driver.
 pub fn defended_count(mitigation: Mitigation, settings: &TrialSettings, threshold: f64) -> usize {
-    let vulns = enumerate_vulnerabilities();
-    match settings.workers {
-        Some(workers) => {
-            let inner = TrialSettings {
-                workers: None,
-                ..*settings
-            };
-            let (flags, _stats) = crate::parallel::run_sharded(&vulns, workers, |v| {
-                run_mitigation(v, mitigation, &inner).defends(threshold)
-            });
-            flags.into_iter().filter(|&defended| defended).count()
-        }
-        None => vulns
-            .iter()
-            .filter(|v| run_mitigation(v, mitigation, settings).defends(threshold))
-            .count(),
-    }
+    enumerate_vulnerabilities()
+        .iter()
+        .filter(|v| run_mitigation(v, mitigation, settings).defends(threshold))
+        .count()
 }
 
 /// [`run_mitigation`] with adaptive early stopping: trials stop as soon
@@ -202,26 +185,14 @@ pub fn defended_count_adaptive(
     settings: &TrialSettings,
     test: &SequentialTest,
 ) -> (usize, u64) {
-    let vulns = enumerate_vulnerabilities();
-    let inner = TrialSettings {
-        workers: None,
-        ..*settings
-    };
-    let measure = |v: &Vulnerability| {
-        let m = run_mitigation_adaptive(v, mitigation, &inner, test);
-        (
-            m.defends(test.threshold),
-            u64::from(settings.trials - m.trials),
-        )
-    };
-    let rows: Vec<(bool, u64)> = match settings.workers {
-        Some(workers) => crate::parallel::run_sharded(&vulns, workers, measure).0,
-        None => vulns.iter().map(measure).collect(),
-    };
-    (
-        rows.iter().filter(|(defended, _)| *defended).count(),
-        rows.iter().map(|(_, saved)| saved).sum(),
-    )
+    let mut defended = 0;
+    let mut saved = 0;
+    for v in enumerate_vulnerabilities() {
+        let m = run_mitigation_adaptive(&v, mitigation, settings, test);
+        defended += usize::from(m.defends(test.threshold));
+        saved += u64::from(settings.trials - m.trials);
+    }
+    (defended, saved)
 }
 
 #[cfg(test)]
@@ -315,23 +286,6 @@ mod tests {
             ic_m.capacity() > 0.9,
             "all-victim Internal Collision never crosses a context switch"
         );
-    }
-
-    #[test]
-    fn sharded_defended_counts_match_serial() {
-        let serial = settings();
-        let parallel = TrialSettings {
-            workers: std::num::NonZeroUsize::new(3),
-            ..serial
-        };
-        for m in [Mitigation::AsidTags, Mitigation::RandomFill] {
-            assert_eq!(
-                defended_count(m, &parallel, 0.06),
-                defended_count(m, &serial, 0.06),
-                "{}",
-                m.label()
-            );
-        }
     }
 
     #[test]

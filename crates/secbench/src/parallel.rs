@@ -1,12 +1,12 @@
-//! The parallel deterministic trial engine.
+//! The shard plan and the counters of the campaign engine.
 //!
 //! The paper's security evaluation is embarrassingly parallel: Table 4
 //! alone is 24 vulnerability types × 3 designs × 2 placements × 500
-//! trials = 72,000 independent machine simulations. This module shards
-//! that `(vulnerability, design, placement, trial-chunk)` space across a
-//! scoped-thread worker pool ([`std::thread::scope`] — no dependencies)
-//! and aggregates the per-shard [`Measurement`]s with their commutative
-//! [`Measurement::merge`].
+//! trials = 72,000 independent machine simulations. The engine
+//! ([`crate::resilience`]) splits each `(vulnerability, design)` cell
+//! into [`TRIALS_PER_SHARD`]-trial shards, runs them on a scoped-thread
+//! worker pool, and merges the per-shard [`crate::run::Measurement`]s
+//! with their commutative [`crate::run::Measurement::merge`].
 //!
 //! # Determinism contract
 //!
@@ -14,36 +14,14 @@
 //! from `(base_seed, vulnerability, design, placement, trial_index)` —
 //! the trial's *coordinates*, never its schedule. Shards are merged by
 //! component-wise sums. Together these make the campaign's output
-//! **bitwise identical for any worker count, including the serial
-//! path** — the property `tests/parallel_equivalence.rs` pins.
+//! **bitwise identical for any worker count** and equal to measuring each
+//! cell serially — the property `tests/parallel_equivalence.rs` pins.
 //!
-//! # Shape
-//!
-//! - [`run_sharded`] / [`try_run_sharded`] — the generic primitive: a
-//!   fixed task list, per-worker work-stealing deques
-//!   ([`crate::scheduler::StealQueues`]), one result slot per task,
-//!   per-worker timing. The fallible variant surfaces a worker panic as
-//!   a typed [`CampaignError::WorkerPanic`] carrying the original
-//!   payload instead of a bare double panic.
-//! - [`measure_cells`] / [`try_measure_cells`] — campaign cells
-//!   `(vulnerability, design)` split into trial chunks, measured, and
-//!   merged back per cell.
-//! - [`PoolStats`] / [`WorkerStats`] — per-shard throughput counters so
-//!   the speedup (and steal traffic) is observable in reports.
+//! This module holds what every engine run shares: the shard plan and
+//! [`PoolStats`] / [`WorkerStats`], the per-shard throughput counters
+//! that make the speedup (and steal traffic) observable in reports.
 
-use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use sectlb_model::Vulnerability;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
-
-use crate::resilience::{panic_message, CampaignError};
-use crate::run::{run_trial_range, Measurement, TrialSettings};
-use crate::scheduler::StealQueues;
-use crate::spec::BenchmarkSpec;
+use std::time::Duration;
 
 /// Trials per shard. Small enough that 24×3 cells split into plenty of
 /// shards for any sane worker count, large enough that the atomic queue
@@ -59,8 +37,7 @@ pub struct WorkerStats {
     pub trials: u64,
     /// Time this worker spent executing shards (excludes queue idling).
     pub busy: Duration,
-    /// Shard attempts this worker retried after a caught panic (always 0
-    /// on the non-resilient [`run_sharded`] path).
+    /// Shard attempts this worker retried after a caught panic.
     pub retried: usize,
     /// Shards this worker stole from another worker's deque.
     pub stolen: usize,
@@ -73,11 +50,10 @@ pub struct PoolStats {
     pub wall: Duration,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,
-    /// Shards quarantined after exhausting their retry budget (always 0
-    /// on the non-resilient [`run_sharded`] path).
+    /// Shards quarantined after exhausting their retry budget.
     pub quarantined: usize,
     /// Shards the watchdog flagged as exceeding their deadline (always 0
-    /// on the non-resilient [`run_sharded`] path, which has no watchdog).
+    /// without a watchdog deadline).
     pub stalled: usize,
     /// Shards never claimed because the supervisor stopped the campaign
     /// (deadline expiry or graceful signal). Always 0 without a budget.
@@ -194,139 +170,6 @@ impl PoolStats {
     }
 }
 
-/// Runs `f` over every task in `tasks` on a pool of `workers` scoped
-/// threads, returning the results in task order plus per-worker timing.
-///
-/// Tasks are claimed from per-worker work-stealing deques
-/// ([`StealQueues`]): each worker drains its own contiguous chunk in
-/// index order and steals from busier workers once idle. Each result
-/// lands in its task's slot, so the output order (and content, provided
-/// `f` is a pure function of the task) is independent of scheduling.
-///
-/// If `f` panics, the panic is caught, the remaining workers drain at
-/// their next claim, and the original payload comes back as
-/// [`CampaignError::WorkerPanic`] — the fault-tolerant engine in
-/// [`crate::resilience`] is the place for retry/quarantine semantics.
-pub fn try_run_sharded<T, R, F>(
-    tasks: &[T],
-    workers: NonZeroUsize,
-    f: F,
-) -> Result<(Vec<R>, PoolStats), CampaignError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let started = Instant::now();
-    let worker_count = workers.get().min(tasks.len().max(1));
-    let order: Vec<usize> = (0..tasks.len()).collect();
-    let queues = StealQueues::seed(worker_count, &order);
-    let halt = AtomicBool::new(false);
-    let first_panic: Mutex<Option<CampaignError>> = Mutex::new(None);
-    let mut harvest: Vec<(Vec<(usize, R)>, WorkerStats)> = Vec::with_capacity(worker_count);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..worker_count)
-            .map(|w| {
-                let queues = &queues;
-                let halt = &halt;
-                let first_panic = &first_panic;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut stats = WorkerStats {
-                        shards: 0,
-                        trials: 0,
-                        busy: Duration::ZERO,
-                        retried: 0,
-                        stolen: 0,
-                    };
-                    while !halt.load(Ordering::Acquire) {
-                        let Some(claim) = queues.claim(w) else { break };
-                        if claim.stolen {
-                            stats.stolen += 1;
-                        }
-                        let t0 = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| f(&tasks[claim.task]))) {
-                            Ok(r) => {
-                                local.push((claim.task, r));
-                                stats.busy += t0.elapsed();
-                                stats.shards += 1;
-                            }
-                            Err(payload) => {
-                                halt.store(true, Ordering::Release);
-                                let mut slot = first_panic
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                if slot.is_none() {
-                                    *slot = Some(CampaignError::WorkerPanic {
-                                        worker: w,
-                                        task: claim.task,
-                                        payload: panic_message(payload.as_ref()),
-                                    });
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    (local, stats)
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Ok(done) = handle.join() {
-                harvest.push(done);
-            }
-        }
-    });
-    if let Some(error) = first_panic
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(error);
-    }
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
-    let mut worker_stats = Vec::with_capacity(worker_count);
-    for (local, stats) in harvest {
-        for (i, r) in local {
-            debug_assert!(slots[i].is_none(), "task {i} produced twice");
-            slots[i] = Some(r);
-        }
-        worker_stats.push(stats);
-    }
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.expect("every task claimed exactly once"))
-        .collect();
-    Ok((
-        results,
-        PoolStats {
-            wall: started.elapsed(),
-            workers: worker_stats,
-            quarantined: 0,
-            stalled: 0,
-            skipped: 0,
-            preempted: 0,
-            trials_saved: 0,
-            deaths: 0,
-            reclaimed: 0,
-        },
-    ))
-}
-
-/// Infallible convenience wrapper over [`try_run_sharded`] for callers
-/// whose `f` never panics (the historical signature). A worker panic
-/// resurfaces as a single panic carrying the typed error's message —
-/// including the original payload — instead of the old
-/// `join().expect("worker panicked")` double panic that lost it.
-pub fn run_sharded<T, R, F>(tasks: &[T], workers: NonZeroUsize, f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_run_sharded(tasks, workers, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// One chunk of trials for one campaign cell.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Shard {
@@ -336,8 +179,7 @@ pub(crate) struct Shard {
 }
 
 /// Splits `cells` campaign cells of `trials` trials each into
-/// [`TRIALS_PER_SHARD`]-sized shards, in cell order. Shared by the plain
-/// and the fault-tolerant campaign engines so both schedule identically.
+/// [`TRIALS_PER_SHARD`]-sized shards, in cell order.
 pub(crate) fn plan_shards(cells: usize, trials: u32) -> Vec<Shard> {
     let mut shards = Vec::new();
     for cell in 0..cells {
@@ -351,59 +193,11 @@ pub(crate) fn plan_shards(cells: usize, trials: u32) -> Vec<Shard> {
     shards
 }
 
-/// Measures a list of campaign cells `(vulnerability, design)` by
-/// sharding their trial ranges across `workers` threads.
-///
-/// Returns one [`Measurement`] per cell, in input order, plus the pool's
-/// timing counters. Bitwise identical to measuring each cell serially
-/// with [`run_trial_range`] over `0..settings.trials`. A panicking trial
-/// surfaces as [`CampaignError::WorkerPanic`].
-pub fn try_measure_cells(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<(Vec<Measurement>, PoolStats), CampaignError> {
-    let specs: Vec<BenchmarkSpec> = cells
-        .iter()
-        .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
-        .collect();
-    let shards = plan_shards(cells.len(), settings.trials);
-    let (partials, mut stats) = try_run_sharded(&shards, workers, |shard| {
-        run_trial_range(
-            &specs[shard.cell],
-            cells[shard.cell].1,
-            settings,
-            shard.lo..shard.hi,
-            customize,
-        )
-    })?;
-    distribute_trial_counts(&mut stats, &shards);
-    let mut merged = vec![Measurement::ZERO; cells.len()];
-    for (shard, partial) in shards.iter().zip(partials) {
-        merged[shard.cell] = merged[shard.cell].merge(partial);
-    }
-    Ok((merged, stats))
-}
-
-/// Infallible wrapper over [`try_measure_cells`] (the historical
-/// signature); panics once with the typed error message if a trial
-/// panics.
-pub fn measure_cells(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> (Vec<Measurement>, PoolStats) {
-    try_measure_cells(cells, settings, workers, customize).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Spreads the campaign's total trial count over the workers
+/// Spreads the `total` trials a run executed over the workers
 /// proportionally to the shards each one completed (the queue hands out
 /// equal-sized shards, so this matches what each worker actually ran up
 /// to the final ragged shard).
-pub(crate) fn distribute_trial_counts(stats: &mut PoolStats, shards: &[Shard]) {
-    let total: u64 = shards.iter().map(|s| u64::from(s.hi - s.lo)).sum();
+pub(crate) fn distribute_trial_counts(stats: &mut PoolStats, total: u64) {
     let done: usize = stats.workers.iter().map(|w| w.shards).sum();
     if done == 0 {
         return;
@@ -423,67 +217,6 @@ pub(crate) fn distribute_trial_counts(stats: &mut PoolStats, shards: &[Shard]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sectlb_model::enumerate_vulnerabilities;
-
-    fn two_workers() -> NonZeroUsize {
-        NonZeroUsize::new(2).expect("nonzero")
-    }
-
-    #[test]
-    fn run_sharded_preserves_task_order() {
-        let tasks: Vec<u64> = (0..137).collect();
-        let (results, stats) = run_sharded(&tasks, two_workers(), |&t| t * t);
-        assert_eq!(results, tasks.iter().map(|t| t * t).collect::<Vec<_>>());
-        assert_eq!(stats.shards(), tasks.len());
-    }
-
-    #[test]
-    fn run_sharded_handles_empty_and_single() {
-        let (results, _) = run_sharded::<u32, u32, _>(&[], two_workers(), |&t| t);
-        assert!(results.is_empty());
-        let (results, stats) = run_sharded(&[7u32], NonZeroUsize::new(8).expect("nz"), |&t| t + 1);
-        assert_eq!(results, vec![8]);
-        // Only as many workers as tasks are spawned.
-        assert_eq!(stats.workers.len(), 1);
-    }
-
-    #[test]
-    fn worker_counts_add_up() {
-        let tasks: Vec<u32> = (0..50).collect();
-        let (_, stats) = run_sharded(&tasks, two_workers(), |&t| t);
-        assert_eq!(stats.shards(), 50);
-        assert!(stats.workers.len() <= 2);
-        assert!(stats.wall >= Duration::ZERO);
-    }
-
-    #[test]
-    fn measure_cells_matches_serial_for_each_worker_count() {
-        let vulns = enumerate_vulnerabilities();
-        let settings = TrialSettings {
-            trials: 30,
-            ..TrialSettings::default()
-        };
-        let cells: Vec<_> = [vulns[0], vulns[15]]
-            .into_iter()
-            .flat_map(|v| [(v, TlbDesign::Sa), (v, TlbDesign::Rf)])
-            .collect();
-        let serial: Vec<Measurement> = cells
-            .iter()
-            .map(|(v, d)| {
-                let spec = BenchmarkSpec::build_with_config(v, *d, settings.config);
-                run_trial_range(&spec, *d, &settings, 0..settings.trials, &|b| b)
-            })
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let w = NonZeroUsize::new(workers).expect("nonzero");
-            let (parallel, stats) = measure_cells(&cells, &settings, w, &|b| b);
-            assert_eq!(parallel, serial, "workers={workers} diverged");
-            assert_eq!(
-                stats.trials(),
-                u64::from(settings.trials) * cells.len() as u64
-            );
-        }
-    }
 
     #[test]
     fn throughput_counts_trial_pairs_once() {
@@ -522,60 +255,5 @@ mod tests {
             "{}",
             stats.render()
         );
-    }
-
-    #[test]
-    fn pool_stats_render_mentions_throughput() {
-        let tasks: Vec<u32> = (0..8).collect();
-        let (_, stats) = run_sharded(&tasks, two_workers(), |&t| t);
-        let text = stats.render();
-        assert!(text.contains("workers"), "{text}");
-        assert!(text.contains("speedup"), "{text}");
-        // Stealing is opportunistic, so the segment appears exactly when
-        // a steal happened; supervision never runs in the plain pool.
-        assert_eq!(text.contains("work stealing"), stats.stolen() > 0, "{text}");
-        assert!(!text.contains("supervision"), "{text}");
-    }
-
-    #[test]
-    fn an_uneven_load_makes_idle_workers_steal() {
-        // Worker 0 owns tasks 0..4 and parks on task 0; worker 1 drains
-        // its own chunk quickly and must steal the rest of worker 0's.
-        let tasks: Vec<u32> = (0..8).collect();
-        let (results, stats) = run_sharded(&tasks, two_workers(), |&t| {
-            if t == 0 {
-                std::thread::sleep(Duration::from_millis(60));
-            }
-            t * 10
-        });
-        assert_eq!(results, tasks.iter().map(|t| t * 10).collect::<Vec<_>>());
-        assert!(stats.stolen() > 0, "expected steals, got {stats:?}");
-        assert!(
-            stats.render().contains("work stealing"),
-            "{}",
-            stats.render()
-        );
-    }
-
-    #[test]
-    fn a_worker_panic_surfaces_as_a_typed_error_with_its_payload() {
-        let tasks: Vec<u32> = (0..16).collect();
-        let err = try_run_sharded(&tasks, two_workers(), |&t| {
-            if t == 11 {
-                panic!("injected boom on task {t}");
-            }
-            t
-        })
-        .expect_err("task 11 panics");
-        match &err {
-            CampaignError::WorkerPanic { task, payload, .. } => {
-                assert_eq!(*task, 11);
-                assert!(payload.contains("injected boom on task 11"), "{payload}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        assert_eq!(err.exit_code(), crate::resilience::EXIT_QUARANTINED);
-        let text = err.to_string();
-        assert!(text.contains("injected boom"), "{text}");
     }
 }

@@ -10,13 +10,14 @@ use std::num::NonZeroUsize;
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_sim::machine::TlbDesign;
 
-use crate::adaptive::AdaptivePolicy;
-use crate::parallel::{measure_cells, PoolStats};
+use crate::parallel::PoolStats;
 use crate::resilience::{
-    CampaignError, CellGap, CellOutcome, RunPolicy, ShardFailure, StallEvent, EXIT_QUARANTINED,
+    measure_cells_resilient_observed, CampaignError, CellGap, CellOutcome, RunPolicy, ShardFailure,
+    StallEvent, EXIT_QUARANTINED,
 };
-use crate::run::{run_vulnerability, Measurement, TrialSettings};
+use crate::run::{Measurement, TrialSettings};
 use crate::supervisor::{StopReason, EXIT_BUDGET};
+use crate::telemetry::Telemetry;
 use crate::theory::{paper_theory, TheoryParams, TheoryRow};
 
 /// One design's columns for one vulnerability row.
@@ -75,76 +76,32 @@ pub fn paper_defended_count(design: TlbDesign) -> usize {
 pub const DEFENDED_THRESHOLD: f64 = 0.05;
 
 /// Runs the full security evaluation (24 rows × 3 designs ×
-/// 2×`settings.trials` trials) and assembles Table 4.
+/// 2×`settings.trials` trials) on the engine and assembles Table 4 — the
+/// convenience form of [`build_table4_resilient_observed_for`] for tests
+/// and examples: the classic columns, the default [`RunPolicy`], no
+/// telemetry, and one worker. The table is bitwise identical for every
+/// worker count.
 ///
-/// Honors `settings.workers` — see [`build_table4_with_stats`] for the
-/// variant that also reports the campaign's throughput counters.
+/// # Panics
+///
+/// Panics if a cell does not complete (its shards kept failing and were
+/// quarantined, or a signal stopped the campaign), rather than return a
+/// table with a silently partial cell.
 pub fn build_table4(settings: &TrialSettings) -> Table4 {
-    build_table4_with_stats(settings).0
-}
-
-/// [`build_table4`] plus the parallel engine's per-shard timing and
-/// throughput counters ([`PoolStats`]).
-///
-/// With `settings.workers = None` the legacy serial path runs — one
-/// nested loop, no threads — and the stats are `None`. With
-/// `Some(n)` the whole 24×3-cell campaign is sharded across `n` workers;
-/// the assembled table is bitwise identical in all cases because every
-/// trial's seed depends only on its coordinates.
-pub fn build_table4_with_stats(settings: &TrialSettings) -> (Table4, Option<PoolStats>) {
-    build_table4_with_stats_for(&TlbDesign::ALL, settings)
-}
-
-/// [`build_table4_with_stats`] over an explicit design-column list —
-/// the `--designs` path. With [`TlbDesign::ALL`] the table (and its
-/// rendering) is byte-identical to the classic three-column one.
-pub fn build_table4_with_stats_for(
-    designs: &[TlbDesign],
-    settings: &TrialSettings,
-) -> (Table4, Option<PoolStats>) {
-    let params = TheoryParams::default();
-    let vulns = enumerate_vulnerabilities();
-    let (measurements, stats): (Vec<Measurement>, Option<PoolStats>) = match settings.workers {
-        Some(workers) => {
-            let cells = table4_cells_for(designs);
-            let (measurements, stats) = measure_cells(&cells, settings, workers, &|b| b);
-            (measurements, Some(stats))
-        }
-        None => {
-            let serial = TrialSettings {
-                workers: None,
-                ..*settings
-            };
-            let measurements = vulns
-                .iter()
-                .flat_map(|v| designs.iter().map(|&d| run_vulnerability(v, d, &serial)))
-                .collect();
-            (measurements, None)
-        }
-    };
-    let rows = vulns
-        .into_iter()
-        .zip(measurements.chunks_exact(designs.len()))
-        .map(|(v, cells)| Row {
-            vulnerability: v,
-            cells: cells
-                .iter()
-                .zip(designs)
-                .map(|(&measured, &d)| Cell {
-                    measured,
-                    theory: paper_theory(&v, d, &params),
-                })
-                .collect(),
-        })
-        .collect();
-    (
-        Table4 {
-            rows,
-            trials: settings.trials,
-            designs: designs.to_vec(),
-        },
-        stats,
+    let report = build_table4_resilient_observed_for(
+        &TlbDesign::ALL,
+        settings,
+        NonZeroUsize::MIN,
+        &RunPolicy::default(),
+        &Telemetry::disabled(),
     )
+    .unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        report.exit_code() == 0,
+        "the campaign left cells incomplete:\n{}",
+        report.render()
+    );
+    report.table
 }
 
 impl Table4 {
@@ -172,35 +129,15 @@ impl Table4 {
 
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
-        self.render_masked(&[])
+        self.render_marked(&[], &[], &[])
     }
 
-    /// [`Table4::render`], with the listed `(row, column)` cells masked as
-    /// `QUARANTINED` and excluded from the defended counts.
-    ///
-    /// The fault-tolerant engine renders through this so a quarantined
-    /// cell is *visibly* missing — never a silently plausible number from
-    /// a partial measurement. With an empty mask the output is
-    /// byte-identical to [`Table4::render`].
-    pub fn render_masked(&self, masked: &[(usize, usize)]) -> String {
-        self.render_annotated(masked, &[])
-    }
-
-    /// [`Table4::render_masked`], additionally rendering the listed
-    /// `(row, column)` cells as `SUSPECT`: the shadow oracle caught the
-    /// TLB model misbehaving there, so the numbers are untrustworthy.
-    /// SUSPECT wins over QUARANTINED when a cell is both. With both lists
-    /// empty the output is byte-identical to [`Table4::render`].
-    pub fn render_annotated(
-        &self,
-        masked: &[(usize, usize)],
-        suspect: &[(usize, usize)],
-    ) -> String {
-        self.render_marked(masked, suspect, &[])
-    }
-
-    /// The fully general renderer: quarantined, suspect, and
-    /// budget-truncated cells each get their marker, with priority
+    /// [`Table4::render`] with the listed `(row, column)` cells marked
+    /// instead of showing numbers: `masked` cells `QUARANTINED`,
+    /// `suspect` cells `SUSPECT` (the shadow oracle caught the TLB model
+    /// misbehaving there), and budget-truncated cells `TIMEOUT` or
+    /// `PARTIAL` — a missing cell is *visibly* missing, never a plausible
+    /// number from a partial measurement. Priority is
     /// `SUSPECT > QUARANTINED > TIMEOUT > PARTIAL` when a cell qualifies
     /// for more than one. Marked cells are excluded from the defended
     /// counts; each nonempty category appends its own warning footer.
@@ -381,13 +318,17 @@ impl AdaptiveSummary {
     }
 }
 
-/// A Table 4 campaign run through the fault-tolerant engine: the table,
-/// the quarantine report, and the pool's resilience counters.
+/// A Table 4 campaign run on the engine: the table, the quarantine
+/// report, and the pool's resilience counters.
 #[derive(Debug)]
 pub struct CampaignReport {
     /// The assembled table (quarantined cells hold partial measurements
     /// and are masked in [`CampaignReport::render`]).
     pub table: Table4,
+    /// `(row, col)` cells the shadow oracle flagged, rendered `SUSPECT`.
+    /// The builder leaves it empty; a driver fills it from the oracle's
+    /// summary ([`CampaignReport::suspect_cells`]) once the campaign ran.
+    pub suspect: Vec<(usize, usize)>,
     /// Every quarantined cell with its failure report — quarantine is
     /// always surfaced, never silently dropped.
     pub quarantined: Vec<QuarantinedCell>,
@@ -422,27 +363,19 @@ impl CampaignReport {
         }
     }
 
-    /// Renders the table (quarantined cells masked) followed by the
-    /// quarantine detail section.
+    /// Renders the table (quarantined, suspect and incomplete cells
+    /// marked) followed by the per-cell detail sections: quarantine
+    /// reports, budget gaps, the stop reason, and the adaptive accounting.
     ///
     /// Only deterministic content: a clean run renders byte-identically
-    /// to the plain [`Table4::render`] path, and a resumed run renders
-    /// byte-identically to an uninterrupted one. Timing and resume
-    /// counters go to stderr via [`CampaignReport::eprint_summary`].
+    /// to [`Table4::render`], and a resumed run renders byte-identically
+    /// to an uninterrupted one. Timing and resume counters go to stderr
+    /// via [`CampaignReport::eprint_summary`].
     pub fn render(&self) -> String {
         let masked: Vec<(usize, usize)> = self.quarantined.iter().map(|q| (q.row, q.col)).collect();
         let partial: Vec<(usize, usize, CellGap)> =
             self.partial.iter().map(|p| (p.row, p.col, p.gap)).collect();
-        let mut out = self.table.render_marked(&masked, &[], &partial);
-        self.render_details(&mut out);
-        out
-    }
-
-    /// The deterministic per-cell detail sections shared by
-    /// [`CampaignReport::render`] and
-    /// [`CampaignReport::render_with_suspects`]: quarantine reports,
-    /// budget gaps, the stop reason, and the adaptive accounting.
-    fn render_details(&self, out: &mut String) {
+        let mut out = self.table.render_marked(&masked, &self.suspect, &partial);
         for q in &self.quarantined {
             let _ = writeln!(
                 out,
@@ -486,6 +419,7 @@ impl CampaignReport {
                 );
             }
         }
+        out
     }
 
     /// Maps an oracle summary's suspect contexts back to `(row, col)`
@@ -501,20 +435,6 @@ impl CampaignReport {
                 }
             }
         }
-        out
-    }
-
-    /// [`CampaignReport::render`] with the oracle summary's SUSPECT cells
-    /// rendered in the table (SUSPECT wins over QUARANTINED). With an
-    /// empty summary the output is byte-identical to
-    /// [`CampaignReport::render`].
-    pub fn render_with_suspects(&self, summary: &crate::oracle::OracleSummary) -> String {
-        let suspect = self.suspect_cells(summary);
-        let masked: Vec<(usize, usize)> = self.quarantined.iter().map(|q| (q.row, q.col)).collect();
-        let partial: Vec<(usize, usize, CellGap)> =
-            self.partial.iter().map(|p| (p.row, p.col, p.gap)).collect();
-        let mut out = self.table.render_marked(&masked, &suspect, &partial);
-        self.render_details(&mut out);
         out
     }
 
@@ -553,205 +473,70 @@ pub fn table4_cells_for(designs: &[TlbDesign]) -> Vec<(Vulnerability, TlbDesign)
         .collect()
 }
 
-/// [`build_table4_with_stats`] on the fault-tolerant engine: worker
+/// Runs a Table 4 campaign over the `designs` columns on the engine
+/// ([`measure_cells_resilient_observed`]) and assembles the report: worker
 /// panics are isolated and deterministically retried, completed shards
-/// are checkpointed per `policy`, and cells whose shards keep failing are
-/// quarantined in the report instead of killing the campaign.
-///
-/// A clean run's table is bitwise identical to [`build_table4`]'s.
-pub fn build_table4_resilient(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_resilient_observed(
-        settings,
-        workers,
-        policy,
-        &crate::telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`build_table4_resilient`] with a [`crate::telemetry::Telemetry`]
-/// handle streaming the campaign's event envelope and shard lifecycle.
-pub fn build_table4_resilient_observed(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_resilient_observed_for(&TlbDesign::ALL, settings, workers, policy, telemetry)
-}
-
-/// [`build_table4_resilient_observed`] over an explicit design-column
-/// list — the `--designs` path through the fault-tolerant engine.
+/// are checkpointed per `policy`, cells whose shards keep failing are
+/// quarantined in the report instead of killing the campaign, and with
+/// [`RunPolicy::adaptive`] every cell stops as soon as its verdict is
+/// settled, the report carrying the [`AdaptiveSummary`] accounting. With
+/// [`TlbDesign::ALL`] a clean table (and its rendering) is byte-identical
+/// to the classic three-column one.
 pub fn build_table4_resilient_observed_for(
     designs: &[TlbDesign],
     settings: &TrialSettings,
     workers: NonZeroUsize,
     policy: &RunPolicy,
-    telemetry: &crate::telemetry::Telemetry,
+    telemetry: &Telemetry,
 ) -> Result<CampaignReport, CampaignError> {
     let cells = table4_cells_for(designs);
-    let outcome = crate::resilience::measure_cells_resilient_observed(
-        &cells,
-        settings,
-        workers,
-        policy,
-        telemetry,
-        &|b| b,
-    )?;
-    Ok(assemble_campaign_report(
-        designs,
-        &cells,
-        settings,
-        outcome.cells,
-        outcome.stats,
-        outcome.resumed,
-        outcome.stalls,
-        outcome.stop,
-        None,
-    ))
-}
-
-/// [`build_table4_resilient`] with sequential early stopping
-/// (`--adaptive`): every cell's verdict matches the exhaustive run's,
-/// early-stopped cells report their truncated trial counts, and the
-/// report carries the [`AdaptiveSummary`] accounting.
-pub fn build_table4_adaptive(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_adaptive_observed(
-        settings,
-        workers,
-        policy,
-        adaptive,
-        &crate::telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`build_table4_adaptive`] with a [`crate::telemetry::Telemetry`]
-/// handle streaming the campaign envelope, shard lifecycle, and per-cell
-/// adaptive-stop decisions.
-pub fn build_table4_adaptive_observed(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_adaptive_observed_for(
-        &TlbDesign::ALL,
-        settings,
-        workers,
-        policy,
-        adaptive,
-        telemetry,
-    )
-}
-
-/// [`build_table4_adaptive_observed`] over an explicit design-column
-/// list — the `--designs --adaptive` path.
-pub fn build_table4_adaptive_observed_for(
-    designs: &[TlbDesign],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    let cells = table4_cells_for(designs);
-    let outcome = crate::adaptive::measure_cells_adaptive_observed(
-        &cells,
-        settings,
-        workers,
-        policy,
-        adaptive,
-        telemetry,
-        &|b| b,
-    )?;
-    let ncols = designs.len();
-    let stopped: Vec<(usize, usize, u32)> = outcome
-        .cells
-        .iter()
-        .enumerate()
-        .filter_map(|(i, cell)| match cell {
-            CellOutcome::Measured(m) if m.trials < outcome.full_trials => {
-                Some((i / ncols, i % ncols, m.trials))
-            }
-            _ => None,
-        })
-        .collect();
-    let summary = AdaptiveSummary {
-        alpha: adaptive.alpha,
-        full_trials: outcome.full_trials,
-        stopped,
-    };
-    Ok(assemble_campaign_report(
-        designs,
-        &cells,
-        settings,
-        outcome.cells,
-        outcome.stats,
-        outcome.resumed,
-        outcome.stalls,
-        outcome.stop,
-        Some(summary),
-    ))
-}
-
-/// Folds a cell-outcome list into the [`CampaignReport`] shape shared by
-/// the exhaustive and adaptive engines.
-#[allow(clippy::too_many_arguments)]
-fn assemble_campaign_report(
-    designs: &[TlbDesign],
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    outcomes: Vec<CellOutcome>,
-    stats: PoolStats,
-    resumed: usize,
-    stalls: Vec<StallEvent>,
-    stop: Option<StopReason>,
-    adaptive: Option<AdaptiveSummary>,
-) -> CampaignReport {
+    let outcome =
+        measure_cells_resilient_observed(&cells, settings, workers, policy, telemetry, &|b| b)?;
     let params = TheoryParams::default();
     let ncols = designs.len();
     let mut quarantined = Vec::new();
     let mut partial_cells = Vec::new();
-    let measurements: Vec<Measurement> = outcomes
-        .iter()
+    let mut stopped = Vec::new();
+    let measurements: Vec<Measurement> = outcome
+        .cells
+        .into_iter()
         .enumerate()
-        .map(|(i, cell)| match cell {
-            CellOutcome::Measured(m) => *m,
-            CellOutcome::Quarantined { partial, failure } => {
-                quarantined.push(QuarantinedCell {
-                    vulnerability: cells[i].0,
-                    design: cells[i].1,
-                    row: i / ncols,
-                    col: i % ncols,
-                    partial: *partial,
-                    failure: failure.clone(),
-                });
-                *partial
-            }
-            CellOutcome::Partial { partial, gap } => {
-                partial_cells.push(PartialCell {
-                    vulnerability: cells[i].0,
-                    design: cells[i].1,
-                    row: i / ncols,
-                    col: i % ncols,
-                    partial: *partial,
-                    gap: *gap,
-                });
-                *partial
+        .map(|(i, cell)| {
+            let (vulnerability, design) = cells[i];
+            let (row, col) = (i / ncols, i % ncols);
+            match cell {
+                CellOutcome::Measured(m) => {
+                    if m.trials < settings.trials {
+                        stopped.push((row, col, m.trials));
+                    }
+                    m
+                }
+                CellOutcome::Quarantined { partial, failure } => {
+                    quarantined.push(QuarantinedCell {
+                        vulnerability,
+                        design,
+                        row,
+                        col,
+                        partial,
+                        failure,
+                    });
+                    partial
+                }
+                CellOutcome::Partial { partial, gap } => {
+                    partial_cells.push(PartialCell {
+                        vulnerability,
+                        design,
+                        row,
+                        col,
+                        partial,
+                        gap,
+                    });
+                    partial
+                }
             }
         })
         .collect();
-    let vulns = enumerate_vulnerabilities();
-    let rows = vulns
+    let rows = enumerate_vulnerabilities()
         .into_iter()
         .zip(measurements.chunks_exact(ncols))
         .map(|(v, cells)| Row {
@@ -766,20 +551,25 @@ fn assemble_campaign_report(
                 .collect(),
         })
         .collect();
-    CampaignReport {
+    Ok(CampaignReport {
         table: Table4 {
             rows,
             trials: settings.trials,
             designs: designs.to_vec(),
         },
+        suspect: Vec::new(),
         quarantined,
         partial: partial_cells,
-        stats,
-        resumed,
-        stalls,
-        stop,
-        adaptive,
-    }
+        stats: outcome.stats,
+        resumed: outcome.resumed,
+        stalls: outcome.stalls,
+        stop: outcome.stop,
+        adaptive: policy.adaptive.map(|a| AdaptiveSummary {
+            alpha: a.alpha,
+            full_trials: settings.trials,
+            stopped,
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -819,7 +609,15 @@ mod tests {
             trials: 50,
             ..TrialSettings::default()
         };
-        let (table, _) = build_table4_with_stats_for(&TlbDesign::EXTENDED, &settings);
+        let table = build_table4_resilient_observed_for(
+            &TlbDesign::EXTENDED,
+            &settings,
+            NonZeroUsize::MIN,
+            &RunPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign")
+        .table;
         assert_eq!(table.defended_counts(), vec![10, 14, 24, 14, 14, 10]);
         assert!(table.all_verdicts_match(), "measured verdicts match theory");
         let text = table.render();
@@ -853,22 +651,22 @@ mod tests {
 
     #[test]
     fn parallel_table_is_bitwise_identical_and_reports_stats() {
-        let serial = TrialSettings {
+        let settings = TrialSettings {
             trials: 12,
             ..TrialSettings::default()
         };
-        let (reference, no_stats) = build_table4_with_stats(&serial);
-        assert!(no_stats.is_none(), "serial path reports no pool stats");
-        for n in [1usize, 3] {
-            let parallel = TrialSettings {
-                workers: std::num::NonZeroUsize::new(n),
-                ..serial
-            };
-            let (table, stats) = build_table4_with_stats(&parallel);
-            assert_eq!(table, reference, "workers={n} diverged");
-            let stats = stats.expect("parallel path reports stats");
-            assert_eq!(stats.trials(), 12 * 24 * 3);
-        }
+        let reference = build_table4(&settings);
+        let report = build_table4_resilient_observed_for(
+            &TlbDesign::ALL,
+            &settings,
+            NonZeroUsize::new(3).expect("nonzero"),
+            &RunPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign");
+        assert_eq!(report.table, reference, "3 workers diverged from 1");
+        assert_eq!(report.render(), reference.render());
+        assert_eq!(report.stats.trials(), 12 * 24 * 3);
     }
 
     #[test]

@@ -1,12 +1,24 @@
-//! The fault-tolerant campaign engine: panic isolation, deterministic
-//! retry, checkpoint/resume, a stall watchdog, and a deterministic
-//! fault-injection harness.
+//! The campaign engine: the one way campaign work is sharded.
 //!
 //! The paper's security evaluation is tens of thousands of independent
-//! simulations per campaign. The plain [`crate::parallel`] engine treats
-//! any worker panic as fatal (`join().expect`) and loses every completed
-//! cell when the process dies. This module replaces that failure mode
-//! with graceful degradation:
+//! simulations per campaign, all of one shape: independent trial shards
+//! merged by sums. The engine has three layers, each built on the one
+//! before:
+//!
+//! 1. **The pool** — [`run_sharded_resilient_observed`] runs any task
+//!    list on scoped worker threads with work-stealing deques
+//!    ([`crate::scheduler`]), one outcome per task in task order.
+//! 2. **Cells** — [`measure_cells_resilient_observed`] splits
+//!    `(vulnerability, design)` cells into trial shards
+//!    ([`crate::parallel`]), runs them on the pool, and merges them back
+//!    per cell — exhaustively in one pool run, or in rounds that stop
+//!    each cell early when [`RunPolicy::adaptive`] is set.
+//! 3. **Campaigns** — the Table 4 builder
+//!    ([`crate::report::build_table4_resilient_observed_for`]) on top of
+//!    the cells, and the drivers' own task lists directly on the pool.
+//!
+//! A campaign that dies loses nothing it finished, and a failing shard
+//! degrades the result instead of aborting it:
 //!
 //! - **Panic isolation + deterministic retry** — every shard executes
 //!   under [`std::panic::catch_unwind`]. Because a trial's seed is a pure
@@ -35,10 +47,11 @@
 //!   *partial* [`ResilientRun`] whose unexecuted shards are explicit
 //!   [`ShardOutcome::Skipped`]/[`ShardOutcome::TimedOut`] entries.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -46,15 +59,16 @@ use std::time::{Duration, Instant};
 use sectlb_model::Vulnerability;
 use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 
+use crate::adaptive::{self, next_trials, AdaptiveCellState, AdaptivePolicy, SequentialTest};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 use crate::iofault::{IoFault, IoInjector};
-use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, WorkerStats};
+use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, Shard, WorkerStats};
 use crate::run::{
-    run_trial_range, splitmix64, vulnerability_code, Measurement, SetupError, TrialSettings,
+    splitmix64, vulnerability_code, CellSetup, Measurement, SetupError, TrialSettings,
 };
 use crate::scheduler::StealQueues;
 use crate::spec::BenchmarkSpec;
-use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor};
+use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
 /// Exit code drivers use when a campaign completed but quarantined at
@@ -116,20 +130,9 @@ pub enum CampaignError {
         /// Where the final checkpoint was saved, if checkpointing was on.
         checkpoint: Option<PathBuf>,
     },
-    /// Machine setup failed on a serial (non-isolated) path.
+    /// Machine setup failed outside an engine task (inside one, a setup
+    /// failure panics the shard, which is retried and then quarantined).
     Setup(SetupError),
-    /// A task panicked on the *non-resilient* pool
-    /// ([`crate::parallel::try_run_sharded`]), which has no retry or
-    /// quarantine machinery. The original panic payload is preserved
-    /// instead of being lost in a `join().expect` double panic.
-    WorkerPanic {
-        /// The worker the panic unwound.
-        worker: usize,
-        /// The task it was executing.
-        task: usize,
-        /// The original panic payload.
-        payload: String,
-    },
 }
 
 impl CampaignError {
@@ -139,7 +142,6 @@ impl CampaignError {
             CampaignError::Checkpoint(_) => 2,
             CampaignError::Interrupted { .. } => 3,
             CampaignError::Setup(_) => 5,
-            CampaignError::WorkerPanic { .. } => EXIT_QUARANTINED,
         }
     }
 }
@@ -163,16 +165,6 @@ impl std::fmt::Display for CampaignError {
                 }
             }
             CampaignError::Setup(e) => write!(f, "{e}"),
-            CampaignError::WorkerPanic {
-                worker,
-                task,
-                payload,
-            } => write!(
-                f,
-                "worker {worker} panicked on task {task}: {payload} \
-                 (the non-resilient pool has no retry; use the campaign \
-                 engine's --retries to isolate and quarantine shard panics)"
-            ),
         }
     }
 }
@@ -182,7 +174,7 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Checkpoint(e) => Some(e),
             CampaignError::Setup(e) => Some(e),
-            CampaignError::Interrupted { .. } | CampaignError::WorkerPanic { .. } => None,
+            CampaignError::Interrupted { .. } => None,
         }
     }
 }
@@ -310,8 +302,9 @@ impl FaultPlan {
     }
 }
 
-/// How a resilient run behaves around failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How an engine run behaves around failure, budgets, and early stopping.
+/// Every option is off by default.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunPolicy {
     /// Retries per shard after the initial attempt (deterministic: the
     /// retried shard reruns with identical seeds).
@@ -338,6 +331,11 @@ pub struct RunPolicy {
     /// the checkpoint exactly like a graceful signal. `campaignd` arms
     /// one per job so `cancel <id>` preempts a single job.
     pub cancel: Option<crate::supervisor::CancelFlag>,
+    /// Sequential early stopping (`--adaptive[=ALPHA]`): the cells layer
+    /// ([`measure_cells_resilient_observed`]) stops each cell's trials once
+    /// its verdict is settled, checkpointing cell-granular progress. The
+    /// pool ignores it — a driver's own tasks decide what one task runs.
+    pub adaptive: Option<AdaptivePolicy>,
 }
 
 impl Default for RunPolicy {
@@ -351,14 +349,16 @@ impl Default for RunPolicy {
             resume: None,
             budget: BudgetPolicy::default(),
             cancel: None,
+            adaptive: None,
         }
     }
 }
 
 impl RunPolicy {
-    /// Whether any option requires routing through the resilient engine
-    /// even when the caller did not ask for worker parallelism.
-    pub fn wants_engine(&self) -> bool {
+    /// Whether any option other than `max_retries` is set. A driver run
+    /// with none and no `--workers` is *flagless*: it prints exactly its
+    /// table, without the pool summary (see `sectlb_bench::campaign::flagged`).
+    pub fn has_options(&self) -> bool {
         self.checkpoint.is_some()
             || self.resume.is_some()
             || self.faults.is_some()
@@ -366,6 +366,7 @@ impl RunPolicy {
             || self.stall_deadline.is_some()
             || self.budget.is_active()
             || self.cancel.is_some()
+            || self.adaptive.is_some()
     }
 }
 
@@ -426,7 +427,7 @@ impl<R> ShardOutcome<R> {
     }
 }
 
-/// The outcome of a resilient sharded run.
+/// The outcome of an engine run over a task list.
 #[derive(Debug)]
 pub struct ResilientRun<R> {
     /// One outcome per task, in task order.
@@ -453,6 +454,67 @@ impl<R> ResilientRun<R> {
     /// Whether every shard completed.
     pub fn is_clean(&self) -> bool {
         self.results.iter().all(|r| r.is_done())
+    }
+
+    /// Number of tasks the budget left unfinished (preempted or never
+    /// claimed).
+    pub fn budget_gaps(&self) -> usize {
+        self.results.iter().filter(|r| r.is_budget_gap()).count()
+    }
+
+    /// The process exit code: [`EXIT_BUDGET`] when the supervisor cut the
+    /// run short (the table is partial and a `--resume` can finish it),
+    /// else [`EXIT_QUARANTINED`] when shards exhausted their retries,
+    /// else 0.
+    pub fn exit_code(&self) -> i32 {
+        if self.stop.is_some() || self.budget_gaps() > 0 {
+            EXIT_BUDGET
+        } else if self.results.iter().any(|r| r.failure().is_some()) {
+            EXIT_QUARANTINED
+        } else {
+            0
+        }
+    }
+
+    /// Maps every completed result, preserving gaps and counters — for
+    /// drivers whose task result carries bookkeeping (e.g. adaptive
+    /// trials saved) they strip before rendering.
+    pub fn map<S>(self, f: impl Fn(R) -> S) -> ResilientRun<S> {
+        ResilientRun {
+            results: self.results.into_iter().map(|r| r.map(&f)).collect(),
+            stats: self.stats,
+            resumed: self.resumed,
+            stalls: self.stalls,
+            stop: self.stop,
+        }
+    }
+
+    /// Prints the resume/quarantine/stall/stop/pool summary to stderr
+    /// (stdout is reserved for the table itself, which scripts diff).
+    pub fn eprint_summary(&self) {
+        if self.resumed > 0 {
+            eprintln!(
+                "resumed: {} shard(s) restored from checkpoint",
+                self.resumed
+            );
+        }
+        for failure in self.failures() {
+            eprintln!("{failure}");
+        }
+        for stall in &self.stalls {
+            eprintln!(
+                "stall: worker {} exceeded the watchdog deadline on shard {} (ran {:.2?})",
+                stall.worker, stall.task, stall.waited
+            );
+        }
+        if let Some(stop) = self.stop {
+            eprintln!(
+                "campaign stopped early: {stop} ({} of {} task(s) unfinished)",
+                self.budget_gaps(),
+                self.results.len()
+            );
+        }
+        eprintln!("pool: {}", self.stats.render());
     }
 }
 
@@ -483,46 +545,24 @@ struct MonitorReport {
 
 /// Runs `f` over every task on a panic-isolated worker pool with
 /// deterministic retry, optional checkpoint/resume, an optional stall
-/// watchdog, and optional fault injection.
+/// watchdog, optional fault injection, and the resource budget — the
+/// pool layer of the engine.
 ///
-/// The generic, driver-facing primitive: results land in task order, and
-/// — provided `f` is a pure function of its task — are bitwise identical
-/// for any worker count, any interleaving of kills and resumes, and any
-/// transient-fault plan that retry can absorb. `fingerprint` names the
-/// campaign (settings + driver coordinates); checkpoints recording a
-/// different fingerprint or task count are rejected rather than resumed.
+/// Results land in task order, and — provided `f` is a pure function of
+/// its task — are bitwise identical for any worker count, any
+/// interleaving of kills and resumes, and any transient-fault plan that
+/// retry can absorb. `fingerprint` names the campaign (settings + driver
+/// coordinates); checkpoints recording a different fingerprint or task
+/// count are rejected rather than resumed. `label` renders a task's
+/// coordinates for quarantine reports.
 ///
-/// `label` renders a task's coordinates for quarantine reports.
-pub fn run_sharded_resilient<T, R, F>(
-    tasks: &[T],
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    fingerprint: u64,
-    label: &(dyn Fn(&T) -> String + Sync),
-    f: F,
-) -> Result<ResilientRun<R>, CampaignError>
-where
-    T: Sync,
-    R: Send + Record,
-    F: Fn(&T) -> R + Sync,
-{
-    run_sharded_resilient_observed(
-        tasks,
-        workers,
-        policy,
-        fingerprint,
-        label,
-        &Telemetry::disabled(),
-        f,
-    )
-}
-
-/// [`run_sharded_resilient`] with a [`Telemetry`] handle: emits the
-/// shard-lifecycle slice of the event schema — resume restores,
-/// claim/complete/retry/quarantine/preempt/skip, checkpoint flushes.
-/// Campaign-level start/stop events belong to the *caller*, which knows
-/// the driver identity; this also keeps the adaptive scheduler's
-/// per-round engine runs from emitting nested campaign envelopes.
+/// `telemetry` receives the shard-lifecycle slice of the event schema —
+/// resume restores, claim/complete/retry/quarantine/preempt/skip,
+/// checkpoint flushes. Campaign-level start/stop events belong to the
+/// *caller*, which knows the driver identity; this also keeps the
+/// adaptive scheduler's per-round pool runs from emitting nested
+/// campaign envelopes. Never call this from inside a task: the
+/// preemption flag is per thread and the signal latch per process.
 pub fn run_sharded_resilient_observed<T, R, F>(
     tasks: &[T],
     workers: NonZeroUsize,
@@ -548,61 +588,25 @@ where
     let mut ck = Checkpoint::new(fingerprint, tasks.len());
     let mut resumed = 0usize;
     let mut prior = Duration::ZERO;
-    if let Some(path) = &policy.resume {
-        // Corruption recovers (previous good generation, else a fresh
-        // start — both resume bitwise-identically); a checkpoint that
-        // belongs to a *different campaign* stays a hard error below,
-        // because silently discarding it would mask an operator mistake.
-        let loaded = match Checkpoint::load_recovering(path, &injector) {
-            RecoveredLoad::Missing => None,
-            RecoveredLoad::Current(ck) => Some(ck),
-            RecoveredLoad::Previous { checkpoint, error } => {
-                eprintln!(
-                    "warning: checkpoint {} is corrupt ({error}); \
-                     recovered from previous generation",
-                    path.display()
-                );
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointRecovered {
-                        path: path.display().to_string(),
-                        source: "previous".to_owned(),
-                        error,
-                    });
-                }
-                Some(checkpoint)
+    if let Some(loaded) = policy
+        .resume
+        .as_deref()
+        .and_then(|path| load_resume(path, &injector, telemetry))
+    {
+        loaded.validate(fingerprint, tasks.len())?;
+        prior = loaded.consumed;
+        for (i, r) in loaded.decoded::<R>()? {
+            if slots[i].is_none() {
+                resumed += 1;
+                ck.record(i, &r);
+                slots[i] = Some(ShardOutcome::Done(r));
             }
-            RecoveredLoad::Fresh { error } => {
-                eprintln!(
-                    "warning: checkpoint {} and its previous generation are \
-                     both unreadable ({error}); starting fresh",
-                    path.display()
-                );
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointRecovered {
-                        path: path.display().to_string(),
-                        source: "fresh".to_owned(),
-                        error,
-                    });
-                }
-                None
-            }
-        };
-        if let Some(loaded) = loaded {
-            loaded.validate(fingerprint, tasks.len())?;
-            prior = loaded.consumed;
-            for (i, r) in loaded.decoded::<R>()? {
-                if slots[i].is_none() {
-                    resumed += 1;
-                    ck.record(i, &r);
-                    slots[i] = Some(ShardOutcome::Done(r));
-                }
-            }
-            if telemetry.is_armed() {
-                telemetry.emit(Event::Resume {
-                    restored: resumed as u64,
-                    consumed_ns: duration_ns(prior),
-                });
-            }
+        }
+        if telemetry.is_armed() {
+            telemetry.emit(Event::Resume {
+                restored: resumed as u64,
+                consumed_ns: duration_ns(prior),
+            });
         }
     }
     ck.consumed = prior;
@@ -1004,8 +1008,7 @@ where
         });
 
         // Collecting cannot fail: a failed checkpoint flush degrades to
-        // a warning + telemetry event rather than an error, because the
-        // results live in memory and the next flush retries.
+        // a warning (see `flush_checkpoint`).
         let mut since_checkpoint = 0usize;
         for (i, outcome) in rx.iter() {
             if let ShardOutcome::Done(r) = &outcome {
@@ -1021,32 +1024,7 @@ where
             if let Some(cp) = &policy.checkpoint {
                 if since_checkpoint >= cp.every {
                     ck.consumed = supervisor.elapsed();
-                    // A failed flush (disk full, injected fault) costs
-                    // recoverability, not the campaign: results so far
-                    // live in memory and the next flush retries.
-                    match ck.save_with(&cp.path, &injector) {
-                        Ok(()) => {
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::CheckpointFlush {
-                                    path: cp.path.display().to_string(),
-                                    done: ck.done.len() as u64,
-                                    tasks: tasks.len() as u64,
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "warning: checkpoint flush to {} failed: {e}",
-                                cp.path.display()
-                            );
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::CheckpointWriteFailed {
-                                    path: cp.path.display().to_string(),
-                                    error: e.to_string(),
-                                });
-                            }
-                        }
-                    }
+                    flush_checkpoint(&ck, cp, &injector, telemetry, "");
                     since_checkpoint = 0;
                 }
             }
@@ -1100,34 +1078,10 @@ where
     }
 
     // A final write so the file always reflects the run's end state —
-    // complete on success, maximal on interruption or budget stop. Like
-    // the periodic flush, a failure degrades (the run's results are still
-    // returned and rendered) rather than erroring a finished campaign.
+    // complete on success, maximal on interruption or budget stop.
     if let Some(cp) = &policy.checkpoint {
         ck.consumed = supervisor.elapsed();
-        match ck.save_with(&cp.path, &injector) {
-            Ok(()) => {
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointFlush {
-                        path: cp.path.display().to_string(),
-                        done: ck.done.len() as u64,
-                        tasks: tasks.len() as u64,
-                    });
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: final checkpoint flush to {} failed: {e}",
-                    cp.path.display()
-                );
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointWriteFailed {
-                        path: cp.path.display().to_string(),
-                        error: e.to_string(),
-                    });
-                }
-            }
-        }
+        flush_checkpoint(&ck, cp, &injector, telemetry, "final ");
     }
 
     let completed = slots.iter().filter(|s| s.is_some()).count();
@@ -1195,6 +1149,81 @@ where
     })
 }
 
+/// Loads a resume checkpoint through the recovery chain. A corrupt
+/// newest generation falls back to the previous good one, and when both
+/// are unreadable the campaign starts fresh — both resume
+/// bitwise-identically, and each recovery is announced on stderr and as
+/// an event. `None` is a fresh start, also for a missing file, so resume
+/// flags are idempotent. A checkpoint that belongs to a *different
+/// campaign* is left to the caller's `validate` to reject: silently
+/// discarding it would mask an operator mistake.
+fn load_resume(path: &Path, injector: &IoInjector, telemetry: &Telemetry) -> Option<Checkpoint> {
+    let (checkpoint, source, error) = match Checkpoint::load_recovering(path, injector) {
+        RecoveredLoad::Missing => return None,
+        RecoveredLoad::Current(ck) => return Some(ck),
+        RecoveredLoad::Previous { checkpoint, error } => {
+            eprintln!(
+                "warning: checkpoint {} is corrupt ({error}); \
+                 recovered from previous generation",
+                path.display()
+            );
+            (Some(checkpoint), "previous", error)
+        }
+        RecoveredLoad::Fresh { error } => {
+            eprintln!(
+                "warning: checkpoint {} and its previous generation are \
+                 both unreadable ({error}); starting fresh",
+                path.display()
+            );
+            (None, "fresh", error)
+        }
+    };
+    if telemetry.is_armed() {
+        telemetry.emit(Event::CheckpointRecovered {
+            path: path.display().to_string(),
+            source: source.to_owned(),
+            error,
+        });
+    }
+    checkpoint
+}
+
+/// Writes `ck` through the I/O fault seam. A failed flush (disk full,
+/// injected fault) costs recoverability, not the campaign: the results
+/// live in memory and the next flush retries, so it degrades to a
+/// warning and an event. `which` prefixes the warning (`"final "`).
+fn flush_checkpoint(
+    ck: &Checkpoint,
+    cp: &CheckpointPolicy,
+    injector: &IoInjector,
+    telemetry: &Telemetry,
+    which: &str,
+) {
+    match ck.save_with(&cp.path, injector) {
+        Ok(()) => {
+            if telemetry.is_armed() {
+                telemetry.emit(Event::CheckpointFlush {
+                    path: cp.path.display().to_string(),
+                    done: ck.done.len() as u64,
+                    tasks: ck.tasks as u64,
+                });
+            }
+        }
+        Err(e) => {
+            eprintln!(
+                "warning: {which}checkpoint flush to {} failed: {e}",
+                cp.path.display()
+            );
+            if telemetry.is_armed() {
+                telemetry.emit(Event::CheckpointWriteFailed {
+                    path: cp.path.display().to_string(),
+                    error: e.to_string(),
+                });
+            }
+        }
+    }
+}
+
 /// Why a cell is missing trials under the resource budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellGap {
@@ -1253,18 +1282,22 @@ impl CellOutcome {
     }
 }
 
-/// A fault-tolerant campaign over `(vulnerability, design)` cells.
+/// A campaign over `(vulnerability, design)` cells, exhaustive or
+/// adaptive.
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// One outcome per cell, in input order. Cells are never silently
-    /// dropped: a cell is either fully measured or explicitly
-    /// quarantined.
+    /// dropped: a cell is fully measured (an adaptive cell: its settled
+    /// prefix), explicitly quarantined, or explicitly partial.
     pub cells: Vec<CellOutcome>,
-    /// Pool timing plus resilience counters.
+    /// Pool timing plus resilience counters, summed over an adaptive
+    /// run's rounds (including [`PoolStats::trials_saved`]).
     pub stats: PoolStats,
-    /// Shards skipped via the resume checkpoint.
+    /// Shards skipped via the resume checkpoint (cells on an adaptive
+    /// run, whose checkpoints are cell-granular).
     pub resumed: usize,
-    /// Watchdog reports.
+    /// Watchdog reports. On an adaptive run `task` is the *cell* index
+    /// (rounds renumber their shard lists).
     pub stalls: Vec<StallEvent>,
     /// Why the supervisor stopped the campaign early, if it did.
     pub stop: Option<StopReason>,
@@ -1290,30 +1323,168 @@ pub fn cells_fingerprint(cells: &[(Vulnerability, TlbDesign)], settings: &TrialS
     )
 }
 
-/// [`crate::parallel::measure_cells`], fault-tolerantly: the same shard
-/// plan and bitwise-identical measurements, but worker panics are
-/// isolated and retried, completed shards are checkpointed, and shards
-/// that keep failing quarantine their cell instead of killing the run.
-pub fn measure_cells_resilient(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
+/// Runs `run` — one engine run of a campaign — inside the campaign's
+/// event envelope: [`Event::CampaignStart`] before, and after it
+/// [`Event::CampaignStop`] with the supervisor's stop reason (or
+/// `kill-after` for an [`CampaignError::Interrupted`] run), then a flush.
+/// `progress` reads a finished run's stop reason, completed count and
+/// wall time; `tasks` is what the count is out of (shards, or cells for an
+/// adaptive run). Inert when `telemetry` is disabled.
+pub fn with_campaign_events<T>(
+    telemetry: &Telemetry,
+    fingerprint: u64,
+    tasks: usize,
     workers: NonZeroUsize,
-    policy: &RunPolicy,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<CampaignOutcome, CampaignError> {
-    measure_cells_resilient_observed(
-        cells,
-        settings,
-        workers,
-        policy,
-        &Telemetry::disabled(),
-        customize,
-    )
+    run: impl FnOnce() -> Result<T, CampaignError>,
+    progress: impl FnOnce(&T) -> (Option<StopReason>, usize, Duration),
+) -> Result<T, CampaignError> {
+    if !telemetry.is_armed() {
+        return run();
+    }
+    telemetry.emit(Event::CampaignStart {
+        driver: telemetry.driver().to_owned(),
+        fingerprint,
+        tasks: tasks as u64,
+        workers: workers.get() as u64,
+    });
+    let result = run();
+    match &result {
+        Ok(done) => {
+            let (stop, completed, wall) = progress(done);
+            telemetry.emit(Event::CampaignStop {
+                reason: stop.map_or("complete", stop_reason_str).to_owned(),
+                completed: completed as u64,
+                total: tasks as u64,
+                wall_ns: duration_ns(wall),
+            });
+        }
+        Err(CampaignError::Interrupted {
+            completed, total, ..
+        }) => {
+            telemetry.emit(Event::CampaignStop {
+                reason: "kill-after".to_owned(),
+                completed: *completed as u64,
+                total: *total as u64,
+                wall_ns: 0,
+            });
+        }
+        Err(_) => {}
+    }
+    telemetry.flush();
+    result
 }
 
-/// [`measure_cells_resilient`] with a [`Telemetry`] handle: wraps the
-/// engine's shard-lifecycle events in the campaign start/stop envelope
-/// (the driver identity comes from the handle).
+/// One cell's running tally while its shards come back.
+#[derive(Debug, Clone)]
+struct CellTally {
+    /// Merged measurement of the cell's completed shards.
+    m: Measurement,
+    /// No trials are owed: every shard was planned up front (exhaustive),
+    /// or the sequential test settled the cell (adaptive).
+    settled: bool,
+    /// The cell's first quarantined shard.
+    failure: Option<ShardFailure>,
+    /// Why the budget left trials unrun; a timeout wins over a stop.
+    gap: Option<CellGap>,
+}
+
+impl CellTally {
+    fn new(settled: bool) -> CellTally {
+        CellTally {
+            m: Measurement::ZERO,
+            settled,
+            failure: None,
+            gap: None,
+        }
+    }
+
+    /// Folds one of the cell's shard outcomes in.
+    fn add(&mut self, outcome: &ShardOutcome<Measurement>) {
+        match outcome {
+            ShardOutcome::Done(partial) => self.m = self.m.merge(*partial),
+            ShardOutcome::Quarantined(failure) => {
+                self.failure.get_or_insert_with(|| failure.clone());
+            }
+            ShardOutcome::TimedOut(_) => self.gap = Some(CellGap::Timeout),
+            ShardOutcome::Skipped(reason) => {
+                self.gap.get_or_insert(CellGap::Stopped(*reason));
+            }
+        }
+    }
+
+    /// Whether the cell completed cleanly: its measurement is final.
+    fn measured(&self) -> bool {
+        self.settled && self.failure.is_none() && self.gap.is_none()
+    }
+
+    /// The cell's outcome; an unsettled cell without a gap of its own was
+    /// cut off by the campaign's `stop`.
+    fn outcome(self, stop: Option<StopReason>) -> CellOutcome {
+        match (self.failure, self.gap) {
+            (Some(failure), _) => CellOutcome::Quarantined {
+                partial: self.m,
+                failure,
+            },
+            (None, Some(gap)) => CellOutcome::Partial {
+                partial: self.m,
+                gap,
+            },
+            (None, None) if self.settled => CellOutcome::Measured(self.m),
+            (None, None) => CellOutcome::Partial {
+                partial: self.m,
+                gap: CellGap::Stopped(stop.unwrap_or(StopReason::Interrupted)),
+            },
+        }
+    }
+}
+
+/// Numbers the calls of [`measure_cells_resilient_observed`], which key
+/// their workers' [`LAST_SETUP`] by call and cell.
+static NEXT_CELLS_CALL: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The setup of the last cell this worker measured, with its call and
+    /// cell index; taken while a shard runs, so a shard that panics
+    /// leaves nothing behind.
+    static LAST_SETUP: Cell<Option<(u64, usize, CellSetup)>> = const { Cell::new(None) };
+}
+
+/// Folds a pool run's outcomes into the tallies of their cells and
+/// returns the trials the completed shards ran (preempted shards discard
+/// theirs), which is what the pool's per-worker trial counts spread.
+fn tally_run(tally: &mut [CellTally], shards: &[Shard], run: &ResilientRun<Measurement>) -> u64 {
+    let mut trials = 0;
+    for (shard, outcome) in shards.iter().zip(&run.results) {
+        tally[shard.cell].add(outcome);
+        if outcome.is_done() {
+            trials += u64::from(shard.hi - shard.lo);
+        }
+    }
+    trials
+}
+
+/// Measures `(vulnerability, design)` cells on the engine — the cells
+/// layer, and the only way campaign cells are measured.
+///
+/// Each cell's trials split into [`crate::parallel::TRIALS_PER_SHARD`]
+/// shards run on the pool ([`run_sharded_resilient_observed`]); worker
+/// panics are isolated and retried, and a cell whose shards keep failing
+/// is quarantined instead of killing the run. The measurements are
+/// bitwise identical to measuring each cell serially with
+/// [`crate::run::try_run_trial_range`] over `0..settings.trials`, for
+/// any worker count.
+///
+/// Without [`RunPolicy::adaptive`] the whole shard plan is one pool run
+/// and checkpoints are shard-granular. With it, rounds of one
+/// [`crate::adaptive::next_trials`] shard per undecided cell run until
+/// the sequential test settles every cell: each cell measures a prefix
+/// of its exhaustive trials, checkpoints are cell-granular, and
+/// `policy.stop_after` is ignored (rounds renumber shards; the CLI
+/// rejects the combination).
+///
+/// `telemetry` gets the campaign start/stop envelope (the driver
+/// identity comes from the handle) around the pool's shard lifecycle,
+/// plus an [`Event::AdaptiveStop`] per settled cell on adaptive runs.
 pub fn measure_cells_resilient_observed(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
@@ -1326,116 +1497,292 @@ pub fn measure_cells_resilient_observed(
         .iter()
         .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
         .collect();
-    let shards = plan_shards(cells.len(), settings.trials);
-    let fingerprint = cells_fingerprint(cells, settings);
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStart {
-            driver: telemetry.driver().to_owned(),
+    let test = policy.adaptive.map(|a| SequentialTest::table4(a.alpha));
+    let plan = match test {
+        None => plan_shards(cells.len(), settings.trials),
+        Some(_) => Vec::new(),
+    };
+    let (fingerprint, tasks, suffix) = match &test {
+        None => (cells_fingerprint(cells, settings), plan.len(), ""),
+        Some(test) => (
+            adaptive::fingerprint(cells, settings, test),
+            cells.len(),
+            " (adaptive)",
+        ),
+    };
+    let label = |shard: &Shard| {
+        let (v, d) = &cells[shard.cell];
+        format!("{v} on {d} TLB, trials {}..{}{suffix}", shard.lo, shard.hi)
+    };
+    // A worker's queue starts as a contiguous run of the plan, so the
+    // shards it claims in a row are mostly of one cell: it keeps that
+    // cell's setup and sets up again only when the cell changes, rather
+    // than once per shard. The key is this call and the cell.
+    let call = NEXT_CELLS_CALL.fetch_add(1, Ordering::Relaxed);
+    let run_shard = |shard: &Shard| {
+        let (spec, design) = (&specs[shard.cell], cells[shard.cell].1);
+        let cached = LAST_SETUP
+            .take()
+            .filter(|&(c, cell, _)| (c, cell) == (call, shard.cell));
+        let setup = match cached {
+            Some((_, _, setup)) => setup,
+            None => CellSetup::build(spec, design, settings, customize)
+                .unwrap_or_else(|e| panic!("{e}")),
+        };
+        let measured = setup
+            .run(spec, design, settings, shard.lo..shard.hi, customize)
+            .unwrap_or_else(|e| panic!("{e}"));
+        LAST_SETUP.set(Some((call, shard.cell, setup)));
+        measured
+    };
+    let pool = |shards: &[Shard], policy: &RunPolicy| {
+        run_sharded_resilient_observed(
+            shards,
+            workers,
+            policy,
             fingerprint,
-            tasks: shards.len() as u64,
-            workers: workers.get() as u64,
-        });
-    }
-    let run = match run_sharded_resilient_observed(
-        &shards,
-        workers,
-        policy,
-        fingerprint,
-        &|shard| {
-            let (v, d) = &cells[shard.cell];
-            format!("{v} on {d} TLB, trials {}..{}", shard.lo, shard.hi)
-        },
+            &label,
+            telemetry,
+            run_shard,
+        )
+    };
+    let mut tally = vec![CellTally::new(test.is_none()); cells.len()];
+    let (mut outcome, _) = with_campaign_events(
         telemetry,
-        |shard| {
-            run_trial_range(
-                &specs[shard.cell],
-                cells[shard.cell].1,
-                settings,
-                shard.lo..shard.hi,
-                customize,
-            )
+        fingerprint,
+        tasks,
+        workers,
+        || match &test {
+            None => {
+                let run = pool(&plan, policy)?;
+                let trials = tally_run(&mut tally, &plan, &run);
+                let completed = run.results.iter().filter(|r| r.is_done()).count();
+                let mut stats = run.stats;
+                distribute_trial_counts(&mut stats, trials);
+                let outcome = CampaignOutcome {
+                    cells: Vec::new(),
+                    stats,
+                    resumed: run.resumed,
+                    stalls: run.stalls,
+                    stop: run.stop,
+                };
+                Ok((outcome, completed))
+            }
+            Some(test) => adaptive_rounds(
+                cells,
+                settings.trials,
+                test,
+                policy,
+                fingerprint,
+                telemetry,
+                &mut tally,
+                pool,
+            ),
         },
-    ) {
-        Ok(run) => run,
-        Err(e) => {
-            if telemetry.is_armed() {
-                if let CampaignError::Interrupted {
-                    completed, total, ..
-                } = &e
-                {
-                    telemetry.emit(Event::CampaignStop {
-                        reason: "kill-after".to_owned(),
-                        completed: *completed as u64,
-                        total: *total as u64,
-                        wall_ns: 0,
+        |(outcome, completed)| (outcome.stop, *completed, outcome.stats.wall),
+    )?;
+    outcome.cells = tally.into_iter().map(|t| t.outcome(outcome.stop)).collect();
+    Ok(outcome)
+}
+
+/// The adaptive round scheduler of [`measure_cells_resilient_observed`]:
+/// pool runs of one shard per live cell until every cell is settled,
+/// quarantined or timed out, or the budget stops the campaign. Returns the
+/// outcome without its cells (the tallies hold them) and the number of
+/// settled cells.
+///
+/// Progress persists as cell-granular [`AdaptiveCellState`] records
+/// through the same recovery chain and flush path as the pool's shard
+/// records, so a torn newest checkpoint resumes from the previous
+/// generation and a failed flush is a warning. Rounds run without the
+/// policy's checkpoint, resume and kill switch, and with what is left of
+/// the deadline.
+#[allow(clippy::too_many_arguments)]
+fn adaptive_rounds(
+    cells: &[(Vulnerability, TlbDesign)],
+    full: u32,
+    test: &SequentialTest,
+    policy: &RunPolicy,
+    fingerprint: u64,
+    telemetry: &Telemetry,
+    tally: &mut [CellTally],
+    pool: impl Fn(&[Shard], &RunPolicy) -> Result<ResilientRun<Measurement>, CampaignError>,
+) -> Result<(CampaignOutcome, usize), CampaignError> {
+    let injector = policy
+        .faults
+        .as_ref()
+        .map(FaultPlan::io_injector)
+        .unwrap_or_default();
+    let mut resumed = 0usize;
+    let mut prior = Duration::ZERO;
+    if let Some(loaded) = policy
+        .resume
+        .as_deref()
+        .and_then(|path| load_resume(path, &injector, telemetry))
+    {
+        loaded.validate(fingerprint, cells.len())?;
+        prior = loaded.consumed;
+        for (i, state) in loaded.decoded::<AdaptiveCellState>()? {
+            tally[i].m = state.m;
+            tally[i].settled = state.decided;
+            resumed += 1;
+        }
+        if telemetry.is_armed() {
+            telemetry.emit(Event::Resume {
+                restored: resumed as u64,
+                consumed_ns: duration_ns(prior),
+            });
+        }
+    }
+
+    // Wall-clock already consumed by the resume chain counts against the
+    // whole-campaign deadline, exactly as on an exhaustive run.
+    let outer = Supervisor::with_consumed(policy.budget, prior);
+    let mut stop: Option<StopReason> = None;
+    let mut stats = PoolStats {
+        wall: Duration::ZERO,
+        workers: Vec::new(),
+        quarantined: 0,
+        stalled: 0,
+        skipped: 0,
+        preempted: 0,
+        trials_saved: 0,
+        deaths: 0,
+        reclaimed: 0,
+    };
+    let mut stalls: Vec<StallEvent> = Vec::new();
+    let started = Instant::now();
+
+    // Settles every cell whose current prefix decides it (also covers
+    // resumed cells and the trials == full case), emitting exactly one
+    // adaptive-stop event per newly settled cell.
+    let settle = |tally: &mut [CellTally]| {
+        for (i, t) in tally.iter_mut().enumerate() {
+            if !t.settled && next_trials(&t.m, full, test).is_none() {
+                t.settled = true;
+                if telemetry.is_armed() {
+                    let (v, d) = &cells[i];
+                    telemetry.emit(Event::AdaptiveStop {
+                        cell: format!("{v} on {d} TLB"),
+                        trials: u64::from(t.m.trials),
+                        saved: u64::from(full.saturating_sub(t.m.trials)),
                     });
                 }
-                telemetry.flush();
             }
-            return Err(e);
         }
     };
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStop {
-            reason: run.stop.map_or("complete", stop_reason_str).to_owned(),
-            completed: run.results.iter().filter(|r| r.is_done()).count() as u64,
-            total: run.results.len() as u64,
-            wall_ns: duration_ns(run.stats.wall),
-        });
-        telemetry.flush();
-    }
 
-    let mut merged = vec![Measurement::ZERO; cells.len()];
-    let mut first_failure: Vec<Option<ShardFailure>> = vec![None; cells.len()];
-    let mut gap: Vec<Option<CellGap>> = vec![None; cells.len()];
-    for (shard, result) in shards.iter().zip(&run.results) {
-        match result {
-            ShardOutcome::Done(partial) => merged[shard.cell] = merged[shard.cell].merge(*partial),
-            ShardOutcome::Quarantined(failure) => {
-                if first_failure[shard.cell].is_none() {
-                    first_failure[shard.cell] = Some(failure.clone());
+    loop {
+        settle(tally);
+        let round: Vec<Shard> = tally
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.failure.is_none() && t.gap.is_none())
+            .filter_map(|(cell, t)| {
+                let range = next_trials(&t.m, full, test)?;
+                Some(Shard {
+                    cell,
+                    lo: range.start,
+                    hi: range.end,
+                })
+            })
+            .collect();
+        if round.is_empty() {
+            break;
+        }
+        if let Some(reason) = outer.should_stop() {
+            stop = Some(reason);
+            break;
+        }
+        // The whole-campaign deadline shrinks each round; the pool's own
+        // supervisor then enforces the remainder at shard claims.
+        let round_policy = RunPolicy {
+            checkpoint: None,
+            resume: None,
+            stop_after: None,
+            budget: BudgetPolicy {
+                deadline: policy
+                    .budget
+                    .deadline
+                    .map(|d| d.saturating_sub(outer.elapsed())),
+                cell_deadline: policy.budget.cell_deadline,
+            },
+            ..policy.clone()
+        };
+        let run = pool(&round, &round_policy)?;
+        let trials = tally_run(tally, &round, &run);
+        let mut round_stats = run.stats;
+        distribute_trial_counts(&mut round_stats, trials);
+        merge_round_stats(&mut stats, &round_stats);
+        // Rounds renumber their shard lists: report stalls by cell.
+        stalls.extend(run.stalls.iter().map(|s| StallEvent {
+            worker: s.worker,
+            task: round.get(s.task).map_or(s.task, |shard| shard.cell),
+            waited: s.waited,
+        }));
+        if let Some(cp) = &policy.checkpoint {
+            // Settle decisions before persisting so a resumed process
+            // sees the same decided set this one would compute.
+            settle(tally);
+            let mut ck = Checkpoint::new(fingerprint, cells.len());
+            for (i, t) in tally.iter().enumerate() {
+                if t.m.trials > 0 || t.settled {
+                    ck.record(
+                        i,
+                        &AdaptiveCellState {
+                            m: t.m,
+                            decided: t.settled,
+                        },
+                    );
                 }
             }
-            ShardOutcome::TimedOut(_) => gap[shard.cell] = Some(CellGap::Timeout),
-            ShardOutcome::Skipped(reason) => {
-                if gap[shard.cell].is_none() {
-                    gap[shard.cell] = Some(CellGap::Stopped(*reason));
-                }
-            }
+            ck.consumed = outer.elapsed();
+            flush_checkpoint(&ck, cp, &injector, telemetry, "");
+        }
+        if let Some(reason) = run.stop {
+            stop = Some(reason);
+            break;
         }
     }
-    let outcomes: Vec<CellOutcome> = merged
-        .into_iter()
-        .zip(first_failure)
-        .zip(gap)
-        .map(|((m, failure), gap)| match (failure, gap) {
-            (Some(failure), _) => CellOutcome::Quarantined {
-                partial: m,
-                failure,
-            },
-            (None, Some(gap)) => CellOutcome::Partial { partial: m, gap },
-            (None, None) => CellOutcome::Measured(m),
-        })
-        .collect();
-
-    let mut stats = run.stats;
-    // Trial accounting covers only the shards fully executed this run
-    // (resumed shards did their trials in a previous process; preempted
-    // shards discard theirs).
-    let executed: Vec<_> = shards
+    stats.wall = started.elapsed();
+    stats.trials_saved = tally
         .iter()
-        .zip(&run.results)
-        .filter(|(_, r)| r.is_done())
-        .map(|(s, _)| *s)
-        .collect();
-    distribute_trial_counts(&mut stats, &executed);
-    Ok(CampaignOutcome {
-        cells: outcomes,
+        .filter(|t| t.measured())
+        .map(|t| u64::from(full.saturating_sub(t.m.trials)))
+        .sum();
+    let settled = tally.iter().filter(|t| t.settled).count();
+    let outcome = CampaignOutcome {
+        cells: Vec::new(),
         stats,
-        resumed: run.resumed,
-        stalls: run.stalls,
-        stop: run.stop,
-    })
+        resumed,
+        stalls,
+        stop,
+    };
+    Ok((outcome, settled))
+}
+
+/// Folds one adaptive round's pool counters into the campaign totals.
+/// Worker vectors are merged index-wise (round `k`'s worker `w` is the
+/// same logical slot as round `k+1`'s worker `w`).
+fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
+    for (w, stats) in round.workers.iter().enumerate() {
+        if w >= total.workers.len() {
+            total.workers.push(*stats);
+        } else {
+            let slot = &mut total.workers[w];
+            slot.shards += stats.shards;
+            slot.trials += stats.trials;
+            slot.busy += stats.busy;
+            slot.retried += stats.retried;
+            slot.stolen += stats.stolen;
+        }
+    }
+    total.quarantined += round.quarantined;
+    total.stalled += round.stalled;
+    total.skipped += round.skipped;
+    total.preempted += round.preempted;
+    total.deaths += round.deaths;
+    total.reclaimed += round.reclaimed;
 }
 
 #[cfg(test)]
@@ -1446,14 +1793,95 @@ mod tests {
         NonZeroUsize::new(2).expect("nonzero")
     }
 
+    /// The pool over `u64` tasks labelled `task {t}`, without telemetry.
+    fn run<R: Send + Record>(
+        tasks: &[u64],
+        workers: NonZeroUsize,
+        policy: &RunPolicy,
+        fingerprint: u64,
+        f: impl Fn(&u64) -> R + Sync,
+    ) -> Result<ResilientRun<R>, CampaignError> {
+        run_sharded_resilient_observed(
+            tasks,
+            workers,
+            policy,
+            fingerprint,
+            &|t| format!("task {t}"),
+            &Telemetry::disabled(),
+            f,
+        )
+    }
+
+    fn done<R: Copy>(run: &ResilientRun<R>) -> Vec<R> {
+        run.results
+            .iter()
+            .map(|r| *r.done().expect("task done"))
+            .collect()
+    }
+
+    #[test]
+    fn results_land_in_task_order() {
+        let tasks: Vec<u64> = (0..137).collect();
+        let run = run(&tasks, two(), &RunPolicy::default(), 1, |&t| t * t).expect("clean");
+        assert_eq!(done(&run), tasks.iter().map(|t| t * t).collect::<Vec<_>>());
+        assert_eq!(run.stats.shards(), tasks.len());
+        assert!(run.stats.workers.len() <= 2);
+        let text = run.stats.render();
+        assert!(text.contains("workers"), "{text}");
+        assert!(text.contains("speedup"), "{text}");
+        // Stealing is opportunistic, so the segment appears exactly when
+        // a steal happened.
+        assert_eq!(
+            text.contains("work stealing"),
+            run.stats.stolen() > 0,
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn empty_and_single_task_lists_run() {
+        let empty = run(&[], two(), &RunPolicy::default(), 1, |&t| t).expect("clean");
+        assert!(empty.results.is_empty());
+        let eight = NonZeroUsize::new(8).expect("nonzero");
+        let single = run(&[7], eight, &RunPolicy::default(), 1, |&t| t + 1).expect("clean");
+        assert_eq!(done(&single), vec![8]);
+        // Only as many workers as tasks are spawned.
+        assert_eq!(single.stats.workers.len(), 1);
+        // A lone worker has nobody to steal from.
+        let text = single.stats.render();
+        assert!(text.contains("1 workers"), "{text}");
+        assert!(!text.contains("work stealing"), "{text}");
+    }
+
+    #[test]
+    fn an_uneven_load_makes_idle_workers_steal() {
+        // Worker 0 owns tasks 0..4 and parks on task 0; worker 1 drains
+        // its own chunk quickly and must steal the rest of worker 0's.
+        let tasks: Vec<u64> = (0..8).collect();
+        let run = run(&tasks, two(), &RunPolicy::default(), 1, |&t| {
+            if t == 0 {
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            t * 10
+        })
+        .expect("clean");
+        assert_eq!(done(&run), tasks.iter().map(|t| t * 10).collect::<Vec<_>>());
+        assert!(
+            run.stats.stolen() > 0,
+            "expected steals, got {:?}",
+            run.stats
+        );
+        let text = run.stats.render();
+        assert!(text.contains("work stealing"), "{text}");
+        assert!(text.contains("speedup"), "{text}");
+        assert!(!text.contains("supervision"), "{text}");
+    }
+
     #[test]
     fn clean_run_matches_plain_sharding() {
-        let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..60).collect();
         let policy = RunPolicy::default();
-        let run =
-            run_sharded_resilient(&tasks, two(), &policy, 1, &|t| format!("t{t}"), |&t| t * t)
-                .expect("clean run");
+        let run = run(&tasks, two(), &policy, 1, |&t| t * t).expect("clean run");
         assert!(run.is_clean());
         assert_eq!(run.stop, None);
         let values: Vec<u64> = run
@@ -1484,17 +1912,8 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_to_identical_results() {
-        let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..40).collect();
-        let clean = run_sharded_resilient(
-            &tasks,
-            two(),
-            &RunPolicy::default(),
-            2,
-            &|t| format!("t{t}"),
-            |&t| t + 1,
-        )
-        .expect("clean");
+        let clean = run(&tasks, two(), &RunPolicy::default(), 2, |&t| t + 1).expect("clean");
         let faulty_policy = RunPolicy {
             faults: Some(FaultPlan {
                 panic_per_mille: 400,
@@ -1504,15 +1923,7 @@ mod tests {
             max_retries: 3,
             ..RunPolicy::default()
         };
-        let faulty = run_sharded_resilient(
-            &tasks,
-            two(),
-            &faulty_policy,
-            2,
-            &|t| format!("t{t}"),
-            |&t| t + 1,
-        )
-        .expect("faulty converges");
+        let faulty = run(&tasks, two(), &faulty_policy, 2, |&t| t + 1).expect("faulty converges");
         assert!(faulty.is_clean(), "retries absorb transient faults");
         assert!(faulty.stats.retried() > 0, "some shards were retried");
         let a: Vec<u64> = clean
@@ -1530,7 +1941,6 @@ mod tests {
 
     #[test]
     fn permanent_faults_quarantine_without_aborting() {
-        let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..50).collect();
         let plan = FaultPlan {
             fatal_per_mille: 200,
@@ -1541,9 +1951,7 @@ mod tests {
             max_retries: 1,
             ..RunPolicy::default()
         };
-        let run =
-            run_sharded_resilient(&tasks, two(), &policy, 3, &|t| format!("task {t}"), |&t| t)
-                .expect("run completes despite faults");
+        let run = run(&tasks, two(), &policy, 3, |&t| t).expect("run completes despite faults");
         let expected_fatal: Vec<usize> = (0..tasks.len()).filter(|&i| plan.is_fatal(i)).collect();
         assert!(!expected_fatal.is_empty(), "plan injects something");
         for (i, result) in run.results.iter().enumerate() {
@@ -1562,13 +1970,12 @@ mod tests {
 
     #[test]
     fn watchdog_reports_stalled_shards() {
-        let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..4).collect();
         let policy = RunPolicy {
             stall_deadline: Some(Duration::from_millis(10)),
             ..RunPolicy::default()
         };
-        let run = run_sharded_resilient(&tasks, two(), &policy, 4, &|t| format!("t{t}"), |&t| {
+        let run = run(&tasks, two(), &policy, 4, |&t| {
             if t == 2 {
                 std::thread::sleep(Duration::from_millis(60));
             }
@@ -1582,7 +1989,6 @@ mod tests {
 
     #[test]
     fn expired_deadline_skips_all_shards_gracefully() {
-        let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..20).collect();
         let policy = RunPolicy {
             budget: BudgetPolicy {
@@ -1591,8 +1997,7 @@ mod tests {
             },
             ..RunPolicy::default()
         };
-        supervisor::reset_interrupt();
-        let run = run_sharded_resilient(&tasks, two(), &policy, 9, &|t| format!("t{t}"), |&t| t)
+        let run = run(&tasks, two(), &policy, 9, |&t| t)
             .expect("budget stop is a graceful Ok, not an error");
         assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
         assert_eq!(run.stats.skipped, tasks.len());
@@ -1603,36 +2008,11 @@ mod tests {
     }
 
     #[test]
-    fn tripped_signal_latch_stops_the_claim_loop() {
-        let _latch = supervisor::latch_guard();
-        let tasks: Vec<u64> = (0..20).collect();
-        supervisor::trip_interrupt();
-        let run = run_sharded_resilient(
-            &tasks,
-            two(),
-            &RunPolicy::default(),
-            10,
-            &|t| format!("t{t}"),
-            |&t| t,
-        )
-        .expect("graceful drain");
-        supervisor::reset_interrupt();
-        assert_eq!(run.stop, Some(StopReason::Interrupted));
-        assert!(!run.is_clean());
-        assert!(run
-            .results
-            .iter()
-            .all(|r| matches!(r, ShardOutcome::Skipped(StopReason::Interrupted))));
-    }
-
-    #[test]
     fn cell_deadline_preempts_an_overrunning_shard() {
-        let _latch = supervisor::latch_guard();
         // Task 1 spins on preempt_point until the monitor flags it; the
         // other tasks are instant. The run completes with task 1 reported
         // TimedOut — not quarantined, not retried — and `stop` is None
         // because the overall campaign was never stopped.
-        supervisor::reset_interrupt();
         let tasks: Vec<u64> = (0..4).collect();
         let policy = RunPolicy {
             budget: BudgetPolicy {
@@ -1641,7 +2021,7 @@ mod tests {
             },
             ..RunPolicy::default()
         };
-        let run = run_sharded_resilient(&tasks, two(), &policy, 11, &|t| format!("t{t}"), |&t| {
+        let run = run(&tasks, two(), &policy, 11, |&t| {
             if t == 1 {
                 let t0 = Instant::now();
                 while t0.elapsed() < Duration::from_secs(10) {

@@ -8,12 +8,13 @@
 //! counter. The counts of slow trials give the empirical probabilities
 //! `p1*` and `p2*` and the channel capacity `C*`.
 //!
-//! Freshness comes from restoring, not rebuilding: each shard sets one
-//! machine up (processes, mapped regions, programmed secure region) and
-//! every trial runs on a clone of it reseeded with the trial's seed. A
-//! restored trial starts in exactly the state a fresh build with its seed
-//! and the same setup would have — the template has executed nothing, so
-//! its TLBs are empty and no engine has drawn. Trials armed by the shadow
+//! Freshness comes from restoring, not rebuilding: a cell's machine is
+//! set up once (processes, mapped regions, programmed secure region) —
+//! on the engine, once per worker for each run of consecutive shards of
+//! the cell — and every trial runs on a clone of it reseeded with the
+//! trial's seed. A restored trial starts in exactly the state a fresh
+//! build with its seed and the same setup would have — the template has
+//! executed nothing, so its TLBs are empty and no engine has drawn. Trials armed by the shadow
 //! oracle (`--oracle`, `--inject-corruption`) still build fresh: the
 //! oracle must watch that machine's setup and carry that trial's
 //! reporting context.
@@ -22,6 +23,7 @@ use std::num::NonZeroUsize;
 
 use sectlb_model::state::State;
 use sectlb_model::Vulnerability;
+use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_sim::os::OsError;
 use sectlb_tlb::config::TlbConfig;
@@ -44,11 +46,11 @@ pub struct TrialSettings {
     /// RF random-fill eviction policy (the insecure `LruWay` variant is
     /// only used by the `ablation_rf` study).
     pub rf_eviction: RandomFillEviction,
-    /// Worker threads for the campaign. `None` runs the legacy serial
-    /// path; `Some(n)` shards trials across `n` scoped threads through
-    /// [`crate::parallel`]. Results are bitwise identical either way:
-    /// every trial's seed depends only on
-    /// `(base_seed, vulnerability, design, placement, trial index)`.
+    /// Worker threads for the campaign, as the caller records it. It
+    /// selects no code path: the engine's entry points take their worker
+    /// count as a parameter. Results are bitwise identical for every
+    /// count: each trial's seed depends only on `(base_seed,
+    /// vulnerability, design, placement, trial index)`.
     pub workers: Option<NonZeroUsize>,
     /// Shadow-oracle guardrails (`--oracle[=RATE]`,
     /// `--inject-corruption[=PM]`). `None` leaves the machines at their
@@ -306,18 +308,15 @@ fn armed_machine(
 
 /// Runs one trial's program on `m`; returns `true` when the timed step
 /// was slow (the miss counter advanced).
-fn timed_step_was_slow(mut m: Machine, program: &[sectlb_sim::cpu::Instr]) -> bool {
+fn timed_step_was_slow(mut m: Machine, program: &[Instr]) -> bool {
     m.run_batch(program);
     let reads = &m.stats().counter_reads;
     assert_eq!(reads.len(), 2, "benchmark reads the counter exactly twice");
     reads[1] > reads[0]
 }
 
-/// Measures one vulnerability on one design.
-///
-/// Runs serially when `settings.workers` is `None`, and through the
-/// sharded [`crate::parallel`] engine otherwise; the two paths produce
-/// bitwise-identical measurements.
+/// Measures one vulnerability on one design, serially on the calling
+/// thread — bitwise identical to the engine's measurement of the cell.
 pub fn run_vulnerability(
     vulnerability: &Vulnerability,
     design: TlbDesign,
@@ -336,22 +335,12 @@ pub fn run_vulnerability_with_builder(
     settings: &TrialSettings,
     customize: impl Fn(MachineBuilder) -> MachineBuilder + Sync,
 ) -> Measurement {
-    match settings.workers {
-        Some(workers) => {
-            let cells = [(*vulnerability, design)];
-            crate::parallel::measure_cells(&cells, settings, workers, &customize)
-                .0
-                .remove(0)
-        }
-        None => {
-            let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
-            run_trial_range(&spec, design, settings, 0..settings.trials, &customize)
-        }
-    }
+    let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
+    run_trial_range(&spec, design, settings, 0..settings.trials, &customize)
 }
 
 /// Measures a contiguous range of trial indices for one cell — the shard
-/// unit of the parallel engine, also usable directly (the equivalence
+/// unit of the campaign engine, also usable directly (the equivalence
 /// proptests split campaigns at arbitrary boundaries with it).
 ///
 /// `spec` must be built from the same vulnerability/design/config the
@@ -382,51 +371,85 @@ pub fn try_run_trial_range(
     range: std::ops::Range<u32>,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Result<Measurement, SetupError> {
-    let v = &spec.vulnerability;
-    let mut n_mapped_miss = 0;
-    let mut n_not_mapped_miss = 0;
-    // The benchmark program depends only on (spec, placement), and the
-    // post-setup machine only on the cell, so both are built once per
-    // shard instead of once per trial. Every unarmed trial restores the
-    // template: a clone reseeded with the trial's seed (module docs).
-    let mapped_program = generate_program(spec, Placement::Mapped);
-    let not_mapped_program = generate_program(spec, Placement::NotMapped);
-    let template = build_machine(spec, design, settings.rf_eviction, customize)?;
-    for t in range.clone() {
-        // Cooperative cell-deadline preemption: unwinds with a typed
-        // payload the resilient engine reports as TIMEOUT. A no-op unless
-        // the engine armed this thread's flag. Sits between trials, so a
-        // preemption never splits a trial's batch mid-run.
-        crate::supervisor::preempt_point();
-        for (placement, program, counter) in [
-            (Placement::Mapped, &mapped_program, &mut n_mapped_miss),
-            (
-                Placement::NotMapped,
-                &not_mapped_program,
-                &mut n_not_mapped_miss,
-            ),
-        ] {
-            let seed = derive_trial_seed(settings.base_seed, v, design, placement, t);
-            let m = match settings.oracle.filter(|o| o.armed(seed)) {
-                Some(oracle) => {
-                    armed_machine(spec, design, placement, seed, settings, oracle, customize)?
+    CellSetup::build(spec, design, settings, customize)?
+        .run(spec, design, settings, range, customize)
+}
+
+/// What every trial of one cell starts from: the benchmark program of
+/// each placement and the cell's post-setup machine. All three depend
+/// only on the cell, so one setup serves any number of trial ranges, and
+/// every unarmed trial restores the template: a clone reseeded with the
+/// trial's seed (module docs).
+pub(crate) struct CellSetup {
+    mapped: Vec<Instr>,
+    not_mapped: Vec<Instr>,
+    template: Machine,
+}
+
+impl CellSetup {
+    pub(crate) fn build(
+        spec: &BenchmarkSpec,
+        design: TlbDesign,
+        settings: &TrialSettings,
+        customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
+    ) -> Result<CellSetup, SetupError> {
+        Ok(CellSetup {
+            mapped: generate_program(spec, Placement::Mapped),
+            not_mapped: generate_program(spec, Placement::NotMapped),
+            template: build_machine(spec, design, settings.rf_eviction, customize)?,
+        })
+    }
+
+    /// Measures `range` of the trials of the cell this setup was built
+    /// for; `spec`, `design`, `settings` and `customize` must be the ones
+    /// it was built with.
+    pub(crate) fn run(
+        &self,
+        spec: &BenchmarkSpec,
+        design: TlbDesign,
+        settings: &TrialSettings,
+        range: std::ops::Range<u32>,
+        customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
+    ) -> Result<Measurement, SetupError> {
+        let v = &spec.vulnerability;
+        let mut n_mapped_miss = 0;
+        let mut n_not_mapped_miss = 0;
+        for t in range.clone() {
+            // Cooperative cell-deadline preemption: unwinds with a typed
+            // payload the resilient engine reports as TIMEOUT. A no-op
+            // unless the engine armed this thread's flag. Sits between
+            // trials, so a preemption never splits a trial's batch mid-run.
+            crate::supervisor::preempt_point();
+            for (placement, program, counter) in [
+                (Placement::Mapped, &self.mapped, &mut n_mapped_miss),
+                (
+                    Placement::NotMapped,
+                    &self.not_mapped,
+                    &mut n_not_mapped_miss,
+                ),
+            ] {
+                let seed = derive_trial_seed(settings.base_seed, v, design, placement, t);
+                let m = match settings.oracle.filter(|o| o.armed(seed)) {
+                    Some(oracle) => {
+                        armed_machine(spec, design, placement, seed, settings, oracle, customize)?
+                    }
+                    None => {
+                        let mut m = self.template.clone();
+                        m.reseed(seed);
+                        m
+                    }
+                };
+                if timed_step_was_slow(m, program) {
+                    *counter += 1;
                 }
-                None => {
-                    let mut m = template.clone();
-                    m.reseed(seed);
-                    m
-                }
-            };
-            if timed_step_was_slow(m, program) {
-                *counter += 1;
             }
         }
+        Ok(Measurement {
+            trials: range.len() as u32,
+            n_mapped_miss,
+            n_not_mapped_miss,
+        })
     }
-    Ok(Measurement {
-        trials: range.len() as u32,
-        n_mapped_miss,
-        n_not_mapped_miss,
-    })
 }
 
 #[cfg(test)]
@@ -551,23 +574,6 @@ mod tests {
         let a = run_vulnerability(&v, TlbDesign::Rf, &s);
         let b = run_vulnerability(&v, TlbDesign::Rf, &s);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn worker_dispatch_matches_serial_bitwise() {
-        let v = row(Strategy::PrimeProbe, "A_a");
-        let serial = run_vulnerability(&v, TlbDesign::Rf, &settings());
-        for n in [1, 4] {
-            let s = TrialSettings {
-                workers: NonZeroUsize::new(n),
-                ..settings()
-            };
-            assert_eq!(
-                run_vulnerability(&v, TlbDesign::Rf, &s),
-                serial,
-                "workers={n}"
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The work-stealing shard scheduler.
 //!
-//! The engines in [`crate::parallel`] and [`crate::resilience`] used to
-//! hand out shards from a single atomic index: workers claimed tasks in
+//! The campaign engine ([`crate::resilience`]) used to hand out shards
+//! from a single atomic index: workers claimed tasks in
 //! strict queue order, so a worker stuck behind an expensive shard (an
 //! adaptive round's straggler cell, an injected stall, a preemption-bound
 //! retry loop) left the rest of the pool idle once the tail of the queue

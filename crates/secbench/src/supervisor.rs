@@ -73,7 +73,7 @@ impl std::fmt::Display for StopReason {
 /// `cancel <id>` request preempts that job alone.
 ///
 /// Equality is identity (two flags are equal when they are the *same*
-/// latch), which keeps [`crate::resilience::RunPolicy`] `Eq`.
+/// latch), which keeps [`crate::resilience::RunPolicy`] comparable.
 #[derive(Debug, Clone, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -103,7 +103,7 @@ impl PartialEq for CancelFlag {
 impl Eq for CancelFlag {}
 
 /// The campaign's resource budget (the `--deadline` / `--cell-deadline-ms`
-/// flags). Plain data so [`crate::resilience::RunPolicy`] stays `Eq`.
+/// flags). Plain data so [`crate::resilience::RunPolicy`] stays comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BudgetPolicy {
     /// Wall-clock budget for the whole campaign; `None` is unlimited.
@@ -202,9 +202,8 @@ impl Supervisor {
 
 /// Installs the process-global SIGINT/SIGTERM handlers (idempotent).
 ///
-/// Drivers call this once the resilient engine is about to run; the
-/// legacy serial paths keep the default signal disposition, so plain
-/// invocations behave exactly as before.
+/// Every driver calls this before its campaign runs, so a first signal
+/// always drains gracefully — flagless runs included.
 pub fn install_signal_handlers() {
     sectlb_signal::install();
 }
@@ -219,16 +218,6 @@ pub fn trip_interrupt() {
 /// process; a real campaign never unlatches).
 pub fn reset_interrupt() {
     sectlb_signal::reset();
-}
-
-/// Serializes tests that touch the process-global signal latch — or that
-/// assert engine stop behavior, which reads it — so the parallel test
-/// harness cannot interleave a tripped latch into an unrelated run.
-#[cfg(test)]
-pub(crate) fn latch_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The panic payload of a preempted shard. The engine's `catch_unwind`
@@ -272,14 +261,15 @@ pub fn preempt_point() {
     }
 }
 
+// Tests that trip the process-wide latch live in `tests/signal_latch.rs`,
+// a process of their own: this crate's unit tests run the engine, which a
+// tripped latch would stop.
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deadline_expiry_is_reported() {
-        let _latch = latch_guard();
-        reset_interrupt();
         let s = Supervisor::new(BudgetPolicy {
             deadline: Some(Duration::ZERO),
             cell_deadline: None,
@@ -293,23 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn signal_latch_wins_over_the_deadline() {
-        let _latch = latch_guard();
-        reset_interrupt();
-        let s = Supervisor::new(BudgetPolicy {
-            deadline: Some(Duration::ZERO),
-            cell_deadline: None,
-        });
-        trip_interrupt();
-        assert_eq!(s.should_stop(), Some(StopReason::Interrupted));
-        reset_interrupt();
-        assert_eq!(s.should_stop(), Some(StopReason::DeadlineExpired));
-    }
-
-    #[test]
     fn consumed_time_counts_against_the_deadline() {
-        let _latch = latch_guard();
-        reset_interrupt();
         let budget = BudgetPolicy {
             deadline: Some(Duration::from_secs(3600)),
             cell_deadline: None,
@@ -325,35 +299,9 @@ mod tests {
 
     #[test]
     fn unbudgeted_supervisor_never_stops() {
-        let _latch = latch_guard();
-        reset_interrupt();
         let s = Supervisor::new(BudgetPolicy::default());
         assert_eq!(s.should_stop(), None);
         assert!(!BudgetPolicy::default().is_active());
-    }
-
-    #[test]
-    fn cancel_flag_stops_only_its_own_run() {
-        let _latch = latch_guard();
-        reset_interrupt();
-        let flag = CancelFlag::new();
-        let cancellable =
-            Supervisor::with_cancel(BudgetPolicy::default(), Duration::ZERO, Some(flag.clone()));
-        let bystander = Supervisor::new(BudgetPolicy::default());
-        assert_eq!(cancellable.should_stop(), None);
-        flag.trip();
-        assert_eq!(cancellable.should_stop(), Some(StopReason::Cancelled));
-        // The other run in the same process is untouched — this is what
-        // distinguishes cancel from the process-global signal latch.
-        assert_eq!(bystander.should_stop(), None);
-        // Cancellation outranks a latched signal: it is the reason that
-        // makes the run terminal instead of merely paused.
-        trip_interrupt();
-        assert_eq!(cancellable.should_stop(), Some(StopReason::Cancelled));
-        reset_interrupt();
-        // Equality is identity, not value.
-        assert_eq!(flag, flag.clone());
-        assert_ne!(flag, CancelFlag::new());
     }
 
     #[test]

@@ -1237,7 +1237,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 /// `BENCH_<driver>.json`).
 ///
 /// `stats` is the campaign's pool counters (`None` for invocations that
-/// never ran an engine, e.g. serial paths or `replay`); `latencies` are
+/// never ran an engine, e.g. `replay`); `latencies` are
 /// the completed-shard wall times collected by the [`Telemetry`] handle.
 /// Throughput counts *trial pairs* per second — see
 /// [`PoolStats::throughput`] for the pinned definition.

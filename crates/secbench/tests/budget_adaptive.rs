@@ -13,14 +13,19 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
-use sectlb_secbench::adaptive::{measure_cells_adaptive, AdaptivePolicy};
+use sectlb_secbench::adaptive::AdaptivePolicy;
 use sectlb_secbench::checkpoint::Checkpoint;
-use sectlb_secbench::report::{build_table4_resilient, table4_cells, DEFENDED_THRESHOLD};
+use sectlb_secbench::iofault::prev_path;
+use sectlb_secbench::report::{
+    build_table4_resilient_observed_for, table4_cells, DEFENDED_THRESHOLD,
+};
 use sectlb_secbench::resilience::{
-    measure_cells_resilient, run_sharded_resilient, CellGap, CellOutcome, RunPolicy, ShardOutcome,
+    measure_cells_resilient_observed, run_sharded_resilient_observed, CampaignError,
+    CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::supervisor::{BudgetPolicy, StopReason, EXIT_BUDGET};
+use sectlb_secbench::telemetry::Telemetry;
 use sectlb_secbench::CheckpointPolicy;
 use sectlb_sim::machine::TlbDesign;
 
@@ -49,6 +54,43 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+fn measure(
+    cells: &[(Vulnerability, TlbDesign)],
+    settings: &TrialSettings,
+    workers: NonZeroUsize,
+    policy: &RunPolicy,
+) -> Result<CampaignOutcome, CampaignError> {
+    measure_cells_resilient_observed(
+        cells,
+        settings,
+        workers,
+        policy,
+        &Telemetry::disabled(),
+        &|b| b,
+    )
+}
+
+fn adaptive(policy: RunPolicy) -> RunPolicy {
+    RunPolicy {
+        adaptive: Some(AdaptivePolicy::default()),
+        ..policy
+    }
+}
+
+/// The pool over `u64` tasks, doubling each, without telemetry.
+fn doubled(tasks: &[u64], policy: &RunPolicy, fingerprint: u64) -> ResilientRun<u64> {
+    run_sharded_resilient_observed(
+        tasks,
+        workers(),
+        policy,
+        fingerprint,
+        &|&t| format!("task {t}"),
+        &Telemetry::disabled(),
+        |&t| t * 2,
+    )
+    .expect("budget stops are not errors")
+}
+
 fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
     outcomes
         .iter()
@@ -75,18 +117,16 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("deadline-resume");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
+        .expect("uninterrupted campaign");
 
     // An already-expired deadline: the supervisor stops the claim loop
     // before any shard runs. This is a graceful stop, not an error.
-    let stopped = measure_cells_resilient(
+    let stopped = measure(
         &cells,
         &settings,
         workers(),
         &deadline_policy(Duration::ZERO, &path),
-        &|b| b,
     )
     .expect("budget stop is not an error");
     assert_eq!(stopped.stop, Some(StopReason::DeadlineExpired));
@@ -107,8 +147,8 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-        .expect("resumed campaign completes");
+    let resumed =
+        measure(&cells, &settings, workers(), &resumed_policy).expect("resumed campaign completes");
     assert_eq!(resumed.stop, None);
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
     std::fs::remove_file(&path).ok();
@@ -119,19 +159,17 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("mid-deadline");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
+        .expect("uninterrupted campaign");
 
     // A deadline that lands mid-campaign on most machines. How many
     // shards finish is timing-dependent; the invariant under test is
     // that the resumed result is identical no matter where it landed.
-    let run = measure_cells_resilient(
+    let run = measure(
         &cells,
         &settings,
         workers(),
         &deadline_policy(Duration::from_millis(10), &path),
-        &|b| b,
     )
     .expect("budget stop is not an error");
     let resumed_policy = RunPolicy {
@@ -139,8 +177,7 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
         ..RunPolicy::default()
     };
     let resumed = if run.stop.is_some() {
-        measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-            .expect("resumed campaign completes")
+        measure(&cells, &settings, workers(), &resumed_policy).expect("resumed campaign completes")
     } else {
         run // the machine beat the deadline; the run is already complete
     };
@@ -161,8 +198,14 @@ fn budget_stopped_table4_renders_partial_markers_and_exits_budget_code() {
         },
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings, workers(), &policy)
-        .expect("budget stop still renders a report");
+    let report = build_table4_resilient_observed_for(
+        &TlbDesign::ALL,
+        &settings,
+        workers(),
+        &policy,
+        &Telemetry::disabled(),
+    )
+    .expect("budget stop still renders a report");
     assert_eq!(report.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(report.partial.len(), table4_cells().len());
     assert_eq!(report.exit_code(), EXIT_BUDGET);
@@ -196,15 +239,7 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
         },
         ..RunPolicy::default()
     };
-    let run = run_sharded_resilient(
-        &tasks,
-        workers(),
-        &policy,
-        fingerprint,
-        &|&t| format!("task {t}"),
-        |&t| t * 2,
-    )
-    .expect("budget stop is not an error");
+    let run = doubled(&tasks, &policy, fingerprint);
     assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
     assert!(
         run.results
@@ -219,15 +254,7 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let run = run_sharded_resilient(
-        &tasks,
-        workers(),
-        &unlimited,
-        fingerprint,
-        &|&t| format!("task {t}"),
-        |&t| t * 2,
-    )
-    .expect("unlimited resume completes");
+    let run = doubled(&tasks, &unlimited, fingerprint);
     assert_eq!(run.stop, None);
     let done: Vec<u64> = run
         .results
@@ -246,12 +273,11 @@ fn interrupted_runs_checkpoint_their_consumed_wall_clock() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("consumed-persisted");
-    let run = measure_cells_resilient(
+    let run = measure(
         &cells,
         &settings,
         workers(),
         &deadline_policy(Duration::ZERO, &path),
-        &|b| b,
     )
     .expect("budget stop is not an error");
     assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
@@ -274,15 +300,12 @@ fn adaptive_verdicts_match_the_exhaustive_run_and_save_trials() {
         ..TrialSettings::default()
     };
     let exhaustive =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("exhaustive campaign");
-    let adaptive = measure_cells_adaptive(
+        measure(&cells, &settings, workers(), &RunPolicy::default()).expect("exhaustive campaign");
+    let adaptive = measure(
         &cells,
         &settings,
         workers(),
-        &RunPolicy::default(),
-        &AdaptivePolicy::default(),
-        &|b| b,
+        &adaptive(RunPolicy::default()),
     )
     .expect("adaptive campaign");
     assert_eq!(adaptive.stop, None);
@@ -302,11 +325,11 @@ fn adaptive_verdicts_match_the_exhaustive_run_and_save_trials() {
         adaptive.stats.trials_saved > 0,
         "the clear-cut cells settle well before 40 trials"
     );
-    let saved = adaptive.saved_per_cell();
-    assert_eq!(
-        saved.iter().map(|&s| u64::from(s)).sum::<u64>(),
-        adaptive.stats.trials_saved
-    );
+    let saved: u64 = measurements(&adaptive.cells)
+        .iter()
+        .map(|m| u64::from(settings.trials - m.trials))
+        .sum();
+    assert_eq!(saved, adaptive.stats.trials_saved);
 }
 
 #[test]
@@ -316,13 +339,11 @@ fn adaptive_measurements_are_identical_for_every_worker_count() {
     let runs: Vec<Vec<Measurement>> = [1usize, 3, 5]
         .into_iter()
         .map(|w| {
-            let run = measure_cells_adaptive(
+            let run = measure(
                 &cells,
                 &settings,
                 NonZeroUsize::new(w).expect("nonzero"),
-                &RunPolicy::default(),
-                &AdaptivePolicy::default(),
-                &|b| b,
+                &adaptive(RunPolicy::default()),
             )
             .expect("adaptive campaign");
             measurements(&run.cells)
@@ -343,15 +364,8 @@ fn adaptive_campaign_respects_the_outer_deadline() {
         },
         ..RunPolicy::default()
     };
-    let run = measure_cells_adaptive(
-        &cells,
-        &settings,
-        workers(),
-        &policy,
-        &AdaptivePolicy::default(),
-        &|b| b,
-    )
-    .expect("budget stop is not an error");
+    let run = measure(&cells, &settings, workers(), &adaptive(policy))
+        .expect("budget stop is not an error");
     assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
     assert!(
         run.cells
@@ -359,4 +373,51 @@ fn adaptive_campaign_respects_the_outer_deadline() {
             .all(|c| matches!(c, CellOutcome::Partial { .. })),
         "no rounds ran under a zero deadline"
     );
+}
+
+#[test]
+fn adaptive_resume_recovers_a_torn_checkpoint_from_the_previous_generation() {
+    // Enough trials that most cells take several rounds, so the campaign
+    // flushes several checkpoint generations.
+    let cells = cells();
+    let settings = TrialSettings {
+        trials: 100,
+        ..TrialSettings::default()
+    };
+    let path = tmp_path("adaptive-torn");
+    let reference = measure(
+        &cells,
+        &settings,
+        workers(),
+        &adaptive(RunPolicy::default()),
+    )
+    .expect("uninterrupted adaptive campaign");
+    let checkpointed = adaptive(RunPolicy {
+        checkpoint: Some(CheckpointPolicy {
+            path: path.clone(),
+            every: 1,
+        }),
+        ..RunPolicy::default()
+    });
+    measure(&cells, &settings, workers(), &checkpointed).expect("checkpointed campaign");
+    assert!(prev_path(&path).exists(), "a previous generation was kept");
+
+    // Tear the newest generation: only its first half reached the disk.
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("checkpoint truncated");
+    let resumed = measure(
+        &cells,
+        &settings,
+        workers(),
+        &adaptive(RunPolicy {
+            resume: Some(path.clone()),
+            ..RunPolicy::default()
+        }),
+    )
+    .expect("a torn checkpoint recovers instead of failing the resume");
+    assert!(resumed.resumed > 0, "resumed from the previous generation");
+    assert_eq!(resumed.stop, None);
+    assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(prev_path(&path)).ok();
 }

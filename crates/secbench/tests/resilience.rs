@@ -1,21 +1,27 @@
-//! Integration tests of the fault-tolerant campaign engine.
+//! Integration tests of the campaign engine.
 //!
-//! The acceptance contract: a campaign that is killed mid-run and resumed
-//! from its checkpoint produces **bitwise-identical** results to an
-//! uninterrupted run; injected panics converge to the clean results after
-//! deterministic retry; shards that keep failing are quarantined with
-//! their coordinates and never silently dropped.
+//! The acceptance contract: at any worker count the engine measures
+//! every cell exactly as a serial per-cell loop does; a campaign that is
+//! killed mid-run and resumed from its checkpoint produces
+//! **bitwise-identical** results to an uninterrupted run; injected panics
+//! converge to the clean results after deterministic retry; shards that
+//! keep failing are quarantined with their coordinates and never silently
+//! dropped.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
-use sectlb_secbench::parallel::measure_cells;
-use sectlb_secbench::report::{build_table4_resilient, build_table4_with_stats};
-use sectlb_secbench::resilience::{
-    measure_cells_resilient, CampaignError, CellOutcome, FaultPlan, RunPolicy,
+use sectlb_secbench::report::{
+    build_table4, build_table4_resilient_observed_for, table4_cells, CampaignReport,
 };
-use sectlb_secbench::run::{Measurement, TrialSettings};
+use sectlb_secbench::resilience::{
+    measure_cells_resilient_observed, CampaignError, CampaignOutcome, CellOutcome, FaultPlan,
+    RunPolicy,
+};
+use sectlb_secbench::run::{try_run_trial_range, Measurement, TrialSettings};
+use sectlb_secbench::spec::BenchmarkSpec;
+use sectlb_secbench::telemetry::Telemetry;
 use sectlb_secbench::CheckpointPolicy;
 use sectlb_sim::machine::TlbDesign;
 
@@ -44,6 +50,44 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+fn measure(
+    cells: &[(Vulnerability, TlbDesign)],
+    settings: &TrialSettings,
+    workers: NonZeroUsize,
+    policy: &RunPolicy,
+) -> Result<CampaignOutcome, CampaignError> {
+    measure_cells_resilient_observed(
+        cells,
+        settings,
+        workers,
+        policy,
+        &Telemetry::disabled(),
+        &|b| b,
+    )
+}
+
+fn table4(settings: &TrialSettings, policy: &RunPolicy) -> Result<CampaignReport, CampaignError> {
+    build_table4_resilient_observed_for(
+        &TlbDesign::ALL,
+        settings,
+        workers(),
+        policy,
+        &Telemetry::disabled(),
+    )
+}
+
+/// The reference: each cell measured serially by one trial-range call.
+fn serial(cells: &[(Vulnerability, TlbDesign)], settings: &TrialSettings) -> Vec<Measurement> {
+    cells
+        .iter()
+        .map(|(v, d)| {
+            let spec = BenchmarkSpec::build_with_config(v, *d, settings.config);
+            try_run_trial_range(&spec, *d, settings, 0..settings.trials, &|b| b)
+                .expect("cell sets up")
+        })
+        .collect()
+}
+
 fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
     outcomes
         .iter()
@@ -52,16 +96,21 @@ fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
 }
 
 #[test]
-fn resilient_engine_matches_the_plain_engine_bitwise() {
+fn engine_matches_a_serial_per_cell_loop_at_every_worker_count() {
     let cells = cells();
     let settings = settings();
-    let (plain, _) = measure_cells(&cells, &settings, workers(), &|b| b);
-    let resilient =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("clean campaign");
-    assert_eq!(measurements(&resilient.cells), plain);
-    assert_eq!(resilient.stats.quarantined, 0);
-    assert_eq!(resilient.resumed, 0);
+    let reference = serial(&cells, &settings);
+    for n in [1, 2, 4] {
+        let w = NonZeroUsize::new(n).expect("nonzero");
+        let run = measure(&cells, &settings, w, &RunPolicy::default()).expect("clean campaign");
+        assert_eq!(measurements(&run.cells), reference, "{n} workers");
+        assert_eq!(run.stats.quarantined, 0);
+        assert_eq!(run.resumed, 0);
+        assert_eq!(
+            run.stats.trials(),
+            u64::from(settings.trials) * cells.len() as u64
+        );
+    }
 }
 
 #[test]
@@ -69,9 +118,8 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("kill-resume");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
+        .expect("uninterrupted campaign");
 
     // Deterministic "kill -9": halt after 5 completed shards, with the
     // checkpoint keeping progress crash-safe.
@@ -83,8 +131,7 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
         stop_after: Some(5),
         ..RunPolicy::default()
     };
-    let err = measure_cells_resilient(&cells, &settings, workers(), &killed, &|b| b)
-        .expect_err("interrupted");
+    let err = measure(&cells, &settings, workers(), &killed).expect_err("interrupted");
     match &err {
         CampaignError::Interrupted {
             completed,
@@ -105,8 +152,8 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-        .expect("resumed campaign completes");
+    let resumed =
+        measure(&cells, &settings, workers(), &resumed_policy).expect("resumed campaign completes");
     assert!(resumed.resumed >= 5, "checkpointed shards were skipped");
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
     std::fs::remove_file(&path).ok();
@@ -117,9 +164,8 @@ fn repeated_kills_then_resume_still_converge() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("double-kill");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
+        .expect("uninterrupted campaign");
 
     // Two successive kills, each resuming the previous checkpoint; a
     // different worker count per phase, which must not matter.
@@ -135,16 +181,15 @@ fn repeated_kills_then_resume_still_converge() {
             ..RunPolicy::default()
         };
         let w = NonZeroUsize::new(phase_workers).expect("nonzero");
-        measure_cells_resilient(&cells, &settings, w, &policy, &|b| b)
-            .expect_err("phase interrupted");
+        measure(&cells, &settings, w, &policy).expect_err("phase interrupted");
         resume = Some(path.clone());
     }
     let final_policy = RunPolicy {
         resume: resume.clone(),
         ..RunPolicy::default()
     };
-    let finished = measure_cells_resilient(&cells, &settings, workers(), &final_policy, &|b| b)
-        .expect("final phase completes");
+    let finished =
+        measure(&cells, &settings, workers(), &final_policy).expect("final phase completes");
     assert!(finished.resumed >= 3);
     assert_eq!(
         measurements(&finished.cells),
@@ -163,8 +208,7 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
         stop_after: Some(2),
         ..RunPolicy::default()
     };
-    measure_cells_resilient(&cells, &settings, workers(), &killed, &|b| b)
-        .expect_err("interrupted");
+    measure(&cells, &settings, workers(), &killed).expect_err("interrupted");
 
     // Same cells, different base seed: the fingerprint must not match.
     let other_settings = TrialSettings {
@@ -175,7 +219,7 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let err = measure_cells_resilient(&cells, &other_settings, workers(), &resume, &|b| b)
+    let err = measure(&cells, &other_settings, workers(), &resume)
         .expect_err("stale checkpoint rejected");
     assert!(matches!(&err, CampaignError::Checkpoint(_)), "got {err:?}");
     assert_eq!(err.exit_code(), 2);
@@ -187,8 +231,7 @@ fn injected_transient_panics_converge_after_retry() {
     let cells = cells();
     let settings = settings();
     let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("clean campaign");
+        measure(&cells, &settings, workers(), &RunPolicy::default()).expect("clean campaign");
     let faulty = RunPolicy {
         faults: Some(FaultPlan {
             panic_per_mille: 400,
@@ -198,8 +241,7 @@ fn injected_transient_panics_converge_after_retry() {
         max_retries: 3,
         ..RunPolicy::default()
     };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &faulty, &|b| b)
-        .expect("faulty campaign converges");
+    let run = measure(&cells, &settings, workers(), &faulty).expect("faulty campaign converges");
     assert!(run.stats.retried() > 0, "faults were actually injected");
     assert_eq!(run.stats.quarantined, 0, "retries absorbed every fault");
     assert_eq!(measurements(&run.cells), measurements(&reference.cells));
@@ -222,7 +264,7 @@ fn permanent_faults_quarantine_cells_and_never_silently_drop_one() {
         max_retries: 1,
         ..RunPolicy::default()
     };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &policy, &|b| b)
+    let run = measure(&cells, &settings, workers(), &policy)
         .expect("campaign completes despite permanent faults");
     // Every input cell is accounted for — measured or explicitly
     // quarantined with coordinates; quarantine is never a silent gap.
@@ -258,8 +300,7 @@ fn a_killed_worker_is_detected_and_its_shard_reclaimed_bitwise_identically() {
     let cells = cells();
     let settings = settings();
     let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("undisturbed campaign");
+        measure(&cells, &settings, workers(), &RunPolicy::default()).expect("undisturbed campaign");
 
     // Worker 1's claim loop dies right after claiming its third shard
     // (`--inject-worker-death 1:2`): the shard is claimed but never
@@ -273,7 +314,7 @@ fn a_killed_worker_is_detected_and_its_shard_reclaimed_bitwise_identically() {
         }),
         ..RunPolicy::default()
     };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &policy, &|b| b)
+    let run = measure(&cells, &settings, workers(), &policy)
         .expect("campaign completes despite the dead worker");
     assert_eq!(run.stats.deaths, 1, "exactly one worker died");
     assert_eq!(run.stats.reclaimed, 1, "its abandoned shard was reclaimed");
@@ -287,20 +328,25 @@ fn a_killed_worker_is_detected_and_its_shard_reclaimed_bitwise_identically() {
 }
 
 #[test]
-fn build_table4_resilient_matches_the_plain_table() {
+fn table4_report_matches_a_serial_per_cell_loop() {
     let settings = TrialSettings {
         trials: 6,
-        workers: Some(workers()),
         ..TrialSettings::default()
     };
-    let (plain, _) = build_table4_with_stats(&settings);
-    let report = build_table4_resilient(&settings, workers(), &RunPolicy::default())
-        .expect("clean campaign");
-    assert_eq!(report.table, plain);
+    let report = table4(&settings, &RunPolicy::default()).expect("clean campaign");
+    let engine: Vec<Measurement> = report
+        .table
+        .rows
+        .iter()
+        .flat_map(|row| row.cells.iter().map(|c| c.measured))
+        .collect();
+    assert_eq!(engine, serial(&table4_cells(), &settings));
     assert!(report.quarantined.is_empty());
     assert_eq!(report.exit_code(), 0);
-    // A clean table renders byte-identically through the masked path.
-    assert_eq!(report.table.render(), plain.render());
+    // The convenience builder assembles the same table, and a clean
+    // report renders byte-identically through the marking path.
+    assert_eq!(report.table, build_table4(&settings));
+    assert_eq!(report.render(), report.table.render());
 }
 
 #[test]
@@ -317,7 +363,7 @@ fn quarantined_cells_render_as_quarantined_not_as_numbers() {
         max_retries: 0,
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings, workers(), &policy).expect("campaign completes");
+    let report = table4(&settings, &policy).expect("campaign completes");
     assert!(
         !report.quarantined.is_empty(),
         "a 6% fatal rate over 72 shards should quarantine something"

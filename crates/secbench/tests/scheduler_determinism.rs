@@ -7,17 +7,19 @@
 //! Steals are forced, not hoped for: every case plants deterministic
 //! sleeps on a random subset of tasks (skewing some workers' chunks),
 //! and the campaign case additionally injects scheduler-visible stalls
-//! through the resilient engine's fault plan. Whatever chaos results,
-//! workers ∈ {1, 2, 4, 8} must agree byte-for-byte with the serial run.
+//! through the engine's fault plan. Whatever chaos results, workers ∈
+//! {1, 2, 4, 8} must agree byte-for-byte with the serial run.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use sectlb_model::enumerate_vulnerabilities;
-use sectlb_secbench::parallel::run_sharded;
-use sectlb_secbench::resilience::{measure_cells_resilient, FaultPlan, RunPolicy};
+use sectlb_secbench::resilience::{
+    measure_cells_resilient_observed, run_sharded_resilient_observed, FaultPlan, RunPolicy,
+};
 use sectlb_secbench::run::{Measurement, TrialSettings};
+use sectlb_secbench::telemetry::Telemetry;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -28,8 +30,8 @@ fn nonzero(n: usize) -> NonZeroUsize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The raw pool: per-task results land in task order regardless of
-    /// the worker count, even when planted sleeps make fast workers
+    /// The engine's pool: per-task results land in task order regardless
+    /// of the worker count, even when planted sleeps make fast workers
     /// drain their own deque and steal the slow workers' cold ends.
     #[test]
     fn stolen_shards_produce_the_same_results_as_owned_ones(
@@ -45,14 +47,24 @@ proptest! {
             .collect();
         for workers in WORKER_COUNTS {
             let slow = slow.clone();
-            let (results, stats) = run_sharded(&inputs, nonzero(workers), move |&t| {
-                if slow.contains(&(t as usize)) {
-                    std::thread::sleep(Duration::from_millis(3));
-                }
-                t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt
-            });
+            let run = run_sharded_resilient_observed(
+                &inputs,
+                nonzero(workers),
+                &RunPolicy::default(),
+                0,
+                &|t| format!("task {t}"),
+                &Telemetry::disabled(),
+                move |&t| {
+                    if slow.contains(&(t as usize)) {
+                        std::thread::sleep(Duration::from_millis(3));
+                    }
+                    t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt
+                },
+            )
+            .expect("a clean run");
+            let results: Vec<u64> = run.results.iter().filter_map(|r| r.done().copied()).collect();
             prop_assert_eq!(&results, &reference, "{} workers diverged", workers);
-            prop_assert_eq!(stats.shards(), tasks);
+            prop_assert_eq!(run.stats.shards(), tasks);
         }
     }
 
@@ -83,8 +95,15 @@ proptest! {
         };
         let mut reference: Option<Vec<Measurement>> = None;
         for workers in WORKER_COUNTS {
-            let run = measure_cells_resilient(&cells, &settings, nonzero(workers), &policy, &|b| b)
-                .expect("stalls delay shards but never fail them");
+            let run = measure_cells_resilient_observed(
+                &cells,
+                &settings,
+                nonzero(workers),
+                &policy,
+                &Telemetry::disabled(),
+                &|b| b,
+            )
+            .expect("stalls delay shards but never fail them");
             let measured: Vec<Measurement> = run
                 .cells
                 .iter()

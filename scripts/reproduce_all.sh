@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, and extension study of the Secure TLBs
-# reproduction into results/. Takes about 1.5 minutes on a 2-vCPU host
-# (93 s measured; fig7 is about 90 s of it).
+# reproduction into results/. Takes about 2 minutes on a 2-vCPU host
+# (113-135 s measured with a warm build; fig7 is all but about 1 s of it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -10,12 +10,13 @@
 //! names. See the repository README for an architecture overview and
 //! DESIGN.md for the paper-to-module map.
 //!
-//! Security campaigns run on the deterministic parallel trial engine in
-//! [`secbench::parallel`]: every trial's RFE seed is a pure function of
+//! Security campaigns run on one deterministic campaign engine,
+//! [`secbench::resilience`]: every trial's RFE seed is a pure function of
 //! its coordinates (base seed, vulnerability, design, placement, trial
-//! index), so sharding the campaign across any number of workers — set
-//! [`secbench::run::TrialSettings::workers`] or pass `--workers` to the
-//! bench binaries — produces bitwise-identical results to a serial run.
+//! index), so sharding the campaign across any number of workers — the
+//! `workers` argument of its entry points, or `--workers` on the bench
+//! binaries — produces bitwise-identical results to measuring each cell
+//! serially.
 //!
 //! ```
 //! use secure_tlbs::model::enumerate_vulnerabilities;

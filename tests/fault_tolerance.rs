@@ -6,15 +6,22 @@
 //!    rendered text);
 //! 2. injected worker panics either converge after deterministic retry
 //!    or end in an explicit quarantine — never a silent abort and never
-//!    a silently missing cell.
+//!    a silently missing cell;
+//! 3. at any worker count the engine measures every cell exactly as a
+//!    serial per-cell loop does.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use secure_tlbs::secbench::checkpoint::CheckpointPolicy;
-use secure_tlbs::secbench::report::{build_table4_resilient, build_table4_with_stats};
+use secure_tlbs::secbench::report::{
+    build_table4_resilient_observed_for, table4_cells, CampaignReport,
+};
 use secure_tlbs::secbench::resilience::{CampaignError, FaultPlan, RunPolicy};
-use secure_tlbs::secbench::run::TrialSettings;
+use secure_tlbs::secbench::run::{try_run_trial_range, Measurement, TrialSettings};
+use secure_tlbs::secbench::spec::BenchmarkSpec;
+use secure_tlbs::secbench::telemetry::Telemetry;
+use secure_tlbs::sim::machine::TlbDesign;
 
 const TRIALS: u32 = 8;
 
@@ -29,6 +36,16 @@ fn workers() -> NonZeroUsize {
     NonZeroUsize::new(4).expect("nonzero")
 }
 
+fn table4(workers: NonZeroUsize, policy: &RunPolicy) -> Result<CampaignReport, CampaignError> {
+    build_table4_resilient_observed_for(
+        &TlbDesign::ALL,
+        &settings(),
+        workers,
+        policy,
+        &Telemetry::disabled(),
+    )
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("sectlb-ft-{}-{name}", std::process::id()));
@@ -38,8 +55,7 @@ fn tmp_path(name: &str) -> PathBuf {
 #[test]
 fn killed_and_resumed_table4_is_bitwise_identical() {
     let path = tmp_path("table4-kill-resume");
-    let reference = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
-        .expect("uninterrupted campaign");
+    let reference = table4(workers(), &RunPolicy::default()).expect("uninterrupted campaign");
     assert!(reference.quarantined.is_empty());
 
     // Phase 1: checkpoint every 4 shards, halt after 20 of the 72.
@@ -51,8 +67,7 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         stop_after: Some(20),
         ..RunPolicy::default()
     };
-    let err =
-        build_table4_resilient(&settings(), workers(), &killed).expect_err("campaign interrupted");
+    let err = table4(workers(), &killed).expect_err("campaign interrupted");
     assert!(matches!(err, CampaignError::Interrupted { .. }), "{err:?}");
     assert_eq!(err.exit_code(), 3);
     assert!(path.exists(), "final checkpoint written on interruption");
@@ -63,12 +78,8 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = build_table4_resilient(
-        &settings(),
-        NonZeroUsize::new(2).expect("nz"),
-        &resumed_policy,
-    )
-    .expect("resumed campaign completes");
+    let resumed = table4(NonZeroUsize::new(2).expect("nz"), &resumed_policy)
+        .expect("resumed campaign completes");
     assert!(resumed.resumed >= 20, "checkpointed shards were skipped");
     assert_eq!(resumed.table, reference.table, "resume diverged");
     assert_eq!(
@@ -81,17 +92,32 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
 
 #[test]
 fn serial_legacy_path_and_resilient_engine_agree() {
-    let (plain, _) = build_table4_with_stats(&settings());
-    let resilient = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
-        .expect("clean campaign");
-    assert_eq!(resilient.table, plain);
-    assert_eq!(resilient.table.render(), plain.render());
+    // The serial reference: each cell measured by one trial-range call.
+    let serial: Vec<Measurement> = table4_cells()
+        .iter()
+        .map(|(v, d)| {
+            let spec = BenchmarkSpec::build_with_config(v, *d, settings().config);
+            try_run_trial_range(&spec, *d, &settings(), 0..TRIALS, &|b| b).expect("cell sets up")
+        })
+        .collect();
+    for n in [1, 2, 4] {
+        let report = table4(NonZeroUsize::new(n).expect("nz"), &RunPolicy::default())
+            .expect("clean campaign");
+        let engine: Vec<Measurement> = report
+            .table
+            .rows
+            .iter()
+            .flat_map(|row| row.cells.iter().map(|c| c.measured))
+            .collect();
+        assert_eq!(engine, serial, "{n} workers diverged from the serial loop");
+        // A clean campaign renders exactly as the plain table does.
+        assert_eq!(report.render(), report.table.render());
+    }
 }
 
 #[test]
 fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
-    let reference = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
-        .expect("clean campaign");
+    let reference = table4(workers(), &RunPolicy::default()).expect("clean campaign");
 
     // Transient faults within the retry budget: must converge bitwise.
     let transient = RunPolicy {
@@ -103,8 +129,7 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
         max_retries: 2,
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings(), workers(), &transient)
-        .expect("transient faults converge");
+    let report = table4(workers(), &transient).expect("transient faults converge");
     assert!(report.stats.retried() > 0, "faults were injected");
     assert!(report.quarantined.is_empty(), "all faults were absorbed");
     assert_eq!(report.table, reference.table);
@@ -120,8 +145,7 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
         max_retries: 1,
         ..RunPolicy::default()
     };
-    let degraded = build_table4_resilient(&settings(), workers(), &fatal)
-        .expect("fatal faults quarantine instead of aborting");
+    let degraded = table4(workers(), &fatal).expect("fatal faults quarantine instead of aborting");
     assert!(
         !degraded.quarantined.is_empty(),
         "something was quarantined"

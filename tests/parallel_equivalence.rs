@@ -1,62 +1,83 @@
 //! Serial-vs-parallel equivalence of the Table 4 security campaign.
 //!
-//! The acceptance contract of the parallel trial engine: running the full
-//! campaign with `workers = 1`, `workers = 4`, or the legacy serial path
-//! (`workers = None`) produces field-for-field identical tables, because
-//! every trial's RFE seed is a pure function of its coordinates and the
-//! shard merge is a plain sum.
+//! The acceptance contract of the campaign engine: running the full
+//! campaign on 1, 2, or 4 workers produces measurements field-for-field
+//! identical to a serial loop that measures each cell with one
+//! `try_run_trial_range` call, because every trial's RFE seed is a pure
+//! function of its coordinates and the shard merge is a plain sum.
 
 use std::num::NonZeroUsize;
 
-use secure_tlbs::secbench::report::{build_table4_with_stats, Table4};
-use secure_tlbs::secbench::run::TrialSettings;
+use secure_tlbs::secbench::report::{build_table4_resilient_observed_for, table4_cells, Table4};
+use secure_tlbs::secbench::resilience::RunPolicy;
+use secure_tlbs::secbench::run::{try_run_trial_range, Measurement, TrialSettings};
+use secure_tlbs::secbench::spec::BenchmarkSpec;
+use secure_tlbs::secbench::telemetry::Telemetry;
+use secure_tlbs::sim::machine::TlbDesign;
 
 const TRIALS: u32 = 50;
 
-fn settings(workers: Option<usize>) -> TrialSettings {
+fn settings() -> TrialSettings {
     TrialSettings {
         trials: TRIALS,
-        workers: workers.and_then(NonZeroUsize::new),
         ..TrialSettings::default()
     }
 }
 
-fn assert_identical(parallel: &Table4, serial: &Table4, workers: usize) {
-    assert_eq!(parallel.trials, serial.trials, "workers={workers}");
-    assert_eq!(parallel.rows.len(), serial.rows.len(), "workers={workers}");
-    for (p, s) in parallel.rows.iter().zip(&serial.rows) {
-        let row = s.vulnerability;
-        assert_eq!(p.vulnerability, row, "workers={workers}");
-        for (i, (pc, sc)) in p.cells.iter().zip(&s.cells).enumerate() {
-            let at = format!("workers={workers}, row {row}, design column {i}");
-            assert_eq!(pc.measured.trials, sc.measured.trials, "{at}");
-            assert_eq!(pc.measured.n_mapped_miss, sc.measured.n_mapped_miss, "{at}");
-            assert_eq!(
-                pc.measured.n_not_mapped_miss, sc.measured.n_not_mapped_miss,
-                "{at}"
-            );
-            assert_eq!(pc.theory, sc.theory, "{at}");
-        }
+fn assert_identical(table: &Table4, serial: &[Measurement], workers: usize) {
+    assert_eq!(table.trials, TRIALS, "workers={workers}");
+    let cells = table4_cells();
+    let measured = table.rows.iter().flat_map(|row| &row.cells);
+    assert_eq!(measured.clone().count(), serial.len(), "workers={workers}");
+    for (((v, d), cell), reference) in cells.iter().zip(measured).zip(serial) {
+        let at = format!("workers={workers}, {v} on {d}");
+        assert_eq!(cell.measured.trials, reference.trials, "{at}");
+        assert_eq!(cell.measured.n_mapped_miss, reference.n_mapped_miss, "{at}");
+        assert_eq!(
+            cell.measured.n_not_mapped_miss, reference.n_not_mapped_miss,
+            "{at}"
+        );
     }
-    // Belt and braces: whole-structure equality and identical rendering.
-    assert_eq!(parallel, serial, "workers={workers}");
-    assert_eq!(parallel.render(), serial.render(), "workers={workers}");
 }
 
 #[test]
 fn table4_is_bitwise_identical_across_worker_counts() {
-    let (reference, no_stats) = build_table4_with_stats(&settings(None));
-    assert!(no_stats.is_none(), "serial path reports no pool stats");
-    assert_eq!(reference.rows.len(), 24);
-    for workers in [1usize, 4] {
-        let (table, stats) = build_table4_with_stats(&settings(Some(workers)));
-        assert_identical(&table, &reference, workers);
-        let stats = stats.expect("parallel path reports pool stats");
+    let settings = settings();
+    let serial: Vec<Measurement> = table4_cells()
+        .iter()
+        .map(|(v, d)| {
+            let spec = BenchmarkSpec::build_with_config(v, *d, settings.config);
+            try_run_trial_range(&spec, *d, &settings, 0..TRIALS, &|b| b).expect("cell sets up")
+        })
+        .collect();
+    assert_eq!(serial.len(), 24 * 3);
+    let mut first: Option<Table4> = None;
+    for workers in [1usize, 2, 4] {
+        let report = build_table4_resilient_observed_for(
+            &TlbDesign::ALL,
+            &settings,
+            NonZeroUsize::new(workers).expect("nonzero"),
+            &RunPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign");
+        assert_identical(&report.table, &serial, workers);
         assert_eq!(
-            stats.trials(),
+            report.stats.trials(),
             u64::from(TRIALS) * 24 * 3,
             "every trial accounted for exactly once"
         );
-        assert!(stats.shards() >= 24 * 3, "each cell yields >= 1 shard");
+        assert!(
+            report.stats.shards() >= 24 * 3,
+            "each cell yields >= 1 shard"
+        );
+        // Belt and braces: whole-structure equality and identical rendering.
+        match &first {
+            None => first = Some(report.table),
+            Some(table) => {
+                assert_eq!(&report.table, table, "workers={workers}");
+                assert_eq!(report.table.render(), table.render(), "workers={workers}");
+            }
+        }
     }
 }
