@@ -813,6 +813,7 @@ mod tests {
         capture.setup.flush_policy = FlushPolicy::FlushOnSwitch;
         capture.setup.rf_eviction = RandomFillEviction::LruWay;
         capture.setup.rf_invalidation = InvalidationPolicy::RegionFlush;
+        capture.violation.invariant = Invariant::ReplacementOrder;
         capture.maps.push((Asid(2), Vpn(0x200), PageSize::Mega));
         capture
             .protects

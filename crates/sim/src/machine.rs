@@ -2,24 +2,25 @@
 //!
 //! [`Machine`] is the top-level object the security benchmarks, workloads,
 //! and performance harness drive. It is assembled by [`MachineBuilder`],
-//! which selects one of the paper's three TLB designs and the system
-//! parameters.
+//! which selects a TLB design (the paper's SA, SP and RF, or the FS, FT
+//! and MS mitigation-survey designs), optional L2 and I-TLB levels, and
+//! the system parameters.
 
 use sectlb_tlb::check::{CorruptionKind, IntegrityError, IntegrityKind, SnapshotEntry};
 use sectlb_tlb::config::{MultiConfig, TlbConfig};
 use sectlb_tlb::stats::TlbStats;
 use sectlb_tlb::tlb_trait::{AccessResult, TlbCore};
-use sectlb_tlb::types::{Asid, SecureRegion, Vpn};
+use sectlb_tlb::types::{Asid, PageSize, SecureRegion, Vpn};
 use sectlb_tlb::{
-    InvalidationPolicy, MsTlb, MsTlbRef, RandomFillEviction, RfTlb, RfTlbRef, SaTlb, SaTlbRef,
-    SpTlb, SpTlbRef, TlbHierarchy, TlbUnit, TpTlb, TpTlbRef,
+    InvalidationPolicy, MsTlb, RandomFillEviction, RfTlb, SaTlb, SpTlb, TlbHierarchy, TlbUnit,
+    TpTlb,
 };
 
 use crate::cpu::{ExecStats, Instr};
 use crate::os::{FlushPolicy, Os, OsError};
 use crate::shadow::{
-    Invariant, MachineSetup, Oracle, OracleViolation, PlannedCorruption, SuspectReport,
-    TraceCapture, TraceOp,
+    replacement_order, Invariant, MachineSetup, Oracle, OracleViolation, PlannedCorruption,
+    SuspectReport, TraceCapture, TraceOp,
 };
 use crate::walker::{OsWalker, WalkerConfig};
 
@@ -103,7 +104,6 @@ pub struct MachineBuilder {
     itlb: Option<(TlbDesign, TlbConfig)>,
     l2: Option<(TlbDesign, TlbConfig, u64)>,
     oracle: Option<bool>,
-    reference_path: bool,
 }
 
 impl MachineBuilder {
@@ -123,7 +123,6 @@ impl MachineBuilder {
             itlb: None,
             l2: None,
             oracle: None,
-            reference_path: false,
         }
     }
 
@@ -217,62 +216,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Routes every TLB through the pre-overhaul slow path: array-of-
-    /// structs entry storage, timestamp LRU, and dyn-trait dispatch
-    /// ([`TlbUnit::Dyn`]). Behaviorally identical to the default fast
-    /// path — the differential equivalence suite drives both in lockstep
-    /// to prove it — and kept as the reference implementation.
-    pub fn reference_path(mut self, enabled: bool) -> MachineBuilder {
-        self.reference_path = enabled;
-        self
-    }
-
-    /// A boxed single-level TLB (hierarchy components, reference path).
-    /// RF engines start from a placeholder seed; [`MachineBuilder::build`]
-    /// reseeds them.
-    fn make_core(&self, design: TlbDesign, config: TlbConfig) -> Box<dyn TlbCore> {
-        if self.reference_path {
-            return match design {
-                TlbDesign::Sa => Box::new(SaTlbRef::new(config)),
-                TlbDesign::Sp => match self.sp_victim_ways {
-                    Some(n) => Box::new(SpTlbRef::with_victim_ways(config, n)),
-                    None => Box::new(SpTlbRef::new(config)),
-                },
-                TlbDesign::Rf => {
-                    let mut tlb = RfTlbRef::new(config);
-                    tlb.set_random_fill_eviction(self.rf_eviction);
-                    tlb.set_invalidation_policy(self.rf_invalidation);
-                    Box::new(tlb)
-                }
-                TlbDesign::Fs => Box::new(TpTlbRef::flush_on_switch(config)),
-                TlbDesign::Ft => Box::new(TpTlbRef::fence_t(config)),
-                TlbDesign::Ms => Box::new(MsTlbRef::new(MultiConfig::from_base(config))),
-            };
-        }
-        match design {
-            TlbDesign::Sa => Box::new(SaTlb::new(config)),
-            TlbDesign::Sp => match self.sp_victim_ways {
-                Some(n) => Box::new(SpTlb::with_victim_ways(config, n)),
-                None => Box::new(SpTlb::new(config)),
-            },
-            TlbDesign::Rf => {
-                let mut tlb = RfTlb::new(config);
-                tlb.set_random_fill_eviction(self.rf_eviction);
-                tlb.set_invalidation_policy(self.rf_invalidation);
-                Box::new(tlb)
-            }
-            TlbDesign::Fs => Box::new(TpTlb::flush_on_switch(config)),
-            TlbDesign::Ft => Box::new(TpTlb::fence_t(config)),
-            TlbDesign::Ms => Box::new(MsTlb::new(MultiConfig::from_base(config))),
-        }
-    }
-
-    /// A single-level TLB as an enum-dispatched unit (the fast path), or
-    /// a [`TlbUnit::Dyn`] when the reference path is selected.
+    /// The one TLB factory: a single-level TLB of `design` and `config`
+    /// with this builder's SP and RF knobs, for the D-TLB, either level of
+    /// a hierarchy, or the I-TLB. RF engines start from a placeholder
+    /// seed; [`MachineBuilder::build`] reseeds them.
     fn make_tlb(&self, design: TlbDesign, config: TlbConfig) -> TlbUnit {
-        if self.reference_path {
-            return TlbUnit::Dyn(self.make_core(design, config));
-        }
         match design {
             TlbDesign::Sa => SaTlb::new(config).into(),
             TlbDesign::Sp => match self.sp_victim_ways {
@@ -293,17 +241,12 @@ impl MachineBuilder {
 
     /// Builds the machine.
     pub fn build(self) -> Machine {
-        let tlb = if let Some((design, config, latency)) = self.l2 {
-            let l1 = self.make_core(self.design, self.config);
-            let l2 = self.make_core(design, config);
-            let hier = TlbHierarchy::new(l1, l2, latency);
-            if self.reference_path {
-                TlbUnit::Dyn(Box::new(hier))
-            } else {
-                TlbUnit::Hier(hier)
+        let l1 = self.make_tlb(self.design, self.config);
+        let tlb = match self.l2 {
+            Some((design, config, latency)) => {
+                TlbHierarchy::new(l1, self.make_tlb(design, config), latency).into()
             }
-        } else {
-            self.make_tlb(self.design, self.config)
+            None => l1,
         };
         let itlb = self
             .itlb
@@ -384,6 +327,15 @@ struct OraclePre {
     snapshot: Vec<SnapshotEntry>,
     stats: TlbStats,
     asid: Asid,
+}
+
+/// Whether `instr` can change the D-TLB's contents, so the oracle
+/// snapshots it before and after: accesses, flushes and context switches.
+fn touches_dtlb(instr: Instr) -> bool {
+    !matches!(
+        instr,
+        Instr::Compute(_) | Instr::ReadMissCounter | Instr::JumpTo(_)
+    )
 }
 
 impl std::fmt::Debug for Machine {
@@ -772,20 +724,11 @@ impl Machine {
                 }
             }
         }
-        let needs_snapshot = matches!(
-            instr,
-            Instr::Load(_)
-                | Instr::Store(_)
-                | Instr::SetAsid(_)
-                | Instr::FlushAll
-                | Instr::FlushAsid(_)
-                | Instr::FlushPage(_)
-        );
         let o = self.oracle.as_mut().expect("oracle is active");
         o.ops.push(TraceOp::Exec(instr));
         o.exec_count += 1;
         Some(OraclePre {
-            snapshot: if needs_snapshot {
+            snapshot: if touches_dtlb(instr) {
                 self.tlb.snapshot()
             } else {
                 Vec::new()
@@ -795,25 +738,84 @@ impl Machine {
         })
     }
 
-    /// Post-execution oracle hook: runs the per-instruction checks and
-    /// records the first violation.
+    /// Post-execution oracle hook: runs the per-instruction checks,
+    /// records the first violation, and otherwise updates the recency
+    /// model the `replacement-order` check predicts victims from.
     fn oracle_post(&mut self, instr: Instr, pre: &OraclePre, r: Option<AccessResult>) {
-        if !self.oracle_active() {
+        if !self.oracle_active() || !touches_dtlb(instr) {
             return;
         }
         let op_index = self.oracle.as_ref().expect("oracle is active").ops.len() - 1;
-        let checks_tlb = !matches!(
-            instr,
-            Instr::Compute(_) | Instr::ReadMissCounter | Instr::JumpTo(_)
-        );
-        let v = self.oracle_check(instr, pre, r, op_index).or_else(|| {
-            checks_tlb
-                .then(|| self.integrity_violation(op_index))
-                .flatten()
-        });
+        let post = self.tlb.snapshot();
+        let candidates = self.oracle_candidates(pre.asid);
+        let random_fill = self.tlb.stats().random_fills > pre.stats.random_fills;
+        let v = self
+            .oracle_check(instr, pre, &post, r, op_index)
+            .or_else(|| self.integrity_violation(op_index))
+            .or_else(|| self.replacement_violation(pre, &post, &candidates, random_fill, op_index));
         if let Some(v) = v {
             self.record_violation(v);
+            return;
         }
+        let hit = match (instr, r) {
+            (Instr::Load(vaddr) | Instr::Store(vaddr), Some(r)) if r.hit => {
+                Some((pre.asid, Vpn::of_addr(vaddr)))
+            }
+            _ => None,
+        };
+        let recency = &mut self.oracle.as_mut().expect("oracle is active").recency;
+        recency.observe(&pre.snapshot, &post, hit, random_fill, candidates.len());
+    }
+
+    /// The way range a fill may replace at each level the
+    /// `replacement-order` check covers, indexed by snapshot level, for a
+    /// request from `asid`: SP's requester partition, every class of an
+    /// MS machine without an L2, and otherwise the L1's whole set.
+    fn oracle_candidates(&self, asid: Asid) -> Vec<std::ops::Range<usize>> {
+        let Some(o) = &self.oracle else {
+            return Vec::new();
+        };
+        let ways = o.setup.ways;
+        let l1 = match o.setup.design {
+            TlbDesign::Ms if o.setup.l2.is_none() => {
+                let multi = MultiConfig::from_base(self.tlb.config());
+                return PageSize::ALL
+                    .iter()
+                    .map(|&size| 0..multi.class(size).ways())
+                    .collect();
+            }
+            TlbDesign::Sp => {
+                let split = o.setup.sp_victim_ways.unwrap_or(ways / 2);
+                let victim = self.oracle_protection().map(|(victim, _)| victim);
+                if victim == Some(asid) {
+                    0..split
+                } else {
+                    split..ways
+                }
+            }
+            _ => 0..ways,
+        };
+        vec![l1]
+    }
+
+    /// The `replacement-order` check of a load or store. Not judged once
+    /// the recency model has lost track, nor for a random fill whose way
+    /// the RF engine drew.
+    fn replacement_violation(
+        &self,
+        pre: &OraclePre,
+        post: &[SnapshotEntry],
+        candidates: &[std::ops::Range<usize>],
+        random_fill: bool,
+        op_index: usize,
+    ) -> Option<OracleViolation> {
+        let o = self.oracle.as_ref()?;
+        let drawn = random_fill && o.setup.rf_eviction == RandomFillEviction::RandomWay;
+        if !o.recency.tracking() || drawn {
+            return None;
+        }
+        let (expected, actual) = replacement_order(&pre.snapshot, post, &o.recency, candidates)?;
+        Some(self.violation(op_index, Invariant::ReplacementOrder, expected, actual))
     }
 
     /// The currently effective `(victim, region)` protection for the
@@ -877,6 +879,7 @@ impl Machine {
         &self,
         instr: Instr,
         pre: &OraclePre,
+        now: &[SnapshotEntry],
         r: Option<AccessResult>,
         op_index: usize,
     ) -> Option<OracleViolation> {
@@ -957,7 +960,6 @@ impl Machine {
                 None
             }
             Instr::FlushAll => {
-                let now = self.tlb.snapshot();
                 if now.is_empty() {
                     None
                 } else {
@@ -969,24 +971,20 @@ impl Machine {
                     ))
                 }
             }
-            Instr::FlushAsid(asid) => {
-                let now = self.tlb.snapshot();
-                now.iter().find(|s| s.entry.asid == asid).map(|s| {
-                    self.violation(
-                        op_index,
-                        Invariant::FlushCompleteness,
-                        format!("no entries of {asid} after FlushAsid"),
-                        format!(
-                            "entry ({}, {}) still resident at level {} set {} way {}",
-                            s.entry.asid, s.entry.vpn, s.level, s.set, s.way
-                        ),
-                    )
-                })
-            }
+            Instr::FlushAsid(asid) => now.iter().find(|s| s.entry.asid == asid).map(|s| {
+                self.violation(
+                    op_index,
+                    Invariant::FlushCompleteness,
+                    format!("no entries of {asid} after FlushAsid"),
+                    format!(
+                        "entry ({}, {}) still resident at level {} set {} way {}",
+                        s.entry.asid, s.entry.vpn, s.level, s.set, s.way
+                    ),
+                )
+            }),
             Instr::FlushPage(vaddr) => {
                 let vpn = Vpn::of_addr(vaddr);
                 let asid = pre.asid;
-                let now = self.tlb.snapshot();
                 let rf_region_flush = self.design == TlbDesign::Rf
                     && self.oracle.as_ref().is_some_and(|o| {
                         o.setup.rf_invalidation == InvalidationPolicy::RegionFlush
@@ -1023,7 +1021,6 @@ impl Machine {
                 }
             }
             Instr::SetAsid(asid) => {
-                let now = self.tlb.snapshot();
                 let switched = asid != pre.asid;
                 let temporal = matches!(self.design, TlbDesign::Fs | TlbDesign::Ft);
                 if switched && self.os.flush_policy() == FlushPolicy::FlushOnSwitch {
@@ -1060,7 +1057,7 @@ impl Machine {
                     } else {
                         None
                     }
-                } else if now != pre.snapshot {
+                } else if now != pre.snapshot.as_slice() {
                     Some(self.violation(
                         op_index,
                         Invariant::Provenance,

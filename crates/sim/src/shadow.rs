@@ -29,7 +29,10 @@
 //!   class matching its page size;
 //! - **ClearCompleteness** — the temporal designs (`FS`, `FT`) leave no
 //!   entry behind after a context switch, and `FT` additionally leaves
-//!   no replacement residue.
+//!   no replacement residue;
+//! - **ReplacementOrder** — every fill replaces the way true LRU
+//!   predicts: the lowest invalid way of its candidate range, else the
+//!   range's least recently used way (see [`replacement_order`]).
 //!
 //! A violation never panics. It is recorded as a structured
 //! [`OracleViolation`], and — when the machine was given a reporting
@@ -54,9 +57,10 @@
 //! construct that would break this — unmapping a page mid-run — is not
 //! used by any campaign driver and is not supported in captures.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
-use sectlb_tlb::check::CorruptionKind;
+use sectlb_tlb::check::{CorruptionKind, SnapshotEntry};
 use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{Asid, PageSize, SecureRegion, Vpn};
 use sectlb_tlb::{InvalidationPolicy, RandomFillEviction};
@@ -91,11 +95,14 @@ pub enum Invariant {
     /// Temporal-partitioning designs leave no entries behind after a
     /// context switch (`FT` additionally no replacement residue).
     ClearCompleteness,
+    /// Every fill replaces the lowest invalid way of its candidate range,
+    /// or else the range's least recently used way.
+    ReplacementOrder,
 }
 
 impl Invariant {
     /// All checked invariants, in documentation order.
-    pub const ALL: [Invariant; 10] = [
+    pub const ALL: [Invariant; 11] = [
         Invariant::Translation,
         Invariant::HitSoundness,
         Invariant::Capacity,
@@ -106,6 +113,7 @@ impl Invariant {
         Invariant::Provenance,
         Invariant::ClassIsolation,
         Invariant::ClearCompleteness,
+        Invariant::ReplacementOrder,
     ];
 
     /// Stable machine-readable name (used in repro files).
@@ -121,6 +129,7 @@ impl Invariant {
             Invariant::Provenance => "provenance",
             Invariant::ClassIsolation => "class-isolation",
             Invariant::ClearCompleteness => "clear-completeness",
+            Invariant::ReplacementOrder => "replacement-order",
         }
     }
 
@@ -142,7 +151,8 @@ impl std::fmt::Display for Invariant {
 /// cells and keep running.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleViolation {
-    /// Short name of the TLB design under check (`SA`, `SP`, `RF`).
+    /// Short name of the L1 D-TLB design under check (`SA`, `SP`, `RF`,
+    /// `FS`, `FT` or `MS`).
     pub design: String,
     /// Index into the machine's recorded [`TraceOp`] sequence at which
     /// the check failed.
@@ -267,6 +277,7 @@ pub(crate) struct Oracle {
     pub(crate) protects: Vec<(Asid, SecureRegion, bool)>,
     pub(crate) violations: Vec<OracleViolation>,
     pub(crate) tainted: bool,
+    pub(crate) recency: Recency,
 }
 
 impl Oracle {
@@ -280,8 +291,181 @@ impl Oracle {
             protects: Vec::new(),
             violations: Vec::new(),
             tainted: false,
+            recency: Recency::default(),
         }
     }
+}
+
+/// Where a resident entry sits, in snapshot coordinates:
+/// `(level, set, way)`. Snapshots are sorted by it.
+type Slot = (usize, usize, usize);
+
+fn slot(s: &SnapshotEntry) -> Slot {
+    (s.level, s.set, s.way)
+}
+
+/// The oracle's recency model for the `replacement-order` invariant: a
+/// last-touch stamp for every resident entry of the checked levels,
+/// updated only from what the oracle observes anyway — the snapshots
+/// around each instruction and whether an access hit.
+///
+/// The checked levels are the snapshot levels `0..levels`: the L1 of
+/// every design, plus the 2 MiB and 1 GiB classes of an MS machine
+/// without an L2 (behind an L2 those class levels collide with the
+/// L2's). The I-TLB is not snapshotted, so it is not checked.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Recency {
+    /// `(slot, stamp)` for every resident entry of the checked levels,
+    /// sorted by slot.
+    stamps: Vec<(Slot, u64)>,
+    clock: u64,
+    /// Set when an access changed recency in a way the snapshots cannot
+    /// show; cleared when the checked levels are next empty.
+    lost: bool,
+}
+
+impl Recency {
+    /// Whether the model still describes the TLB's replacement state.
+    pub(crate) fn tracking(&self) -> bool {
+        !self.lost
+    }
+
+    fn stamp(&self, at: Slot) -> Option<u64> {
+        let i = self.stamps.binary_search_by_key(&at, |&(s, _)| s).ok()?;
+        Some(self.stamps[i].1)
+    }
+
+    /// Updates the stamps for one instruction, given the snapshots taken
+    /// before and after it, the request of an access that hit, and
+    /// whether the instruction made an RF random fill.
+    ///
+    /// - A hit touches the entry a lookup finds first: the smallest page
+    ///   size, then the lowest way (see [`lookup_slot`]).
+    /// - A fill touches every entry of the checked levels that `post`
+    ///   holds and `pre` did not.
+    /// - A stamp is dropped when its entry leaves.
+    /// - A random fill that added no entry refreshed one already
+    ///   resident. The snapshot shows no change, so the model cannot
+    ///   tell which entry became most recently used, and it stops
+    ///   tracking until the checked levels are next empty.
+    pub(crate) fn observe(
+        &mut self,
+        pre: &[SnapshotEntry],
+        post: &[SnapshotEntry],
+        hit: Option<(Asid, Vpn)>,
+        random_fill: bool,
+        levels: usize,
+    ) {
+        let touched = hit.and_then(|(asid, vpn)| lookup_slot(pre, asid, vpn, levels));
+        let mut filled = added(pre, post, levels).map(slot).peekable();
+        if random_fill && filled.peek().is_none() {
+            self.lost = true;
+        }
+        let mut stamps = Vec::with_capacity(post.len());
+        for at in post.iter().filter(|s| s.level < levels).map(slot) {
+            let stamp = if filled.next_if_eq(&at).is_some() || touched == Some(at) {
+                self.clock += 1;
+                Some(self.clock)
+            } else {
+                self.stamp(at)
+            };
+            stamps.extend(stamp.map(|stamp| (at, stamp)));
+        }
+        if stamps.is_empty() {
+            self.lost = false;
+        }
+        self.stamps = stamps;
+    }
+}
+
+/// The entries `post` holds at levels below `levels` that `pre` does not
+/// hold in the same slot: the fills between the two snapshots.
+fn added<'a>(
+    pre: &'a [SnapshotEntry],
+    post: &'a [SnapshotEntry],
+    levels: usize,
+) -> impl Iterator<Item = &'a SnapshotEntry> {
+    let mut i = 0;
+    post.iter().filter(move |s| {
+        while i < pre.len() && slot(&pre[i]) < slot(s) {
+            i += 1;
+        }
+        s.level < levels && pre.get(i) != Some(*s)
+    })
+}
+
+/// The slot a lookup of `(asid, vpn)` finds among the checked levels:
+/// every design probes the smallest page size first, and within a size
+/// its one candidate set from the lowest way up.
+fn lookup_slot(snapshot: &[SnapshotEntry], asid: Asid, vpn: Vpn, levels: usize) -> Option<Slot> {
+    snapshot
+        .iter()
+        .filter(|s| s.level < levels && s.entry.matches(asid, vpn))
+        .min_by_key(|s| (s.entry.size.span_shift(), s.way))
+        .map(slot)
+}
+
+/// The way true LRU replaces in `(level, set)` among `ways`, given the
+/// resident entries `pre` and their `recency` stamps: the lowest way
+/// `pre` shows invalid, else the way with the oldest stamp, with why.
+/// `None` when a way of a full range has no stamp.
+fn lru_victim(
+    pre: &[SnapshotEntry],
+    recency: &Recency,
+    (level, set): (usize, usize),
+    ways: Range<usize>,
+) -> Option<(usize, &'static str)> {
+    let start = pre.partition_point(|e| slot(e) < (level, set, ways.start));
+    let mut invalid = ways.start;
+    for e in &pre[start..] {
+        if slot(e) != (level, set, invalid) || invalid == ways.end {
+            break;
+        }
+        invalid += 1;
+    }
+    if invalid < ways.end {
+        return Some((invalid, "lowest invalid"));
+    }
+    let stamps: Option<Vec<u64>> = ways
+        .clone()
+        .map(|w| recency.stamp((level, set, w)))
+        .collect();
+    let oldest = stamps?.iter().enumerate().min_by_key(|&(_, s)| *s)?.0;
+    Some((ways.start + oldest, "least recently used"))
+}
+
+/// The `replacement-order` check of one access, as a pure function of
+/// the snapshots before and after it, the recency stamps before it, and
+/// the candidate way range of each checked level (`candidates[level]`;
+/// levels past its end are not checked).
+///
+/// Every entry `post` holds at a checked level that `pre` did not was
+/// filled into some way of its set. That way must be the lowest way of
+/// the level's candidate range that `pre` shows invalid, or, when the
+/// range is full, the way with the oldest stamp. A full range holding a
+/// way without a stamp is not judged. Returns the expected and actual
+/// evidence of the first wrong victim.
+pub(crate) fn replacement_order(
+    pre: &[SnapshotEntry],
+    post: &[SnapshotEntry],
+    recency: &Recency,
+    candidates: &[Range<usize>],
+) -> Option<(String, String)> {
+    added(pre, post, candidates.len()).find_map(|fill| {
+        let (level, set) = (fill.level, fill.set);
+        let ways = candidates[level].clone();
+        let (way, why) = lru_victim(pre, recency, (level, set), ways.clone())?;
+        (way != fill.way).then(|| {
+            (
+                format!(
+                    "the fill of ({}, {}) at level {level} set {set} to replace way {way}, \
+                     the {why} of ways {}..{}",
+                    fill.entry.asid, fill.entry.vpn, ways.start, ways.end
+                ),
+                format!("it replaced way {}", fill.way),
+            )
+        })
+    })
 }
 
 /// Process-wide sink of suspect reports. Campaign trials run on worker
@@ -577,11 +761,119 @@ mod tests {
         assert_eq!(m.oracle_violations(), &[]);
     }
 
+    /// A valid base-page entry of ASID 1 at `(0, 0, way)`.
+    fn at(way: usize, vpn: u64) -> SnapshotEntry {
+        SnapshotEntry {
+            level: 0,
+            set: 0,
+            way,
+            entry: sectlb_tlb::types::TlbEntry {
+                valid: true,
+                vpn: Vpn(vpn),
+                ppn: Ppn(vpn + 1),
+                asid: Asid(1),
+                sec: false,
+                size: PageSize::Base,
+            },
+        }
+    }
+
+    /// [`replacement_order`] on level 0 alone, with candidate `ways`.
+    fn order(
+        pre: &[SnapshotEntry],
+        post: &[SnapshotEntry],
+        recency: &Recency,
+        ways: Range<usize>,
+    ) -> Option<(String, String)> {
+        replacement_order(pre, post, recency, std::slice::from_ref(&ways))
+    }
+
+    /// Set 0 after filling `order`'s ways one by one, each fill observed
+    /// by a fresh recency model.
+    fn filled(order: &[usize]) -> (Recency, Vec<SnapshotEntry>) {
+        let mut recency = Recency::default();
+        let mut snapshot = Vec::new();
+        for &way in order {
+            let next = replaced(&snapshot, way, 0x100 + way as u64);
+            recency.observe(&snapshot, &next, None, false, 1);
+            snapshot = next;
+        }
+        (recency, snapshot)
+    }
+
+    /// `snapshot` with way `way` of set 0 now holding page `vpn`.
+    fn replaced(snapshot: &[SnapshotEntry], way: usize, vpn: u64) -> Vec<SnapshotEntry> {
+        let mut next: Vec<SnapshotEntry> =
+            snapshot.iter().filter(|s| s.way != way).copied().collect();
+        next.push(at(way, vpn));
+        next.sort_by_key(|s| (s.level, s.set, s.way));
+        next
+    }
+
+    #[test]
+    fn replacement_order_accepts_the_lru_victim() {
+        let (mut recency, full) = filled(&[0, 1, 2, 3]);
+        // A hit on way 0 leaves way 1 least recently used.
+        recency.observe(&full, &full, Some((Asid(1), Vpn(0x100))), false, 1);
+        let post = replaced(&full, 1, 0x900);
+        assert_eq!(order(&full, &post, &recency, 0..4), None);
+        // Filling a free way is clean too.
+        let (recency, partial) = filled(&[0, 1]);
+        let post = replaced(&partial, 2, 0x900);
+        assert_eq!(order(&partial, &post, &recency, 0..4), None);
+    }
+
+    #[test]
+    fn replacement_order_flags_evicting_the_most_recently_used_way() {
+        let (mut recency, full) = filled(&[0, 1, 2, 3]);
+        recency.observe(&full, &full, Some((Asid(1), Vpn(0x100))), false, 1);
+        let post = replaced(&full, 0, 0x900);
+        let (expected, actual) = order(&full, &post, &recency, 0..4).expect("MRU evicted");
+        assert!(expected.contains("replace way 1"), "{expected}");
+        assert!(expected.contains("least recently used"), "{expected}");
+        assert_eq!(actual, "it replaced way 0");
+    }
+
+    #[test]
+    fn replacement_order_flags_evicting_a_valid_way_while_one_is_free() {
+        let (recency, partial) = filled(&[0, 1, 2]);
+        let post = replaced(&partial, 0, 0x900);
+        let (expected, actual) = order(&partial, &post, &recency, 0..4).expect("valid way evicted");
+        assert!(expected.contains("replace way 3"), "{expected}");
+        assert!(expected.contains("lowest invalid"), "{expected}");
+        assert_eq!(actual, "it replaced way 0");
+    }
+
+    #[test]
+    fn replacement_order_flags_an_sp_fill_outside_its_partition_lru() {
+        // Way 0 is the whole set's LRU way; within the attacker
+        // partition (ways 4..8) way 4 is.
+        let (recency, full) = filled(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let attacker = 4..8;
+        let post = replaced(&full, 4, 0x900);
+        assert_eq!(order(&full, &post, &recency, attacker.clone()), None);
+        for wrong in [0, 5] {
+            let post = replaced(&full, wrong, 0x900);
+            let (expected, actual) = order(&full, &post, &recency, attacker.clone())
+                .expect("not the partition's LRU way");
+            assert!(expected.contains("replace way 4"), "{expected}");
+            assert!(expected.contains("ways 4..8"), "{expected}");
+            assert_eq!(actual, format!("it replaced way {wrong}"));
+        }
+        // The same fill is clean when the whole set is the range.
+        let post = replaced(&full, 0, 0x900);
+        assert_eq!(order(&full, &post, &recency, 0..8), None);
+    }
+
     #[test]
     fn invariant_names_roundtrip() {
         for i in Invariant::ALL {
             assert_eq!(Invariant::from_name(i.name()), Some(i));
         }
+        assert_eq!(
+            Invariant::from_name("replacement-order"),
+            Some(Invariant::ReplacementOrder)
+        );
         assert_eq!(Invariant::from_name("nonsense"), None);
     }
 

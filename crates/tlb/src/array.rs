@@ -1,33 +1,30 @@
 //! Shared entry-array mechanics used by every TLB design.
 //!
-//! All three designs keep a `sets × ways` array of [`TlbEntry`]s with
-//! per-set true-LRU state; they differ only in how fills choose a victim
-//! way (partitioning, random filling). This module centralizes the common
-//! lookup, fill, and invalidation machinery.
-//!
-//! The array is generic over a [`StoreProfile`], which selects both the
-//! entry layout (struct-of-arrays fast path or the array-of-structs
-//! reference) and the replacement-state representation (packed rank words
-//! or reference timestamps). See `crate::store` for the profiles.
+//! Every design keeps one or more `sets × ways` arrays of [`TlbEntry`]s
+//! (struct-of-arrays storage, see `crate::store`) with per-set true-LRU
+//! state (packed rank words, see `crate::lru`); they differ only in how
+//! fills choose a victim way (partitioning, random filling) and when
+//! they clear. This module centralizes the common lookup, fill, and
+//! invalidation machinery.
 
 use std::ops::Range;
 
 use crate::check::{CorruptionKind, IntegrityError, IntegrityKind, SnapshotEntry};
 use crate::config::TlbConfig;
-use crate::lru::Replacement;
-use crate::store::{EntryStore, SoaProfile, StoreProfile};
+use crate::lru::PackedLru;
+use crate::store::SoaStore;
 use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 
 /// The `sets × ways` entry array plus replacement state.
 #[derive(Debug, Clone)]
-pub(crate) struct EntryArray<P: StoreProfile = SoaProfile> {
+pub(crate) struct EntryArray {
     config: TlbConfig,
     /// `sets - 1`: the set-index mask, cached so a probe does not divide
     /// `entries / ways` for every access.
     set_mask: usize,
     /// `sets * ways` entries, row-major by set.
-    store: P::Store,
-    lru: P::Lru,
+    store: SoaStore,
+    lru: PackedLru,
     /// Resident megapage entries; lets [`EntryArray::lookup`] skip the
     /// second (megapage) probe on the hot path when there are none.
     mega_entries: usize,
@@ -35,13 +32,13 @@ pub(crate) struct EntryArray<P: StoreProfile = SoaProfile> {
     giga_entries: usize,
 }
 
-impl<P: StoreProfile> EntryArray<P> {
-    pub(crate) fn new(config: TlbConfig) -> EntryArray<P> {
+impl EntryArray {
+    pub(crate) fn new(config: TlbConfig) -> EntryArray {
         EntryArray {
             config,
             set_mask: config.sets() - 1,
-            store: P::Store::new(config.entries()),
-            lru: P::Lru::new(config.sets(), config.ways()),
+            store: SoaStore::new(config.entries()),
+            lru: PackedLru::new(config.sets(), config.ways()),
             mega_entries: 0,
             giga_entries: 0,
         }
@@ -143,7 +140,7 @@ impl<P: StoreProfile> EntryArray<P> {
     /// Read-only view of the replacement state, for the regression tests
     /// pinning "no-fill accesses leave rank state untouched".
     #[cfg(test)]
-    pub(crate) fn lru(&self) -> &P::Lru {
+    pub(crate) fn lru(&self) -> &PackedLru {
         &self.lru
     }
 
@@ -366,7 +363,6 @@ impl<P: StoreProfile> EntryArray<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::AosProfile;
     use crate::types::Ppn;
 
     fn entry(asid: u16, vpn: u64) -> TlbEntry {
@@ -382,7 +378,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_filled_entries() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         let e = entry(1, 5);
         let set = a.config().set_of(Vpn(5));
         let way = a.choose_victim(set);
@@ -393,7 +389,7 @@ mod tests {
 
     #[test]
     fn fills_prefer_invalid_ways() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(4, 4).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(4, 4).unwrap());
         a.fill_at(0, 0, entry(1, 0));
         // Ways 1..3 still invalid; victim must be one of them, not way 0.
         assert_ne!(a.choose_victim(0), 0);
@@ -401,7 +397,7 @@ mod tests {
 
     #[test]
     fn eviction_returns_the_old_entry() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(1, 1).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(1, 1).unwrap());
         assert_eq!(a.fill_at(0, 0, entry(1, 0)), None);
         let evicted = a.fill_at(0, 0, entry(1, 4)).expect("way was valid");
         assert_eq!(evicted.vpn, Vpn(0));
@@ -409,7 +405,7 @@ mod tests {
 
     #[test]
     fn invalidate_matching_counts_removals() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         for v in 0..8u64 {
             let set = a.config().set_of(Vpn(v));
             let way = a.choose_victim(set);
@@ -422,7 +418,7 @@ mod tests {
 
     #[test]
     fn mega_counter_tracks_fills_and_invalidations() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         let mega = TlbEntry {
             valid: true,
             vpn: Vpn(0x200),
@@ -458,7 +454,7 @@ mod tests {
 
     #[test]
     fn giga_counter_gates_the_third_probe() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         let giga = sized(1, 0x4_0000, PageSize::Giga);
         let set = a.set_of_sized(Vpn(0x4_0000), PageSize::Giga);
         a.fill_at(set, 0, giga);
@@ -475,7 +471,7 @@ mod tests {
 
     #[test]
     fn all_three_classes_coexist() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 4).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 4).unwrap());
         for (vpn, size) in [
             (5, PageSize::Base),
             (0x200, PageSize::Mega),
@@ -493,7 +489,7 @@ mod tests {
 
     #[test]
     fn entries_only_clear_keeps_replacement_ranks() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(4, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(4, 2).unwrap());
         a.fill_at(0, 0, entry(1, 0));
         a.fill_at(0, 1, entry(1, 4));
         a.touch(0, 0); // way 1 is now LRU
@@ -512,7 +508,7 @@ mod tests {
 
     #[test]
     fn sized_tag_corruption_moves_large_tags_not_their_alignment() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         let set = a.set_of_sized(Vpn(0x400), PageSize::Mega);
         a.fill_at(set, 0, sized(1, 0x400, PageSize::Mega));
         let (_, _, before, after) = a.corrupt_nth(0, CorruptionKind::Tag).expect("eligible");
@@ -528,7 +524,7 @@ mod tests {
 
     #[test]
     fn base_tag_corruption_still_flips_bit_zero() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         a.fill_at(a.config().set_of(Vpn(6)), 0, entry(1, 6));
         let (_, _, before, after) = a.corrupt_nth(3, CorruptionKind::Tag).expect("eligible");
         assert_eq!(after.vpn, Vpn(before.vpn.0 ^ 1));
@@ -536,7 +532,7 @@ mod tests {
 
     #[test]
     fn corruption_selector_enumerates_mixed_classes() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 2).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 2).unwrap());
         let mut filled = 0;
         for (vpn, size) in [
             (3, PageSize::Base),
@@ -561,7 +557,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_entries_after_refill() {
-        let mut a = EntryArray::<SoaProfile>::new(TlbConfig::sa(8, 4).unwrap());
+        let mut a = EntryArray::new(TlbConfig::sa(8, 4).unwrap());
         for _ in 0..3 {
             if a.lookup(Asid(1), Vpn(2)).is_none() {
                 let set = a.config().set_of(Vpn(2));
@@ -579,11 +575,11 @@ mod tests {
     /// A tag corruption can leave two resident entries with one key (in
     /// one set, so both are probed). Which of them a lookup returns is
     /// observable under `--inject-corruption` — the PPN handed back, the
-    /// way refreshed — so both profiles must return the lowest way.
+    /// way refreshed — so it must be the lowest way.
     #[test]
-    fn profiles_agree_on_duplicate_keys_after_tag_corruption() {
-        fn run<P: StoreProfile>(corrupt: u64) -> (Option<(usize, usize)>, Option<Ppn>) {
-            let mut a = EntryArray::<P>::new(TlbConfig::fa(4).unwrap());
+    fn the_lowest_way_wins_on_a_duplicated_key() {
+        for corrupt in [0, 1] {
+            let mut a = EntryArray::new(TlbConfig::fa(4).unwrap());
             // Ways 0 and 1 hold pages 4 and 5; flipping the selected
             // entry's tag bit 0 turns its page into the other one.
             a.fill_at(0, 0, entry(1, 4 + corrupt));
@@ -594,59 +590,13 @@ mod tests {
                 (corrupt as usize, Vpn(4), Vpn(5))
             );
             assert_eq!(a.valid_entries().filter(|e| e.vpn == Vpn(5)).count(), 2);
-            let way = a.lookup(Asid(1), Vpn(5));
-            (way, a.hit(Asid(1), Vpn(5)).map(|(ppn, _)| ppn))
+            assert_eq!(
+                a.lookup(Asid(1), Vpn(5)),
+                Some((0, 0)),
+                "corrupting way {corrupt}: the lowest way must win"
+            );
+            let lowest = a.entry(0, 0).ppn;
+            assert_eq!(a.hit(Asid(1), Vpn(5)).map(|(ppn, _)| ppn), Some(lowest));
         }
-        for corrupt in [0, 1] {
-            let fast = run::<SoaProfile>(corrupt);
-            assert_eq!(fast, run::<AosProfile>(corrupt), "corrupting way {corrupt}");
-            assert_eq!(fast.0, Some((0, 0)), "the lowest way must win");
-        }
-    }
-
-    /// The two store profiles must behave identically through the whole
-    /// array API (fills, victim choices, invalidations, snapshots).
-    #[test]
-    fn profiles_agree_through_the_array_api() {
-        let config = TlbConfig::sa(8, 2).unwrap();
-        let mut fast = EntryArray::<SoaProfile>::new(config);
-        let mut reference = EntryArray::<AosProfile>::new(config);
-        for v in 0..24u64 {
-            let vpn = Vpn(v % 12);
-            let asid = Asid((v % 3) as u16);
-            for a in [0u8, 1] {
-                let (lf, lr) = (fast.lookup(asid, vpn), reference.lookup(asid, vpn));
-                assert_eq!(lf, lr, "lookup diverged at step {v}.{a}");
-                match lf {
-                    Some((set, way)) => {
-                        fast.touch(set, way);
-                        reference.touch(set, way);
-                    }
-                    None => {
-                        let set = config.set_of(vpn);
-                        let (wf, wr) = (fast.choose_victim(set), reference.choose_victim(set));
-                        assert_eq!(wf, wr, "victim diverged at step {v}.{a}");
-                        let e = TlbEntry {
-                            valid: true,
-                            vpn,
-                            ppn: Ppn(v + 100),
-                            asid,
-                            sec: false,
-                            size: PageSize::Base,
-                        };
-                        assert_eq!(fast.fill_at(set, wf, e), reference.fill_at(set, wr, e));
-                    }
-                }
-            }
-            if v % 7 == 0 {
-                assert_eq!(
-                    fast.invalidate_matching(|e| e.asid == Asid(0)),
-                    reference.invalidate_matching(|e| e.asid == Asid(0))
-                );
-            }
-        }
-        assert_eq!(fast.snapshot_level(0), reference.snapshot_level(0));
-        fast.check_geometry().unwrap();
-        reference.check_geometry().unwrap();
     }
 }

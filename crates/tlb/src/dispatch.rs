@@ -1,14 +1,12 @@
-//! Enum dispatch over the TLB designs — the simulator's fast path.
+//! Enum dispatch over the TLB designs — the simulator's one TLB path.
 //!
-//! The machine's per-access loop used to reach its TLB through
-//! `Box<dyn TlbCore>`, paying an indirect call (and defeating inlining)
-//! on every translation. [`TlbUnit`] closes that: the four concrete
-//! designs are enum variants dispatched with a `match`, which the
-//! compiler turns into direct, inlinable calls. The [`TlbCore`] trait
-//! remains the compatibility surface — `TlbUnit` itself implements it,
-//! and a [`TlbUnit::Dyn`] variant adapts any boxed `TlbCore` (custom
-//! compositions, the differential suite's reference-path designs) into
-//! the enum world at the old dyn-dispatch cost.
+//! The machine's per-access loop reaches its TLB through [`TlbUnit`]:
+//! the SA, SP, RF, temporal (FS/FT) and multi-size designs and the
+//! two-level hierarchy are enum variants dispatched with a `match`,
+//! which the compiler turns into direct, inlinable calls instead of a
+//! vtable call per translation. The [`TlbCore`] trait remains the
+//! read-only and diagnostic surface: `TlbUnit` implements it and hands
+//! out `&dyn TlbCore` views of its variant.
 
 use crate::check::{CorruptionKind, CorruptionReport, IntegrityError, SnapshotEntry};
 use crate::config::TlbConfig;
@@ -40,8 +38,6 @@ pub enum TlbUnit {
     Ms(Box<MsTlb>),
     /// A two-level hierarchy.
     Hier(TlbHierarchy),
-    /// Escape hatch: any other [`TlbCore`] at dyn-dispatch cost.
-    Dyn(Box<dyn TlbCore>),
 }
 
 impl std::fmt::Debug for TlbUnit {
@@ -86,15 +82,8 @@ impl From<TlbHierarchy> for TlbUnit {
     }
 }
 
-impl From<Box<dyn TlbCore>> for TlbUnit {
-    fn from(t: Box<dyn TlbCore>) -> TlbUnit {
-        TlbUnit::Dyn(t)
-    }
-}
-
-/// Forwards one method call to the variant's concrete type. For the four
-/// concrete variants this compiles to a direct call; only `Dyn` pays the
-/// vtable.
+/// Forwards one method call to the variant's concrete type; every arm
+/// compiles to a direct call.
 macro_rules! dispatch {
     ($self:expr, $t:ident => $body:expr) => {
         match $self {
@@ -104,7 +93,6 @@ macro_rules! dispatch {
             TlbUnit::Tp($t) => $body,
             TlbUnit::Ms($t) => $body,
             TlbUnit::Hier($t) => $body,
-            TlbUnit::Dyn($t) => $body,
         }
     };
 }
@@ -135,7 +123,6 @@ impl TlbUnit {
             TlbUnit::Tp(t) => t,
             TlbUnit::Ms(t) => &**t,
             TlbUnit::Hier(t) => t,
-            TlbUnit::Dyn(t) => &**t,
         }
     }
 
@@ -148,7 +135,6 @@ impl TlbUnit {
             TlbUnit::Tp(t) => t,
             TlbUnit::Ms(t) => &mut **t,
             TlbUnit::Hier(t) => t,
-            TlbUnit::Dyn(t) => &mut **t,
         }
     }
 }
@@ -220,10 +206,6 @@ impl TlbCore for TlbUnit {
         dispatch!(self, t => t.reseed(level, seed))
     }
 
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
-    }
-
     fn snapshot(&self) -> Vec<SnapshotEntry> {
         dispatch!(self, t => t.snapshot())
     }
@@ -240,31 +222,7 @@ impl TlbCore for TlbUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb_trait::WalkResult;
-    use crate::types::Ppn;
-
-    struct Ident;
-    impl Translator for Ident {
-        fn translate(&mut self, _asid: Asid, vpn: Vpn) -> WalkResult {
-            WalkResult::page(Ppn(vpn.0 + 7), 60)
-        }
-    }
-
-    #[test]
-    fn enum_and_dyn_paths_agree() {
-        let config = TlbConfig::sa(16, 4).unwrap();
-        let mut fast: TlbUnit = SaTlb::new(config).into();
-        let mut slow: TlbUnit = (Box::new(SaTlb::new(config)) as Box<dyn TlbCore>).into();
-        for v in [1u64, 2, 3, 1, 2, 17, 1] {
-            let a = fast.access(Asid(1), Vpn(v), &mut Ident);
-            let b = slow.access(Asid(1), Vpn(v), &mut Ident);
-            assert_eq!(a, b, "vpn {v}");
-        }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.snapshot(), slow.snapshot());
-        assert_eq!(fast.design_name(), "SA");
-        assert_eq!(slow.design_name(), "SA");
-    }
+    use crate::config::MultiConfig;
 
     #[test]
     fn trait_surface_reaches_every_variant() {
@@ -273,15 +231,18 @@ mod tests {
             SaTlb::new(config).into(),
             SpTlb::new(config).into(),
             RfTlb::new(config).into(),
+            TpTlb::flush_on_switch(config).into(),
+            TpTlb::fence_t(config).into(),
+            MsTlb::new(MultiConfig::from_base(config)).into(),
             TlbHierarchy::new(
-                Box::new(SaTlb::new(config)),
-                Box::new(SaTlb::new(TlbConfig::sa(128, 4).unwrap())),
+                SaTlb::new(config).into(),
+                SaTlb::new(TlbConfig::sa(128, 4).unwrap()).into(),
                 8,
             )
             .into(),
         ];
         let names: Vec<_> = units.iter().map(|u| u.design_name()).collect();
-        assert_eq!(names, ["SA", "SP", "RF", "L1+L2"]);
+        assert_eq!(names, ["SA", "SP", "RF", "FS", "FT", "MS", "L1+L2"]);
         for u in &units {
             assert_eq!(u.stats().accesses, 0);
             u.integrity().unwrap();

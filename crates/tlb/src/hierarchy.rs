@@ -9,19 +9,25 @@
 //! the L2 (see `sectlb-workloads::l2_attack`).
 //!
 //! The composition reuses the [`Translator`] interface: from the L1's
-//! perspective, the L2 simply *is* its page-table walker.
+//! perspective, the L2 simply *is* its page-table walker. Both levels are
+//! [`TlbUnit`]s, so each level's hit path is the same enum-dispatched
+//! code a single-level machine runs.
 
 use crate::check::{CorruptionKind, CorruptionReport, IntegrityError, SnapshotEntry};
 use crate::config::TlbConfig;
+use crate::dispatch::TlbUnit;
 use crate::stats::TlbStats;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator, WalkResult};
 use crate::types::{Asid, SecureRegion, Vpn};
 
 /// A two-level TLB: an L1 design backed by an L2 design.
+///
+/// The levels are boxed: a hierarchy is itself a [`TlbUnit`] variant, so
+/// holding the units inline would make the type infinitely large.
 #[derive(Clone)]
 pub struct TlbHierarchy {
-    l1: Box<dyn TlbCore>,
-    l2: Box<dyn TlbCore>,
+    l1: Box<TlbUnit>,
+    l2: Box<TlbUnit>,
     l2_latency: u64,
 }
 
@@ -38,7 +44,7 @@ impl std::fmt::Debug for TlbHierarchy {
 /// Adapter presenting the L2 (plus the real walker behind it) as the L1's
 /// page-table walker.
 struct L2AsWalker<'a> {
-    l2: &'a mut dyn TlbCore,
+    l2: &'a mut TlbUnit,
     walker: &'a mut dyn Translator,
     l2_latency: u64,
 }
@@ -57,8 +63,12 @@ impl Translator for L2AsWalker<'_> {
 impl TlbHierarchy {
     /// Composes `l1` backed by `l2`, with an L2 hit costing `l2_latency`
     /// cycles.
-    pub fn new(l1: Box<dyn TlbCore>, l2: Box<dyn TlbCore>, l2_latency: u64) -> TlbHierarchy {
-        TlbHierarchy { l1, l2, l2_latency }
+    pub fn new(l1: TlbUnit, l2: TlbUnit, l2_latency: u64) -> TlbHierarchy {
+        TlbHierarchy {
+            l1: Box::new(l1),
+            l2: Box::new(l2),
+            l2_latency,
+        }
     }
 
     /// The L2 hit latency in cycles.
@@ -68,21 +78,24 @@ impl TlbHierarchy {
 
     /// The L1 level.
     pub fn l1(&self) -> &dyn TlbCore {
-        self.l1.as_ref()
+        self.l1.as_core()
     }
 
     /// The L2 level.
     pub fn l2(&self) -> &dyn TlbCore {
-        self.l2.as_ref()
+        self.l2.as_core()
     }
 }
 
 impl sealed::Sealed for TlbHierarchy {}
 
 impl TlbCore for TlbHierarchy {
+    /// Out of line: [`TlbUnit::access`] is `#[inline(always)]` and
+    /// dispatches here, and this calls it again for each level.
+    #[inline(never)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         let mut backed = L2AsWalker {
-            l2: self.l2.as_mut(),
+            l2: &mut self.l2,
             walker,
             l2_latency: self.l2_latency,
         };
@@ -126,10 +139,6 @@ impl TlbCore for TlbHierarchy {
 
     fn design_name(&self) -> &'static str {
         "L1+L2"
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn level_stats(&self, level: usize) -> Option<&TlbStats> {
@@ -228,15 +237,15 @@ mod tests {
 
     fn hierarchy() -> TlbHierarchy {
         TlbHierarchy::new(
-            Box::new(SaTlb::new(TlbConfig::sa(8, 4).expect("valid"))),
-            Box::new(SaTlb::new(TlbConfig::sa(64, 4).expect("valid"))),
+            SaTlb::new(TlbConfig::sa(8, 4).expect("valid")).into(),
+            SaTlb::new(TlbConfig::sa(64, 4).expect("valid")).into(),
             8,
         )
     }
 
     #[test]
     fn reseed_reaches_each_level_and_clones_run_alike() {
-        let rf_pair = |l1, l2| TlbHierarchy::new(Box::new(mk_rf(l1)), Box::new(mk_rf(l2)), 8);
+        let rf_pair = |l1, l2| TlbHierarchy::new(mk_rf(l1).into(), mk_rf(l2).into(), 8);
         let mut reseeded = rf_pair(3, 5);
         reseeded.reseed(0, 11);
         reseeded.reseed(1, 13);
@@ -313,7 +322,7 @@ mod tests {
         l1.set_victim_asid(Some(Asid(1)));
         l1.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
         let l2 = SaTlb::new(TlbConfig::sa(64, 4).expect("valid"));
-        let mut h = TlbHierarchy::new(Box::new(l1), Box::new(l2), 8);
+        let mut h = TlbHierarchy::new(l1.into(), l2.into(), 8);
         h.access(Asid(1), Vpn(0x100), &mut Ident);
         assert!(
             !h.l1().probe(Asid(1), Vpn(0x100)),
@@ -335,7 +344,7 @@ mod tests {
 
     #[test]
     fn rf_at_both_levels_closes_the_leak() {
-        let mut h = TlbHierarchy::new(Box::new(mk_rf(3)), Box::new(mk_rf(5)), 8);
+        let mut h = TlbHierarchy::new(mk_rf(3).into(), mk_rf(5).into(), 8);
         // The request itself is served through no-fill buffers at both
         // levels; only *random* secure pages may become resident.
         let r = h.access(Asid(1), Vpn(0x100), &mut Ident);

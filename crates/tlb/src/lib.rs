@@ -46,14 +46,14 @@ pub mod check;
 pub mod config;
 pub mod dispatch;
 pub mod hierarchy;
-pub mod lru;
+mod lru;
 pub mod multi;
 pub mod partition;
 pub mod random_fill;
 pub mod rfe;
 pub mod set_assoc;
 pub mod stats;
-pub mod store;
+mod store;
 pub mod temporal;
 pub mod tlb_trait;
 pub mod types;
@@ -62,14 +62,12 @@ pub use check::{CorruptionKind, CorruptionReport, IntegrityError, IntegrityKind,
 pub use config::{MultiConfig, TlbConfig, TlbOrg};
 pub use dispatch::TlbUnit;
 pub use hierarchy::TlbHierarchy;
-pub use lru::{PackedLru, Replacement, StampLru};
-pub use multi::{MsTlb, MsTlbGen, MsTlbRef};
-pub use partition::{PartitionError, SpTlb, SpTlbGen, SpTlbRef};
-pub use random_fill::{InvalidationPolicy, RandomFillEviction, RfTlb, RfTlbGen, RfTlbRef};
+pub use multi::MsTlb;
+pub use partition::{PartitionError, SpTlb};
+pub use random_fill::{InvalidationPolicy, RandomFillEviction, RfTlb};
 pub use rfe::RandomFillEngine;
-pub use set_assoc::{SaTlb, SaTlbGen, SaTlbRef};
+pub use set_assoc::SaTlb;
 pub use stats::TlbStats;
-pub use store::{AosProfile, AosStore, EntryStore, SoaProfile, SoaStore, StoreProfile};
-pub use temporal::{ClearScope, TpTlb, TpTlbGen, TpTlbRef};
+pub use temporal::{ClearScope, TpTlb};
 pub use tlb_trait::{AccessResult, TlbCore, Translator, WalkResult};
 pub use types::{RegionError, SecureRegion};

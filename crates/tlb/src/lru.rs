@@ -1,156 +1,19 @@
 //! True-LRU replacement state.
 //!
-//! Each TLB set tracks the recency of its ways with a monotonically
-//! increasing timestamp per way. The least recently used way is the one
-//! with the smallest timestamp; invalid ways are always preferred for
-//! fills. The Static-Partition TLB maintains its LRU decisions *within a
-//! subset of ways* (each partition has its own LRU policy, Section 4.1.1),
-//! which [`LruSet::lru_among`] supports directly.
+//! Each TLB set tracks the recency of its ways; the least recently used
+//! way is the victim, and invalid ways are always preferred for fills
+//! (that preference lives in the entry array, which sees validity). The
+//! Static-Partition TLB keeps its LRU decisions *within a subset of
+//! ways* (each partition has its own LRU policy, Section 4.1.1), which
+//! [`PackedLru::lru_among`] supports directly.
 //!
-//! Two interchangeable whole-array implementations of the same policy are
-//! provided behind the [`Replacement`] trait:
-//!
-//! - [`StampLru`] — the original per-set timestamp representation
-//!   ([`LruSet`] per set), kept as the reference implementation;
-//! - [`PackedLru`] — packed per-set *rank* words updated branchlessly
-//!   (one `u64` with 8-bit lanes per set when `ways <= 8`), the fast path
-//!   used by the simulator hot loop.
-//!
-//! Both produce bit-identical victim choices for every operation
-//! sequence; the property tests at the bottom of this module drive them
-//! in lockstep.
+//! [`PackedLru`] packs per-set *rank* words updated branchlessly (one
+//! `u64` with 8-bit lanes per set when `ways <= 8`). The property tests
+//! at the bottom of this module drive it in lockstep with a timestamp
+//! reference (`StampLru`, a `u64` stamp per way) and require identical
+//! victim choices at every step.
 
-use std::fmt;
 use std::ops::Range;
-
-/// LRU state for one set of `ways` entries.
-#[derive(Debug, Clone)]
-pub struct LruSet {
-    stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl LruSet {
-    /// Creates LRU state for a set with `ways` ways, all initially
-    /// untouched (timestamp 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    pub fn new(ways: usize) -> LruSet {
-        assert!(ways > 0, "a set needs at least one way");
-        LruSet {
-            stamps: vec![0; ways],
-            clock: 0,
-        }
-    }
-
-    /// Number of ways tracked.
-    pub fn ways(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Records a use of `way` (hit or fill), making it the most recently
-    /// used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
-    pub fn touch(&mut self, way: usize) {
-        assert!(way < self.stamps.len(), "way {way} out of range");
-        self.clock += 1;
-        self.stamps[way] = self.clock;
-    }
-
-    /// The least recently used way of the whole set.
-    pub fn lru(&self) -> usize {
-        self.lru_among(0..self.stamps.len())
-            .expect("a nonempty set always has an LRU way")
-    }
-
-    /// The least recently used way among a subset of ways (the SP TLB's
-    /// per-partition policy). Returns `None` for an empty subset.
-    pub fn lru_among(&self, ways: impl IntoIterator<Item = usize>) -> Option<usize> {
-        ways.into_iter().min_by_key(|&w| (self.stamps[w], w))
-    }
-
-    /// Clears the recency of `way` (used when an entry is invalidated, so
-    /// the slot is reused first).
-    pub fn reset(&mut self, way: usize) {
-        assert!(way < self.stamps.len(), "way {way} out of range");
-        self.stamps[way] = 0;
-    }
-
-    /// Clears all recency state.
-    pub fn reset_all(&mut self) {
-        self.stamps.fill(0);
-    }
-}
-
-/// Whole-array replacement state: one LRU policy instance per TLB set.
-///
-/// Abstracts the representation of the per-set true-LRU state so the
-/// entry array can run either the reference timestamp implementation
-/// ([`StampLru`]) or the packed branchless one ([`PackedLru`]). Every
-/// implementation must make *identical* victim choices for identical
-/// operation sequences — the replacement policy is part of the designs'
-/// observable behavior (eviction patterns are what the paper's attacks
-/// measure).
-pub trait Replacement: fmt::Debug + Clone {
-    /// Fresh state for `sets` sets of `ways` ways, all untouched.
-    fn new(sets: usize, ways: usize) -> Self;
-
-    /// Records a use of `(set, way)`, making it the set's most recently
-    /// used way.
-    fn touch(&mut self, set: usize, way: usize);
-
-    /// Clears the recency of `(set, way)` (entry invalidated; the slot is
-    /// preferred for reuse).
-    fn reset(&mut self, set: usize, way: usize);
-
-    /// Clears all recency state.
-    fn reset_all(&mut self);
-
-    /// The least recently used way of `set` within the way range `ways`.
-    /// Returns `None` for an empty range. Ties (untouched/reset ways)
-    /// break toward the lowest way index.
-    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize>;
-}
-
-/// The reference [`Replacement`] implementation: one [`LruSet`] (u64
-/// timestamp per way plus a per-set clock) per set. This is the original
-/// representation the designs shipped with; it survives as the slow-path
-/// oracle the differential equivalence suite compares against.
-#[derive(Debug, Clone)]
-pub struct StampLru {
-    sets: Vec<LruSet>,
-}
-
-impl Replacement for StampLru {
-    fn new(sets: usize, ways: usize) -> StampLru {
-        StampLru {
-            sets: (0..sets).map(|_| LruSet::new(ways)).collect(),
-        }
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        self.sets[set].touch(way);
-    }
-
-    fn reset(&mut self, set: usize, way: usize) {
-        self.sets[set].reset(way);
-    }
-
-    fn reset_all(&mut self) {
-        for s in &mut self.sets {
-            s.reset_all();
-        }
-    }
-
-    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
-        self.sets[set].lru_among(ways)
-    }
-}
 
 /// Packed per-set LRU rank state, updated branchlessly.
 ///
@@ -163,17 +26,17 @@ impl Replacement for StampLru {
 /// *renormalized*: compacted to `1 ..= k` in the same relative order,
 /// which changes no comparison any query can observe.
 ///
-/// This is order-isomorphic to [`LruSet`]'s unbounded timestamps: both
+/// This is order-isomorphic to unbounded per-way timestamps: both
 /// orderings agree on every comparison (positive ranks are always
 /// distinct within a set), so victim choices are bit-identical — see the
-/// `packed_matches_stamps_*` property tests, which drive both through
-/// the same operation sequences in lockstep.
+/// `packed_matches_stamps_*` property tests, which drive it and a
+/// timestamp reference through the same operation sequences in lockstep.
 ///
 /// For `ways <= 8` each set's ranks live in one `u64` of 8-bit lanes;
 /// wider sets (the paper's FA 32 and FA 128 configurations) fall back to
 /// a flat `u16` rank array with the same semantics.
 #[derive(Debug, Clone)]
-pub struct PackedLru {
+pub(crate) struct PackedLru {
     ways: usize,
     ranks: Ranks,
 }
@@ -233,19 +96,19 @@ fn renormalize_word(word: &mut u64) -> u8 {
 }
 
 impl PackedLru {
-    /// The rank of `(set, way)` — exposed for the regression tests that
-    /// pin "no-fill accesses leave replacement state untouched".
-    pub fn rank(&self, set: usize, way: usize) -> u16 {
+    /// The rank of `(set, way)`, for the regression tests that pin
+    /// "no-fill accesses leave replacement state untouched".
+    #[cfg(test)]
+    pub(crate) fn rank(&self, set: usize, way: usize) -> u16 {
         assert!(way < self.ways, "way {way} out of range");
         match &self.ranks {
             Ranks::Swar { words, .. } => ((words[set] >> (way * 8)) & 0xff) as u16,
             Ranks::Wide { ranks, .. } => ranks[set * self.ways + way],
         }
     }
-}
 
-impl Replacement for PackedLru {
-    fn new(sets: usize, ways: usize) -> PackedLru {
+    /// Fresh state for `sets` sets of `ways` ways, all untouched.
+    pub(crate) fn new(sets: usize, ways: usize) -> PackedLru {
         assert!(ways > 0, "a set needs at least one way");
         let ranks = if ways <= 8 {
             Ranks::Swar {
@@ -261,8 +124,10 @@ impl Replacement for PackedLru {
         PackedLru { ways, ranks }
     }
 
+    /// Records a use of `(set, way)`, making it the set's most recently
+    /// used way.
     #[inline(always)]
-    fn touch(&mut self, set: usize, way: usize) {
+    pub(crate) fn touch(&mut self, set: usize, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
         match &mut self.ranks {
             Ranks::Swar { words, clocks } => {
@@ -287,7 +152,9 @@ impl Replacement for PackedLru {
         }
     }
 
-    fn reset(&mut self, set: usize, way: usize) {
+    /// Clears the recency of `(set, way)` (entry invalidated; the slot is
+    /// preferred for reuse).
+    pub(crate) fn reset(&mut self, set: usize, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
         match &mut self.ranks {
             Ranks::Swar { words, .. } => words[set] &= !(0xff << (way * 8)),
@@ -295,7 +162,8 @@ impl Replacement for PackedLru {
         }
     }
 
-    fn reset_all(&mut self) {
+    /// Clears all recency state.
+    pub(crate) fn reset_all(&mut self) {
         match &mut self.ranks {
             Ranks::Swar { words, clocks } => {
                 words.fill(0);
@@ -308,8 +176,11 @@ impl Replacement for PackedLru {
         }
     }
 
+    /// The least recently used way of `set` within the way range `ways`.
+    /// Returns `None` for an empty range. Ties (untouched/reset ways)
+    /// break toward the lowest way index.
     #[inline]
-    fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
+    pub(crate) fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
         // `min_by_key` keeps the first of equal minima: the lowest way.
         match &self.ranks {
             Ranks::Swar { words, .. } => {
@@ -333,66 +204,107 @@ impl Replacement for PackedLru {
 mod tests {
     use super::*;
 
+    /// The timestamp reference [`PackedLru`] is held to: a `u64` stamp
+    /// per way, handed out from a per-set clock. The least recently used
+    /// way has the smallest stamp; untouched and reset ways have stamp 0
+    /// and ties break toward the lowest way.
+    struct StampLru {
+        ways: usize,
+        stamps: Vec<u64>,
+        clocks: Vec<u64>,
+    }
+
+    impl StampLru {
+        fn new(sets: usize, ways: usize) -> StampLru {
+            StampLru {
+                ways,
+                stamps: vec![0; sets * ways],
+                clocks: vec![0; sets],
+            }
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            self.clocks[set] += 1;
+            self.stamps[set * self.ways + way] = self.clocks[set];
+        }
+
+        fn reset(&mut self, set: usize, way: usize) {
+            self.stamps[set * self.ways + way] = 0;
+        }
+
+        fn reset_all(&mut self) {
+            self.stamps.fill(0);
+        }
+
+        fn lru_among(&self, set: usize, ways: Range<usize>) -> Option<usize> {
+            ways.min_by_key(|&w| (self.stamps[set * self.ways + w], w))
+        }
+    }
+
     #[test]
     fn untouched_ways_are_preferred() {
-        let mut l = LruSet::new(4);
-        l.touch(0);
-        l.touch(1);
+        let mut l = PackedLru::new(1, 4);
+        l.touch(0, 0);
+        l.touch(0, 1);
         // Ways 2 and 3 are untouched; the lowest index wins ties.
-        assert_eq!(l.lru(), 2);
+        assert_eq!(l.lru_among(0, 0..4), Some(2));
     }
 
     #[test]
     fn lru_follows_access_order() {
-        let mut l = LruSet::new(3);
-        l.touch(0);
-        l.touch(1);
-        l.touch(2);
-        assert_eq!(l.lru(), 0);
-        l.touch(0);
-        assert_eq!(l.lru(), 1);
+        let mut l = PackedLru::new(1, 3);
+        l.touch(0, 0);
+        l.touch(0, 1);
+        l.touch(0, 2);
+        assert_eq!(l.lru_among(0, 0..3), Some(0));
+        l.touch(0, 0);
+        assert_eq!(l.lru_among(0, 0..3), Some(1));
     }
 
     #[test]
     fn most_recently_used_is_never_evicted() {
-        let mut l = LruSet::new(8);
+        let mut l = PackedLru::new(1, 8);
         for w in 0..8 {
-            l.touch(w);
+            l.touch(0, w);
         }
-        for step in 0..100 {
+        for step in 0..1000 {
             let mru = step % 8;
-            l.touch(mru);
-            assert_ne!(l.lru(), mru, "LRU must never pick the MRU way");
+            l.touch(0, mru);
+            assert_ne!(
+                l.lru_among(0, 0..8),
+                Some(mru),
+                "LRU must never pick the MRU way"
+            );
         }
     }
 
     #[test]
     fn subset_lru_ignores_other_ways() {
-        let mut l = LruSet::new(4);
-        l.touch(2); // way 2 recently used
-        l.touch(0);
-        l.touch(1);
+        let mut l = PackedLru::new(1, 4);
+        l.touch(0, 2); // way 2 recently used
+        l.touch(0, 0);
+        l.touch(0, 1);
         // Among the "partition" {2, 3}, way 3 is untouched.
-        assert_eq!(l.lru_among([2, 3]), Some(3));
-        l.touch(3);
-        assert_eq!(l.lru_among([2, 3]), Some(2));
-        assert_eq!(l.lru_among([]), None);
+        assert_eq!(l.lru_among(0, 2..4), Some(3));
+        l.touch(0, 3);
+        assert_eq!(l.lru_among(0, 2..4), Some(2));
+        assert_eq!(l.lru_among(0, 2..2), None);
     }
 
     #[test]
     fn reset_makes_a_way_lru_again() {
-        let mut l = LruSet::new(2);
-        l.touch(0);
-        l.touch(1);
-        assert_eq!(l.lru(), 0);
-        l.reset(1);
-        assert_eq!(l.lru(), 1);
+        let mut l = PackedLru::new(1, 2);
+        l.touch(0, 0);
+        l.touch(0, 1);
+        assert_eq!(l.lru_among(0, 0..2), Some(0));
+        l.reset(0, 1);
+        assert_eq!(l.lru_among(0, 0..2), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn touching_out_of_range_panics() {
-        LruSet::new(2).touch(2);
+        PackedLru::new(1, 2).touch(0, 2);
     }
 
     /// Drives a [`StampLru`] and a [`PackedLru`] through the same
@@ -402,8 +314,8 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut reference: StampLru = Replacement::new(sets, ways);
-        let mut packed: PackedLru = Replacement::new(sets, ways);
+        let mut reference = StampLru::new(sets, ways);
+        let mut packed = PackedLru::new(sets, ways);
         for step in 0..steps {
             let set = rng.gen_range(0..sets);
             let way = rng.gen_range(0..ways);
@@ -475,7 +387,7 @@ mod tests {
 
     #[test]
     fn packed_rank_probe_reports_reset_and_mru() {
-        let mut p: PackedLru = Replacement::new(2, 4);
+        let mut p = PackedLru::new(2, 4);
         assert_eq!(p.rank(1, 2), 0);
         p.touch(1, 0);
         p.touch(1, 2);
@@ -493,8 +405,8 @@ mod tests {
         // (SWAR) and, with a long sequence, the lockstep already covers
         // order preservation — here we pin that saturation itself keeps
         // both implementations agreeing across the renormalize boundary.
-        let mut reference: StampLru = Replacement::new(1, 4);
-        let mut packed: PackedLru = Replacement::new(1, 4);
+        let mut reference = StampLru::new(1, 4);
+        let mut packed = PackedLru::new(1, 4);
         for i in 0..2000usize {
             let way = (i * 7 + i / 3) % 4;
             reference.touch(0, way);
@@ -509,16 +421,5 @@ mod tests {
                 "diverged at touch {i}"
             );
         }
-    }
-
-    #[test]
-    fn packed_tracks_access_order_like_lru_set() {
-        let mut p: PackedLru = Replacement::new(1, 3);
-        p.touch(0, 0);
-        p.touch(0, 1);
-        p.touch(0, 2);
-        assert_eq!(p.lru_among(0, 0..3), Some(0));
-        p.touch(0, 0);
-        assert_eq!(p.lru_among(0, 0..3), Some(1));
     }
 }

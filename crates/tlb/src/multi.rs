@@ -25,24 +25,17 @@ use crate::check::{
 };
 use crate::config::{MultiConfig, TlbConfig};
 use crate::stats::TlbStats;
-use crate::store::{AosProfile, SoaProfile, StoreProfile};
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, PageSize, TlbEntry, Vpn};
 
-/// The multi-size split TLB, generic over the entry-storage profile.
+/// The multi-size split TLB.
 #[derive(Debug, Clone)]
-pub struct MsTlbGen<P: StoreProfile = SoaProfile> {
+pub struct MsTlb {
     /// One array per page-size class, indexed by [`PageSize::ALL`] order.
-    classes: [EntryArray<P>; 3],
+    classes: [EntryArray; 3],
     multi: MultiConfig,
     stats: TlbStats,
 }
-
-/// The multi-size TLB on the struct-of-arrays fast path.
-pub type MsTlb = MsTlbGen<SoaProfile>;
-
-/// The multi-size TLB on the reference storage (differential tests).
-pub type MsTlbRef = MsTlbGen<AosProfile>;
 
 /// The class index a page size maps to (its position in
 /// [`PageSize::ALL`]).
@@ -54,10 +47,10 @@ fn class_index(size: PageSize) -> usize {
     }
 }
 
-impl<P: StoreProfile> MsTlbGen<P> {
+impl MsTlb {
     /// Creates a multi-size TLB with the given per-class geometry.
-    pub fn new(multi: MultiConfig) -> MsTlbGen<P> {
-        MsTlbGen {
+    pub fn new(multi: MultiConfig) -> MsTlb {
+        MsTlb {
             classes: [
                 EntryArray::new(multi.base),
                 EntryArray::new(multi.mega),
@@ -88,9 +81,9 @@ impl<P: StoreProfile> MsTlbGen<P> {
     }
 }
 
-impl<P: StoreProfile> sealed::Sealed for MsTlbGen<P> {}
+impl sealed::Sealed for MsTlb {}
 
-impl<P: StoreProfile> TlbCore for MsTlbGen<P> {
+impl TlbCore for MsTlb {
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
         if let Some((ppn, size)) = self.classes.iter_mut().find_map(|c| c.hit(asid, vpn)) {
@@ -175,17 +168,13 @@ impl<P: StoreProfile> TlbCore for MsTlbGen<P> {
     }
 
     /// The 4 KiB class's geometry — the class every single-size workload
-    /// exercises. Use [`MsTlbGen::multi_config`] for the full split.
+    /// exercises. Use [`MsTlb::multi_config`] for the full split.
     fn config(&self) -> TlbConfig {
         self.multi.base
     }
 
     fn design_name(&self) -> &'static str {
         "MS"
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn probe_level(&self, level: usize, asid: Asid, vpn: Vpn) -> Option<bool> {

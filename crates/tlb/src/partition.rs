@@ -16,7 +16,6 @@ use crate::check::{
 };
 use crate::config::TlbConfig;
 use crate::stats::TlbStats;
-use crate::store::{AosProfile, SoaProfile, StoreProfile};
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, TlbEntry, Vpn};
 
@@ -42,22 +41,16 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// The Static-Partition TLB, generic over the entry-storage profile.
+/// The Static-Partition TLB.
 #[derive(Debug, Clone)]
-pub struct SpTlbGen<P: StoreProfile = SoaProfile> {
-    array: EntryArray<P>,
+pub struct SpTlb {
+    array: EntryArray,
     stats: TlbStats,
     victim_asid: Option<Asid>,
     victim_ways: usize,
 }
 
-/// The SP TLB on the struct-of-arrays fast path (the default).
-pub type SpTlb = SpTlbGen<SoaProfile>;
-
-/// The SP TLB on the pre-overhaul reference storage (differential tests).
-pub type SpTlbRef = SpTlbGen<AosProfile>;
-
-impl<P: StoreProfile> SpTlbGen<P> {
+impl SpTlb {
     /// Creates an SP TLB with the paper's default allocation: the victim
     /// partition takes 50% of the ways.
     ///
@@ -65,8 +58,8 @@ impl<P: StoreProfile> SpTlbGen<P> {
     ///
     /// Panics if the configuration has fewer than two ways per set (there
     /// must be at least one way on each side of the split).
-    pub fn new(config: TlbConfig) -> SpTlbGen<P> {
-        SpTlbGen::with_victim_ways(config, config.ways() / 2)
+    pub fn new(config: TlbConfig) -> SpTlb {
+        SpTlb::with_victim_ways(config, config.ways() / 2)
     }
 
     /// Creates an SP TLB assigning `victim_ways` ways per set to the
@@ -76,15 +69,15 @@ impl<P: StoreProfile> SpTlbGen<P> {
     /// # Panics
     ///
     /// Panics if `victim_ways` is zero or not strictly less than the way
-    /// count; see [`SpTlbGen::try_with_victim_ways`] for the fallible form.
-    pub fn with_victim_ways(config: TlbConfig, victim_ways: usize) -> SpTlbGen<P> {
-        match SpTlbGen::try_with_victim_ways(config, victim_ways) {
+    /// count; see [`SpTlb::try_with_victim_ways`] for the fallible form.
+    pub fn with_victim_ways(config: TlbConfig, victim_ways: usize) -> SpTlb {
+        match SpTlb::try_with_victim_ways(config, victim_ways) {
             Ok(t) => t,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`SpTlbGen::with_victim_ways`]: an out-of-range split is
+    /// Fallible [`SpTlb::with_victim_ways`]: an out-of-range split is
     /// reported as a typed [`PartitionError`] instead of panicking.
     ///
     /// # Errors
@@ -93,14 +86,14 @@ impl<P: StoreProfile> SpTlbGen<P> {
     pub fn try_with_victim_ways(
         config: TlbConfig,
         victim_ways: usize,
-    ) -> Result<SpTlbGen<P>, PartitionError> {
+    ) -> Result<SpTlb, PartitionError> {
         if victim_ways == 0 || victim_ways >= config.ways() {
             return Err(PartitionError {
                 victim_ways,
                 ways: config.ways(),
             });
         }
-        Ok(SpTlbGen {
+        Ok(SpTlb {
             array: EntryArray::new(config),
             stats: TlbStats::new(),
             victim_asid: None,
@@ -121,14 +114,14 @@ impl<P: StoreProfile> SpTlbGen<P> {
     /// # Panics
     ///
     /// Panics if `victim_ways` is zero or not strictly less than the way
-    /// count; see [`SpTlbGen::try_set_victim_ways`] for the fallible form.
+    /// count; see [`SpTlb::try_set_victim_ways`] for the fallible form.
     pub fn set_victim_ways(&mut self, victim_ways: usize) {
         if let Err(e) = self.try_set_victim_ways(victim_ways) {
             panic!("{e}");
         }
     }
 
-    /// Fallible [`SpTlbGen::set_victim_ways`]: an out-of-range split is
+    /// Fallible [`SpTlb::set_victim_ways`]: an out-of-range split is
     /// reported as a typed [`PartitionError`] and leaves the TLB untouched.
     ///
     /// # Errors
@@ -239,9 +232,9 @@ impl<P: StoreProfile> SpTlbGen<P> {
     }
 }
 
-impl<P: StoreProfile> sealed::Sealed for SpTlbGen<P> {}
+impl sealed::Sealed for SpTlb {}
 
-impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
+impl TlbCore for SpTlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
@@ -291,10 +284,6 @@ impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
 
     fn design_name(&self) -> &'static str {
         "SP"
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn set_victim_asid(&mut self, victim: Option<Asid>) {

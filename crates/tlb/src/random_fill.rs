@@ -29,7 +29,6 @@ use crate::check::{
 use crate::config::TlbConfig;
 use crate::rfe::RandomFillEngine;
 use crate::stats::TlbStats;
-use crate::store::{AosProfile, SoaProfile, StoreProfile};
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, SecureRegion, TlbEntry, Vpn};
 
@@ -72,10 +71,10 @@ pub enum InvalidationPolicy {
     RegionFlush,
 }
 
-/// The Random-Fill TLB, generic over the entry-storage profile.
+/// The Random-Fill TLB.
 #[derive(Debug, Clone)]
-pub struct RfTlbGen<P: StoreProfile = SoaProfile> {
-    array: EntryArray<P>,
+pub struct RfTlb {
+    array: EntryArray,
     stats: TlbStats,
     rfe: RandomFillEngine,
     victim_asid: Option<Asid>,
@@ -84,25 +83,19 @@ pub struct RfTlbGen<P: StoreProfile = SoaProfile> {
     invalidation: InvalidationPolicy,
 }
 
-/// The RF TLB on the struct-of-arrays fast path (the default).
-pub type RfTlb = RfTlbGen<SoaProfile>;
-
-/// The RF TLB on the pre-overhaul reference storage (differential tests).
-pub type RfTlbRef = RfTlbGen<AosProfile>;
-
-impl<P: StoreProfile> RfTlbGen<P> {
+impl RfTlb {
     /// Creates an RF TLB with a default RFE seed. No secure region is
     /// configured initially, so the design behaves exactly like an SA TLB
     /// until [`TlbCore::set_secure_region`] and
     /// [`TlbCore::set_victim_asid`] are programmed by the (trusted) OS.
-    pub fn new(config: TlbConfig) -> RfTlbGen<P> {
-        RfTlbGen::with_seed(config, 0x5ec7_1b5e)
+    pub fn new(config: TlbConfig) -> RfTlb {
+        RfTlb::with_seed(config, 0x5ec7_1b5e)
     }
 
     /// Creates an RF TLB whose Random Fill Engine is seeded with `seed`
     /// (for reproducible simulation).
-    pub fn with_seed(config: TlbConfig, seed: u64) -> RfTlbGen<P> {
-        RfTlbGen {
+    pub fn with_seed(config: TlbConfig, seed: u64) -> RfTlb {
+        RfTlb {
             array: EntryArray::new(config),
             stats: TlbStats::new(),
             rfe: RandomFillEngine::from_seed(seed),
@@ -172,13 +165,15 @@ impl<P: StoreProfile> RfTlbGen<P> {
         let walk = walker.translate(asid, d_prime);
         if let Some(ppn) = walk.ppn {
             let sec = self.is_secure(asid, d_prime);
-            let set = self.array.config().set_of(d_prime);
             // If D' is already resident we must not create a duplicate;
             // refresh its recency instead.
             if let Some((s, w)) = self.array.lookup(asid, d_prime) {
                 self.array.touch(s, w);
             } else {
                 let size = walk.size;
+                // A large-page translation indexes the set of its own
+                // size class, exactly as a normal fill does.
+                let set = self.array.set_of_sized(d_prime, size);
                 // Random fills evict a uniformly random way (R' in the
                 // paper): the eviction must be indeterministic, and the
                 // Section 5.3.1 probabilities are uniform over the
@@ -316,9 +311,9 @@ impl<P: StoreProfile> RfTlbGen<P> {
     }
 }
 
-impl<P: StoreProfile> sealed::Sealed for RfTlbGen<P> {}
+impl sealed::Sealed for RfTlb {}
 
-impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
+impl TlbCore for RfTlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
@@ -374,10 +369,6 @@ impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
 
     fn design_name(&self) -> &'static str {
         "RF"
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn set_victim_asid(&mut self, victim: Option<Asid>) {
@@ -602,7 +593,7 @@ mod tests {
     }
 
     /// Flattened `(entry, rank)` pairs for every lane — entries from the
-    /// store, ranks from the packed-LRU words the fast profile uses.
+    /// store, ranks from the packed-LRU words.
     fn lanes(t: &RfTlb) -> Vec<(TlbEntry, u16)> {
         let cfg = t.array.config();
         let mut out = Vec::with_capacity(cfg.entries());
@@ -700,9 +691,9 @@ mod tests {
     }
 
     #[test]
-    fn boxed_clones_share_no_state() {
+    fn clones_share_no_state() {
         let original = rf();
-        let mut copy = original.clone_box();
+        let mut copy = original.clone();
         copy.access(VICTIM, Vpn(0x100), &mut Ident);
         assert_eq!(copy.stats().accesses, 1);
         assert_eq!(original.stats().accesses, 0);
@@ -747,6 +738,52 @@ mod tests {
         assert!(t.resident_count() >= before, "no spurious double-eviction");
         // A second access within the superpage hits it.
         assert!(t.access(VICTIM, Vpn(0x13ff), &mut MegaWalker).hit);
+    }
+
+    /// A random fill whose `D'` is backed by a megapage must land in the
+    /// megapage's own set: in `D'`'s base-page set no lookup would ever
+    /// probe it, and the geometry check flags it as an entry outside its
+    /// home set.
+    #[test]
+    fn megapage_random_fills_land_in_their_own_set() {
+        use crate::tlb_trait::WalkResult;
+        use crate::types::PageSize;
+        /// Base pages below 0x400; 2 MiB pages from there up.
+        struct HighMega;
+        impl Translator for HighMega {
+            fn translate(&mut self, _asid: Asid, vpn: Vpn) -> WalkResult {
+                if vpn.0 >= 0x400 {
+                    WalkResult::mega(Ppn(0x9000 + PageSize::Mega.align(vpn).0), 60)
+                } else {
+                    WalkResult::page(Ppn(vpn.0), 60)
+                }
+            }
+        }
+        for eviction in [RandomFillEviction::RandomWay, RandomFillEviction::LruWay] {
+            for seed in 0..64 {
+                let mut t = RfTlb::with_seed(TlbConfig::security_eval(), seed);
+                t.set_victim_asid(Some(VICTIM));
+                t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+                t.set_random_fill_eviction(eviction);
+                // A secure entry in set 0, then seven base pages behind
+                // it: set 0 is full and its LRU choice R is secure.
+                while !t.probe(VICTIM, Vpn(0x100)) {
+                    t.access(VICTIM, Vpn(0x100), &mut HighMega);
+                }
+                for i in 1..8u64 {
+                    t.access(VICTIM, Vpn(0x200 + 4 * i), &mut HighMega);
+                }
+                // Page 0x404 indexes set 0 as a base page: Sec_R = 1, so
+                // the TLB random-fills a set-randomized D' near it, which
+                // the walker backs with the 2 MiB page at 0x400.
+                let random_fills = t.stats().random_fills;
+                t.access(VICTIM, Vpn(0x404), &mut HighMega);
+                assert_eq!(t.stats().random_fills, random_fills + 1, "seed {seed}");
+                t.integrity()
+                    .unwrap_or_else(|e| panic!("{eviction:?}, seed {seed}: {}", e.detail));
+                assert!(t.probe(VICTIM, Vpn(0x400)), "seed {seed}: megapage filled");
+            }
+        }
     }
 
     #[test]

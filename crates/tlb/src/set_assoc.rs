@@ -11,28 +11,20 @@ use crate::check::{
 };
 use crate::config::TlbConfig;
 use crate::stats::TlbStats;
-use crate::store::{AosProfile, SoaProfile, StoreProfile};
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, TlbEntry, Vpn};
 
-/// A standard set-associative TLB with ASID tags and true-LRU replacement,
-/// generic over the entry-storage profile.
+/// A standard set-associative TLB with ASID tags and true-LRU replacement.
 #[derive(Debug, Clone)]
-pub struct SaTlbGen<P: StoreProfile = SoaProfile> {
-    array: EntryArray<P>,
+pub struct SaTlb {
+    array: EntryArray,
     stats: TlbStats,
 }
 
-/// The SA TLB on the struct-of-arrays fast path (the default).
-pub type SaTlb = SaTlbGen<SoaProfile>;
-
-/// The SA TLB on the pre-overhaul reference storage (differential tests).
-pub type SaTlbRef = SaTlbGen<AosProfile>;
-
-impl<P: StoreProfile> SaTlbGen<P> {
+impl SaTlb {
     /// Creates an SA TLB with the given geometry.
-    pub fn new(config: TlbConfig) -> SaTlbGen<P> {
-        SaTlbGen {
+    pub fn new(config: TlbConfig) -> SaTlb {
+        SaTlb {
             array: EntryArray::new(config),
             stats: TlbStats::new(),
         }
@@ -44,12 +36,12 @@ impl<P: StoreProfile> SaTlbGen<P> {
     }
 
     /// The underlying entry array (for designs composed on top of SA).
-    pub(crate) fn array(&self) -> &EntryArray<P> {
+    pub(crate) fn array(&self) -> &EntryArray {
         &self.array
     }
 
     /// Mutable entry-array view (for designs composed on top of SA).
-    pub(crate) fn array_mut(&mut self) -> &mut EntryArray<P> {
+    pub(crate) fn array_mut(&mut self) -> &mut EntryArray {
         &mut self.array
     }
 
@@ -104,9 +96,9 @@ impl<P: StoreProfile> SaTlbGen<P> {
     }
 }
 
-impl<P: StoreProfile> sealed::Sealed for SaTlbGen<P> {}
+impl sealed::Sealed for SaTlb {}
 
-impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
+impl TlbCore for SaTlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
@@ -155,10 +147,6 @@ impl<P: StoreProfile> TlbCore for SaTlbGen<P> {
 
     fn design_name(&self) -> &'static str {
         "SA"
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn snapshot(&self) -> Vec<SnapshotEntry> {

@@ -1,114 +1,25 @@
-//! Entry storage backends: struct-of-arrays fast path and the
-//! array-of-structs reference layout.
+//! Struct-of-arrays entry storage for a TLB's `sets x ways` array.
 //!
-//! The entry array of every TLB design (see `crate::array`) is generic
-//! over how entries are stored. Two backends exist:
-//!
-//! - [`SoaStore`] — struct-of-arrays with three lanes: VPNs, PPNs, and
-//!   one packed tag word per entry holding the valid bit, page size,
-//!   ASID, and *Sec* bit. A way probe compares the tag word (with *Sec*
-//!   masked off) and the VPN, two contiguous lanes, instead of dragging
-//!   whole [`TlbEntry`] structs through the cache.
-//! - [`AosStore`] — the original `Vec<TlbEntry>` layout, kept as the
-//!   reference implementation the differential equivalence suite runs
-//!   against.
-//!
-//! The two are bundled with a matching [`Replacement`](crate::lru::Replacement)
-//! implementation by a [`StoreProfile`]: [`SoaProfile`] (SoA entries +
-//! packed branchless LRU) is the default for every design alias;
-//! [`AosProfile`] (entry structs + timestamp LRU) is the pre-overhaul
-//! slow path, reachable through the `*Ref` design aliases.
+//! [`SoaStore`] keeps three lanes: VPNs, PPNs, and one packed tag word
+//! per entry holding the valid bit, page size, ASID, and *Sec* bit. A
+//! way probe compares the tag word (with *Sec* masked off) and the VPN,
+//! two contiguous lanes, instead of dragging whole [`TlbEntry`] structs
+//! through the cache.
 
-use std::fmt;
 use std::ops::Range;
 
-use crate::lru::{PackedLru, Replacement, StampLru};
 use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
-
-/// Backend storage for a TLB's `sets x ways` entry array.
-///
-/// Indices are flat (`set * ways + way`); geometry stays the caller's
-/// concern. Implementations must be value-faithful: `get` after `set`
-/// returns the exact entry written (an invalid entry's fields included),
-/// and [`EntryStore::find`] must equal the field-by-field comparison
-/// documented on it — entry residency is observable behavior (it is what
-/// the paper's attacks measure), so the backends have to be bit-for-bit
-/// interchangeable.
-pub trait EntryStore: fmt::Debug + Clone {
-    /// Storage for `capacity` entries, all invalid.
-    fn new(capacity: usize) -> Self;
-
-    /// The entry at `idx`, by value.
-    fn get(&self, idx: usize) -> TlbEntry;
-
-    /// Overwrites the entry at `idx`.
-    fn set(&mut self, idx: usize, entry: TlbEntry);
-
-    /// Marks the entry at `idx` invalid.
-    fn invalidate(&mut self, idx: usize) {
-        self.set(idx, TlbEntry::invalid());
-    }
-
-    /// Invalidates every entry.
-    fn clear(&mut self);
-
-    /// The hot-path probe over one set's slots: the offset within `slots`
-    /// of the lowest entry that is valid, has page size `size`, and
-    /// matches `(asid, aligned)`, where `aligned` is the requested VPN
-    /// already aligned to `size`. Each slot is equivalent to
-    /// `e.size == size && e.matches(asid, vpn)` on the stored entry.
-    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize>;
-
-    /// The translation a hit on `idx` returns: its PPN and page size.
-    fn hit(&self, idx: usize) -> (Ppn, PageSize);
-
-    /// The offset within `slots` of the lowest invalid entry, if any.
-    fn first_invalid(&self, slots: Range<usize>) -> Option<usize>;
-}
-
-/// The original array-of-structs layout: one [`TlbEntry`] per slot.
-#[derive(Debug, Clone)]
-pub struct AosStore {
-    entries: Vec<TlbEntry>,
-}
-
-impl EntryStore for AosStore {
-    fn new(capacity: usize) -> AosStore {
-        AosStore {
-            entries: vec![TlbEntry::invalid(); capacity],
-        }
-    }
-
-    fn get(&self, idx: usize) -> TlbEntry {
-        self.entries[idx]
-    }
-
-    fn set(&mut self, idx: usize, entry: TlbEntry) {
-        self.entries[idx] = entry;
-    }
-
-    fn clear(&mut self) {
-        self.entries.fill(TlbEntry::invalid());
-    }
-
-    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize> {
-        self.entries[slots]
-            .iter()
-            .position(|e| e.valid && e.size == size && e.vpn == aligned && e.asid == asid)
-    }
-
-    fn hit(&self, idx: usize) -> (Ppn, PageSize) {
-        let e = &self.entries[idx];
-        (e.ppn, e.size)
-    }
-
-    fn first_invalid(&self, slots: Range<usize>) -> Option<usize> {
-        self.entries[slots].iter().position(|e| !e.valid)
-    }
-}
 
 /// Struct-of-arrays storage: VPN and PPN lanes plus one packed tag word
 /// per entry.
+///
+/// Indices are flat (`set * ways + way`); geometry stays the caller's
+/// concern. The store is value-faithful: `get` after `set` returns the
+/// exact entry written (an invalid entry's fields included), and
+/// [`SoaStore::find`] equals the field-by-field comparison documented on
+/// it — entry residency is observable behavior (it is what the paper's
+/// attacks measure). The tests below hold it to a plain `Vec<TlbEntry>`
+/// scan.
 ///
 /// A tag word holds the ASID in bits 0..16, the valid bit at 16, the
 /// page-size code (0 base, 1 mega, 2 giga) in bits 17..19 and the *Sec*
@@ -116,7 +27,7 @@ impl EntryStore for AosStore {
 /// the entries' valid bits, sizes and ASIDs are, so a way probe is one
 /// word compare plus the VPN compare.
 #[derive(Debug, Clone)]
-pub struct SoaStore {
+pub(crate) struct SoaStore {
     vpns: Vec<u64>,
     ppns: Vec<u64>,
     tags: Vec<u32>,
@@ -149,10 +60,9 @@ impl SoaStore {
             _ => PageSize::Giga,
         }
     }
-}
 
-impl EntryStore for SoaStore {
-    fn new(capacity: usize) -> SoaStore {
+    /// Storage for `capacity` entries, all invalid.
+    pub(crate) fn new(capacity: usize) -> SoaStore {
         SoaStore {
             vpns: vec![0; capacity],
             ppns: vec![0; capacity],
@@ -160,7 +70,8 @@ impl EntryStore for SoaStore {
         }
     }
 
-    fn get(&self, idx: usize) -> TlbEntry {
+    /// The entry at `idx`, by value.
+    pub(crate) fn get(&self, idx: usize) -> TlbEntry {
         let tag = self.tags[idx];
         TlbEntry {
             valid: tag & Self::VALID != 0,
@@ -172,21 +83,39 @@ impl EntryStore for SoaStore {
         }
     }
 
-    fn set(&mut self, idx: usize, entry: TlbEntry) {
+    /// Overwrites the entry at `idx`.
+    pub(crate) fn set(&mut self, idx: usize, entry: TlbEntry) {
         self.vpns[idx] = entry.vpn.0;
         self.ppns[idx] = entry.ppn.0;
         self.tags[idx] = Self::tag(entry.valid, entry.size, entry.asid, entry.sec);
     }
 
-    fn clear(&mut self) {
+    /// Marks the entry at `idx` invalid.
+    pub(crate) fn invalidate(&mut self, idx: usize) {
+        self.set(idx, TlbEntry::invalid());
+    }
+
+    /// Invalidates every entry.
+    pub(crate) fn clear(&mut self) {
         // Zero is the invalid entry's image in every lane.
         self.vpns.fill(0);
         self.ppns.fill(0);
         self.tags.fill(0);
     }
 
+    /// The hot-path probe over one set's slots: the offset within `slots`
+    /// of the lowest entry that is valid, has page size `size`, and
+    /// matches `(asid, aligned)`, where `aligned` is the requested VPN
+    /// already aligned to `size`. Each slot is equivalent to
+    /// `e.size == size && e.matches(asid, vpn)` on the stored entry.
     #[inline]
-    fn find(&self, slots: Range<usize>, asid: Asid, aligned: Vpn, size: PageSize) -> Option<usize> {
+    pub(crate) fn find(
+        &self,
+        slots: Range<usize>,
+        asid: Asid,
+        aligned: Vpn,
+        size: PageSize,
+    ) -> Option<usize> {
         let key = Self::tag(true, size, asid, false);
         let tags = &self.tags[slots.clone()];
         let vpns = &self.vpns[slots];
@@ -195,48 +124,24 @@ impl EntryStore for SoaStore {
             .position(|(&t, &v)| t & !Self::SEC == key && v == aligned.0)
     }
 
+    /// The translation a hit on `idx` returns: its PPN and page size.
     #[inline]
-    fn hit(&self, idx: usize) -> (Ppn, PageSize) {
+    pub(crate) fn hit(&self, idx: usize) -> (Ppn, PageSize) {
         (Ppn(self.ppns[idx]), Self::size_of(self.tags[idx]))
     }
 
+    /// The offset within `slots` of the lowest invalid entry, if any.
     #[inline]
-    fn first_invalid(&self, slots: Range<usize>) -> Option<usize> {
+    pub(crate) fn first_invalid(&self, slots: Range<usize>) -> Option<usize> {
         self.tags[slots].iter().position(|&t| t & Self::VALID == 0)
     }
-}
-
-/// Bundles an [`EntryStore`] with the matching
-/// [`Replacement`](crate::lru::Replacement) implementation, selecting a
-/// whole storage strategy for a TLB design with one type parameter.
-pub trait StoreProfile: fmt::Debug + Clone + 'static {
-    /// The entry storage backend.
-    type Store: EntryStore;
-    /// The replacement-state representation.
-    type Lru: Replacement;
-}
-
-/// The fast path: struct-of-arrays entries + packed branchless LRU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoaProfile;
-
-impl StoreProfile for SoaProfile {
-    type Store = SoaStore;
-    type Lru = PackedLru;
-}
-
-/// The pre-overhaul reference path: entry structs + timestamp LRU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AosProfile;
-
-impl StoreProfile for AosProfile {
-    type Store = AosStore;
-    type Lru = StampLru;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample(valid: bool, sec: bool, size: PageSize) -> TlbEntry {
         TlbEntry {
@@ -249,8 +154,9 @@ mod tests {
         }
     }
 
-    fn roundtrip<S: EntryStore>() {
-        let mut s = S::new(70);
+    #[test]
+    fn entries_roundtrip() {
+        let mut s = SoaStore::new(70);
         for idx in [0, 1, 63, 64, 69] {
             for entry in [
                 sample(true, false, PageSize::Base),
@@ -267,75 +173,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn both_backends_roundtrip_entries() {
-        roundtrip::<AosStore>();
-        roundtrip::<SoaStore>();
+    /// A random entry over a small key space, so duplicated keys, Sec
+    /// twins and invalid entries with live-looking fields all occur.
+    fn random_entry(rng: &mut SmallRng) -> TlbEntry {
+        let size = PageSize::ALL[rng.gen_range(0..3)];
+        TlbEntry {
+            valid: rng.gen_range(0..5) != 0,
+            vpn: size.align(Vpn(rng.gen_range(0..4) << size.span_shift())),
+            ppn: Ppn(rng.gen_range(0..1 << 20)),
+            asid: Asid(rng.gen_range(0..3)),
+            sec: rng.gen_bool(0.3),
+            size,
+        }
     }
 
-    fn probe_agreement<S: EntryStore>() {
-        let mut s = S::new(8);
-        let e = TlbEntry {
-            valid: true,
-            vpn: Vpn(0x200),
-            ppn: Ppn(1),
-            asid: Asid(3),
-            sec: false,
-            size: PageSize::Mega,
-        };
-        s.set(5, e);
-        // A secure twin with another ASID: the probe masks Sec off.
-        s.set(
-            6,
-            TlbEntry {
-                asid: Asid(4),
-                sec: true,
-                ..e
-            },
-        );
-        for (asid, vpn, size) in [
-            (Asid(3), Vpn(0x2ff), PageSize::Mega),
-            (Asid(3), Vpn(0x200), PageSize::Base),
-            (Asid(3), Vpn(0x2ff), PageSize::Giga),
-            (Asid(4), Vpn(0x2ff), PageSize::Mega),
-            (Asid(5), Vpn(0x2ff), PageSize::Mega),
-            (Asid(3), Vpn(0x400), PageSize::Mega),
-        ] {
-            let aligned = size.align(vpn);
-            let reference = (0..8).position(|i| {
-                let stored = s.get(i);
-                stored.size == size && stored.matches(asid, vpn)
-            });
+    /// Drives a [`SoaStore`] and a plain `Vec<TlbEntry>` through the same
+    /// random sets, invalidations and clears, and after every step
+    /// compares `get`, `hit`, `first_invalid` and `find` over random way
+    /// ranges against a struct scan of the vector.
+    fn lockstep(ways: usize, seed: u64, steps: usize) {
+        let sets = 3;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut store = SoaStore::new(sets * ways);
+        let mut reference = vec![TlbEntry::invalid(); sets * ways];
+        for step in 0..steps {
+            let idx = rng.gen_range(0..sets * ways);
+            match rng.gen_range(0..20) {
+                0 => {
+                    store.invalidate(idx);
+                    reference[idx] = TlbEntry::invalid();
+                }
+                1 if step % 50 == 0 => {
+                    store.clear();
+                    reference.fill(TlbEntry::invalid());
+                }
+                _ => {
+                    let e = random_entry(&mut rng);
+                    store.set(idx, e);
+                    reference[idx] = e;
+                }
+            }
+            for (i, e) in reference.iter().enumerate() {
+                assert_eq!(store.get(i), *e, "get({i}) at step {step}");
+                if e.valid {
+                    assert_eq!(store.hit(i), (e.ppn, e.size), "hit({i}) at step {step}");
+                }
+            }
+            let set = rng.gen_range(0..sets);
+            let lo = rng.gen_range(0..ways);
+            let hi = rng.gen_range(lo + 1..=ways);
+            let slots = set * ways + lo..set * ways + hi;
             assert_eq!(
-                s.find(0..8, asid, aligned, size),
-                reference,
-                "probe ({asid}, {vpn}, {size:?}) must match the entry comparison"
+                store.first_invalid(slots.clone()),
+                reference[slots.clone()].iter().position(|e| !e.valid),
+                "first_invalid({slots:?}) at step {step}"
+            );
+            let size = PageSize::ALL[rng.gen_range(0..3)];
+            let vpn = Vpn(rng.gen_range(0..4u64 << size.span_shift()));
+            let asid = Asid(rng.gen_range(0..3));
+            assert_eq!(
+                store.find(slots.clone(), asid, size.align(vpn), size),
+                reference[slots.clone()]
+                    .iter()
+                    .position(|e| e.size == size && e.matches(asid, vpn)),
+                "find({slots:?}, {asid}, {vpn}, {size:?}) at step {step}"
             );
         }
-        assert_eq!(s.find(0..5, Asid(3), Vpn(0x200), PageSize::Mega), None);
-        assert_eq!(s.find(4..8, Asid(3), Vpn(0x200), PageSize::Mega), Some(1));
-        assert_eq!(s.find(0..8, Asid(0), Vpn(0), PageSize::Base), None);
-        assert_eq!(s.hit(5), (Ppn(1), PageSize::Mega));
-        assert_eq!(s.first_invalid(0..8), Some(0));
-        assert_eq!(s.first_invalid(5..8), Some(2));
-        assert_eq!(s.first_invalid(5..7), None);
     }
 
     #[test]
-    fn probe_agrees_with_entry_matches() {
-        probe_agreement::<AosStore>();
-        probe_agreement::<SoaStore>();
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut s = SoaStore::new(100);
-        for i in 0..100 {
-            s.set(i, sample(true, i % 2 == 0, PageSize::Base));
-        }
-        s.clear();
-        for i in 0..100 {
-            assert_eq!(s.get(i), TlbEntry::invalid());
+    fn store_matches_a_struct_scan_on_every_way_count() {
+        for ways in [1, 2, 3, 4, 7, 8, 9, 16, 32, 64, 128] {
+            lockstep(ways, 0x50a + ways as u64, 3000);
         }
     }
 }

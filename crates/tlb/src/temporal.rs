@@ -27,9 +27,8 @@
 use crate::array::EntryArray;
 use crate::check::{CorruptionKind, CorruptionReport, IntegrityError, SnapshotEntry};
 use crate::config::TlbConfig;
-use crate::set_assoc::SaTlbGen;
+use crate::set_assoc::SaTlb;
 use crate::stats::TlbStats;
-use crate::store::{AosProfile, SoaProfile, StoreProfile};
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, Vpn};
 
@@ -44,38 +43,31 @@ pub enum ClearScope {
 }
 
 /// A temporal-partitioning TLB: the SA design plus a state clear on every
-/// context switch, generic over the entry-storage profile.
+/// context switch.
 #[derive(Debug, Clone)]
-pub struct TpTlbGen<P: StoreProfile = SoaProfile> {
-    inner: SaTlbGen<P>,
+pub struct TpTlb {
+    inner: SaTlb,
     scope: ClearScope,
 }
 
-/// The temporal-partitioning TLB on the struct-of-arrays fast path.
-pub type TpTlb = TpTlbGen<SoaProfile>;
-
-/// The temporal-partitioning TLB on the reference storage (differential
-/// tests).
-pub type TpTlbRef = TpTlbGen<AosProfile>;
-
-impl<P: StoreProfile> TpTlbGen<P> {
+impl TpTlb {
     /// Creates a temporal-partitioning TLB with the given geometry and
     /// clear scope.
-    pub fn new(config: TlbConfig, scope: ClearScope) -> TpTlbGen<P> {
-        TpTlbGen {
-            inner: SaTlbGen::new(config),
+    pub fn new(config: TlbConfig, scope: ClearScope) -> TpTlb {
+        TpTlb {
+            inner: SaTlb::new(config),
             scope,
         }
     }
 
     /// The flush-on-switch design (`FS`).
-    pub fn flush_on_switch(config: TlbConfig) -> TpTlbGen<P> {
-        TpTlbGen::new(config, ClearScope::Entries)
+    pub fn flush_on_switch(config: TlbConfig) -> TpTlb {
+        TpTlb::new(config, ClearScope::Entries)
     }
 
     /// The `fence.t` full-clear design (`FT`).
-    pub fn fence_t(config: TlbConfig) -> TpTlbGen<P> {
-        TpTlbGen::new(config, ClearScope::Full)
+    pub fn fence_t(config: TlbConfig) -> TpTlb {
+        TpTlb::new(config, ClearScope::Full)
     }
 
     /// This design's clear scope.
@@ -88,14 +80,14 @@ impl<P: StoreProfile> TpTlbGen<P> {
         self.inner.resident_count()
     }
 
-    fn array(&self) -> &EntryArray<P> {
+    fn array(&self) -> &EntryArray {
         self.inner.array()
     }
 }
 
-impl<P: StoreProfile> sealed::Sealed for TpTlbGen<P> {}
+impl sealed::Sealed for TpTlb {}
 
-impl<P: StoreProfile> TlbCore for TpTlbGen<P> {
+impl TlbCore for TpTlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.inner.access(asid, vpn, walker)
@@ -134,10 +126,6 @@ impl<P: StoreProfile> TlbCore for TpTlbGen<P> {
             ClearScope::Entries => "FS",
             ClearScope::Full => "FT",
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn TlbCore> {
-        Box::new(self.clone())
     }
 
     fn on_context_switch(&mut self) {

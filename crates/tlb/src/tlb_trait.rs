@@ -108,10 +108,13 @@ impl AccessResult {
     }
 }
 
-/// The interface shared by the SA, SP, and RF TLB designs.
+/// The interface shared by every TLB design: SA (and its FA / 1E
+/// geometries), SP, RF, the temporal-partitioning FS and FT, the
+/// multi-size MS, a two-level hierarchy of any two of them, and the
+/// [`crate::TlbUnit`] that dispatches over all of these.
 ///
-/// This trait is sealed: the security and performance evaluations of the
-/// paper are defined over exactly these designs.
+/// This trait is sealed: the security and performance evaluations are
+/// defined over exactly these designs.
 pub trait TlbCore: sealed::Sealed {
     /// Handles one translation request, walking the page table via
     /// `walker` as needed. Updates replacement state and counters.
@@ -144,7 +147,8 @@ pub trait TlbCore: sealed::Sealed {
     /// This TLB's geometry.
     fn config(&self) -> TlbConfig;
 
-    /// Short design name (`"SA"`, `"SP"`, `"RF"`, or `"L1+L2"`).
+    /// Short design name: `"SA"`, `"SP"`, `"RF"`, `"FS"`, `"FT"`, `"MS"`,
+    /// or `"L1+L2"` for a hierarchy.
     fn design_name(&self) -> &'static str;
 
     /// Per-level counters for multi-level TLBs: level 0 is the L1.
@@ -191,10 +195,6 @@ pub trait TlbCore: sealed::Sealed {
     /// untouched.
     fn reseed(&mut self, _level: usize, _seed: u64) {}
 
-    /// A deep copy behind a fresh box: entries, replacement state,
-    /// counters, programmed registers and the RF engine's state.
-    fn clone_box(&self) -> Box<dyn TlbCore>;
-
     /// Structural dump of every valid entry across all levels, in
     /// deterministic `(level, set, way)` order — the shadow oracle's view
     /// of the TLB state. Does not disturb replacement state or counters.
@@ -217,12 +217,6 @@ pub trait TlbCore: sealed::Sealed {
         selector: u64,
         kind: crate::check::CorruptionKind,
     ) -> Option<crate::check::CorruptionReport>;
-}
-
-impl Clone for Box<dyn TlbCore> {
-    fn clone(&self) -> Box<dyn TlbCore> {
-        self.clone_box()
-    }
 }
 
 pub(crate) mod sealed {

@@ -1,60 +1,118 @@
 //! Differential and property-based invariants of the TLB designs.
 //!
-//! Random operation sequences run against every design and are checked
-//! against a reference oracle:
+//! Random operation sequences run against every design with the shadow
+//! oracle on, so the full invariant suite of
+//! `secure_tlbs::sim::shadow::Invariant` — translation, hit soundness,
+//! flush and clear completeness, partition and class isolation, and the
+//! LRU order of every fill's victim — is checked after every operation.
+//! The oracle is the machine-level reference model; a violation anywhere
+//! fails the test with its structured report.
 //!
-//! - *translation correctness*: whatever a TLB returns must equal what the
-//!   page table says (caching must never change the translation);
-//! - *hit soundness*: a hit can only occur for a translation that was
-//!   actually requested before (by the same address space) and not flushed
-//!   since — except on the RF TLB, whose random fills create spontaneous
-//!   residency by design (random secure pages, and set-index-randomized
-//!   non-secure pages);
-//! - *capacity*: a TLB never holds more valid entries than its geometry;
-//! - *SP isolation*: victim and attacker fills never cross the partition.
-//!
-//! Every harness machine additionally runs the built-in shadow oracle in
-//! lockstep, so the full invariant suite of
-//! `secure_tlbs::sim::shadow::Invariant` is checked on every operation —
-//! a violation anywhere fails the property with the structured report.
+//! - The harness properties re-derive translation correctness, hit
+//!   soundness and flush completeness from their own record of requests
+//!   on every design: SA, SP, RF (both invalidation policies), FS, FT and
+//!   MS.
+//! - The design-point sweep drives fill-heavy sequences through eleven
+//!   design points (the designs at the security-evaluation geometry plus
+//!   four Figure 7 geometries) and RF with LRU random-fill eviction, and
+//!   requires every multi-way point to evict — the only fills where LRU
+//!   order decides anything.
+//! - Batched execution must end exactly where stepped execution does.
+//! - An MS sweep maps megapages and gigapages, so every entry class
+//!   fills, evicts, invalidates and flushes under the oracle.
 
+use proptest::collection;
 use proptest::prelude::*;
 use secure_tlbs::sim::cpu::Instr;
 use secure_tlbs::sim::machine::{Machine, MachineBuilder, TlbDesign};
-use secure_tlbs::tlb::types::{Asid, SecureRegion, Vpn};
-use secure_tlbs::tlb::{InvalidationPolicy, TlbConfig};
+use secure_tlbs::tlb::types::{Asid, PageSize, SecureRegion, Vpn};
+use secure_tlbs::tlb::{InvalidationPolicy, RandomFillEviction, TlbConfig};
 use std::collections::{HashMap, HashSet};
 
 /// One randomized operation, covering the Appendix B TLB-maintenance
 /// states: demand loads and stores, whole-TLB flushes, per-ASID flushes
 /// (an ASID generation rollover), targeted single-page invalidations
-/// (the `mprotect()` shootdown), and context switches.
+/// (the `mprotect()` shootdown), and context switches. Memory ops and
+/// page flushes run in the current address space, so only `Switch`
+/// changes it — and only then do FS and FT clear.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Load { asid_ix: u8, page: u8 },
-    Store { asid_ix: u8, page: u8 },
-    FlushAll { asid_ix: u8 },
+    Load { page: u8 },
+    Store { page: u8 },
+    FlushAll,
     FlushAsid { asid_ix: u8 },
-    FlushPage { asid_ix: u8, page: u8 },
+    FlushPage { page: u8 },
     Switch { asid_ix: u8 },
 }
 
+/// Pages mapped per address space. Two spaces of 128 pages overflow the
+/// largest design point, FA 128, so every multi-way point must evict.
+const PAGES: u8 = 128;
+
+/// A fill-heavy mix: flushes are 3% of ops.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (0u8..2, 0u8..24).prop_map(|(asid_ix, page)| Op::Load { asid_ix, page }),
-        2 => (0u8..2, 0u8..24).prop_map(|(asid_ix, page)| Op::Store { asid_ix, page }),
-        1 => (0u8..2).prop_map(|asid_ix| Op::FlushAll { asid_ix }),
-        1 => (0u8..2).prop_map(|asid_ix| Op::FlushAsid { asid_ix }),
-        1 => (0u8..2, 0u8..24).prop_map(|(asid_ix, page)| Op::FlushPage { asid_ix, page }),
-        2 => (0u8..2).prop_map(|asid_ix| Op::Switch { asid_ix }),
+        124 => (0..PAGES).prop_map(|page| Op::Load { page }),
+        50 => (0..PAGES).prop_map(|page| Op::Store { page }),
+        20 => (0u8..2).prop_map(|asid_ix| Op::Switch { asid_ix }),
+        1 => Just(Op::FlushAll),
+        2 => (0u8..2).prop_map(|asid_ix| Op::FlushAsid { asid_ix }),
+        3 => (0..PAGES).prop_map(|page| Op::FlushPage { page }),
     ]
 }
 
 const BASE: u64 = 0x100;
 
+fn page(page: u8) -> Vpn {
+    Vpn(BASE + u64::from(page))
+}
+
+/// A machine with two address spaces of [`PAGES`] pages each, the first
+/// owning a 3-page secure region, running in the first.
+fn build(builder: MachineBuilder) -> (Machine, [Asid; 2]) {
+    let mut machine = builder.build();
+    let a = machine.os_mut().create_process();
+    let b = machine.os_mut().create_process();
+    for asid in [a, b] {
+        machine
+            .os_mut()
+            .map_region(asid, Vpn(BASE), u64::from(PAGES))
+            .expect("fresh");
+    }
+    machine
+        .protect_victim(a, SecureRegion::new(Vpn(BASE), 3))
+        .expect("fresh");
+    machine.exec(Instr::SetAsid(a));
+    (machine, [a, b])
+}
+
+fn to_instr(op: Op, asids: &[Asid; 2]) -> Instr {
+    match op {
+        Op::Load { page: p } => Instr::Load(page(p).base_addr()),
+        Op::Store { page: p } => Instr::Store(page(p).base_addr()),
+        Op::FlushAll => Instr::FlushAll,
+        Op::FlushAsid { asid_ix } => Instr::FlushAsid(asids[asid_ix as usize]),
+        Op::FlushPage { page: p } => Instr::FlushPage(page(p).base_addr()),
+        Op::Switch { asid_ix } => Instr::SetAsid(asids[asid_ix as usize]),
+    }
+}
+
+/// Fails with the oracle's report, if it made one; `context` is only
+/// rendered then.
+fn assert_oracle_clean(m: &Machine, context: impl FnOnce() -> String) {
+    if let Some(v) = m.oracle_violations().first() {
+        panic!("{}: shadow oracle violated: {v}", context());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Harness properties: translation, hit soundness and flush completeness
+// re-derived from the harness's own record of requests.
+
 struct Harness {
     machine: Machine,
     asids: [Asid; 2],
+    current: Asid,
     /// Reference: translations the oracle has observed, per (asid, vpn).
     observed: HashMap<(Asid, Vpn), u64>,
     /// Reference: pages that were requested and not flushed since.
@@ -67,47 +125,28 @@ impl Harness {
     }
 
     fn with_invalidation(design: TlbDesign, seed: u64, inv: InvalidationPolicy) -> Harness {
-        let mut machine = MachineBuilder::new()
-            .design(design)
-            .tlb_config(TlbConfig::sa(16, 4).expect("valid"))
-            .seed(seed)
-            .rf_invalidation(inv)
-            .oracle(true)
-            .build();
-        let a = machine.os_mut().create_process();
-        let b = machine.os_mut().create_process();
-        for asid in [a, b] {
-            machine
-                .os_mut()
-                .map_region(asid, Vpn(BASE), 24)
-                .expect("fresh");
-        }
-        // Protect a small region so the RF paths execute.
-        machine
-            .protect_victim(a, SecureRegion::new(Vpn(BASE), 3))
-            .expect("fresh");
+        let (machine, asids) = build(
+            MachineBuilder::new()
+                .design(design)
+                .tlb_config(TlbConfig::sa(16, 4).expect("valid"))
+                .seed(seed)
+                .rf_invalidation(inv)
+                .oracle(true),
+        );
         Harness {
             machine,
-            asids: [a, b],
+            asids,
+            current: asids[0],
             observed: HashMap::new(),
             requested: HashSet::new(),
         }
     }
 
-    /// Fails the test if the lockstep shadow oracle reported anything.
-    fn assert_oracle_clean(&self) {
-        assert!(
-            self.machine.oracle_violations().is_empty(),
-            "shadow oracle violated: {:?}",
-            self.machine.oracle_violations()
-        );
-    }
-
     fn apply(&mut self, op: Op) {
+        let asid = self.current;
         match op {
-            Op::Load { asid_ix, page } => {
-                let asid = self.asids[asid_ix as usize];
-                let vpn = Vpn(BASE + u64::from(page));
+            Op::Load { page: p } => {
+                let vpn = page(p);
                 let hit_before = self.machine.tlb().probe(asid, vpn);
                 // Hit soundness: only previously requested (and unflushed)
                 // pages may be resident — except on the RF TLB, where
@@ -122,7 +161,6 @@ impl Harness {
                         "spontaneous residency of {vpn} / {asid}",
                     );
                 }
-                self.machine.exec(Instr::SetAsid(asid));
                 let hits = self.machine.tlb_stats().hits;
                 self.machine.exec(Instr::Load(vpn.base_addr()));
                 let hit = self.machine.tlb_stats().hits > hits;
@@ -143,16 +181,11 @@ impl Harness {
                     assert_eq!(prev, pte.ppn.0, "translation must be stable");
                 }
             }
-            Op::Store { asid_ix, page } => {
-                let asid = self.asids[asid_ix as usize];
-                let vpn = Vpn(BASE + u64::from(page));
-                self.machine.exec(Instr::SetAsid(asid));
-                self.machine.exec(Instr::Store(vpn.base_addr()));
-                self.requested.insert((asid, vpn));
+            Op::Store { page: p } => {
+                self.machine.exec(Instr::Store(page(p).base_addr()));
+                self.requested.insert((asid, page(p)));
             }
-            Op::FlushAll { asid_ix } => {
-                let asid = self.asids[asid_ix as usize];
-                self.machine.exec(Instr::SetAsid(asid));
+            Op::FlushAll => {
                 self.machine.exec(Instr::FlushAll);
                 self.requested.clear();
             }
@@ -164,17 +197,15 @@ impl Harness {
                 // may survive a per-ASID flush — while the *other*
                 // address space's residency is untouched (the whole point
                 // of ASID-tagged entries).
-                for page in 0..24u64 {
+                for p in 0..PAGES {
                     assert!(
-                        !self.machine.tlb().probe(asid, Vpn(BASE + page)),
+                        !self.machine.tlb().probe(asid, page(p)),
                         "{asid} entry survived FlushAsid"
                     );
                 }
             }
-            Op::FlushPage { asid_ix, page } => {
-                let asid = self.asids[asid_ix as usize];
-                let vpn = Vpn(BASE + u64::from(page));
-                self.machine.exec(Instr::SetAsid(asid));
+            Op::FlushPage { page: p } => {
+                let vpn = page(p);
                 self.machine.exec(Instr::FlushPage(vpn.base_addr()));
                 self.requested.remove(&(asid, vpn));
                 // RF region-flush policies may remove more; precise ones
@@ -185,8 +216,8 @@ impl Harness {
                 );
             }
             Op::Switch { asid_ix } => {
-                let asid = self.asids[asid_ix as usize];
-                self.machine.exec(Instr::SetAsid(asid));
+                self.current = self.asids[asid_ix as usize];
+                self.machine.exec(Instr::SetAsid(self.current));
             }
         }
     }
@@ -197,19 +228,17 @@ proptest! {
 
     #[test]
     fn random_sequences_preserve_invariants_on_every_design(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
+        ops in collection::vec(op_strategy(), 1..120),
         seed in 0u64..1000,
     ) {
-        // The RF TLB runs under both invalidation policies (Precise is
-        // the published design, RegionFlush this reproduction's Appendix
-        // B extension); the other designs ignore the knob, so one pass
-        // suffices for them.
-        let variants = [
-            (TlbDesign::Sa, InvalidationPolicy::Precise),
-            (TlbDesign::Sp, InvalidationPolicy::Precise),
-            (TlbDesign::Rf, InvalidationPolicy::Precise),
-            (TlbDesign::Rf, InvalidationPolicy::RegionFlush),
-        ];
+        // Every design, and the RF TLB under both invalidation policies
+        // (Precise is the published design, RegionFlush this
+        // reproduction's Appendix B extension); the other designs ignore
+        // the knob, so one pass suffices for them.
+        let variants = TlbDesign::EXTENDED
+            .map(|design| (design, InvalidationPolicy::Precise))
+            .into_iter()
+            .chain([(TlbDesign::Rf, InvalidationPolicy::RegionFlush)]);
         for (design, inv) in variants {
             let mut h = Harness::with_invalidation(design, seed, inv);
             for &op in &ops {
@@ -219,13 +248,13 @@ proptest! {
             let stats = h.machine.tlb_stats();
             prop_assert_eq!(stats.hits + stats.misses, stats.accesses);
             prop_assert!(stats.fills + stats.random_fills >= stats.evictions);
-            h.assert_oracle_clean();
+            assert_oracle_clean(&h.machine, || format!("{design} {inv:?}"));
         }
     }
 
     #[test]
     fn same_seed_same_counters(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
+        ops in collection::vec(op_strategy(), 1..60),
     ) {
         // Full determinism: two identical RF machines agree exactly.
         let run = || {
@@ -240,39 +269,39 @@ proptest! {
 
     #[test]
     fn flush_all_always_empties_everything(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
+        ops in collection::vec(op_strategy(), 1..60),
     ) {
-        for design in TlbDesign::ALL {
+        for design in TlbDesign::EXTENDED {
             let mut h = Harness::new(design, 7);
             for &op in &ops {
                 h.apply(op);
             }
             h.machine.exec(Instr::FlushAll);
             for asid in h.asids {
-                for page in 0..24u64 {
-                    prop_assert!(!h.machine.tlb().probe(asid, Vpn(BASE + page)));
+                for p in 0..PAGES {
+                    prop_assert!(!h.machine.tlb().probe(asid, page(p)));
                 }
             }
-            h.assert_oracle_clean();
+            assert_oracle_clean(&h.machine, || design.to_string());
         }
     }
 
     #[test]
     fn per_asid_flush_preserves_the_other_address_space(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
+        ops in collection::vec(op_strategy(), 1..60),
     ) {
         // Touch a page in each space, flush one ASID, and check the other
         // space's residency is exactly what it was — per-ASID flushes are
         // not whole-TLB flushes. (The SA/SP designs keep the survivor
         // resident; on RF random fills may also have seeded it, which is
         // fine — the property is that flushing A never evicts B.)
-        for design in TlbDesign::ALL {
+        for design in TlbDesign::EXTENDED {
             let mut h = Harness::new(design, 11);
             for &op in &ops {
                 h.apply(op);
             }
             let [a, b] = h.asids;
-            let survivor = Vpn(BASE + 20);
+            let survivor = page(20);
             h.machine.exec(Instr::SetAsid(b));
             h.machine.exec(Instr::Load(survivor.base_addr()));
             let resident_before = h.machine.tlb().probe(b, survivor);
@@ -282,10 +311,354 @@ proptest! {
                 resident_before,
                 "flushing {} must not disturb {}", a, b
             );
-            for page in 0..24u64 {
-                prop_assert!(!h.machine.tlb().probe(a, Vpn(BASE + page)));
+            for p in 0..PAGES {
+                prop_assert!(!h.machine.tlb().probe(a, page(p)));
             }
-            h.assert_oracle_clean();
+            assert_oracle_clean(&h.machine, || design.to_string());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The design-point sweep.
+
+/// One design point: name, machine design, geometry, and the RF
+/// random-fill eviction (ignored by the other designs).
+type DesignPoint = (&'static str, TlbDesign, TlbConfig, RandomFillEviction);
+
+/// The six designs at the security-evaluation geometry plus FA 32; the
+/// Figure 7 geometries whose way probes scan the most or fewest ways (a
+/// 128-way set, SP's partitions on one 32-way set, a single entry, and
+/// 64 two-way sets under RF's set-randomized fills); and RF replacing
+/// its LRU way on random fills, the one RF variant whose random fills
+/// the oracle can judge.
+fn design_points() -> [DesignPoint; 12] {
+    let eval = TlbConfig::sa(32, 8).expect("valid");
+    let random = RandomFillEviction::RandomWay;
+    [
+        ("SA", TlbDesign::Sa, eval, random),
+        (
+            "FA",
+            TlbDesign::Sa,
+            TlbConfig::fa(32).expect("valid"),
+            random,
+        ),
+        ("SP", TlbDesign::Sp, eval, random),
+        ("RF", TlbDesign::Rf, eval, random),
+        ("FS", TlbDesign::Fs, eval, random),
+        ("FT", TlbDesign::Ft, eval, random),
+        ("MS", TlbDesign::Ms, eval, random),
+        (
+            "FA 128",
+            TlbDesign::Sa,
+            TlbConfig::fa(128).expect("valid"),
+            random,
+        ),
+        (
+            "SP FA 32",
+            TlbDesign::Sp,
+            TlbConfig::fa(32).expect("valid"),
+            random,
+        ),
+        ("1E", TlbDesign::Sa, TlbConfig::single_entry(), random),
+        (
+            "RF 2W 128",
+            TlbDesign::Rf,
+            TlbConfig::sa(128, 2).expect("valid"),
+            random,
+        ),
+        ("RF LRU", TlbDesign::Rf, eval, RandomFillEviction::LruWay),
+    ]
+}
+
+fn point_builder(point: &DesignPoint, seed: u64) -> MachineBuilder {
+    let &(_, design, config, eviction) = point;
+    MachineBuilder::new()
+        .design(design)
+        .tlb_config(config)
+        .seed(seed)
+        .rf_eviction(eviction)
+        .oracle(true)
+}
+
+/// Runs `ops` on a fresh machine of `point`, requiring the oracle clean
+/// after every op; returns the machine.
+fn run_point(point: &DesignPoint, seed: u64, ops: &[Op], context: &str) -> Machine {
+    let (mut m, asids) = build(point_builder(point, seed));
+    for (i, &op) in ops.iter().enumerate() {
+        m.exec(to_instr(op, &asids));
+        assert_oracle_clean(&m, || format!("[{}] {context}, op {i} {op:?}", point.0));
+    }
+    m
+}
+
+/// The headline property, driven from the proptest shim's deterministic
+/// per-test seeds so the eviction counts can be summed across cases:
+/// every design point stays oracle-clean on every sequence — its fills
+/// replace exactly the ways true LRU predicts — and every multi-way
+/// point evicts somewhere in the sweep.
+#[test]
+fn every_design_point_satisfies_the_oracle() {
+    let mut rng = TestRng::for_test("every_design_point_satisfies_the_oracle");
+    let points = design_points();
+    let mut evictions = [0u64; 12];
+    for case in 0..24 {
+        let ops = collection::vec(op_strategy(), 1..600).generate(&mut rng);
+        let seed = (0u64..1000).generate(&mut rng);
+        for (point, evicted) in points.iter().zip(&mut evictions) {
+            let m = run_point(point, seed, &ops, &format!("case {case} seed {seed}"));
+            *evicted += m.tlb_stats().evictions;
+        }
+    }
+    for ((name, _, config, _), evicted) in points.iter().zip(evictions) {
+        if config.ways() > 1 {
+            assert!(evicted > 0, "[{name}] the sweep never evicted");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The batched API must end exactly where instruction-at-a-time
+    /// execution does. The batched machine runs without the oracle, so
+    /// `run_batch` takes its oracle-free loop; the stepped one runs
+    /// under it.
+    #[test]
+    fn batched_execution_matches_stepped_execution(
+        ops in collection::vec(op_strategy(), 1..300),
+        seed in 0u64..1000,
+    ) {
+        for point in design_points() {
+            let name = point.0;
+            let (mut batched, asids) = build(point_builder(&point, seed).oracle(false));
+            let (mut stepped, _) = build(point_builder(&point, seed));
+            assert!(!batched.oracle_enabled() && stepped.oracle_enabled());
+            let program: Vec<Instr> = ops.iter().map(|&op| to_instr(op, &asids)).collect();
+            batched.run_batch(&program);
+            for &instr in &program {
+                stepped.exec(instr);
+            }
+            prop_assert_eq!(
+                batched.tlb_stats(),
+                stepped.tlb_stats(),
+                "[{}] batched TLB counters diverged", name
+            );
+            prop_assert_eq!(
+                batched.stats(),
+                stepped.stats(),
+                "[{}] batched executor counters diverged", name
+            );
+            prop_assert_eq!(
+                batched.tlb().snapshot(),
+                stepped.tlb().snapshot(),
+                "[{}] batched TLB contents diverged", name
+            );
+            assert_oracle_clean(&stepped, || name.to_string());
+        }
+    }
+}
+
+/// A deterministic spot check that survives even with proptest filtered
+/// out (e.g. `cargo test --test differential_invariants spot`).
+#[test]
+fn spot_check_interleaved_asids_and_flushes() {
+    let ops = [
+        Op::Load { page: 1 },
+        Op::Switch { asid_ix: 1 },
+        Op::Load { page: 1 },
+        Op::Switch { asid_ix: 0 },
+        Op::Store { page: 9 },
+        Op::FlushAsid { asid_ix: 0 },
+        Op::Load { page: 1 },
+        Op::Switch { asid_ix: 1 },
+        Op::FlushPage { page: 1 },
+        Op::FlushAll,
+        Op::Load { page: 23 },
+    ];
+    for point in design_points() {
+        run_point(&point, 1234, &ops, "spot check");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Multi-page-size (MS) large pages.
+//
+// The sweep above only touches 4 KiB pages, which exercises the MS base
+// class alone. This section maps megapages and gigapages too, so the
+// mega and giga entry classes fill past capacity (forcing per-class
+// eviction, whose order the oracle checks per class), take targeted
+// invalidations, and clear on FlushAll.
+
+/// Megapage slots mapped per ASID (> 16 total entries across two ASIDs,
+/// so the 16-entry mega class must evict).
+const MEGA_SLOTS: u64 = 10;
+/// Gigapage slots mapped per ASID (> 4 total entries, so the 4-entry
+/// fully associative giga class must evict).
+const GIGA_SLOTS: u64 = 3;
+
+/// One randomized operation over the three page-size classes.
+#[derive(Debug, Clone, Copy)]
+enum MsOp {
+    LoadBase { asid_ix: u8, page: u8 },
+    LoadMega { asid_ix: u8, slot: u8, off: u8 },
+    LoadGiga { asid_ix: u8, slot: u8, off: u16 },
+    FlushAll { asid_ix: u8 },
+    FlushMega { asid_ix: u8, slot: u8, off: u8 },
+    Switch { asid_ix: u8 },
+}
+
+fn ms_op_strategy() -> impl Strategy<Value = MsOp> {
+    prop_oneof![
+        3 => (0u8..2, 0u8..24).prop_map(|(asid_ix, page)| MsOp::LoadBase { asid_ix, page }),
+        4 => (0u8..2, 0u8..MEGA_SLOTS as u8, any::<u8>())
+            .prop_map(|(asid_ix, slot, off)| MsOp::LoadMega { asid_ix, slot, off }),
+        3 => (0u8..2, 0u8..GIGA_SLOTS as u8, any::<u16>())
+            .prop_map(|(asid_ix, slot, off)| MsOp::LoadGiga { asid_ix, slot, off }),
+        1 => (0u8..2).prop_map(|asid_ix| MsOp::FlushAll { asid_ix }),
+        1 => (0u8..2, 0u8..MEGA_SLOTS as u8, any::<u8>())
+            .prop_map(|(asid_ix, slot, off)| MsOp::FlushMega { asid_ix, slot, off }),
+        1 => (0u8..2).prop_map(|asid_ix| MsOp::Switch { asid_ix }),
+    ]
+}
+
+/// Megapage slot `k` lives at megapage index `k + 2`, clear of the base
+/// 4 KiB region at [`BASE`]; gigapage slot `k` lives at gigapage index
+/// `k + 1`, clear of gigapage 0 which holds everything else.
+fn ms_vpn(op: MsOp) -> Option<Vpn> {
+    let mega = PageSize::Mega.span_pages();
+    let giga = PageSize::Giga.span_pages();
+    match op {
+        MsOp::LoadBase { page: p, .. } => Some(page(p)),
+        MsOp::LoadMega { slot, off, .. } | MsOp::FlushMega { slot, off, .. } => {
+            Some(Vpn((u64::from(slot) + 2) * mega + u64::from(off) % mega))
+        }
+        MsOp::LoadGiga { slot, off, .. } => {
+            Some(Vpn((u64::from(slot) + 1) * giga + u64::from(off) % giga))
+        }
+        MsOp::FlushAll { .. } | MsOp::Switch { .. } => None,
+    }
+}
+
+fn ms_build(seed: u64) -> (Machine, [Asid; 2]) {
+    let (mut machine, asids) = build(
+        MachineBuilder::new()
+            .design(TlbDesign::Ms)
+            .tlb_config(TlbConfig::sa(32, 8).expect("valid"))
+            .seed(seed)
+            .oracle(true),
+    );
+    let mega = PageSize::Mega.span_pages();
+    let giga = PageSize::Giga.span_pages();
+    for asid in asids {
+        for slot in 0..MEGA_SLOTS {
+            machine
+                .os_mut()
+                .map_mega_page(asid, Vpn((slot + 2) * mega))
+                .expect("fresh megapage");
+        }
+        for slot in 0..GIGA_SLOTS {
+            machine
+                .os_mut()
+                .map_giga_page(asid, Vpn((slot + 1) * giga))
+                .expect("fresh gigapage");
+        }
+    }
+    (machine, asids)
+}
+
+fn ms_to_instrs(op: MsOp, asids: &[Asid; 2]) -> Vec<Instr> {
+    let asid = asids[match op {
+        MsOp::LoadBase { asid_ix, .. }
+        | MsOp::LoadMega { asid_ix, .. }
+        | MsOp::LoadGiga { asid_ix, .. }
+        | MsOp::FlushAll { asid_ix }
+        | MsOp::FlushMega { asid_ix, .. }
+        | MsOp::Switch { asid_ix } => asid_ix as usize,
+    }];
+    match (op, ms_vpn(op)) {
+        (MsOp::FlushAll { .. }, _) => vec![Instr::SetAsid(asid), Instr::FlushAll],
+        (MsOp::Switch { .. }, _) => vec![Instr::SetAsid(asid)],
+        (MsOp::FlushMega { .. }, Some(vpn)) => {
+            vec![Instr::SetAsid(asid), Instr::FlushPage(vpn.base_addr())]
+        }
+        (_, Some(vpn)) => vec![Instr::SetAsid(asid), Instr::Load(vpn.base_addr())],
+        (_, None) => unreachable!("every remaining op addresses a page"),
+    }
+}
+
+/// Runs `ops` on a fresh MS machine under the oracle; returns it.
+fn run_ms(seed: u64, ops: &[MsOp]) -> Machine {
+    let (mut m, asids) = ms_build(seed);
+    for (i, &op) in ops.iter().enumerate() {
+        for instr in ms_to_instrs(op, &asids) {
+            m.exec(instr);
+        }
+        assert_oracle_clean(&m, || format!("[MS] seed {seed}, op {i} {op:?}"));
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(30))]
+
+    /// All three page-size classes fill, evict, invalidate and flush
+    /// with the oracle clean.
+    #[test]
+    fn multi_size_large_pages_satisfy_the_oracle(
+        ops in collection::vec(ms_op_strategy(), 1..100),
+        seed in 0u64..1000,
+    ) {
+        run_ms(seed, &ops);
+    }
+}
+
+/// Deterministic MS spot check: hit each class, invalidate a megapage,
+/// flush everything, and refill.
+#[test]
+fn spot_check_multi_size_classes() {
+    let ops = [
+        MsOp::LoadBase {
+            asid_ix: 0,
+            page: 3,
+        },
+        MsOp::LoadMega {
+            asid_ix: 0,
+            slot: 1,
+            off: 7,
+        },
+        MsOp::LoadGiga {
+            asid_ix: 0,
+            slot: 0,
+            off: 4096,
+        },
+        MsOp::Switch { asid_ix: 1 },
+        MsOp::LoadMega {
+            asid_ix: 1,
+            slot: 1,
+            off: 200,
+        },
+        MsOp::FlushMega {
+            asid_ix: 0,
+            slot: 1,
+            off: 99,
+        },
+        MsOp::LoadMega {
+            asid_ix: 0,
+            slot: 1,
+            off: 7,
+        },
+        MsOp::FlushAll { asid_ix: 0 },
+        MsOp::LoadGiga {
+            asid_ix: 1,
+            slot: 2,
+            off: 1,
+        },
+    ];
+    let m = run_ms(77, &ops);
+    // After the flush only the last gigapage load is resident, in the
+    // giga class (snapshot level 2).
+    let snapshot = m.tlb().snapshot();
+    assert_eq!(snapshot.len(), 1, "{snapshot:?}");
+    assert_eq!(snapshot[0].level, 2);
 }
