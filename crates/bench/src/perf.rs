@@ -8,11 +8,11 @@
 
 use sectlb_secbench::oracle::OracleConfig;
 use sectlb_sim::cpu::Instr;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
-use sectlb_sim::sched::{run_round_robin, Program};
+use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
+use sectlb_sim::sched::{run_sources, Cycled};
 use sectlb_tlb::config::{ConfigError, TlbConfig};
 use sectlb_tlb::types::Vpn;
-use sectlb_workloads::rsa::{decryption_program, encrypt, RsaKey, RsaLayout};
+use sectlb_workloads::rsa::{decrypt_traced, encrypt, RsaKey, RsaLayout};
 use sectlb_workloads::spec_like::SpecBenchmark;
 
 /// A Figure 7 workload configuration.
@@ -142,6 +142,31 @@ pub fn run_cell_oracle(
     oracle: Option<OracleConfig>,
     customize: impl FnOnce(MachineBuilder) -> MachineBuilder,
 ) -> Result<PerfCell, PerfError> {
+    let m = cell_machine(design, config, workload, runs, oracle, customize)?;
+    Ok(PerfCell {
+        design,
+        config,
+        workload,
+        runs,
+        ipc: m.ipc().ok_or(PerfError::NoInstructions)?,
+        mpki: m.mpki().ok_or(PerfError::NoInstructions)?,
+    })
+}
+
+/// Sets up and runs one cell as [`run_cell_oracle`] does, and returns
+/// the machine with its counters.
+///
+/// The RSA process replays one decryption's trace `runs` times, and a
+/// co-runner's instructions are generated as they are scheduled, so the
+/// run holds one trace and one scheduling slice whatever `runs` is.
+pub fn cell_machine(
+    design: TlbDesign,
+    config: TlbConfig,
+    workload: Workload,
+    runs: usize,
+    oracle: Option<OracleConfig>,
+    customize: impl FnOnce(MachineBuilder) -> MachineBuilder,
+) -> Result<Machine, PerfError> {
     let key = RsaKey::demo_128();
     let layout = RsaLayout::new();
     let seed = 0xf167 ^ runs as u64;
@@ -176,12 +201,14 @@ pub fn run_cell_oracle(
             .map_err(|e| PerfError::Setup(format!("protecting the RSA secure region: {e}")))?;
     }
     let ciphertext = encrypt(&key, &[0xfeedu64]);
-    let rsa_prog = decryption_program(&key, &ciphertext, layout, runs);
+    let trace = decrypt_traced(&key, &ciphertext, layout).instrs;
 
     match workload.co_runner {
         None => {
             m.exec(Instr::SetAsid(rsa_asid));
-            m.run(&rsa_prog);
+            for _ in 0..runs {
+                m.run(&trace);
+            }
         }
         Some(bench) => {
             let spec_asid = m.os_mut().create_process();
@@ -196,26 +223,16 @@ pub fn run_cell_oracle(
                 })?;
             // The SPEC benchmark runs "in background" while RSA decrypts
             // continuously: give it a comparable instruction volume.
-            let spec_accesses = rsa_prog.len() / 3;
-            let spec_prog = bench.trace(spec_base, spec_accesses, 0x5bec ^ runs as u64);
-            run_round_robin(
+            let mut rsa = Cycled::new(&trace, runs);
+            let mut spec = bench.stream(spec_base, trace.len() * runs / 3, 0x5bec ^ runs as u64);
+            run_sources(
                 &mut m,
-                &[
-                    Program::new(rsa_asid, rsa_prog),
-                    Program::new(spec_asid, spec_prog),
-                ],
+                &mut [(rsa_asid, &mut rsa), (spec_asid, &mut spec)],
                 200,
             );
         }
     }
-    Ok(PerfCell {
-        design,
-        config,
-        workload,
-        runs,
-        ipc: m.ipc().ok_or(PerfError::NoInstructions)?,
-        mpki: m.mpki().ok_or(PerfError::NoInstructions)?,
-    })
+    Ok(m)
 }
 
 /// Runs a sweep over configurations and workloads for one design — one

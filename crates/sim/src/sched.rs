@@ -5,7 +5,9 @@
 //! "the RSA continuously performs the decryption while the SPEC benchmark
 //! runs in background" (Section 6.2). On our single simulated core this
 //! becomes time-slice interleaving with the OS's context-switch policy
-//! applied at each slice boundary.
+//! applied at each slice boundary. The scheduler pulls each program's
+//! instructions from a source one slice at a time, so a long run need
+//! not exist in memory as a whole.
 
 use sectlb_tlb::types::Asid;
 
@@ -38,6 +40,54 @@ impl Program {
     }
 }
 
+/// Where the round-robin scheduler pulls a program's instructions from,
+/// one slice at a time: a slice run a number of times over
+/// ([`Cycled`]), or a generator such as the SPEC-like stream. The
+/// scheduler holds one slice at a time, so a run's memory is its
+/// sources' own and does not grow with its length.
+pub trait InstrSource {
+    /// Appends the source's next `max` instructions to `buf`, or all
+    /// that remain if fewer do. Appending none means it is exhausted.
+    fn fill(&mut self, buf: &mut Vec<Instr>, max: usize);
+}
+
+/// A slice of instructions played `times` times back to back.
+#[derive(Debug, Clone)]
+pub struct Cycled<'a> {
+    instrs: &'a [Instr],
+    /// Where the next instruction sits in `instrs`.
+    pos: usize,
+    /// Instructions still to come.
+    left: usize,
+}
+
+impl<'a> Cycled<'a> {
+    /// `instrs`, `times` times over.
+    pub fn new(instrs: &'a [Instr], times: usize) -> Cycled<'a> {
+        Cycled {
+            instrs,
+            pos: 0,
+            left: instrs.len() * times,
+        }
+    }
+}
+
+impl InstrSource for Cycled<'_> {
+    fn fill(&mut self, buf: &mut Vec<Instr>, max: usize) {
+        // Whole runs of the slice at a time: `.cycle().take(..)` would
+        // copy one instruction per call.
+        let mut want = max.min(self.left);
+        self.left -= want;
+        while want > 0 {
+            let run = &self.instrs[self.pos..];
+            let take = want.min(run.len());
+            buf.extend_from_slice(&run[..take]);
+            self.pos = (self.pos + take) % self.instrs.len();
+            want -= take;
+        }
+    }
+}
+
 /// Runs `programs` round-robin with the given time quantum (instructions
 /// per slice), until every program has finished. Programs that finish
 /// early simply drop out of the rotation.
@@ -46,23 +96,43 @@ impl Program {
 ///
 /// Panics if `quantum` is zero.
 pub fn run_round_robin(machine: &mut Machine, programs: &[Program], quantum: usize) {
+    let mut streams: Vec<_> = programs.iter().map(|p| Cycled::new(&p.instrs, 1)).collect();
+    let mut sources: Vec<(Asid, &mut dyn InstrSource)> = programs
+        .iter()
+        .zip(&mut streams)
+        .map(|(p, s)| (p.asid, s as &mut dyn InstrSource))
+        .collect();
+    run_sources(machine, &mut sources, quantum);
+}
+
+/// Runs each `(asid, source)` round-robin until every source is
+/// exhausted. A slice is a `SetAsid` followed by exactly `quantum`
+/// instructions (fewer only when its source runs out), executed as one
+/// batch; a source that yields nothing drops out of the rotation
+/// without a `SetAsid`.
+///
+/// # Panics
+///
+/// Panics if `quantum` is zero.
+pub fn run_sources(
+    machine: &mut Machine,
+    sources: &mut [(Asid, &mut dyn InstrSource)],
+    quantum: usize,
+) {
     assert!(quantum > 0, "quantum must be positive");
-    let mut cursors = vec![0usize; programs.len()];
-    loop {
-        let mut any_ran = false;
-        for (program, cursor) in programs.iter().zip(cursors.iter_mut()) {
-            if *cursor >= program.instrs.len() {
-                continue;
+    let mut slice = Vec::with_capacity(quantum);
+    let mut live: Vec<_> = sources.iter_mut().collect();
+    while !live.is_empty() {
+        live.retain_mut(|(asid, source)| {
+            slice.clear();
+            source.fill(&mut slice, quantum);
+            if slice.is_empty() {
+                return false;
             }
-            any_ran = true;
-            machine.exec(Instr::SetAsid(program.asid));
-            let end = (*cursor + quantum).min(program.instrs.len());
-            machine.run_batch(&program.instrs[*cursor..end]);
-            *cursor = end;
-        }
-        if !any_ran {
-            return;
-        }
+            machine.exec(Instr::SetAsid(*asid));
+            machine.run_batch(&slice);
+            true
+        });
     }
 }
 
@@ -71,6 +141,18 @@ mod tests {
     use super::*;
     use crate::machine::{MachineBuilder, TlbDesign};
     use sectlb_tlb::types::Vpn;
+
+    fn two_processes() -> (Machine, Asid, Asid) {
+        let mut m = MachineBuilder::new()
+            .tlb_config(sectlb_tlb::TlbConfig::sa(4, 2).unwrap())
+            .oracle(false)
+            .build();
+        let a = m.os_mut().create_process();
+        let b = m.os_mut().create_process();
+        m.os_mut().map_region(a, Vpn(0x10), 4).unwrap();
+        m.os_mut().map_region(b, Vpn(0x20), 4).unwrap();
+        (m, a, b)
+    }
 
     fn loads(base_page: u64, n: usize) -> Vec<Instr> {
         (0..n)
@@ -143,6 +225,39 @@ mod tests {
             co_misses >= sequential_misses,
             "co-run: {co_misses} vs sequential: {sequential_misses}"
         );
+    }
+
+    #[test]
+    fn cycled_sources_run_like_their_materialized_programs() {
+        let (one_a, one_b) = (loads(0x10, 5), loads(0x20, 4));
+        for quantum in [1, 4, 7, 200] {
+            let (mut cycled, a, b) = two_processes();
+            run_sources(
+                &mut cycled,
+                &mut [
+                    (a, &mut Cycled::new(&one_a, 3)),
+                    (b, &mut Cycled::new(&one_b, 2)),
+                    (b, &mut Cycled::new(&one_b, 0)),
+                ],
+                quantum,
+            );
+            let (mut flat, a, b) = two_processes();
+            run_round_robin(
+                &mut flat,
+                &[
+                    Program::new(a, one_a.repeat(3)),
+                    Program::new(b, one_b.repeat(2)),
+                ],
+                quantum,
+            );
+            assert_eq!(cycled.stats(), flat.stats(), "quantum {quantum}");
+            assert_eq!(cycled.tlb_stats(), flat.tlb_stats(), "quantum {quantum}");
+            // Full slices until a source runs out, each behind exactly one
+            // SetAsid — also where a cycled slice wraps — and none for an
+            // exhausted or empty source.
+            let slices = 15usize.div_ceil(quantum) + 8usize.div_ceil(quantum);
+            assert_eq!(cycled.stats().instret, (15 + 8 + slices) as u64);
+        }
     }
 
     #[test]

@@ -150,7 +150,8 @@ pub fn prime_probe_attack(
 
     let mut correct = 0;
     for window in &traced.windows {
-        let guess = attack_window(&mut m, attacker, victim, &primes, &window.instrs);
+        let instrs = traced.window_instrs(window);
+        let guess = attack_window(&mut m, attacker, victim, &primes, instrs);
         if guess == window.bit {
             correct += 1;
         }

@@ -84,7 +84,8 @@ pub fn itlb_prime_probe_attack(key: &RsaKey, settings: &ItlbAttackSettings) -> A
     let traced = decrypt_traced(key, &ciphertext, layout);
     let mut correct = 0;
     for window in &traced.windows {
-        let guess = attack_window(&mut m, attacker, victim, &primes, &window.instrs);
+        let instrs = traced.window_instrs(window);
+        let guess = attack_window(&mut m, attacker, victim, &primes, instrs);
         if guess == window.bit {
             correct += 1;
         }

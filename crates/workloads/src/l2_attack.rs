@@ -86,7 +86,7 @@ pub fn secret_reaches_unprotected_l2(key: &RsaKey, settings: &L2AttackSettings) 
         // Shoot the signal page down between iterations so residency
         // reflects this window's activity alone.
         m.exec(Instr::FlushPage(signal.base_addr()));
-        for &i in &window.instrs {
+        for &i in traced.window_instrs(window) {
             m.exec(i);
         }
         if window.bit {
@@ -144,7 +144,8 @@ pub fn l2_prime_probe_attack(key: &RsaKey, settings: &L2AttackSettings) -> Attac
     let traced = decrypt_traced(key, &ciphertext, layout);
     let mut correct = 0;
     for window in &traced.windows {
-        let guess = attack_window(&mut m, attacker, victim, &primes, &flushers, &window.instrs);
+        let instrs = traced.window_instrs(window);
+        let guess = attack_window(&mut m, attacker, victim, &primes, &flushers, instrs);
         if guess == window.bit {
             correct += 1;
         }

@@ -8,6 +8,8 @@
 //! machine instructions, segmented into per-exponent-bit windows for the
 //! attack harness.
 
+use std::ops::Range;
+
 use sectlb_sim::cpu::Instr;
 use sectlb_tlb::types::{SecureRegion, Vpn, PAGE_SIZE};
 
@@ -233,17 +235,28 @@ pub struct BitWindow {
     pub bit_index: usize,
     /// The secret bit value (ground truth).
     pub bit: bool,
-    /// The memory instructions of this iteration.
-    pub instrs: Vec<Instr>,
+    /// Where this iteration's instructions sit in
+    /// [`TracedDecryption::instrs`].
+    pub span: Range<usize>,
 }
 
-/// A fully traced decryption.
+/// A fully traced decryption: one instruction trace, cut into per-bit
+/// windows.
 #[derive(Debug, Clone)]
 pub struct TracedDecryption {
     /// The recovered plaintext (for correctness checks).
     pub plaintext: Vec<u64>,
-    /// Per-bit instruction windows, MSB first.
+    /// Every instruction of the decryption, window after window.
+    pub instrs: Vec<Instr>,
+    /// Per-bit windows, MSB first; their spans tile `instrs`.
     pub windows: Vec<BitWindow>,
+}
+
+impl TracedDecryption {
+    /// The memory instructions of one window's iteration.
+    pub fn window_instrs(&self, window: &BitWindow) -> &[Instr] {
+        &self.instrs[window.span.clone()]
+    }
 }
 
 /// ALU instructions modeled per limb access: the multiply/add/carry work
@@ -254,13 +267,13 @@ pub const COMPUTE_PER_ACCESS: u64 = 2;
 
 struct TraceSink {
     layout: RsaLayout,
-    current: Vec<Instr>,
+    instrs: Vec<Instr>,
 }
 
 impl TraceSink {
     fn push(&mut self, instr: Instr) {
-        self.current.push(instr);
-        self.current.push(Instr::Compute(COMPUTE_PER_ACCESS));
+        self.instrs.push(instr);
+        self.instrs.push(Instr::Compute(COMPUTE_PER_ACCESS));
     }
 }
 
@@ -274,13 +287,14 @@ impl MemSink for TraceSink {
     fn enter(&mut self, routine: Routine) {
         // A control transfer; on machines with an I-TLB every subsequent
         // instruction fetches from this routine's code page.
-        self.current
+        self.instrs
             .push(Instr::JumpTo(self.layout.code_page(routine).base_addr()));
     }
 }
 
-/// Decrypts `ciphertext` while emitting the memory trace, segmented per
-/// exponent bit.
+/// Decrypts `ciphertext` while emitting the memory trace in one pass:
+/// every instruction lands in one `Vec`, and each exponent bit's window
+/// is recorded by where it ends.
 pub fn decrypt_traced(key: &RsaKey, ciphertext: &[u64], layout: RsaLayout) -> TracedDecryption {
     let n = Mpi::from_limbs(BufId::Modulus, &key.n);
     let c = Mpi::from_limbs(BufId::Base, ciphertext);
@@ -288,40 +302,37 @@ pub fn decrypt_traced(key: &RsaKey, ciphertext: &[u64], layout: RsaLayout) -> Tr
     let mut windows = Vec::with_capacity(d.bit_len());
     let mut sink = TraceSink {
         layout,
-        current: Vec::new(),
+        instrs: Vec::new(),
     };
-    let result = mod_pow(&c, &d, &n, &mut sink, |sink, i, bit| {
+    let mut start = 0;
+    let result = mod_pow(&c, &d, &n, &mut sink, |sink, bit_index, bit| {
+        let end = sink.instrs.len();
         windows.push(BitWindow {
-            bit_index: i,
+            bit_index,
             bit,
-            instrs: std::mem::take(&mut sink.current),
+            span: start..end,
         });
+        start = end;
     });
+    // The trace is the windows: nothing after the last bit belongs to it.
+    sink.instrs.truncate(start);
     TracedDecryption {
         plaintext: result.limbs().to_vec(),
+        instrs: sink.instrs,
         windows,
     }
 }
 
 /// The flat instruction stream of `runs` back-to-back decryptions (the
-/// Section 6.2 "RSA decryption routine run 50/100/150 times" workload).
+/// Section 6.2 "RSA decryption routine run 50/100/150 times" workload):
+/// [`decrypt_traced`]'s trace repeated, in one exact-size allocation.
 pub fn decryption_program(
     key: &RsaKey,
     ciphertext: &[u64],
     layout: RsaLayout,
     runs: usize,
 ) -> Vec<Instr> {
-    let traced = decrypt_traced(key, ciphertext, layout);
-    let one_run: Vec<Instr> = traced
-        .windows
-        .iter()
-        .flat_map(|w| w.instrs.iter().copied())
-        .collect();
-    let mut out = Vec::with_capacity(one_run.len() * runs);
-    for _ in 0..runs {
-        out.extend_from_slice(&one_run);
-    }
-    out
+    decrypt_traced(key, ciphertext, layout).instrs.repeat(runs)
 }
 
 #[cfg(test)]
@@ -379,7 +390,7 @@ mod tests {
         let c = encrypt(&key, &[7]);
         let traced = decrypt_traced(&key, &c, layout);
         for w in &traced.windows {
-            let touched = w.instrs.iter().any(|i| {
+            let touched = traced.window_instrs(w).iter().any(|i| {
                 matches!(i, Instr::Load(a) | Instr::Store(a)
                          if *a >= signal && *a < signal + PAGE_SIZE)
             });
@@ -412,11 +423,23 @@ mod tests {
     }
 
     #[test]
-    fn decryption_program_scales_with_runs() {
+    fn decryption_program_is_the_windowed_trace_repeated() {
         let key = RsaKey::demo_128();
         let c = encrypt(&key, &[3]);
-        let one = decryption_program(&key, &c, RsaLayout::new(), 1);
-        let three = decryption_program(&key, &c, RsaLayout::new(), 3);
-        assert_eq!(three.len(), one.len() * 3);
+        let traced = decrypt_traced(&key, &c, RsaLayout::new());
+        let windows: Vec<Instr> = traced
+            .windows
+            .iter()
+            .flat_map(|w| traced.window_instrs(w).iter().copied())
+            .collect();
+        assert_eq!(windows, traced.instrs, "the windows tile the trace");
+        for runs in [0, 1, 2, 3] {
+            let program = decryption_program(&key, &c, RsaLayout::new(), runs);
+            assert_eq!(program.len(), traced.instrs.len() * runs);
+            assert_eq!(program.capacity(), program.len(), "one exact allocation");
+            for run in program.chunks(traced.instrs.len()) {
+                assert_eq!(run, traced.instrs);
+            }
+        }
     }
 }

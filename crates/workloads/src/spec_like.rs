@@ -12,6 +12,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sectlb_sim::cpu::Instr;
+use sectlb_sim::sched::InstrSource;
 use sectlb_tlb::types::Vpn;
 
 /// The four modeled SPEC benchmarks.
@@ -86,24 +87,23 @@ impl SpecBenchmark {
     }
 
     /// Generates `accesses` memory operations (plus compute interludes)
-    /// over a region starting at `base`.
+    /// over a region starting at `base`: [`SpecBenchmark::stream`],
+    /// collected.
     pub fn trace(self, base: Vpn, accesses: usize, seed: u64) -> Vec<Instr> {
-        let sig = self.signature();
-        let mut rng = SmallRng::seed_from_u64(seed ^ self as u64);
-        let mut out = Vec::with_capacity(accesses * 2);
-        for _ in 0..accesses {
-            let page = if rng.gen_bool(sig.hot_prob) {
-                rng.gen_range(0..sig.hot_pages)
-            } else {
-                rng.gen_range(0..sig.pages)
-            };
-            let offset = rng.gen_range(0u64..512) * 8;
-            out.push(Instr::Load(base.offset(page).base_addr() + offset));
-            if sig.compute > 0 {
-                out.push(Instr::Compute(sig.compute));
-            }
+        self.stream(base, accesses, seed).collect()
+    }
+
+    /// The instructions of [`SpecBenchmark::trace`], generated one at a
+    /// time: each access is a `Load` followed by its compute interlude,
+    /// and the stream can stop between the two.
+    pub fn stream(self, base: Vpn, accesses: usize, seed: u64) -> SpecStream {
+        SpecStream {
+            sig: self.signature(),
+            base,
+            rng: SmallRng::seed_from_u64(seed ^ self as u64),
+            accesses,
+            compute_due: false,
         }
-        out
     }
 
     /// The number of pages [`SpecBenchmark::trace`] may touch (for
@@ -116,6 +116,51 @@ impl SpecBenchmark {
 impl std::fmt::Display for SpecBenchmark {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A seeded SPEC-like instruction stream (see [`SpecBenchmark::stream`]).
+#[derive(Debug, Clone)]
+pub struct SpecStream {
+    sig: Signature,
+    base: Vpn,
+    rng: SmallRng,
+    /// Accesses not yet begun.
+    accesses: usize,
+    /// Whether the last access's compute interlude is still to come.
+    compute_due: bool,
+}
+
+impl Iterator for SpecStream {
+    type Item = Instr;
+
+    #[inline]
+    fn next(&mut self) -> Option<Instr> {
+        if self.compute_due {
+            self.compute_due = false;
+            return Some(Instr::Compute(self.sig.compute));
+        }
+        self.accesses = self.accesses.checked_sub(1)?;
+        let page = if self.rng.gen_bool(self.sig.hot_prob) {
+            self.rng.gen_range(0..self.sig.hot_pages)
+        } else {
+            self.rng.gen_range(0..self.sig.pages)
+        };
+        let offset = self.rng.gen_range(0u64..512) * 8;
+        self.compute_due = self.sig.compute > 0;
+        Some(Instr::Load(self.base.offset(page).base_addr() + offset))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let per_access = if self.sig.compute > 0 { 2 } else { 1 };
+        let left = self.accesses * per_access + usize::from(self.compute_due);
+        (left, Some(left))
+    }
+}
+
+impl InstrSource for SpecStream {
+    fn fill(&mut self, buf: &mut Vec<Instr>, max: usize) {
+        buf.extend(self.by_ref().take(max));
     }
 }
 
@@ -157,6 +202,30 @@ mod tests {
                 if let Instr::Load(a) = i {
                     assert!(a >= base.base_addr() && a < limit, "{b}: {a:#x}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stream_yields_the_trace_in_any_chunking() {
+        for b in SpecBenchmark::ALL {
+            let trace = b.trace(Vpn(0x1000), 1_000, 5);
+            assert_eq!(trace.len(), 2_000, "{b}: a load and a compute per access");
+            for chunk in [1, 2, 3, 199, 200, 201] {
+                let mut stream = b.stream(Vpn(0x1000), 1_000, 5);
+                let mut streamed = Vec::new();
+                loop {
+                    let before = streamed.len();
+                    let left = trace.len() - before;
+                    assert_eq!(stream.size_hint(), (left, Some(left)), "{b}: size hint");
+                    stream.fill(&mut streamed, chunk);
+                    let added = streamed.len() - before;
+                    if added == 0 {
+                        break;
+                    }
+                    assert_eq!(added, chunk.min(left), "{b}: chunk {chunk}");
+                }
+                assert_eq!(streamed, trace, "{b}: chunk {chunk}");
             }
         }
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, and extension study of the Secure TLBs
-# reproduction into results/. Takes about 2 minutes on a 2-vCPU host
-# (113-135 s measured with a warm build; fig7 is all but about 1 s of it).
+# reproduction into results/. Takes about 40 s on a 2-vCPU host (35.8
+# and 38.4 s measured with a warm build; fig7, sharded over both cores, is
+# all but about 1 s of it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,10 @@ run itlb_attack      ./target/release/itlb_attack
 run l2_hierarchy     ./target/release/l2_hierarchy
 run software_defenses ./target/release/software_defenses
 run covert_channel   ./target/release/covert_channel
-run fig7             ./target/release/fig7
+# fig7 is nearly all of the run, so it shards its cells over every core.
+# --workers adds the pool summary on stderr, which goes to a log so that
+# results/fig7.txt stays the tables alone.
+echo ">>> fig7"
+./target/release/fig7 --workers auto > results/fig7.txt 2> target/fig7.stderr
 
 echo "done; outputs in results/"
