@@ -11,11 +11,10 @@
 //! N|auto] [--checkpoint PATH] [--resume PATH] [--retries N]
 //! [--kill-after N] [--inject-* ...] [--events PATH] [--metrics PATH]`
 //!
-//! The 24×2 sweep runs on the campaign engine, one task per
-//! vulnerability row (both evictions). `--adaptive` stops each cell's
-//! trials as soon as its leak verdict is statistically settled (the
-//! printed C* then reflects the settled prefix), which never flips a
-//! verdict.
+//! The 24×2 sweep runs on the campaign engine's cells layer, one cell per
+//! vulnerability and eviction. `--adaptive` stops each cell's trials as
+//! soon as its leak verdict is statistically settled (the printed C*
+//! then reflects the settled prefix), which never flips a verdict.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -23,82 +22,63 @@ use std::path::Path;
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_model::enumerate_vulnerabilities;
-use sectlb_secbench::adaptive::{run_vulnerability_adaptive, SequentialTest};
 use sectlb_secbench::oracle;
-use sectlb_secbench::run::{run_vulnerability, TrialSettings};
+use sectlb_secbench::resilience::CellOutcome;
+use sectlb_secbench::run::{Hook, TrialCell, TrialSettings};
+use sectlb_secbench::spec::BenchmarkSpec;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_tlb::RandomFillEviction;
 
+/// The leak criterion: a cell leaks at C* above this.
+const THRESHOLD: f64 = 0.05;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trials = cli::trials_flag(&args, 300);
     let workers = cli::workers_flag(&args);
-    let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
-    let oracle = cli::oracle_flags(&args, &policy, "ablation_rf");
+    let mut policy = cli::campaign_flags(&args);
+    // The sequential test settles against the leak criterion, so it
+    // preserves every printed verdict.
+    policy.adaptive = cli::adaptive_flags(&args, THRESHOLD);
+    let settings = TrialSettings {
+        trials: cli::trials_flag(&args, 300),
+        oracle: cli::oracle_flags(&args, &policy, "ablation_rf"),
+        ..TrialSettings::default()
+    };
     let mut obs = Observability::from_args("ablation_rf", &args);
-    println!("RF TLB random-fill eviction ablation ({trials} trials per placement)\n");
+    println!(
+        "RF TLB random-fill eviction ablation ({} trials per placement)\n",
+        settings.trials
+    );
     println!(
         "{:<48} {:>12} {:>12}",
         "vulnerability", "C* random-way", "C* LRU-way"
     );
     let vulns = enumerate_vulnerabilities();
-    // The leak criterion below prints at C* > 0.05, so the sequential
-    // test must settle against the same threshold to preserve verdicts.
-    let test = adaptive.map(|a| SequentialTest {
-        alpha: a.alpha,
-        threshold: 0.05,
-    });
-    let measure = |v, eviction| {
-        let settings = TrialSettings {
-            trials,
-            rf_eviction: eviction,
-            oracle,
-            ..TrialSettings::default()
-        };
-        match &test {
-            Some(test) => run_vulnerability_adaptive(v, TlbDesign::Rf, &settings, test).capacity(),
-            None => run_vulnerability(v, TlbDesign::Rf, &settings).capacity(),
-        }
-    };
-    // One engine task per vulnerability row, in print order. The adaptive
-    // alpha joins the fingerprint: an adaptive checkpoint holds settled
-    // prefixes, which an exhaustive resume must not trust.
-    let mut coords = vec![u64::from(trials)];
-    if let Some(test) = &test {
-        coords.push(test.alpha.to_bits());
-    }
-    let tasks: Vec<usize> = (0..vulns.len()).collect();
+    let lru_way: Hook = &|b| b.rf_eviction(RandomFillEviction::LruWay);
+    // Both evictions of each row, in print order; the cells share the
+    // row's trial seeds, as the two columns always have.
+    let cells: Vec<TrialCell> = vulns
+        .iter()
+        .flat_map(|v| {
+            let spec = BenchmarkSpec::build_with_config(v, TlbDesign::Rf, settings.config);
+            [&|b| b, lru_way].map(|hook| TrialCell::new(&spec, TlbDesign::Rf, settings.base_seed, hook))
+        })
+        .collect();
     obs.campaign_begin();
-    let outcome = campaign::run_campaign_observed(
+    let outcome = campaign::measure_cells_observed(
         "ablation_rf",
-        coords,
-        &tasks,
+        &cells,
+        &settings,
         workers.unwrap_or(NonZeroUsize::MIN),
         &policy,
         obs.telemetry(),
-        &|&i: &usize| format!("{} on RF TLB, both evictions", vulns[i]),
-        |&i: &usize| {
-            (
-                measure(&vulns[i], RandomFillEviction::RandomWay),
-                measure(&vulns[i], RandomFillEviction::LruWay),
-            )
-        },
     );
     obs.campaign_end();
-    let capacities: Vec<Result<(f64, f64), &'static str>> = outcome
-        .results
-        .iter()
-        .map(|r| match r.done() {
-            Some(&pair) => Ok(pair),
-            None => Err(campaign::gap_marker(std::slice::from_ref(r)).unwrap_or("QUARANTINED")),
-        })
-        .collect();
     if campaign::flagged(workers, &policy) {
         outcome.eprint_summary();
     }
     let summary = oracle::conclude("ablation_rf", Path::new("repro"));
-    render(&vulns, &capacities, &summary);
+    render(&vulns, &outcome.cells, &summary);
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));
@@ -107,11 +87,11 @@ fn main() {
 
 fn render(
     vulns: &[sectlb_model::Vulnerability],
-    capacities: &[Result<(f64, f64), &'static str>],
+    cells: &[CellOutcome],
     summary: &oracle::OracleSummary,
 ) {
     let mut leaks = 0;
-    for (v, caps) in vulns.iter().zip(capacities) {
+    for (v, pair) in vulns.iter().zip(cells.chunks(2)) {
         let name = format!("{} ({})", v.pattern, v.timing);
         // The eviction policy is not part of the oracle context, so a
         // violation marks the whole row (both columns) SUSPECT.
@@ -119,18 +99,20 @@ fn render(
             println!("{name:<48} {:>12} {:>12}", "SUSPECT", "SUSPECT");
             continue;
         }
-        match caps {
-            Ok((random_way, lru_way)) => {
-                let marker = if *lru_way > 0.05 && *random_way <= 0.05 {
-                    leaks += 1;
-                    "  <-- LRU-way eviction leaks"
-                } else {
-                    ""
-                };
-                println!("{name:<48} {random_way:>12.3} {lru_way:>12.3}{marker}");
-            }
-            Err(gap) => println!("{name:<48} {gap:>12} {gap:>12}"),
-        }
+        let (Some(random_way), Some(lru_way)) = (pair[0].measurement(), pair[1].measurement())
+        else {
+            let gap = campaign::cells_gap_marker(pair).unwrap_or("QUARANTINED");
+            println!("{name:<48} {gap:>12} {gap:>12}");
+            continue;
+        };
+        let (random_way, lru_way) = (random_way.capacity(), lru_way.capacity());
+        let marker = if lru_way > THRESHOLD && random_way <= THRESHOLD {
+            leaks += 1;
+            "  <-- LRU-way eviction leaks"
+        } else {
+            ""
+        };
+        println!("{name:<48} {random_way:>12.3} {lru_way:>12.3}{marker}");
     }
     println!(
         "\n{leaks} vulnerability type(s) become exploitable when random fills \

@@ -11,7 +11,10 @@
 //! [--events PATH] [--metrics PATH]`
 //!
 //! The sweep runs on the campaign engine, one task per victim-way
-//! split.
+//! split: the split's Prime + Probe cell through
+//! [`try_run_trial_range`] with the split as the cell's builder hook, and
+//! its two Figure 7 cells. `--adaptive` is rejected: a task's verdict is
+//! not one cell's.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -21,8 +24,9 @@ use sectlb_bench::perf::Workload;
 use sectlb_bench::{campaign, cli};
 use sectlb_model::{enumerate_vulnerabilities, Strategy};
 use sectlb_secbench::oracle;
-use sectlb_secbench::run::{run_vulnerability_with_builder, TrialSettings};
-use sectlb_sim::machine::TlbDesign;
+use sectlb_secbench::run::{try_run_trial_range, TrialSettings};
+use sectlb_secbench::spec::BenchmarkSpec;
+use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 use sectlb_tlb::config::TlbConfig;
 use sectlb_workloads::spec_like::SpecBenchmark;
 
@@ -50,10 +54,11 @@ fn main() {
         "{:>11} {:>16} {:>14} {:>18}",
         "victim ways", "Prime+Probe C*", "SecRSA MPKI", "SecRSA+povray MPKI"
     );
+    let spec = BenchmarkSpec::build_with_config(&pp, TlbDesign::Sp, settings.config);
     let sweep_point = |&victim_ways: &usize| {
-        let m = run_vulnerability_with_builder(&pp, TlbDesign::Sp, &settings, |b| {
-            b.sp_victim_ways(victim_ways)
-        });
+        let split = |b: MachineBuilder| b.sp_victim_ways(victim_ways);
+        let m = try_run_trial_range(&spec, TlbDesign::Sp, &settings, 0..trials, &split)
+            .unwrap_or_else(|e| panic!("{e}"));
         (
             m.capacity(),
             perf_mpki(victim_ways, None),

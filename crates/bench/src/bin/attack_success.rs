@@ -51,14 +51,11 @@ fn main() {
         .collect();
     let run_one = |&(design, s): &(TlbDesign, u64)| {
         let seed = 0xa77ac4 ^ s;
-        let mut settings = AttackSettings {
+        let settings = AttackSettings {
             seed,
+            oracle,
             ..AttackSettings::default()
         };
-        if let Some(o) = oracle.filter(|o| o.armed(seed)) {
-            settings.oracle_tag = Some(o.tag);
-            settings.corruption = o.corruption(seed);
-        }
         prime_probe_attack(&key, design, &settings).accuracy()
     };
     obs.campaign_begin();

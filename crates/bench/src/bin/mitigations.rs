@@ -10,22 +10,23 @@
 //! flush-on-switch, FT `fence.t` full clear) and the multi-page-size
 //! TLB to the survey; the classic five rows keep their exact output.
 //!
-//! The survey runs on the campaign engine, one task per mitigation: a
-//! panicking survey row is retried deterministically and, if it keeps
-//! failing, reported as quarantined instead of aborting the others.
-//! `--adaptive` stops each of a row's 24 cells as soon as its verdict is
-//! statistically settled; the defended counts are guaranteed to match
-//! the exhaustive run.
+//! The survey runs on the campaign engine's cells layer, 24 cells per
+//! mitigation: a panicking shard is retried deterministically and, if it
+//! keeps failing, its row is reported as quarantined instead of aborting
+//! the others. `--adaptive` stops each cell as soon as its verdict is
+//! statistically settled against the survey's threshold; the defended
+//! counts are guaranteed to match the exhaustive run.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
+use sectlb_model::enumerate_vulnerabilities;
 use sectlb_secbench::adaptive::SequentialTest;
-use sectlb_secbench::mitigations::{defended_count, defended_count_adaptive, Mitigation};
+use sectlb_secbench::mitigations::Mitigation;
 use sectlb_secbench::oracle;
-use sectlb_secbench::run::TrialSettings;
+use sectlb_secbench::run::{TrialCell, TrialSettings};
 
 /// The defended-capacity threshold this survey has always used.
 const THRESHOLD: f64 = 0.06;
@@ -33,8 +34,8 @@ const THRESHOLD: f64 = 0.06;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workers = cli::workers_flag(&args);
-    let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
+    let mut policy = cli::campaign_flags(&args);
+    policy.adaptive = cli::adaptive_flags(&args, THRESHOLD);
     let survey: &[Mitigation] = if args.iter().any(|a| a == "--extended") {
         &Mitigation::EXTENDED
     } else {
@@ -45,78 +46,42 @@ fn main() {
         oracle: cli::oracle_flags(&args, &policy, "mitigations"),
         ..TrialSettings::default()
     };
-    let test = adaptive.map(|a| SequentialTest {
-        alpha: a.alpha,
-        threshold: THRESHOLD,
-    });
     let mut obs = Observability::from_args("mitigations", &args);
     println!("Section 2.3: existing mitigations vs. the 24 vulnerability types");
     println!("({} trials per placement)\n", settings.trials);
     println!("{:<42} {:>10} {:>8}", "approach", "measured", "paper");
-    let tasks: Vec<Mitigation> = survey.to_vec();
-    let pool_workers = workers.unwrap_or(NonZeroUsize::MIN);
-    let label = |m: &Mitigation| m.label().to_owned();
-    // The adaptive alpha joins the fingerprint (and the record shape
-    // changes), so adaptive and exhaustive checkpoints can never
-    // cross-resume.
-    let mut saved_total = 0;
+    let cells: Vec<TrialCell> = survey.iter().flat_map(|m| m.cells(&settings)).collect();
     obs.campaign_begin();
-    let outcome = match &test {
-        Some(test) => {
-            let outcome = campaign::run_campaign_observed(
-                "mitigations",
-                [
-                    u64::from(settings.trials),
-                    settings.base_seed,
-                    test.alpha.to_bits(),
-                ],
-                &tasks,
-                pool_workers,
-                &policy,
-                obs.telemetry(),
-                &label,
-                |m: &Mitigation| {
-                    let (count, saved) = defended_count_adaptive(*m, &settings, test);
-                    (count as u64, saved)
-                },
-            );
-            saved_total = outcome
-                .results
-                .iter()
-                .filter_map(|r| r.done().map(|&(_, saved)| saved))
-                .sum();
-            outcome.map(|(count, _)| count)
-        }
-        None => campaign::run_campaign_observed(
-            "mitigations",
-            [u64::from(settings.trials), settings.base_seed],
-            &tasks,
-            pool_workers,
-            &policy,
-            obs.telemetry(),
-            &label,
-            |m: &Mitigation| defended_count(*m, &settings, THRESHOLD) as u64,
-        ),
-    };
+    let outcome = campaign::measure_cells_observed(
+        "mitigations",
+        &cells,
+        &settings,
+        workers.unwrap_or(NonZeroUsize::MIN),
+        &policy,
+        obs.telemetry(),
+    );
     obs.campaign_end();
-    for (m, result) in tasks.iter().zip(&outcome.results) {
-        match result.done() {
-            Some(measured) => println!(
-                "{:<42} {:>7}/24 {:>5}/24",
-                m.label(),
-                measured,
-                m.paper_defended_count()
-            ),
-            None => println!(
-                "{:<42} {:>10} {:>5}/24",
-                m.label(),
-                campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED"),
-                m.paper_defended_count()
-            ),
-        }
+    let rows = outcome.cells.chunks(enumerate_vulnerabilities().len());
+    for (m, row) in survey.iter().zip(rows) {
+        let measured = match campaign::cells_gap_marker(row) {
+            Some(gap) => format!("{gap:>10}"),
+            None => {
+                let defended = row
+                    .iter()
+                    .filter_map(|c| c.measurement())
+                    .filter(|x| x.defends(THRESHOLD))
+                    .count();
+                format!("{defended:>7}/24")
+            }
+        };
+        println!(
+            "{:<42} {measured} {:>5}/24",
+            m.label(),
+            m.paper_defended_count()
+        );
     }
     print_reading();
-    print_saved(&test, saved_total);
+    print_saved(&policy.adaptive, outcome.stats.trials_saved);
     let summary = oracle::conclude("mitigations", Path::new("repro"));
     print_suspects(&summary);
     if campaign::flagged(workers, &policy) {

@@ -33,7 +33,7 @@ use std::path::Path;
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_secbench::oracle;
-use sectlb_secbench::report::build_table4_resilient_observed_for;
+use sectlb_secbench::report::{build_table4_resilient_observed_for, DEFENDED_THRESHOLD};
 use sectlb_secbench::run::TrialSettings;
 use sectlb_secbench::supervisor;
 use sectlb_sim::machine::TlbDesign;
@@ -42,7 +42,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workers = cli::workers_flag(&args);
     let mut policy = cli::campaign_flags(&args);
-    policy.adaptive = cli::adaptive_flags(&args);
+    policy.adaptive = cli::adaptive_flags(&args, DEFENDED_THRESHOLD);
     let designs = cli::designs_flag(&args).unwrap_or_else(|| TlbDesign::ALL.to_vec());
     let settings = TrialSettings {
         trials: cli::trials_flag(&args, TrialSettings::default().trials),

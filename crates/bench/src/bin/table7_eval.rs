@@ -11,26 +11,35 @@
 //! PATH] [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
 //! [--events PATH] [--metrics PATH]`
 //!
-//! The family × design grid runs on the campaign engine, one task per
-//! cell.
+//! The family × design grid runs on the campaign engine's cells layer,
+//! like Table 4: each cell's trials are sharded, and every trial restores
+//! the cell's set-up machine and times its last step by counter reads in
+//! its program.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
-use sectlb_secbench::extended::{extended_benchmarks, run_extended_oracle, ExtDesign};
+use sectlb_secbench::extended::{cells, extended_benchmarks, ExtDesign};
 use sectlb_secbench::oracle;
+use sectlb_secbench::run::TrialSettings;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trials = cli::trials_flag(&args, 500);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
     cli::reject_adaptive(&args, "table7_eval");
-    let oracle_cfg = cli::oracle_flags(&args, &policy, "table7_eval");
+    let settings = TrialSettings {
+        trials: cli::trials_flag(&args, 500),
+        oracle: cli::oracle_flags(&args, &policy, "table7_eval"),
+        ..TrialSettings::default()
+    };
     let mut obs = Observability::from_args("table7_eval", &args);
-    println!("Appendix B attacks vs. the designs ({trials} trials per placement)");
+    println!(
+        "Appendix B attacks vs. the designs ({} trials per placement)",
+        settings.trials
+    );
     println!("channel capacity C*; 0 = defended\n");
     print!("{:<38} {:<30}", "family", "pattern");
     for d in ExtDesign::ALL {
@@ -38,20 +47,14 @@ fn main() {
     }
     println!();
     let benches = extended_benchmarks();
-    // One engine task per (family, design) cell, row-major.
-    let cells: Vec<(usize, ExtDesign)> = (0..benches.len())
-        .flat_map(|b| ExtDesign::ALL.map(|d| (b, d)))
-        .collect();
     obs.campaign_begin();
-    let outcome = campaign::run_campaign_observed(
+    let outcome = campaign::measure_cells_observed(
         "table7_eval",
-        [u64::from(trials)],
-        &cells,
+        &cells(&benches),
+        &settings,
         workers.unwrap_or(NonZeroUsize::MIN),
         &policy,
         obs.telemetry(),
-        &|&(b, d): &(usize, ExtDesign)| format!("{} on {}", benches[b].name, d.label()),
-        |&(b, d): &(usize, ExtDesign)| run_extended_oracle(&benches[b], d, trials, oracle_cfg),
     );
     obs.campaign_end();
     let summary = oracle::conclude("table7_eval", Path::new("repro"));
@@ -62,12 +65,12 @@ fn main() {
                 print!(" {:>18}", "SUSPECT");
                 continue;
             }
-            let result = &outcome.results[bi * ExtDesign::ALL.len() + di];
-            match result.done() {
+            let cell = &outcome.cells[bi * ExtDesign::ALL.len() + di];
+            match cell.measurement() {
                 Some(m) => print!(" {:>18.3}", m.capacity()),
                 None => print!(
                     " {:>18}",
-                    campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED")
+                    campaign::cells_gap_marker(std::slice::from_ref(cell)).unwrap_or("QUARANTINED")
                 ),
             }
         }

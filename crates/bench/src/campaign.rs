@@ -1,14 +1,15 @@
 //! Driver-side glue for the campaign engine.
 //!
-//! Every campaign binary runs its task list through the engine's pool
-//! ([`sectlb_secbench::resilience::run_sharded_resilient_observed`]),
-//! with or without flags: install the signal handlers, run the tasks
-//! under a driver-specific fingerprint, and hand back the
-//! [`ResilientRun`], which surfaces quarantined/stalled shards on stderr
-//! and translates the outcome into a process exit code — see
-//! [`crate::exit`] for the full code table. A *flagless* run (no
-//! `--workers`, no [`RunPolicy`] option) prints only its table; drivers
-//! call [`ResilientRun::eprint_summary`] only on a [`flagged`] run.
+//! Every campaign binary runs through the engine, with or without flags:
+//! the security drivers their [`TrialCell`]s on the cells layer
+//! ([`measure_cells_observed`]), the others their task list on the pool
+//! ([`run_campaign_observed`]). Either way the glue installs the signal
+//! handlers, runs under a driver-specific fingerprint, and hands back an
+//! outcome that surfaces quarantined/stalled work on stderr and
+//! translates into a process exit code — see [`crate::exit`] for the
+//! full code table. A *flagless* run (no `--workers`, no [`RunPolicy`]
+//! option) prints only its table; drivers call `eprint_summary` only on a
+//! [`flagged`] run.
 //!
 //! A run the supervisor stopped early (wall-clock `--deadline` expiry or
 //! SIGINT/SIGTERM) is **not** an error: the engine drains, flushes the
@@ -18,10 +19,12 @@
 
 use std::num::NonZeroUsize;
 
-use sectlb_secbench::checkpoint::{fingerprint, fingerprint_str, Record};
+use sectlb_secbench::checkpoint::{fingerprint, fingerprint_str, settings_fingerprint, Record};
 use sectlb_secbench::resilience::{
-    run_sharded_resilient_observed, with_campaign_events, ResilientRun, RunPolicy, ShardOutcome,
+    measure_cells_resilient_observed, run_sharded_resilient_observed, with_campaign_events,
+    CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
 };
+use sectlb_secbench::run::{TrialCell, TrialSettings};
 use sectlb_secbench::supervisor;
 use sectlb_secbench::telemetry::Telemetry;
 
@@ -71,6 +74,34 @@ where
     })
 }
 
+/// Runs a driver's cells on the engine's cells layer, exhaustively or,
+/// with [`RunPolicy::adaptive`], until each cell's verdict is settled.
+///
+/// Like [`run_campaign_observed`]: the signal handlers go in first, the
+/// campaign fingerprint combines the driver `name` with the settings that
+/// determine results and the cell count, and a
+/// [`sectlb_secbench::resilience::CampaignError`] is printed and exits
+/// with its code.
+pub fn measure_cells_observed(
+    name: &str,
+    cells: &[TrialCell<'_>],
+    settings: &TrialSettings,
+    workers: NonZeroUsize,
+    policy: &RunPolicy,
+    telemetry: &Telemetry,
+) -> CampaignOutcome {
+    supervisor::install_signal_handlers();
+    let fp = fingerprint(
+        fingerprint_str(name),
+        [settings_fingerprint(settings), cells.len() as u64],
+    );
+    measure_cells_resilient_observed(cells, fp, settings, workers, policy, telemetry)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(e.exit_code());
+        })
+}
+
 /// Whether a driver run is *flagged*: given `--workers` or any
 /// [`RunPolicy`] option. Only a flagged run prints the `pool:` summary and
 /// progress detail on stderr; a flagless run prints exactly its table.
@@ -98,5 +129,26 @@ pub fn gap_marker<R>(outcomes: &[ShardOutcome<R>]) -> Option<&'static str> {
         Some("PARTIAL")
     } else {
         None
+    }
+}
+
+/// [`gap_marker`] for an aggregate row of cells: QUARANTINED, then
+/// TIMEOUT, then PARTIAL; `None` when every cell is measured.
+pub fn cells_gap_marker(cells: &[CellOutcome]) -> Option<&'static str> {
+    let gaps = || {
+        cells.iter().filter_map(|c| match c {
+            CellOutcome::Partial { gap, .. } => Some(*gap),
+            _ => None,
+        })
+    };
+    if cells
+        .iter()
+        .any(|c| matches!(c, CellOutcome::Quarantined { .. }))
+    {
+        Some("QUARANTINED")
+    } else if gaps().any(|g| g == CellGap::Timeout) {
+        Some("TIMEOUT")
+    } else {
+        gaps().next().map(|g| g.marker())
     }
 }

@@ -63,7 +63,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
-use sectlb_secbench::adaptive::AdaptivePolicy;
+use sectlb_secbench::adaptive::SequentialTest;
 use sectlb_secbench::checkpoint::CheckpointPolicy;
 use sectlb_secbench::iofault::{IoFault, IoFaultKind};
 use sectlb_secbench::oracle::OracleConfig;
@@ -334,18 +334,19 @@ pub fn inject_io_flag(args: &[String]) -> Option<IoFault> {
     parse_inject_io(args).unwrap_or_else(|e| exit_usage(e))
 }
 
-/// Parses `--adaptive[=ALPHA]` into an [`AdaptivePolicy`]; `Ok(None)`
-/// when absent. The bare flag uses the default confidence
-/// (`AdaptivePolicy::default()`); an explicit alpha must lie in (0, 1).
+/// Parses `--adaptive[=ALPHA]` into the [`SequentialTest`] that settles
+/// cells against the driver's verdict `threshold`; `Ok(None)` when
+/// absent. The bare flag uses [`SequentialTest::DEFAULT_ALPHA`]; an
+/// explicit alpha must lie in (0, 1).
 ///
 /// `--adaptive` conflicts with `--kill-after`: the kill switch counts
 /// engine shards, and early stopping changes how many shards a cell
 /// needs, so the combination would make "kill after N" depend on the
 /// statistics it is supposed to be testing.
-pub fn parse_adaptive(args: &[String]) -> Result<Option<AdaptivePolicy>, String> {
+pub fn parse_adaptive(args: &[String], threshold: f64) -> Result<Option<SequentialTest>, String> {
     let alpha = match eq_flag(args, "--adaptive") {
         None => return Ok(None),
-        Some(None) => AdaptivePolicy::default().alpha,
+        Some(None) => SequentialTest::DEFAULT_ALPHA,
         Some(Some(v)) => match v.parse::<f64>() {
             Ok(a) if a > 0.0 && a < 1.0 => a,
             _ => {
@@ -363,7 +364,7 @@ pub fn parse_adaptive(args: &[String]) -> Result<Option<AdaptivePolicy>, String>
                 .to_owned(),
         );
     }
-    Ok(Some(AdaptivePolicy { alpha }))
+    Ok(Some(SequentialTest { alpha, threshold }))
 }
 
 /// Parses `--designs sa,sp,rf,fs,ft,ms` into a design-column list;
@@ -436,8 +437,8 @@ pub fn campaign_flags(args: &[String]) -> RunPolicy {
 }
 
 /// [`parse_adaptive`], exiting 2 with the error on a malformed value.
-pub fn adaptive_flags(args: &[String]) -> Option<AdaptivePolicy> {
-    parse_adaptive(args).unwrap_or_else(|e| exit_usage(e))
+pub fn adaptive_flags(args: &[String], threshold: f64) -> Option<SequentialTest> {
+    parse_adaptive(args, threshold).unwrap_or_else(|e| exit_usage(e))
 }
 
 /// [`parse_designs`], exiting 2 with the error on a malformed value.
@@ -717,21 +718,22 @@ mod tests {
 
     #[test]
     fn adaptive_flag_parses_alpha_and_conflicts_with_kill_after() {
-        assert_eq!(parse_adaptive(&args(&["prog"])), Ok(None));
-        let bare = parse_adaptive(&args(&["prog", "--adaptive"]))
+        assert_eq!(parse_adaptive(&args(&["prog"]), 0.05), Ok(None));
+        let bare = parse_adaptive(&args(&["prog", "--adaptive"]), 0.06)
             .expect("parses")
             .expect("armed");
-        assert_eq!(bare.alpha, AdaptivePolicy::default().alpha);
-        let tuned = parse_adaptive(&args(&["prog", "--adaptive=0.05"]))
+        assert_eq!(bare.alpha, SequentialTest::DEFAULT_ALPHA);
+        assert_eq!(bare.threshold, 0.06, "the driver's verdict threshold");
+        let tuned = parse_adaptive(&args(&["prog", "--adaptive=0.05"]), 0.05)
             .expect("parses")
             .expect("armed");
         assert_eq!(tuned.alpha, 0.05);
         for bad in ["--adaptive=0", "--adaptive=1", "--adaptive=lots"] {
-            assert!(parse_adaptive(&args(&["prog", bad]))
+            assert!(parse_adaptive(&args(&["prog", bad]), 0.05)
                 .expect_err("rejected")
                 .contains("alpha in (0, 1)"));
         }
-        let err = parse_adaptive(&args(&["prog", "--adaptive", "--kill-after", "2"]))
+        let err = parse_adaptive(&args(&["prog", "--adaptive", "--kill-after", "2"]), 0.05)
             .expect_err("rejected");
         assert!(err.contains("conflicts with --kill-after"), "{err}");
     }

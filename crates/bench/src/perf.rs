@@ -6,7 +6,7 @@
 //! Metrics: IPC and TLB misses per kilo-instruction (MPKI), collected from
 //! the machine's cycle / instruction / TLB-miss counters.
 
-use sectlb_secbench::oracle::OracleConfig;
+use sectlb_secbench::oracle::{armed_machine, OracleConfig};
 use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_sim::sched::{run_sources, Cycled};
@@ -170,26 +170,21 @@ pub fn cell_machine(
     let key = RsaKey::demo_128();
     let layout = RsaLayout::new();
     let seed = 0xf167 ^ runs as u64;
-    let oracle = oracle.filter(|o| o.armed(seed));
-    let mut builder = MachineBuilder::new()
-        .design(design)
-        .tlb_config(config)
-        .seed(seed);
-    if oracle.is_some() {
-        builder = builder.oracle(true);
-    }
-    let mut m = customize(builder).build();
-    if let Some(o) = oracle {
-        m.set_oracle_context(format!(
-            "{}|{design}|{}|{} x{runs}|{seed:#x}",
-            o.tag,
-            config.label(),
-            workload.label()
-        ));
-        if let Some((op_index, selector, kind)) = o.corruption(seed) {
-            m.schedule_corruption(op_index, selector, kind);
-        }
-    }
+    let builder = customize(
+        MachineBuilder::new()
+            .design(design)
+            .tlb_config(config)
+            .seed(seed),
+    );
+    let mut m = match oracle.filter(|o| o.armed(seed)) {
+        Some(o) => armed_machine(
+            builder,
+            &o,
+            format_args!("{design}|{}|{} x{runs}", config.label(), workload.label()),
+            seed,
+        ),
+        None => builder.build(),
+    };
     let rsa_asid = m.os_mut().create_process();
     for page in layout.all_pages() {
         m.os_mut()

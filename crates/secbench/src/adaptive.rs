@@ -24,42 +24,23 @@
 //!   and identical trials-saved accounting.
 //!
 //! The campaign engine runs the schedule when
-//! [`crate::resilience::RunPolicy::adaptive`] is set: rounds of one shard
-//! per undecided cell, so panic isolation, quarantine, stall watchdogs,
-//! fault injection, and the resource budget ([`crate::supervisor`]) all
-//! compose with early stopping. Its checkpoints are cell-granular
-//! ([`AdaptiveCellState`]) rather than shard-granular: the file records
-//! each cell's merged prefix and whether it has been decided. Drivers
-//! whose engine tasks are whole rows of cells run the same schedule per
-//! cell with [`run_vulnerability_adaptive_with_builder`].
+//! [`crate::resilience::RunPolicy::adaptive`] holds a [`SequentialTest`]:
+//! rounds of one shard per undecided cell, so panic isolation,
+//! quarantine, stall watchdogs, fault injection, and the resource budget
+//! ([`crate::supervisor`]) all compose with early stopping. Its
+//! checkpoints are cell-granular ([`AdaptiveCellState`]) rather than
+//! shard-granular: the file records each cell's merged prefix and whether
+//! it has been decided. The test carries its driver's verdict threshold
+//! (Table 4 and the RF ablation 0.05, the §2.3 survey 0.06), so every
+//! driver's cells stop against the threshold its verdicts use.
 
 use std::ops::Range;
-
-use sectlb_model::Vulnerability;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 
 use crate::capacity::binary_channel_capacity;
 use crate::checkpoint::Record;
 use crate::parallel::TRIALS_PER_SHARD;
 use crate::report::DEFENDED_THRESHOLD;
-use crate::resilience::cells_fingerprint;
-use crate::run::{run_trial_range, Measurement, TrialSettings};
-use crate::spec::BenchmarkSpec;
-
-/// The `--adaptive[=ALPHA]` configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptivePolicy {
-    /// Confidence parameter of the sequential test: the per-decision
-    /// error budget of the Hoeffding rectangle. Smaller is more
-    /// conservative (later stops, stronger agreement margin).
-    pub alpha: f64,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> AdaptivePolicy {
-        AdaptivePolicy { alpha: 0.01 }
-    }
-}
+use crate::run::Measurement;
 
 /// The Hoeffding radius: with probability at least `1 - alpha`, both
 /// `p1` and `p2` lie within `eps` of their empirical estimates after
@@ -100,11 +81,14 @@ pub fn capacity_bounds(m: &Measurement, alpha: f64) -> (f64, f64) {
     (lo, hi)
 }
 
-/// The sequential two-proportion test: decides a cell's verdict as soon
-/// as the capacity's confidence interval clears the defended threshold.
+/// The sequential two-proportion test (`--adaptive[=ALPHA]`): decides a
+/// cell's verdict as soon as the capacity's confidence interval clears
+/// the defended threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequentialTest {
-    /// Error budget of the confidence rectangle.
+    /// Error budget of the confidence rectangle: the per-decision error
+    /// budget of the Hoeffding bound. Smaller is more conservative (later
+    /// stops, stronger agreement margin).
     pub alpha: f64,
     /// The defended-capacity threshold the verdict is measured against
     /// (Table 4 uses [`DEFENDED_THRESHOLD`]).
@@ -112,6 +96,9 @@ pub struct SequentialTest {
 }
 
 impl SequentialTest {
+    /// The `alpha` of a bare `--adaptive`.
+    pub const DEFAULT_ALPHA: f64 = 0.01;
+
     /// The Table 4 test at confidence `alpha`.
     pub fn table4(alpha: f64) -> SequentialTest {
         SequentialTest {
@@ -171,13 +158,9 @@ impl Record for AdaptiveCellState {
 /// campaign's fingerprint chained with the test parameters, so an
 /// adaptive checkpoint can never be resumed by (or resume) an exhaustive
 /// run or a different-alpha run.
-pub(crate) fn fingerprint(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> u64 {
+pub(crate) fn fingerprint(exhaustive: u64, test: &SequentialTest) -> u64 {
     crate::checkpoint::fingerprint(
-        cells_fingerprint(cells, settings),
+        exhaustive,
         [0xada9_717e, test.alpha.to_bits(), test.threshold.to_bits()],
     )
 }
@@ -185,45 +168,13 @@ pub(crate) fn fingerprint(
 /// The next trials of a cell's adaptive schedule after its measured
 /// prefix `m`: one [`TRIALS_PER_SHARD`]-sized shard, or `None` once the
 /// cell is settled — the sequential test decided it, or it reached the
-/// `full` exhaustive budget. The engine's round scheduler and the
-/// per-cell loop both step through this, so their stopping points agree.
+/// `full` exhaustive budget. The engine's round scheduler steps every
+/// cell through this.
 pub fn next_trials(m: &Measurement, full: u32, test: &SequentialTest) -> Option<Range<u32>> {
     if m.trials >= full || test.decide(m).is_some() {
         return None;
     }
     Some(m.trials..(m.trials + TRIALS_PER_SHARD).min(full))
-}
-
-/// Serial adaptive measurement of one cell — the early-stopping analogue
-/// of [`crate::run::run_vulnerability`], used by the drivers whose engine
-/// tasks are whole survey rows (mitigation matrices, RF ablations). It
-/// steps through the same [`next_trials`] schedule as the campaign
-/// engine, so the stopping point (and measurement) is identical to an
-/// adaptive engine run on the same cell.
-pub fn run_vulnerability_adaptive(
-    vulnerability: &Vulnerability,
-    design: TlbDesign,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> Measurement {
-    run_vulnerability_adaptive_with_builder(vulnerability, design, settings, test, &|b| b)
-}
-
-/// [`run_vulnerability_adaptive`] with a machine-builder hook, for cells
-/// that need a customized machine (flush policies, partition splits).
-pub fn run_vulnerability_adaptive_with_builder(
-    vulnerability: &Vulnerability,
-    design: TlbDesign,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Measurement {
-    let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
-    let mut m = Measurement::ZERO;
-    while let Some(range) = next_trials(&m, settings.trials, test) {
-        m = m.merge(run_trial_range(&spec, design, settings, range, customize));
-    }
-    m
 }
 
 #[cfg(test)]

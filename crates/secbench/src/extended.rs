@@ -10,23 +10,25 @@
 //! reproduction's addition) closes the gap by invalidating the whole
 //! secure region in constant time whenever any secure page is invalidated.
 //!
-//! Final-step invalidations are timed through the *cycle* counter (an
+//! Each (family, design) pair is a [`TrialCell`] the campaign engine's
+//! cells layer runs like any Table 4 cell. A family lowers to one
+//! instruction stream per placement whose last step is timed by counter
+//! reads in the program: the TLB-miss counter around an access, as in the
+//! base benchmarks, and the *cycle* counter around an invalidation (an
 //! invalidation of a present entry takes one extra cycle — the paper's
-//! Flush + Flush discussion), while final-step accesses use the TLB-miss
-//! counter as in the base benchmarks.
+//! Flush + Flush discussion).
 //!
 //! [`InvalidationPolicy::RegionFlush`]: sectlb_tlb::InvalidationPolicy::RegionFlush
 
 use sectlb_model::state::Actor;
 use sectlb_sim::cpu::Instr;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
+use sectlb_sim::machine::TlbDesign;
 use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{SecureRegion, Vpn};
 use sectlb_tlb::InvalidationPolicy;
 
 use crate::generate::{ATTACKER_ASID, VICTIM_ASID};
-use crate::oracle::OracleConfig;
-use crate::run::Measurement;
+use crate::run::{Hook, SeedRule, TrialCell};
 use crate::spec::{Placement, SBASE};
 
 /// One step of an extended benchmark.
@@ -89,6 +91,22 @@ impl ExtDesign {
             ExtDesign::RfRegionFlush => "RF (region flush)",
         }
     }
+
+    fn design(self) -> TlbDesign {
+        match self {
+            ExtDesign::Sa => TlbDesign::Sa,
+            ExtDesign::Sp => TlbDesign::Sp,
+            ExtDesign::RfPrecise | ExtDesign::RfRegionFlush => TlbDesign::Rf,
+        }
+    }
+
+    fn hook(self) -> Hook<'static> {
+        match self {
+            ExtDesign::RfRegionFlush => &|b| b.rf_invalidation(InvalidationPolicy::RegionFlush),
+            // Precise invalidation is every machine's default.
+            _ => &|b| b,
+        }
+    }
 }
 
 /// The representative extended benchmarks, one per Table 7 family that
@@ -141,144 +159,137 @@ pub fn extended_benchmarks() -> Vec<ExtBenchmark> {
 /// non-contention benchmarks.
 const SEC_PAGES: u64 = 3;
 
-fn lower(step: ExtStep, u: Vpn, a: Vpn) -> Vec<Instr> {
+fn lower(out: &mut Vec<Instr>, step: ExtStep, u: Vpn, a: Vpn) {
     let asid = |actor| match actor {
         Actor::Victim => VICTIM_ASID,
         Actor::Attacker => ATTACKER_ASID,
     };
-    match step {
-        ExtStep::AccessA(actor) => vec![Instr::SetAsid(asid(actor)), Instr::Load(a.base_addr())],
-        ExtStep::AccessU => vec![Instr::SetAsid(VICTIM_ASID), Instr::Load(u.base_addr())],
-        ExtStep::InvU => vec![Instr::SetAsid(VICTIM_ASID), Instr::FlushPage(u.base_addr())],
-        ExtStep::InvA(actor) => {
-            vec![Instr::SetAsid(asid(actor)), Instr::FlushPage(a.base_addr())]
+    out.extend(match step {
+        ExtStep::AccessA(actor) => [Instr::SetAsid(asid(actor)), Instr::Load(a.base_addr())],
+        ExtStep::AccessU => [Instr::SetAsid(VICTIM_ASID), Instr::Load(u.base_addr())],
+        ExtStep::InvU => [Instr::SetAsid(VICTIM_ASID), Instr::FlushPage(u.base_addr())],
+        ExtStep::InvA(actor) => [Instr::SetAsid(asid(actor)), Instr::FlushPage(a.base_addr())],
+    });
+}
+
+impl ExtBenchmark {
+    /// One trial's instruction stream: the setup operations, steps 1 and
+    /// 2, then step 3 with its operation between two counter reads — the
+    /// cycle counter around an invalidation, the miss counter around an
+    /// access.
+    pub fn program(&self, placement: Placement) -> Vec<Instr> {
+        let a = SBASE;
+        let u = match placement {
+            Placement::Mapped => a,
+            Placement::NotMapped => SBASE.offset(1),
+        };
+        let mut out = Vec::new();
+        for &step in self.setup.iter().chain(&self.steps) {
+            lower(&mut out, step, u, a);
+        }
+        let op = out.pop().expect("a step lowers to its operation");
+        let read = match op {
+            Instr::FlushPage(_) => Instr::ReadCycleCounter,
+            _ => Instr::ReadMissCounter,
+        };
+        out.extend([read, op, read]);
+        out
+    }
+
+    /// The family's cell on `design`: its two programs on a Table 4
+    /// machine with a 3-page secure region, seeded by
+    /// [`SeedRule::AppendixB`], and named `family|design label` in oracle
+    /// contexts.
+    pub fn cell(&self, design: ExtDesign) -> TrialCell<'static> {
+        TrialCell {
+            row: self.name.to_owned(),
+            column: design.label().to_owned(),
+            design: design.design(),
+            config: TlbConfig::security_eval(),
+            region: SecureRegion::new(SBASE, SEC_PAGES),
+            programs: Placement::BOTH.map(|p| self.program(p)),
+            hook: design.hook(),
+            seeds: SeedRule::AppendixB,
         }
     }
 }
 
-/// Runs one extended trial; returns `true` when the timed step was slow.
-///
-/// An armed `oracle` (sampled by seed) runs the shadow checker in
-/// lockstep with a `tag|benchmark|design|placement|seed` reporting
-/// context, and schedules the trial's planned corruption if any.
-fn run_trial(
-    bench: &ExtBenchmark,
-    design: ExtDesign,
-    placement: Placement,
-    seed: u64,
-    oracle: Option<OracleConfig>,
-) -> bool {
-    let (tlb_design, policy) = match design {
-        ExtDesign::Sa => (TlbDesign::Sa, InvalidationPolicy::Precise),
-        ExtDesign::Sp => (TlbDesign::Sp, InvalidationPolicy::Precise),
-        ExtDesign::RfPrecise => (TlbDesign::Rf, InvalidationPolicy::Precise),
-        ExtDesign::RfRegionFlush => (TlbDesign::Rf, InvalidationPolicy::RegionFlush),
-    };
-    let oracle = oracle.filter(|o| o.armed(seed));
-    let mut b = MachineBuilder::new()
-        .design(tlb_design)
-        .tlb_config(TlbConfig::security_eval())
-        .seed(seed)
-        .rf_invalidation(policy);
-    if oracle.is_some() {
-        b = b.oracle(true);
-    }
-    let mut m = b.build();
-    if let Some(o) = oracle {
-        m.set_oracle_context(format!(
-            "{}|{}|{}|{:?}|{:#x}",
-            o.tag,
-            bench.name,
-            design.label(),
-            placement,
-            seed
-        ));
-        if let Some((op_index, selector, kind)) = o.corruption(seed) {
-            m.schedule_corruption(op_index, selector, kind);
-        }
-    }
-    let victim = m.os_mut().create_process();
-    let attacker = m.os_mut().create_process();
-    let region = SecureRegion::new(SBASE, SEC_PAGES);
-    m.protect_victim(victim, region).expect("fresh machine");
-    for asid in [victim, attacker] {
-        m.os_mut().map_region(asid, SBASE, SEC_PAGES).ok();
-    }
-    let a = SBASE;
-    let u = match placement {
-        Placement::Mapped => a,
-        Placement::NotMapped => SBASE.offset(1),
-    };
-    for &s in &bench.setup {
-        for i in lower(s, u, a) {
-            m.exec(i);
-        }
-    }
-    let (prefix, last) = bench.steps.split_at(2);
-    for &s in prefix {
-        for i in lower(s, u, a) {
-            m.exec(i);
-        }
-    }
-    // Timed step: accesses observe the miss counter; invalidations observe
-    // the cycle counter (present entries cost one extra cycle).
-    let timed = lower(last[0], u, a);
-    let (ctx, op) = timed.split_at(timed.len() - 1);
-    for &i in ctx {
-        m.exec(i);
-    }
-    let misses_before = m.tlb_misses();
-    let cycles_before = m.stats().cycles;
-    m.exec(op[0]);
-    match op[0] {
-        Instr::FlushPage(_) => m.stats().cycles - cycles_before > 1,
-        _ => m.tlb_misses() > misses_before,
-    }
-}
-
-/// Measures one extended benchmark on one design variant (serially).
-pub fn run_extended(bench: &ExtBenchmark, design: ExtDesign, trials: u32) -> Measurement {
-    run_extended_oracle(bench, design, trials, None)
-}
-
-/// [`run_extended`] with optional shadow-oracle guardrails — the engine
-/// task of the `table7_eval` driver, one per (family, design) cell.
-pub fn run_extended_oracle(
-    bench: &ExtBenchmark,
-    design: ExtDesign,
-    trials: u32,
-    oracle: Option<OracleConfig>,
-) -> Measurement {
-    let mut n_mapped_miss = 0;
-    let mut n_not_mapped_miss = 0;
-    for t in 0..trials {
-        let seed = (u64::from(t) << 4) ^ 0x0ec4_eded;
-        if run_trial(bench, design, Placement::Mapped, seed, oracle) {
-            n_mapped_miss += 1;
-        }
-        if run_trial(bench, design, Placement::NotMapped, seed ^ 1, oracle) {
-            n_not_mapped_miss += 1;
-        }
-    }
-    Measurement {
-        trials,
-        n_mapped_miss,
-        n_not_mapped_miss,
-    }
+/// Table 7's cells: every family of `benches` on every [`ExtDesign`],
+/// row-major.
+pub fn cells(benches: &[ExtBenchmark]) -> Vec<TrialCell<'static>> {
+    benches
+        .iter()
+        .flat_map(|b| ExtDesign::ALL.map(|d| b.cell(d)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::resilience::measured;
+    use crate::run::TrialSettings;
+
     const TRIALS: u32 = 120;
+
+    fn settings(trials: u32) -> TrialSettings {
+        TrialSettings {
+            trials,
+            ..TrialSettings::default()
+        }
+    }
 
     fn capacity(name: &str, design: ExtDesign) -> f64 {
         let bench = extended_benchmarks()
             .into_iter()
             .find(|b| b.name == name)
             .unwrap_or_else(|| panic!("no benchmark {name}"));
-        run_extended(&bench, design, TRIALS).capacity()
+        measured(&[bench.cell(design)], &settings(TRIALS))[0].capacity()
+    }
+
+    #[test]
+    fn every_cell_keeps_its_measurement() {
+        // `(mapped, not mapped)` slow trials of 40 per placement, row-major
+        // over the families and SA, SP, RF (precise inv), RF (region
+        // flush): the values a fresh machine per trial, timed around the
+        // last step's operation, measured. Any drift in seeds, setup or
+        // timing moves the RF columns.
+        #[rustfmt::skip]
+        let expected: [(u32, u32); 24] = [
+            (0, 0), (0, 0), (0, 0), (0, 0),
+            (40, 0), (40, 0), (40, 10), (40, 40),
+            (40, 0), (40, 0), (40, 31), (40, 40),
+            (0, 40), (0, 40), (28, 35), (28, 31),
+            (0, 40), (0, 40), (0, 30), (40, 40),
+            (0, 40), (0, 40), (28, 26), (28, 23),
+        ];
+        let measured = measured(&cells(&extended_benchmarks()), &settings(40));
+        let got: Vec<(u32, u32)> = measured
+            .iter()
+            .map(|m| (m.n_mapped_miss, m.n_not_mapped_miss))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(measured.iter().all(|m| m.trials == 40));
+    }
+
+    #[test]
+    fn timed_steps_sit_between_their_counter_reads() {
+        for bench in extended_benchmarks() {
+            for placement in Placement::BOTH {
+                let p = bench.program(placement);
+                let reads = p
+                    .iter()
+                    .filter(|i| matches!(i, Instr::ReadMissCounter | Instr::ReadCycleCounter))
+                    .count();
+                assert_eq!(reads, 2, "{}", bench.name);
+                let [read, op, again] = p[p.len() - 3..] else {
+                    unreachable!("three instructions")
+                };
+                assert_eq!(read, again);
+                let cycles = matches!(op, Instr::FlushPage(_));
+                assert_eq!(read == Instr::ReadCycleCounter, cycles, "{}", bench.name);
+            }
+        }
     }
 
     #[test]

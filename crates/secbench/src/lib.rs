@@ -96,7 +96,7 @@ pub mod supervisor;
 pub mod telemetry;
 pub mod theory;
 
-pub use adaptive::{AdaptivePolicy, SequentialTest};
+pub use adaptive::SequentialTest;
 pub use capacity::binary_channel_capacity;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 pub use iofault::{IoFault, IoFaultKind, IoInjector};
@@ -107,7 +107,7 @@ pub use resilience::{
     CampaignOutcome, CellOutcome, FaultPlan, ResilientRun, RunPolicy, ShardFailure, ShardOutcome,
     EXIT_QUARANTINED,
 };
-pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialSettings};
+pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialCell, TrialSettings};
 pub use scheduler::{Claim, StealQueues};
 pub use service::{
     JobQueue, JobSpec, JobState, QueuedJob, Request, Response, ServiceError, SubmitError,

@@ -12,16 +12,18 @@
 //! 4. the paper's SP TLB — 14 of 24;
 //! 5. the paper's RF TLB — 24 of 24.
 //!
-//! This module measures those counts with the same micro security
-//! benchmarks used for Table 4.
+//! This module turns each approach into the cells that measure it — the
+//! same micro security benchmarks used for Table 4, on the approach's
+//! design, geometry and flush policy — and the campaign engine's cells
+//! layer runs them.
 
-use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
+use sectlb_model::enumerate_vulnerabilities;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_sim::os::FlushPolicy;
 use sectlb_tlb::config::TlbConfig;
 
-use crate::adaptive::{run_vulnerability_adaptive_with_builder, SequentialTest};
-use crate::run::{run_vulnerability_with_builder, Measurement, TrialSettings};
+use crate::run::{Hook, TrialCell, TrialSettings};
+use crate::spec::BenchmarkSpec;
 
 /// A mitigation approach from Section 2.3 (or one of the paper's designs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,80 +127,36 @@ impl Mitigation {
         }
     }
 
-    fn flush_policy(self) -> FlushPolicy {
+    fn hook(self) -> Hook<'static> {
         match self {
+            Mitigation::FlushOnSwitch => &|b| b.flush_policy(FlushPolicy::FlushOnSwitch),
             // The temporal designs clear themselves in hardware — the OS
             // policy stays off so the measurement exercises the design.
-            Mitigation::FlushOnSwitch => FlushPolicy::FlushOnSwitch,
-            _ => FlushPolicy::None,
+            _ => &|b| b,
         }
     }
-}
 
-/// Measures one vulnerability under one mitigation.
-pub fn run_mitigation(
-    vulnerability: &Vulnerability,
-    mitigation: Mitigation,
-    settings: &TrialSettings,
-) -> Measurement {
-    let mut s = *settings;
-    s.config = mitigation.config();
-    run_vulnerability_with_builder(vulnerability, mitigation.design(), &s, |b| {
-        b.flush_policy(mitigation.flush_policy())
-    })
-}
-
-/// Counts how many of the 24 vulnerability types a mitigation defends,
-/// measuring the rows serially — one survey row is one engine task of
-/// the `mitigations` driver.
-pub fn defended_count(mitigation: Mitigation, settings: &TrialSettings, threshold: f64) -> usize {
-    enumerate_vulnerabilities()
-        .iter()
-        .filter(|v| run_mitigation(v, mitigation, settings).defends(threshold))
-        .count()
-}
-
-/// [`run_mitigation`] with adaptive early stopping: trials stop as soon
-/// as the sequential test settles the row's defended/vulnerable verdict.
-pub fn run_mitigation_adaptive(
-    vulnerability: &Vulnerability,
-    mitigation: Mitigation,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> Measurement {
-    let mut s = *settings;
-    s.config = mitigation.config();
-    run_vulnerability_adaptive_with_builder(vulnerability, mitigation.design(), &s, test, &|b| {
-        b.flush_policy(mitigation.flush_policy())
-    })
-}
-
-/// [`defended_count`] with adaptive early stopping, returning the count
-/// plus the total trials x 2 placements saved across the 24 rows.
-///
-/// The verdicts agree with [`defended_count`]'s by construction: the
-/// sequential test only settles a cell when its whole confidence
-/// rectangle sits on one side of the threshold, and the test's
-/// `threshold` must equal the exhaustive comparison's.
-pub fn defended_count_adaptive(
-    mitigation: Mitigation,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> (usize, u64) {
-    let mut defended = 0;
-    let mut saved = 0;
-    for v in enumerate_vulnerabilities() {
-        let m = run_mitigation_adaptive(&v, mitigation, settings, test);
-        defended += usize::from(m.defends(test.threshold));
-        saved += u64::from(settings.trials - m.trials);
+    /// The approach's 24 cells, one per vulnerability type in Table 2
+    /// order: its design, geometry and flush policy, seeded from
+    /// `settings.base_seed` like the Table 4 cell of the same design.
+    pub fn cells(self, settings: &TrialSettings) -> Vec<TrialCell<'static>> {
+        let (design, config) = (self.design(), self.config());
+        enumerate_vulnerabilities()
+            .iter()
+            .map(|v| {
+                let spec = BenchmarkSpec::build_with_config(v, design, config);
+                TrialCell::new(&spec, design, settings.base_seed, self.hook())
+            })
+            .collect()
     }
-    (defended, saved)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sectlb_model::Strategy;
+    use crate::resilience::measured;
+    use crate::run::Measurement;
+    use sectlb_model::{Strategy, Vulnerability};
 
     fn settings() -> TrialSettings {
         TrialSettings {
@@ -207,11 +165,29 @@ mod tests {
         }
     }
 
+    /// The approach's measurement of every Table 2 row, on the engine.
+    fn measure(m: Mitigation) -> Vec<Measurement> {
+        measured(&m.cells(&settings()), &settings())
+    }
+
+    /// The approach's measurement of the first Table 2 row `pick` accepts.
+    fn measure_row(m: Mitigation, pick: impl Fn(&Vulnerability) -> bool) -> Measurement {
+        let row = enumerate_vulnerabilities()
+            .iter()
+            .position(pick)
+            .expect("row exists");
+        measured(&m.cells(&settings())[row..=row], &settings())[0]
+    }
+
+    fn defended_count(m: Mitigation) -> usize {
+        measure(m).iter().filter(|x| x.defends(0.06)).count()
+    }
+
     #[test]
     fn section_23_defense_counts_reproduce() {
         // The headline of Section 2.3: 10 / 14 / 18 / 14 / 24.
         for m in Mitigation::ALL {
-            let measured = defended_count(m, &settings(), 0.06);
+            let measured = defended_count(m);
             assert_eq!(
                 measured,
                 m.paper_defended_count(),
@@ -232,7 +208,7 @@ mod tests {
             Mitigation::FenceT,
             Mitigation::MultiSize,
         ] {
-            let measured = defended_count(m, &settings(), 0.06);
+            let measured = defended_count(m);
             assert_eq!(
                 measured,
                 m.paper_defended_count(),
@@ -252,10 +228,9 @@ mod tests {
     fn hardware_flush_matches_the_software_policy_row_for_row() {
         // The FS design is the Sanctum/SGX policy moved into hardware:
         // every row's defended verdict must coincide.
-        let s = settings();
-        for v in enumerate_vulnerabilities() {
-            let sw = run_mitigation(&v, Mitigation::FlushOnSwitch, &s);
-            let hw = run_mitigation(&v, Mitigation::HardwareFlush, &s);
+        let sw = measure(Mitigation::FlushOnSwitch);
+        let hw = measure(Mitigation::HardwareFlush);
+        for ((v, sw), hw) in enumerate_vulnerabilities().iter().zip(sw).zip(hw) {
             assert_eq!(
                 sw.defends(0.06),
                 hw.defends(0.06),
@@ -268,20 +243,13 @@ mod tests {
 
     #[test]
     fn flush_on_switch_kills_external_eviction_but_not_collisions() {
-        let vulns = enumerate_vulnerabilities();
-        let et = vulns
-            .iter()
-            .find(|v| v.strategy == Strategy::EvictTime)
-            .expect("row exists");
-        let ic = vulns
-            .iter()
-            .find(|v| {
-                v.strategy == Strategy::InternalCollision && v.pattern.s1.to_string() == "V_d"
-            })
-            .expect("row exists");
-        let et_m = run_mitigation(et, Mitigation::FlushOnSwitch, &settings());
+        let et_m = measure_row(Mitigation::FlushOnSwitch, |v| {
+            v.strategy == Strategy::EvictTime
+        });
         assert!(et_m.defends(0.05), "Evict+Time survives flushing?");
-        let ic_m = run_mitigation(ic, Mitigation::FlushOnSwitch, &settings());
+        let ic_m = measure_row(Mitigation::FlushOnSwitch, |v| {
+            v.strategy == Strategy::InternalCollision && v.pattern.s1.to_string() == "V_d"
+        });
         assert!(
             ic_m.capacity() > 0.9,
             "all-victim Internal Collision never crosses a context switch"
@@ -292,21 +260,14 @@ mod tests {
     fn fa_tlb_removes_the_set_index_channel() {
         // Prime + Probe on an FA TLB: the victim's access evicts exactly
         // one entry regardless of its address — no index information.
-        let vulns = enumerate_vulnerabilities();
-        let pp = vulns
-            .iter()
-            .find(|v| v.strategy == Strategy::PrimeProbe)
-            .expect("row exists");
-        let m = run_mitigation(pp, Mitigation::FullyAssociative, &settings());
+        let m = measure_row(Mitigation::FullyAssociative, |v| {
+            v.strategy == Strategy::PrimeProbe
+        });
         assert!(m.defends(0.05), "C* = {}", m.capacity());
         // But hit-based internal collisions remain.
-        let ic = vulns
-            .iter()
-            .find(|v| {
-                v.strategy == Strategy::InternalCollision && v.pattern.s1.to_string() == "A_d"
-            })
-            .expect("row exists");
-        let m = run_mitigation(ic, Mitigation::FullyAssociative, &settings());
+        let m = measure_row(Mitigation::FullyAssociative, |v| {
+            v.strategy == Strategy::InternalCollision && v.pattern.s1.to_string() == "A_d"
+        });
         assert!(m.capacity() > 0.9, "C* = {}", m.capacity());
     }
 }

@@ -31,7 +31,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use sectlb_sim::cpu::Instr;
-use sectlb_sim::machine::TlbDesign;
+use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_sim::os::FlushPolicy;
 use sectlb_sim::shadow::{drain_suspects_with_prefix, replay, MachineSetup, TraceCapture, TraceOp};
 use sectlb_sim::{Invariant, OracleViolation};
@@ -109,6 +109,26 @@ impl OracleConfig {
         self.corrupt_per_mille > 0 && self.corruption(trial_seed).is_some()
             || self.samples(trial_seed)
     }
+}
+
+/// Builds the machine of one trial the shadow oracle arms: the oracle on,
+/// the reporting context `tag|cell|seed`, and the trial's planned
+/// corruption (`--inject-corruption`), if its seed rolls one, scheduled.
+/// `cell` names the trial within its campaign (for a security trial,
+/// `vulnerability|design|placement`); `seed` is the trial's seed, which
+/// the caller gives the machine itself.
+pub fn armed_machine(
+    builder: MachineBuilder,
+    oracle: &OracleConfig,
+    cell: std::fmt::Arguments<'_>,
+    seed: u64,
+) -> Machine {
+    let mut m = builder.oracle(true).build();
+    m.set_oracle_context(format!("{}|{cell}|{seed:#x}", oracle.tag));
+    if let Some((op_index, selector, kind)) = oracle.corruption(seed) {
+        m.schedule_corruption(op_index, selector, kind);
+    }
+    m
 }
 
 /// Delta-debugging (ddmin) shrink of a capture's operation trace: removes
@@ -278,6 +298,7 @@ pub fn render_repro(capture: &TraceCapture) -> String {
                     Instr::FlushAsid(a) => writeln!(out, "op flushasid {}", a.0),
                     Instr::FlushPage(a) => writeln!(out, "op flushpage {a:#x}"),
                     Instr::ReadMissCounter => writeln!(out, "op readmiss"),
+                    Instr::ReadCycleCounter => writeln!(out, "op readcycle"),
                     Instr::JumpTo(a) => writeln!(out, "op jumpto {a:#x}"),
                 };
             }
@@ -457,6 +478,7 @@ pub fn parse_repro(text: &str) -> Result<TraceCapture, ReproError> {
                     "flushasid" => Instr::FlushAsid(Asid(num!("asid")? as u16)),
                     "flushpage" => Instr::FlushPage(num!("address")?),
                     "readmiss" => Instr::ReadMissCounter,
+                    "readcycle" => Instr::ReadCycleCounter,
                     "jumpto" => Instr::JumpTo(num!("address")?),
                     other => return Err(fail(line, format!("op: unknown mnemonic {other:?}"))),
                 };
@@ -712,8 +734,6 @@ pub fn conclude(prefix: &str, repro_dir: &Path) -> OracleSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sectlb_sim::machine::MachineBuilder;
-    use sectlb_sim::Machine;
 
     fn test_machine(tag: &str) -> Machine {
         let mut m = MachineBuilder::new().oracle(true).build();
@@ -823,6 +843,7 @@ mod tests {
             TraceOp::Exec(Instr::FlushAsid(Asid(2))),
             TraceOp::Exec(Instr::FlushPage(0x12_000)),
             TraceOp::Exec(Instr::ReadMissCounter),
+            TraceOp::Exec(Instr::ReadCycleCounter),
             TraceOp::Exec(Instr::JumpTo(0x500_000)),
             TraceOp::Exec(Instr::FlushAll),
         ]);

@@ -12,10 +12,11 @@ use sectlb_sim::machine::TlbDesign;
 
 use crate::parallel::PoolStats;
 use crate::resilience::{
-    measure_cells_resilient_observed, CampaignError, CellGap, CellOutcome, RunPolicy, ShardFailure,
-    StallEvent, EXIT_QUARANTINED,
+    cells_fingerprint, measure_cells_resilient_observed, CampaignError, CellGap, CellOutcome,
+    RunPolicy, ShardFailure, StallEvent, EXIT_QUARANTINED,
 };
-use crate::run::{Measurement, TrialSettings};
+use crate::run::{Measurement, TrialCell, TrialSettings};
+use crate::spec::BenchmarkSpec;
 use crate::supervisor::{StopReason, EXIT_BUDGET};
 use crate::telemetry::Telemetry;
 use crate::theory::{paper_theory, TheoryParams, TheoryRow};
@@ -473,6 +474,21 @@ pub fn table4_cells_for(designs: &[TlbDesign]) -> Vec<(Vulnerability, TlbDesign)
         .collect()
 }
 
+/// The cells that measure `(vulnerability, design)` pairs under
+/// `settings`: Table 4's geometry and seeds, without a builder hook.
+pub fn trial_cells(
+    cells: &[(Vulnerability, TlbDesign)],
+    settings: &TrialSettings,
+) -> Vec<TrialCell<'static>> {
+    cells
+        .iter()
+        .map(|(v, d)| {
+            let spec = BenchmarkSpec::build_with_config(v, *d, settings.config);
+            TrialCell::new(&spec, *d, settings.base_seed, &|b| b)
+        })
+        .collect()
+}
+
 /// Runs a Table 4 campaign over the `designs` columns on the engine
 /// ([`measure_cells_resilient_observed`]) and assembles the report: worker
 /// panics are isolated and deterministically retried, completed shards
@@ -490,8 +506,14 @@ pub fn build_table4_resilient_observed_for(
     telemetry: &Telemetry,
 ) -> Result<CampaignReport, CampaignError> {
     let cells = table4_cells_for(designs);
-    let outcome =
-        measure_cells_resilient_observed(&cells, settings, workers, policy, telemetry, &|b| b)?;
+    let outcome = measure_cells_resilient_observed(
+        &trial_cells(&cells, settings),
+        cells_fingerprint(&cells, settings),
+        settings,
+        workers,
+        policy,
+        telemetry,
+    )?;
     let params = TheoryParams::default();
     let ncols = designs.len();
     let mut quarantined = Vec::new();

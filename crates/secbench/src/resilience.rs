@@ -9,13 +9,14 @@
 //!    list on scoped worker threads with work-stealing deques
 //!    ([`crate::scheduler`]), one outcome per task in task order.
 //! 2. **Cells** — [`measure_cells_resilient_observed`] splits
-//!    `(vulnerability, design)` cells into trial shards
-//!    ([`crate::parallel`]), runs them on the pool, and merges them back
-//!    per cell — exhaustively in one pool run, or in rounds that stop
-//!    each cell early when [`RunPolicy::adaptive`] is set.
+//!    [`TrialCell`]s into trial shards ([`crate::parallel`]), runs them on
+//!    the pool, and merges them back per cell — exhaustively in one pool
+//!    run, or in rounds that stop each cell early when
+//!    [`RunPolicy::adaptive`] is set. Every security trial runs here.
 //! 3. **Campaigns** — the Table 4 builder
-//!    ([`crate::report::build_table4_resilient_observed_for`]) on top of
-//!    the cells, and the drivers' own task lists directly on the pool.
+//!    ([`crate::report::build_table4_resilient_observed_for`]) and the
+//!    survey, ablation and Table 7 drivers on top of the cells, and the
+//!    other drivers' own task lists directly on the pool.
 //!
 //! A campaign that dies loses nothing it finished, and a failing shard
 //! degrades the result instead of aborting it:
@@ -57,17 +58,14 @@ use std::sync::{mpsc, Arc, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sectlb_model::Vulnerability;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
+use sectlb_sim::machine::{Machine, TlbDesign};
 
-use crate::adaptive::{self, next_trials, AdaptiveCellState, AdaptivePolicy, SequentialTest};
+use crate::adaptive::{self, next_trials, AdaptiveCellState, SequentialTest};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 use crate::iofault::{IoFault, IoInjector};
 use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, Shard, WorkerStats};
-use crate::run::{
-    splitmix64, vulnerability_code, CellSetup, Measurement, SetupError, TrialSettings,
-};
+use crate::run::{splitmix64, vulnerability_code, Measurement, SetupError, TrialCell, TrialSettings};
 use crate::scheduler::StealQueues;
-use crate::spec::BenchmarkSpec;
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
@@ -333,9 +331,10 @@ pub struct RunPolicy {
     pub cancel: Option<crate::supervisor::CancelFlag>,
     /// Sequential early stopping (`--adaptive[=ALPHA]`): the cells layer
     /// ([`measure_cells_resilient_observed`]) stops each cell's trials once
-    /// its verdict is settled, checkpointing cell-granular progress. The
-    /// pool ignores it — a driver's own tasks decide what one task runs.
-    pub adaptive: Option<AdaptivePolicy>,
+    /// the test settles its verdict against the test's threshold,
+    /// checkpointing cell-granular progress. The pool ignores it — a
+    /// driver's own tasks decide what one task runs.
+    pub adaptive: Option<SequentialTest>,
 }
 
 impl Default for RunPolicy {
@@ -1282,8 +1281,7 @@ impl CellOutcome {
     }
 }
 
-/// A campaign over `(vulnerability, design)` cells, exhaustive or
-/// adaptive.
+/// A campaign over [`TrialCell`]s, exhaustive or adaptive.
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// One outcome per cell, in input order. Cells are never silently
@@ -1303,8 +1301,58 @@ pub struct CampaignOutcome {
     pub stop: Option<StopReason>,
 }
 
-/// The campaign fingerprint of a cell list under `settings` — what a
-/// checkpoint must match to be resumed.
+impl CampaignOutcome {
+    /// The driver exit code: [`EXIT_BUDGET`] when the budget left cells
+    /// incomplete (resumable), else [`EXIT_QUARANTINED`] when a cell was
+    /// quarantined, else 0.
+    pub fn exit_code(&self) -> i32 {
+        let partial = |c: &CellOutcome| matches!(c, CellOutcome::Partial { .. });
+        if self.stop.is_some() || self.cells.iter().any(partial) {
+            EXIT_BUDGET
+        } else if self.cells.iter().any(|c| c.measurement().is_none()) {
+            EXIT_QUARANTINED
+        } else {
+            0
+        }
+    }
+
+    /// Prints the resume/quarantine/stall/stop/pool summary to stderr
+    /// (stdout is reserved for the table itself, which scripts diff).
+    pub fn eprint_summary(&self) {
+        if self.resumed > 0 {
+            eprintln!(
+                "resumed: {} task(s) restored from checkpoint",
+                self.resumed
+            );
+        }
+        for cell in &self.cells {
+            if let CellOutcome::Quarantined { failure, .. } = cell {
+                eprintln!("{failure}");
+            }
+        }
+        for stall in &self.stalls {
+            eprintln!(
+                "stall: worker {} exceeded the watchdog deadline on task {} (ran {:.2?})",
+                stall.worker, stall.task, stall.waited
+            );
+        }
+        if let Some(stop) = self.stop {
+            let unfinished = self
+                .cells
+                .iter()
+                .filter(|c| matches!(c, CellOutcome::Partial { .. }))
+                .count();
+            eprintln!(
+                "campaign stopped early: {stop} ({unfinished} of {} cell(s) unfinished)",
+                self.cells.len()
+            );
+        }
+        eprintln!("pool: {}", self.stats.render());
+    }
+}
+
+/// The campaign fingerprint of a Table 4 cell list under `settings` —
+/// what a checkpoint must match to be resumed.
 pub fn cells_fingerprint(cells: &[(Vulnerability, TlbDesign)], settings: &TrialSettings) -> u64 {
     crate::checkpoint::fingerprint(
         crate::checkpoint::settings_fingerprint(settings),
@@ -1443,10 +1491,10 @@ impl CellTally {
 static NEXT_CELLS_CALL: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// The setup of the last cell this worker measured, with its call and
-    /// cell index; taken while a shard runs, so a shard that panics
+    /// The template of the last cell this worker measured, with its call
+    /// and cell index; taken while a shard runs, so a shard that panics
     /// leaves nothing behind.
-    static LAST_SETUP: Cell<Option<(u64, usize, CellSetup)>> = const { Cell::new(None) };
+    static LAST_SETUP: Cell<Option<(u64, usize, Machine)>> = const { Cell::new(None) };
 }
 
 /// Folds a pool run's outcomes into the tallies of their cells and
@@ -1463,16 +1511,19 @@ fn tally_run(tally: &mut [CellTally], shards: &[Shard], run: &ResilientRun<Measu
     trials
 }
 
-/// Measures `(vulnerability, design)` cells on the engine — the cells
-/// layer, and the only way campaign cells are measured.
+/// Measures `cells` on the engine — the cells layer, and the only way
+/// security trials run. `fingerprint` is the exhaustive campaign's
+/// identity (for Table 4, [`cells_fingerprint`]), which a resumed
+/// checkpoint must match; `settings` gives the trial budget, the RF
+/// eviction every machine starts from, and the oracle guardrails.
 ///
 /// Each cell's trials split into [`crate::parallel::TRIALS_PER_SHARD`]
 /// shards run on the pool ([`run_sharded_resilient_observed`]); worker
 /// panics are isolated and retried, and a cell whose shards keep failing
 /// is quarantined instead of killing the run. The measurements are
-/// bitwise identical to measuring each cell serially with
-/// [`crate::run::try_run_trial_range`] over `0..settings.trials`, for
-/// any worker count.
+/// bitwise identical to running each cell's `0..settings.trials`
+/// serially (for a Table 4 cell, [`crate::run::try_run_trial_range`]),
+/// for any worker count.
 ///
 /// Without [`RunPolicy::adaptive`] the whole shard plan is one pool run
 /// and checkpoints are shard-granular. With it, rounds of one
@@ -1486,33 +1537,32 @@ fn tally_run(tally: &mut [CellTally], shards: &[Shard], run: &ResilientRun<Measu
 /// identity comes from the handle) around the pool's shard lifecycle,
 /// plus an [`Event::AdaptiveStop`] per settled cell on adaptive runs.
 pub fn measure_cells_resilient_observed(
-    cells: &[(Vulnerability, TlbDesign)],
+    cells: &[TrialCell<'_>],
+    fingerprint: u64,
     settings: &TrialSettings,
     workers: NonZeroUsize,
     policy: &RunPolicy,
     telemetry: &Telemetry,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Result<CampaignOutcome, CampaignError> {
-    let specs: Vec<BenchmarkSpec> = cells
-        .iter()
-        .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
-        .collect();
-    let test = policy.adaptive.map(|a| SequentialTest::table4(a.alpha));
+    let test = policy.adaptive;
     let plan = match test {
         None => plan_shards(cells.len(), settings.trials),
         Some(_) => Vec::new(),
     };
     let (fingerprint, tasks, suffix) = match &test {
-        None => (cells_fingerprint(cells, settings), plan.len(), ""),
+        None => (fingerprint, plan.len(), ""),
         Some(test) => (
-            adaptive::fingerprint(cells, settings, test),
+            adaptive::fingerprint(fingerprint, test),
             cells.len(),
             " (adaptive)",
         ),
     };
     let label = |shard: &Shard| {
-        let (v, d) = &cells[shard.cell];
-        format!("{v} on {d} TLB, trials {}..{}{suffix}", shard.lo, shard.hi)
+        let cell = &cells[shard.cell];
+        format!(
+            "{} on {} TLB, trials {}..{}{suffix}",
+            cell.row, cell.column, shard.lo, shard.hi
+        )
     };
     // A worker's queue starts as a contiguous run of the plan, so the
     // shards it claims in a row are mostly of one cell: it keeps that
@@ -1520,19 +1570,18 @@ pub fn measure_cells_resilient_observed(
     // than once per shard. The key is this call and the cell.
     let call = NEXT_CELLS_CALL.fetch_add(1, Ordering::Relaxed);
     let run_shard = |shard: &Shard| {
-        let (spec, design) = (&specs[shard.cell], cells[shard.cell].1);
+        let cell = &cells[shard.cell];
         let cached = LAST_SETUP
             .take()
-            .filter(|&(c, cell, _)| (c, cell) == (call, shard.cell));
-        let setup = match cached {
-            Some((_, _, setup)) => setup,
-            None => CellSetup::build(spec, design, settings, customize)
-                .unwrap_or_else(|e| panic!("{e}")),
+            .filter(|&(c, i, _)| (c, i) == (call, shard.cell));
+        let template = match cached {
+            Some((_, _, template)) => template,
+            None => cell.template(settings).unwrap_or_else(|e| panic!("{e}")),
         };
-        let measured = setup
-            .run(spec, design, settings, shard.lo..shard.hi, customize)
+        let measured = cell
+            .run(&template, settings, shard.lo..shard.hi)
             .unwrap_or_else(|e| panic!("{e}"));
-        LAST_SETUP.set(Some((call, shard.cell, setup)));
+        LAST_SETUP.set(Some((call, shard.cell, template)));
         measured
     };
     let pool = |shards: &[Shard], policy: &RunPolicy| {
@@ -1585,6 +1634,25 @@ pub fn measure_cells_resilient_observed(
     Ok(outcome)
 }
 
+/// The measurements of `cells` on one engine worker, for unit tests.
+#[cfg(test)]
+pub(crate) fn measured(cells: &[TrialCell<'_>], settings: &TrialSettings) -> Vec<Measurement> {
+    let policy = RunPolicy::default();
+    let run = measure_cells_resilient_observed(
+        cells,
+        0,
+        settings,
+        NonZeroUsize::MIN,
+        &policy,
+        &Telemetry::disabled(),
+    )
+    .expect("clean campaign");
+    run.cells
+        .iter()
+        .map(|c| c.measurement().expect("cell measured"))
+        .collect()
+}
+
 /// The adaptive round scheduler of [`measure_cells_resilient_observed`]:
 /// pool runs of one shard per live cell until every cell is settled,
 /// quarantined or timed out, or the budget stops the campaign. Returns the
@@ -1599,7 +1667,7 @@ pub fn measure_cells_resilient_observed(
 /// the deadline.
 #[allow(clippy::too_many_arguments)]
 fn adaptive_rounds(
-    cells: &[(Vulnerability, TlbDesign)],
+    cells: &[TrialCell<'_>],
     full: u32,
     test: &SequentialTest,
     policy: &RunPolicy,
@@ -1661,9 +1729,9 @@ fn adaptive_rounds(
             if !t.settled && next_trials(&t.m, full, test).is_none() {
                 t.settled = true;
                 if telemetry.is_armed() {
-                    let (v, d) = &cells[i];
+                    let cell = &cells[i];
                     telemetry.emit(Event::AdaptiveStop {
-                        cell: format!("{v} on {d} TLB"),
+                        cell: format!("{} on {} TLB", cell.row, cell.column),
                         trials: u64::from(t.m.trials),
                         saved: u64::from(full.saturating_sub(t.m.trials)),
                     });

@@ -4,9 +4,17 @@
 //! address mapped to the tested block and 500 times not mapped
 //! (Section 5.3: "24 vulnerability types × 1,000 simulations = 24,000
 //! runs"). Every trial starts from fresh TLB contents and a fresh Random
-//! Fill Engine seed, and observes the final step through the TLB-miss
-//! counter. The counts of slow trials give the empirical probabilities
-//! `p1*` and `p2*` and the channel capacity `C*`.
+//! Fill Engine seed, and a counter read times its final step. The counts
+//! of slow trials give the empirical probabilities `p1*` and `p2*` and
+//! the channel capacity `C*`.
+//!
+//! Every security table is a list of [`TrialCell`]s: Table 4, the §2.3
+//! mitigation survey, the RF eviction ablation and Appendix B's Table 7.
+//! A cell carries what its trials need — the program of each placement,
+//! the machine they run on (design, geometry, secure region and a
+//! builder hook), its seed rule and its names — and this module runs a
+//! range of its trials; the campaign engine's cells layer
+//! ([`crate::resilience::measure_cells_resilient_observed`]) shards it.
 //!
 //! Freshness comes from restoring, not rebuilding: a cell's machine is
 //! set up once (processes, mapped regions, programmed secure region) —
@@ -20,6 +28,7 @@
 //! reporting context.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use sectlb_model::state::State;
 use sectlb_model::Vulnerability;
@@ -27,12 +36,13 @@ use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_sim::os::OsError;
 use sectlb_tlb::config::TlbConfig;
+use sectlb_tlb::types::SecureRegion;
 use sectlb_tlb::RandomFillEviction;
 
 use crate::capacity::binary_channel_capacity;
 use crate::generate::{generate_program, ATTACKER_ASID, VICTIM_ASID};
-use crate::oracle::OracleConfig;
-use crate::spec::{BenchmarkSpec, Placement};
+use crate::oracle::{armed_machine, OracleConfig};
+use crate::spec::{BenchmarkSpec, Placement, DBASE, FILLER};
 
 /// Parameters of a measurement campaign.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +53,9 @@ pub struct TrialSettings {
     pub config: TlbConfig,
     /// Base seed; each trial derives its own RFE seed from it.
     pub base_seed: u64,
-    /// RF random-fill eviction policy (the insecure `LruWay` variant is
-    /// only used by the `ablation_rf` study).
+    /// RF random-fill eviction policy every cell's machine starts from
+    /// (the insecure `LruWay` variant is only used by the `ablation_rf`
+    /// study, whose cells set it through their hook).
     pub rf_eviction: RandomFillEviction,
     /// Worker threads for the campaign, as the caller records it. It
     /// selects no code path: the engine's entry points take their worker
@@ -108,14 +119,48 @@ fn placement_code(placement: Placement) -> u64 {
     }
 }
 
+/// How a cell derives each trial's seed from the trial's placement and
+/// index. Either way the seed depends on *what* the trial is, never on
+/// *when* or *where* it runs, so any sharding of the trial space —
+/// including the serial degenerate case — produces bitwise-identical
+/// measurements: the determinism contract of the whole campaign engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedRule {
+    /// [`derive_trial_seed`]'s chain, with the campaign's base seed and
+    /// the cell's vulnerability and design already folded in (Table 4,
+    /// the §2.3 survey and the RF ablation).
+    Derived(u64),
+    /// Appendix B's rule: `(t << 4) ^ 0x0ec4_eded` for trial `t`, and
+    /// that `^ 1` when not mapped. Table 7's RF columns depend on it.
+    AppendixB,
+}
+
+impl SeedRule {
+    /// The [`SeedRule::Derived`] rule of a vulnerability on a design.
+    pub fn derived(base_seed: u64, vulnerability: &Vulnerability, design: TlbDesign) -> SeedRule {
+        let mut s = splitmix64(base_seed);
+        for coordinate in [vulnerability_code(vulnerability), design_code(design)] {
+            s = splitmix64(s ^ coordinate);
+        }
+        SeedRule::Derived(s)
+    }
+
+    /// The seed of trial `trial` in `placement`.
+    pub fn seed(self, placement: Placement, trial: u32) -> u64 {
+        match self {
+            SeedRule::Derived(prefix) => {
+                splitmix64(splitmix64(prefix ^ placement_code(placement)) ^ u64::from(trial))
+            }
+            SeedRule::AppendixB => {
+                (u64::from(trial) << 4) ^ 0x0ec4_eded ^ placement_code(placement)
+            }
+        }
+    }
+}
+
 /// Derives the RFE seed of one trial from the campaign's base seed and
 /// the trial's full coordinates, by chaining [`splitmix64`] over each
-/// coordinate.
-///
-/// This is the determinism contract of the whole campaign engine: the
-/// seed depends on *what* the trial is, never on *when* or *where* it
-/// runs, so any sharding of the trial space — including the serial
-/// degenerate case — produces bitwise-identical measurements.
+/// coordinate: the [`SeedRule::Derived`] rule.
 pub fn derive_trial_seed(
     base_seed: u64,
     vulnerability: &Vulnerability,
@@ -123,16 +168,7 @@ pub fn derive_trial_seed(
     placement: Placement,
     trial: u32,
 ) -> u64 {
-    let mut s = splitmix64(base_seed);
-    for coordinate in [
-        vulnerability_code(vulnerability),
-        design_code(design),
-        placement_code(placement),
-        u64::from(trial),
-    ] {
-        s = splitmix64(s ^ coordinate);
-    }
-    s
+    SeedRule::derived(base_seed, vulnerability, design).seed(placement, trial)
 }
 
 /// The measured outcome for one vulnerability on one TLB design — one cell
@@ -200,7 +236,8 @@ impl Measurement {
 /// instead of a bare `expect` panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetupError {
-    /// The vulnerability whose benchmark was being set up.
+    /// The cell's row: the vulnerability (or Appendix B family) whose
+    /// benchmark was being set up.
     pub vulnerability: String,
     /// The TLB design under test.
     pub design: TlbDesign,
@@ -226,93 +263,195 @@ impl std::error::Error for SetupError {
     }
 }
 
+/// A cell's machine-builder hook: what the cell changes about its
+/// machine beyond its design and geometry — the §2.3 flush policy, RF's
+/// eviction or invalidation policy, an SP way split. It runs once per
+/// machine build, and every trial reseeds the machine afterwards, so a
+/// seed the hook sets never reaches a trial.
+pub type Hook<'a> = &'a (dyn Fn(MachineBuilder) -> MachineBuilder + Sync);
+
+/// One cell of a security campaign: everything its shards need to run
+/// any range of its trials.
+#[derive(Clone)]
+pub struct TrialCell<'a> {
+    /// The row: the vulnerability (or Appendix B family) under test. With
+    /// [`TrialCell::column`] it names the cell in oracle contexts
+    /// (`tag|row|column|placement|seed`) and quarantine reports.
+    pub row: String,
+    /// The column: the design's name (or Table 7's design label).
+    pub column: String,
+    /// The TLB design.
+    pub design: TlbDesign,
+    /// The TLB geometry.
+    pub config: TlbConfig,
+    /// The victim's secure region.
+    pub region: SecureRegion,
+    /// The program of each placement, in [`Placement::BOTH`] order. Each
+    /// ends with its timed step between two counter reads.
+    pub programs: [Vec<Instr>; 2],
+    /// The machine-builder hook.
+    pub hook: Hook<'a>,
+    /// How each trial's seed is derived.
+    pub seeds: SeedRule,
+}
+
+impl std::fmt::Debug for TrialCell<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrialCell")
+            .field("row", &self.row)
+            .field("column", &self.column)
+            .field("design", &self.design)
+            .field("seeds", &self.seeds)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> TrialCell<'a> {
+    /// The cell of `spec`'s vulnerability on `design`: the generated
+    /// programs, the derived seeds of `base_seed`, and `hook`.
+    pub fn new(
+        spec: &BenchmarkSpec,
+        design: TlbDesign,
+        base_seed: u64,
+        hook: Hook<'a>,
+    ) -> TrialCell<'a> {
+        TrialCell {
+            row: spec.vulnerability.to_string(),
+            column: design.to_string(),
+            design,
+            config: spec.config,
+            region: spec.region,
+            programs: Placement::BOTH.map(|p| generate_program(spec, p)),
+            hook,
+            seeds: SeedRule::derived(base_seed, &spec.vulnerability, design),
+        }
+    }
+
+    /// Builds the cell's post-setup machine (module docs): the template
+    /// every unarmed trial of `settings` restores.
+    pub(crate) fn template(&self, settings: &TrialSettings) -> Result<Machine, SetupError> {
+        build_machine(self, settings.rf_eviction, None)
+    }
+
+    /// Measures `range` of the cell's trials, each on a reseeded clone of
+    /// `template` (built by [`TrialCell::template`] with the same
+    /// `settings`) or, when the oracle arms it, on a fresh build.
+    pub(crate) fn run(
+        &self,
+        template: &Machine,
+        settings: &TrialSettings,
+        range: Range<u32>,
+    ) -> Result<Measurement, SetupError> {
+        let mut slow = [0u32; 2];
+        for t in range.clone() {
+            // Cooperative cell-deadline preemption: unwinds with a typed
+            // payload the resilient engine reports as TIMEOUT. A no-op
+            // unless the engine armed this thread's flag. Sits between
+            // trials, so a preemption never splits a trial's batch mid-run.
+            crate::supervisor::preempt_point();
+            for (i, placement) in Placement::BOTH.into_iter().enumerate() {
+                let seed = self.seeds.seed(placement, t);
+                let mut m = match settings.oracle.filter(|o| o.armed(seed)) {
+                    Some(oracle) => {
+                        build_machine(self, settings.rf_eviction, Some((&oracle, placement, seed)))?
+                    }
+                    None => template.clone(),
+                };
+                m.reseed(seed);
+                if timed_step_was_slow(m, &self.programs[i]) {
+                    slow[i] += 1;
+                }
+            }
+        }
+        Ok(Measurement {
+            trials: range.len() as u32,
+            n_mapped_miss: slow[0],
+            n_not_mapped_miss: slow[1],
+        })
+    }
+}
+
 /// Builds a cell's post-setup machine: TLB design + geometry, victim and
-/// attacker processes, their mapped regions, and the programmed secure
+/// attacker processes, their mapped regions (the conflict pages, the
+/// in-range page numbers and a filler page), and the programmed secure
 /// region (victim-ASID and `sbase`/`ssize` registers). The machine is not
 /// yet seeded for any trial: callers [`Machine::reseed`] it (or a clone of
-/// it) with the trial's seed, which therefore overrides any seed the
-/// `customize` hook sets.
+/// it) with the trial's seed.
 ///
-/// Setup failures (which a fresh machine should never produce, but a
-/// customized one from an ablation hook can) are reported with the
-/// vulnerability/design cell that hit them instead of panicking.
+/// With `armed`, the shadow oracle watches the machine with the trial's
+/// reporting context and planned corruption
+/// ([`crate::oracle::armed_machine`]). Setup failures (which a fresh
+/// machine should never produce, but a customized one from a hook can)
+/// are reported with the cell that hit them instead of panicking.
 fn build_machine(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
+    cell: &TrialCell<'_>,
     rf_eviction: RandomFillEviction,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
+    armed: Option<(&OracleConfig, Placement, u64)>,
 ) -> Result<Machine, SetupError> {
     let cell_error = |stage: &'static str| {
-        let vulnerability = spec.vulnerability.to_string();
         move |source: OsError| SetupError {
-            vulnerability,
-            design,
+            vulnerability: cell.row.clone(),
+            design: cell.design,
             stage,
             source,
         }
     };
-    let builder = MachineBuilder::new()
-        .design(design)
-        .tlb_config(spec.config)
-        .rf_eviction(rf_eviction);
-    let mut m = customize(builder).build();
+    let builder = (cell.hook)(
+        MachineBuilder::new()
+            .design(cell.design)
+            .tlb_config(cell.config)
+            .rf_eviction(rf_eviction),
+    );
+    let mut m = match armed {
+        Some((oracle, placement, seed)) => armed_machine(
+            builder,
+            oracle,
+            format_args!("{}|{}|{placement:?}", cell.row, cell.column),
+            seed,
+        ),
+        None => builder.build(),
+    };
     let victim = m.os_mut().create_process();
     let attacker = m.os_mut().create_process();
     debug_assert_eq!(victim, VICTIM_ASID);
     debug_assert_eq!(attacker, ATTACKER_ASID);
     // The victim's secure region (also pre-generates PTEs for the RFE).
-    m.protect_victim(victim, spec.region)
+    m.protect_victim(victim, cell.region)
         .map_err(cell_error("protect the victim's secure region"))?;
     // Both actors can reach the conflict pages, the in-range page numbers
     // (numerically, in their own address spaces) and their filler page.
     for asid in [victim, attacker] {
         m.os_mut()
-            .map_region(asid, spec.dbase, 64)
+            .map_region(asid, DBASE, 64)
             .map_err(cell_error("map the conflict region"))?;
         m.os_mut()
-            .map_region(asid, spec.region.base, spec.region.pages)
+            .map_region(asid, cell.region.base, cell.region.pages)
             .ok(); // victim's region is already mapped; attacker's is fresh
         m.os_mut()
-            .map_page(asid, spec.filler)
+            .map_page(asid, FILLER)
             .map_err(cell_error("map the filler page"))?;
     }
     Ok(m)
 }
 
-/// Builds a fresh machine for a trial the shadow oracle arms: the oracle
-/// runs in lockstep with a reporting context of
-/// `tag|vulnerability|design|placement|seed`, and a planned corruption
-/// (the `--inject-corruption` harness) is scheduled before execution.
-fn armed_machine(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
-    placement: Placement,
-    seed: u64,
-    settings: &TrialSettings,
-    oracle: OracleConfig,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<Machine, SetupError> {
-    let mut m = build_machine(spec, design, settings.rf_eviction, &|b| {
-        customize(b).oracle(true)
-    })?;
-    m.reseed(seed);
-    m.set_oracle_context(format!(
-        "{}|{}|{}|{:?}|{:#x}",
-        oracle.tag, spec.vulnerability, design, placement, seed
-    ));
-    if let Some((op_index, selector, kind)) = oracle.corruption(seed) {
-        m.schedule_corruption(op_index, selector, kind);
-    }
-    Ok(m)
-}
+/// Cycles between two [`Instr::ReadCycleCounter`]s around a fast
+/// one-cycle step: the first read's own cycle and the step's.
+const FAST_STEP_CYCLES: u64 = 2;
 
 /// Runs one trial's program on `m`; returns `true` when the timed step
-/// was slow (the miss counter advanced).
+/// between its two counter reads was slow. A program ending in a miss
+/// read is slow when the miss counter advanced; one ending in a cycle
+/// read when the step took more than its fast cycle (Appendix B's
+/// invalidation of a present entry takes an extra one).
 fn timed_step_was_slow(mut m: Machine, program: &[Instr]) -> bool {
     m.run_batch(program);
     let reads = &m.stats().counter_reads;
     assert_eq!(reads.len(), 2, "benchmark reads the counter exactly twice");
-    reads[1] > reads[0]
+    let fast = match program.last() {
+        Some(Instr::ReadCycleCounter) => FAST_STEP_CYCLES,
+        _ => 0,
+    };
+    reads[1] - reads[0] > fast
 }
 
 /// Measures one vulnerability on one design, serially on the calling
@@ -322,134 +461,26 @@ pub fn run_vulnerability(
     design: TlbDesign,
     settings: &TrialSettings,
 ) -> Measurement {
-    run_vulnerability_with_builder(vulnerability, design, settings, |b| b)
-}
-
-/// [`run_vulnerability`] with a hook customizing the cell's machine
-/// (used by the ablation studies, e.g. to sweep the SP partition split).
-/// Every trial reseeds the machine after the hook ran, so a seed the hook
-/// sets never reaches a trial.
-pub fn run_vulnerability_with_builder(
-    vulnerability: &Vulnerability,
-    design: TlbDesign,
-    settings: &TrialSettings,
-    customize: impl Fn(MachineBuilder) -> MachineBuilder + Sync,
-) -> Measurement {
     let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
-    run_trial_range(&spec, design, settings, 0..settings.trials, &customize)
+    try_run_trial_range(&spec, design, settings, 0..settings.trials, &|b| b)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Measures a contiguous range of trial indices for one cell — the shard
-/// unit of the campaign engine, also usable directly (the equivalence
-/// proptests split campaigns at arbitrary boundaries with it).
-///
-/// `spec` must be built from the same vulnerability/design/config the
-/// seeds are derived for; the result covers `range.len()` trials per
-/// placement.
-pub fn run_trial_range(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
-    settings: &TrialSettings,
-    range: std::ops::Range<u32>,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Measurement {
-    match try_run_trial_range(spec, design, settings, range, customize) {
-        Ok(m) => m,
-        // The panic message carries the full cell coordinates, so the
-        // fault-tolerant engine's catch_unwind surfaces them verbatim in
-        // its quarantine report.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_trial_range`]: machine-setup failures are propagated as
-/// a typed [`SetupError`] naming the cell instead of panicking.
+/// Measures a contiguous range of trial indices of the cell of `spec` on
+/// `design` with the `customize` hook ([`TrialCell::new`]), serially on
+/// the calling thread: one template setup, then the restored-template
+/// loop. The engine's shards run the same loop, so splitting a cell at
+/// any boundaries merges to the same measurement. Machine-setup failures
+/// are a typed [`SetupError`] naming the cell.
 pub fn try_run_trial_range(
     spec: &BenchmarkSpec,
     design: TlbDesign,
     settings: &TrialSettings,
-    range: std::ops::Range<u32>,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
+    range: Range<u32>,
+    customize: Hook<'_>,
 ) -> Result<Measurement, SetupError> {
-    CellSetup::build(spec, design, settings, customize)?
-        .run(spec, design, settings, range, customize)
-}
-
-/// What every trial of one cell starts from: the benchmark program of
-/// each placement and the cell's post-setup machine. All three depend
-/// only on the cell, so one setup serves any number of trial ranges, and
-/// every unarmed trial restores the template: a clone reseeded with the
-/// trial's seed (module docs).
-pub(crate) struct CellSetup {
-    mapped: Vec<Instr>,
-    not_mapped: Vec<Instr>,
-    template: Machine,
-}
-
-impl CellSetup {
-    pub(crate) fn build(
-        spec: &BenchmarkSpec,
-        design: TlbDesign,
-        settings: &TrialSettings,
-        customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-    ) -> Result<CellSetup, SetupError> {
-        Ok(CellSetup {
-            mapped: generate_program(spec, Placement::Mapped),
-            not_mapped: generate_program(spec, Placement::NotMapped),
-            template: build_machine(spec, design, settings.rf_eviction, customize)?,
-        })
-    }
-
-    /// Measures `range` of the trials of the cell this setup was built
-    /// for; `spec`, `design`, `settings` and `customize` must be the ones
-    /// it was built with.
-    pub(crate) fn run(
-        &self,
-        spec: &BenchmarkSpec,
-        design: TlbDesign,
-        settings: &TrialSettings,
-        range: std::ops::Range<u32>,
-        customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-    ) -> Result<Measurement, SetupError> {
-        let v = &spec.vulnerability;
-        let mut n_mapped_miss = 0;
-        let mut n_not_mapped_miss = 0;
-        for t in range.clone() {
-            // Cooperative cell-deadline preemption: unwinds with a typed
-            // payload the resilient engine reports as TIMEOUT. A no-op
-            // unless the engine armed this thread's flag. Sits between
-            // trials, so a preemption never splits a trial's batch mid-run.
-            crate::supervisor::preempt_point();
-            for (placement, program, counter) in [
-                (Placement::Mapped, &self.mapped, &mut n_mapped_miss),
-                (
-                    Placement::NotMapped,
-                    &self.not_mapped,
-                    &mut n_not_mapped_miss,
-                ),
-            ] {
-                let seed = derive_trial_seed(settings.base_seed, v, design, placement, t);
-                let m = match settings.oracle.filter(|o| o.armed(seed)) {
-                    Some(oracle) => {
-                        armed_machine(spec, design, placement, seed, settings, oracle, customize)?
-                    }
-                    None => {
-                        let mut m = self.template.clone();
-                        m.reseed(seed);
-                        m
-                    }
-                };
-                if timed_step_was_slow(m, program) {
-                    *counter += 1;
-                }
-            }
-        }
-        Ok(Measurement {
-            trials: range.len() as u32,
-            n_mapped_miss,
-            n_not_mapped_miss,
-        })
-    }
+    let cell = TrialCell::new(spec, design, settings.base_seed, customize);
+    cell.run(&cell.template(settings)?, settings, range)
 }
 
 #[cfg(test)]

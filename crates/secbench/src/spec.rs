@@ -26,6 +26,11 @@ pub enum Placement {
     NotMapped,
 }
 
+impl Placement {
+    /// Both placements, in the order a trial runs them.
+    pub const BOTH: [Placement; 2] = [Placement::Mapped, Placement::NotMapped];
+}
+
 /// The page classes a non-`u` step can touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageClass {

@@ -13,14 +13,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
-use sectlb_secbench::adaptive::AdaptivePolicy;
+use sectlb_secbench::adaptive::SequentialTest;
 use sectlb_secbench::checkpoint::Checkpoint;
 use sectlb_secbench::iofault::prev_path;
 use sectlb_secbench::report::{
-    build_table4_resilient_observed_for, table4_cells, DEFENDED_THRESHOLD,
+    build_table4_resilient_observed_for, table4_cells, trial_cells, DEFENDED_THRESHOLD,
 };
 use sectlb_secbench::resilience::{
-    measure_cells_resilient_observed, run_sharded_resilient_observed, CampaignError,
+    cells_fingerprint, measure_cells_resilient_observed, run_sharded_resilient_observed,
+    CampaignError,
     CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{Measurement, TrialSettings};
@@ -61,18 +62,18 @@ fn measure(
     policy: &RunPolicy,
 ) -> Result<CampaignOutcome, CampaignError> {
     measure_cells_resilient_observed(
-        cells,
+        &trial_cells(cells, settings),
+        cells_fingerprint(cells, settings),
         settings,
         workers,
         policy,
         &Telemetry::disabled(),
-        &|b| b,
     )
 }
 
 fn adaptive(policy: RunPolicy) -> RunPolicy {
     RunPolicy {
-        adaptive: Some(AdaptivePolicy::default()),
+        adaptive: Some(SequentialTest::table4(SequentialTest::DEFAULT_ALPHA)),
         ..policy
     }
 }

@@ -13,17 +13,20 @@ use std::path::PathBuf;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_secbench::report::{
-    build_table4, build_table4_resilient_observed_for, table4_cells, CampaignReport,
+    build_table4, build_table4_resilient_observed_for, table4_cells, trial_cells, CampaignReport,
 };
 use sectlb_secbench::resilience::{
-    measure_cells_resilient_observed, CampaignError, CampaignOutcome, CellOutcome, FaultPlan,
-    RunPolicy,
+    cells_fingerprint, measure_cells_resilient_observed, CampaignError, CampaignOutcome,
+    CellOutcome, FaultPlan, RunPolicy,
 };
-use sectlb_secbench::run::{try_run_trial_range, Measurement, TrialSettings};
+use sectlb_secbench::run::{try_run_trial_range, Hook, Measurement, TrialCell, TrialSettings};
 use sectlb_secbench::spec::BenchmarkSpec;
 use sectlb_secbench::telemetry::Telemetry;
 use sectlb_secbench::CheckpointPolicy;
 use sectlb_sim::machine::TlbDesign;
+use sectlb_sim::os::FlushPolicy;
+use sectlb_tlb::config::TlbConfig;
+use sectlb_tlb::RandomFillEviction;
 
 fn cells() -> Vec<(Vulnerability, TlbDesign)> {
     let vulns = enumerate_vulnerabilities();
@@ -57,12 +60,12 @@ fn measure(
     policy: &RunPolicy,
 ) -> Result<CampaignOutcome, CampaignError> {
     measure_cells_resilient_observed(
-        cells,
+        &trial_cells(cells, settings),
+        cells_fingerprint(cells, settings),
         settings,
         workers,
         policy,
         &Telemetry::disabled(),
-        &|b| b,
     )
 }
 
@@ -95,14 +98,59 @@ fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
         .collect()
 }
 
+/// The test cells of [`cells`] without a hook, followed by survey cells
+/// with one: the §2.3 FA 32 TLB flushed on every context switch, and the
+/// RF ablation's LRU-way eviction, on each test vulnerability.
+fn hooked_cells(settings: &TrialSettings) -> Vec<(BenchmarkSpec, TlbDesign, Hook<'static>)> {
+    let spec = |v: &Vulnerability, d, config| BenchmarkSpec::build_with_config(v, d, config);
+    let none: Hook = &|b| b;
+    let flush: Hook = &|b| b.flush_policy(FlushPolicy::FlushOnSwitch);
+    let lru_way: Hook = &|b| b.rf_eviction(RandomFillEviction::LruWay);
+    let fa32 = TlbConfig::fa(32).expect("valid geometry");
+    let mut out: Vec<_> = cells()
+        .iter()
+        .map(|(v, d)| (spec(v, *d, settings.config), *d, none))
+        .collect();
+    let vulns = enumerate_vulnerabilities();
+    for v in [vulns[0], vulns[12]] {
+        out.push((spec(&v, TlbDesign::Sa, fa32), TlbDesign::Sa, flush));
+        out.push((spec(&v, TlbDesign::Rf, settings.config), TlbDesign::Rf, lru_way));
+    }
+    out
+}
+
 #[test]
 fn engine_matches_a_serial_per_cell_loop_at_every_worker_count() {
-    let cells = cells();
     let settings = settings();
-    let reference = serial(&cells, &settings);
+    let inputs = hooked_cells(&settings);
+    let serial = |hooked: bool| -> Vec<Measurement> {
+        inputs
+            .iter()
+            .map(|(spec, d, hook)| {
+                let hook = if hooked { *hook } else { &|b| b };
+                try_run_trial_range(spec, *d, &settings, 0..settings.trials, hook)
+                    .expect("cell sets up")
+            })
+            .collect()
+    };
+    let reference = serial(true);
+    // The hooks matter: dropping them moves some survey cell.
+    assert_ne!(reference, serial(false), "the survey hooks change no cell");
+    let cells: Vec<TrialCell> = inputs
+        .iter()
+        .map(|(spec, d, hook)| TrialCell::new(spec, *d, settings.base_seed, *hook))
+        .collect();
     for n in [1, 2, 4] {
         let w = NonZeroUsize::new(n).expect("nonzero");
-        let run = measure(&cells, &settings, w, &RunPolicy::default()).expect("clean campaign");
+        let run = measure_cells_resilient_observed(
+            &cells,
+            0,
+            &settings,
+            w,
+            &RunPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign");
         assert_eq!(measurements(&run.cells), reference, "{n} workers");
         assert_eq!(run.stats.quarantined, 0);
         assert_eq!(run.resumed, 0);

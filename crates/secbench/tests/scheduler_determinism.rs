@@ -18,6 +18,7 @@ use sectlb_model::enumerate_vulnerabilities;
 use sectlb_secbench::resilience::{
     measure_cells_resilient_observed, run_sharded_resilient_observed, FaultPlan, RunPolicy,
 };
+use sectlb_secbench::report::trial_cells;
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::telemetry::Telemetry;
 
@@ -96,12 +97,12 @@ proptest! {
         let mut reference: Option<Vec<Measurement>> = None;
         for workers in WORKER_COUNTS {
             let run = measure_cells_resilient_observed(
-                &cells,
+                &trial_cells(&cells, &settings),
+                0,
                 &settings,
                 nonzero(workers),
                 &policy,
                 &Telemetry::disabled(),
-                &|b| b,
             )
             .expect("stalls delay shards but never fail them");
             let measured: Vec<Measurement> = run

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use sectlb_model::enumerate_vulnerabilities;
 use sectlb_secbench::binary_channel_capacity;
-use sectlb_secbench::run::{run_trial_range, Measurement, TrialSettings};
+use sectlb_secbench::run::{try_run_trial_range, Measurement, TrialSettings};
 use sectlb_secbench::spec::BenchmarkSpec;
 use sectlb_sim::machine::TlbDesign;
 
@@ -34,7 +34,10 @@ proptest! {
             ..TrialSettings::default()
         };
         let spec = BenchmarkSpec::build_with_config(&vulnerability, design, settings.config);
-        let whole = run_trial_range(&spec, design, &settings, 0..TOTAL, &|b| b);
+        let run = |range| {
+            try_run_trial_range(&spec, design, &settings, range, &|b| b).expect("cell sets up")
+        };
+        let whole = run(0..TOTAL);
 
         let mut bounds = cuts.clone();
         bounds.push(0);
@@ -42,7 +45,7 @@ proptest! {
         bounds.sort_unstable();
         let merged = bounds
             .windows(2)
-            .map(|w| run_trial_range(&spec, design, &settings, w[0]..w[1], &|b| b))
+            .map(|w| run(w[0]..w[1]))
             .fold(Measurement::ZERO, Measurement::merge);
 
         prop_assert_eq!(merged, whole, "split at {:?}", bounds);

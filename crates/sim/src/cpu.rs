@@ -6,7 +6,7 @@
 //! instruction (MPKI). Our core executes an explicit instruction stream —
 //! memory operations identified by virtual address (the ASID comes from a
 //! `process_id` register, as in the Figure 6 benchmarks), compute bursts,
-//! CSR reads of the miss counter, and TLB maintenance operations.
+//! reads of the miss and cycle counters, and TLB maintenance operations.
 
 use sectlb_tlb::types::Asid;
 
@@ -37,6 +37,11 @@ pub enum Instr {
     /// Figure 6); the value is appended to
     /// [`ExecStats::counter_reads`].
     ReadMissCounter,
+    /// Read the cycle counter (RISC-V `rdcycle`): the cycles elapsed
+    /// before this instruction are appended to
+    /// [`ExecStats::counter_reads`], and the read itself then takes one
+    /// cycle. Times a targeted invalidation (Appendix B's Flush + Flush).
+    ReadCycleCounter,
     /// Transfer control to code at a virtual address: subsequent
     /// instruction fetches come from that page. Only meaningful when the
     /// machine is configured with an instruction TLB; a no-op otherwise.
@@ -58,7 +63,8 @@ pub struct ExecStats {
     pub faults: u64,
     /// Context switches performed.
     pub context_switches: u64,
-    /// Values captured by [`Instr::ReadMissCounter`], in program order.
+    /// Values captured by [`Instr::ReadMissCounter`] and
+    /// [`Instr::ReadCycleCounter`], in program order.
     pub counter_reads: Vec<u64>,
 }
 

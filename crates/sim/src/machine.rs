@@ -334,7 +334,7 @@ struct OraclePre {
 fn touches_dtlb(instr: Instr) -> bool {
     !matches!(
         instr,
-        Instr::Compute(_) | Instr::ReadMissCounter | Instr::JumpTo(_)
+        Instr::Compute(_) | Instr::ReadMissCounter | Instr::ReadCycleCounter | Instr::JumpTo(_)
     )
 }
 
@@ -611,6 +611,11 @@ impl Machine {
                 self.stats.cycles += 1;
                 let misses = self.tlb.stats().misses;
                 self.stats.counter_reads.push(misses);
+            }
+            Instr::ReadCycleCounter => {
+                self.stats.counter_reads.push(self.stats.cycles);
+                self.stats.instret += 1;
+                self.stats.cycles += 1;
             }
             Instr::JumpTo(vaddr) => {
                 self.stats.instret += 1;
@@ -1072,7 +1077,10 @@ impl Machine {
                     None
                 }
             }
-            Instr::Compute(_) | Instr::ReadMissCounter | Instr::JumpTo(_) => None,
+            Instr::Compute(_)
+            | Instr::ReadMissCounter
+            | Instr::ReadCycleCounter
+            | Instr::JumpTo(_) => None,
         }
     }
 
@@ -1242,6 +1250,24 @@ mod tests {
             Instr::ReadMissCounter,
         ]);
         assert_eq!(m.stats().counter_reads, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn cycle_counter_reads_time_an_invalidation() {
+        let (mut m, _) = machine_with_process(TlbDesign::Sa);
+        m.exec(Instr::Load(0x10_000));
+        let timed = [
+            Instr::ReadCycleCounter,
+            Instr::FlushPage(0x10_000),
+            Instr::ReadCycleCounter,
+        ];
+        // The first read's own cycle, then a present entry's two cycles
+        // and an absent entry's one.
+        m.run(&timed);
+        m.run(&timed);
+        let r = &m.stats().counter_reads;
+        assert_eq!((r[1] - r[0], r[3] - r[2]), (3, 2));
+        assert_eq!(r[2], r[1] + 1, "a read takes one cycle");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
-use sectlb_tlb::check::CorruptionKind;
+use sectlb_secbench::oracle::{armed_machine, OracleConfig};
 use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{Asid, Vpn};
 
@@ -62,15 +62,13 @@ pub struct AttackSettings {
     pub large_pages: bool,
     /// RFE / machine seed.
     pub seed: u64,
-    /// Run the shadow oracle in lockstep and report violations under
-    /// contexts prefixed with this tag (`tag|design|seed`). `None` leaves
-    /// the machine at its build-profile default with no reporting
-    /// context, so the attack behaves exactly as before.
-    pub oracle_tag: Option<&'static str>,
-    /// A deterministic TLB-entry corruption to schedule, as
-    /// `(op index, entry selector, kind)` — the `--inject-corruption`
-    /// harness. Only observed when `oracle_tag` is set.
-    pub corruption: Option<(u64, u64, CorruptionKind)>,
+    /// Shadow-oracle guardrails: when the configuration arms `seed`, the
+    /// oracle runs in lockstep under the context `tag|design|seed` and
+    /// the seed's planned corruption (`--inject-corruption`) is
+    /// scheduled. `None` leaves the machine at its build-profile default
+    /// with no reporting context, so the attack behaves exactly as
+    /// before.
+    pub oracle: Option<OracleConfig>,
 }
 
 impl Default for AttackSettings {
@@ -80,8 +78,7 @@ impl Default for AttackSettings {
             protections_enabled: true,
             large_pages: false,
             seed: 0xa77ac4,
-            oracle_tag: None,
-            corruption: None,
+            oracle: None,
         }
     }
 }
@@ -98,20 +95,14 @@ pub fn prime_probe_attack(
     settings: &AttackSettings,
 ) -> AttackOutcome {
     let layout = RsaLayout::new();
-    let mut b = MachineBuilder::new()
+    let builder = MachineBuilder::new()
         .design(design)
         .tlb_config(settings.config)
         .seed(settings.seed);
-    if settings.oracle_tag.is_some() {
-        b = b.oracle(true);
-    }
-    let mut m = b.build();
-    if let Some(tag) = settings.oracle_tag {
-        m.set_oracle_context(format!("{tag}|{design}|{:#x}", settings.seed));
-        if let Some((op_index, selector, kind)) = settings.corruption {
-            m.schedule_corruption(op_index, selector, kind);
-        }
-    }
+    let mut m = match settings.oracle.filter(|o| o.armed(settings.seed)) {
+        Some(o) => armed_machine(builder, &o, format_args!("{design}"), settings.seed),
+        None => builder.build(),
+    };
     let victim = m.os_mut().create_process();
     let attacker = m.os_mut().create_process();
     if settings.large_pages {
