@@ -61,7 +61,8 @@ fn main() {
         .iter()
         .flat_map(|v| {
             let spec = BenchmarkSpec::build_with_config(v, TlbDesign::Rf, settings.config);
-            [&|b| b, lru_way].map(|hook| TrialCell::new(&spec, TlbDesign::Rf, settings.base_seed, hook))
+            [&|b| b, lru_way]
+                .map(|hook| TrialCell::new(&spec, TlbDesign::Rf, settings.base_seed, hook))
         })
         .collect();
     obs.campaign_begin();

@@ -177,7 +177,7 @@ impl ExtBenchmark {
     /// 2, then step 3 with its operation between two counter reads — the
     /// cycle counter around an invalidation, the miss counter around an
     /// access.
-    pub fn program(&self, placement: Placement) -> Vec<Instr> {
+    pub(crate) fn program(&self, placement: Placement) -> Vec<Instr> {
         let a = SBASE;
         let u = match placement {
             Placement::Mapped => a,
@@ -200,7 +200,7 @@ impl ExtBenchmark {
     /// machine with a 3-page secure region, seeded by
     /// [`SeedRule::AppendixB`], and named `family|design label` in oracle
     /// contexts.
-    pub fn cell(&self, design: ExtDesign) -> TrialCell<'static> {
+    pub(crate) fn cell(&self, design: ExtDesign) -> TrialCell<'static> {
         TrialCell {
             row: self.name.to_owned(),
             column: design.label().to_owned(),

@@ -8,9 +8,11 @@
 //!   semi-automatic generation of Figure 6-style assembly tests;
 //! - [`generate`] — lowering a specification to an instruction stream for
 //!   the simulated machine;
-//! - [`run`] — the trial harness: 500 "mapped" + 500 "not mapped" runs per
-//!   vulnerability per TLB design, miss-counter observations, and the
-//!   empirical `p1*`, `p2*`, `C*`;
+//! - [`run`] — the one trial runner: 500 "mapped" + 500 "not mapped" runs
+//!   per cell ([`run::TrialCell`]: a vulnerability on a TLB design, with
+//!   its programs, builder hook and seed rule), counter-read
+//!   observations of the timed step, and the empirical `p1*`, `p2*`,
+//!   `C*`;
 //! - [`resilience`] — the campaign engine, the one way campaign work is
 //!   sharded: a worker pool with panic isolation and deterministic retry,
 //!   shard quarantine, checkpoint/resume, a stall watchdog, and a
@@ -53,8 +55,10 @@
 //! - [`theory`] — the theoretical `p1`, `p2`, `C` of Table 4, including
 //!   the six combined Random-Fill TLB patterns of Section 5.3.1;
 //! - [`extended`] — the Appendix B evaluation: targeted-invalidation
-//!   attacks against every design, plus the region-flush countermeasure
-//!   this reproduction adds;
+//!   attacks against every design as cells, plus the region-flush
+//!   countermeasure this reproduction adds;
+//! - [`mitigations`] — the Section 2.3 survey of pre-existing
+//!   mitigations, as cells;
 //! - [`report`] — assembling and rendering the Table 4 comparison.
 //!
 //! # Example

@@ -123,20 +123,35 @@ impl PoolStats {
 
     /// One-line throughput summary for campaign footers.
     ///
+    /// A run that counted trials reports trial pairs/s; one that counted
+    /// none — a task campaign, whose tasks are Figure 7 cells, attack runs
+    /// or sweep points — reports its tasks and tasks/s instead.
     /// Resilience counters (retries, quarantined shards, watchdog stalls)
     /// are appended only when nonzero, so clean runs render exactly as
     /// they did before the fault-tolerant engine existed.
     pub fn render(&self) -> String {
-        let mut line = format!(
-            "{} workers, {} shards, {} trials x 2 placements in {:.2?} \
-             ({:.0} trial pairs/s, {:.2}x worker overlap / speedup)",
-            self.workers.len(),
-            self.shards(),
-            self.trials(),
-            self.wall,
-            self.throughput(),
-            self.speedup(),
-        );
+        let mut line = if self.trials() == 0 {
+            format!(
+                "{} workers, {} tasks in {:.2?} \
+                 ({:.1} tasks/s, {:.2}x worker overlap / speedup)",
+                self.workers.len(),
+                self.shards(),
+                self.wall,
+                self.shards() as f64 / self.wall.as_secs_f64().max(1e-9),
+                self.speedup(),
+            )
+        } else {
+            format!(
+                "{} workers, {} shards, {} trials x 2 placements in {:.2?} \
+                 ({:.0} trial pairs/s, {:.2}x worker overlap / speedup)",
+                self.workers.len(),
+                self.shards(),
+                self.trials(),
+                self.wall,
+                self.throughput(),
+                self.speedup(),
+            )
+        };
         let retried = self.retried();
         if retried > 0 || self.quarantined > 0 || self.stalled > 0 {
             line.push_str(&format!(
@@ -254,6 +269,33 @@ mod tests {
             stats.render().contains("trial pairs/s"),
             "{}",
             stats.render()
+        );
+    }
+
+    #[test]
+    fn a_run_without_trials_reports_its_tasks() {
+        let worker = |shards| WorkerStats {
+            shards,
+            trials: 0,
+            busy: Duration::from_secs(1),
+            retried: 0,
+            stolen: 0,
+        };
+        let stats = PoolStats {
+            wall: Duration::from_secs(2),
+            workers: vec![worker(40), worker(36)],
+            quarantined: 0,
+            stalled: 0,
+            skipped: 0,
+            preempted: 0,
+            trials_saved: 0,
+            deaths: 0,
+            reclaimed: 0,
+        };
+        // 76 tasks (say, Figure 7 cells) over 2 seconds.
+        assert_eq!(
+            stats.render(),
+            "2 workers, 76 tasks in 2.00s (38.0 tasks/s, 1.00x worker overlap / speedup)"
         );
     }
 }

@@ -64,7 +64,9 @@ use crate::adaptive::{self, next_trials, AdaptiveCellState, SequentialTest};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 use crate::iofault::{IoFault, IoInjector};
 use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, Shard, WorkerStats};
-use crate::run::{splitmix64, vulnerability_code, Measurement, SetupError, TrialCell, TrialSettings};
+use crate::run::{
+    splitmix64, vulnerability_code, Measurement, SetupError, TrialCell, TrialSettings,
+};
 use crate::scheduler::StealQueues;
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
@@ -1320,10 +1322,7 @@ impl CampaignOutcome {
     /// (stdout is reserved for the table itself, which scripts diff).
     pub fn eprint_summary(&self) {
         if self.resumed > 0 {
-            eprintln!(
-                "resumed: {} task(s) restored from checkpoint",
-                self.resumed
-            );
+            eprintln!("resumed: {} task(s) restored from checkpoint", self.resumed);
         }
         for cell in &self.cells {
             if let CellOutcome::Quarantined { failure, .. } = cell {

@@ -125,7 +125,7 @@ fn placement_code(placement: Placement) -> u64 {
 /// including the serial degenerate case — produces bitwise-identical
 /// measurements: the determinism contract of the whole campaign engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedRule {
+pub(crate) enum SeedRule {
     /// [`derive_trial_seed`]'s chain, with the campaign's base seed and
     /// the cell's vulnerability and design already folded in (Table 4,
     /// the §2.3 survey and the RF ablation).
@@ -137,7 +137,11 @@ pub enum SeedRule {
 
 impl SeedRule {
     /// The [`SeedRule::Derived`] rule of a vulnerability on a design.
-    pub fn derived(base_seed: u64, vulnerability: &Vulnerability, design: TlbDesign) -> SeedRule {
+    pub(crate) fn derived(
+        base_seed: u64,
+        vulnerability: &Vulnerability,
+        design: TlbDesign,
+    ) -> SeedRule {
         let mut s = splitmix64(base_seed);
         for coordinate in [vulnerability_code(vulnerability), design_code(design)] {
             s = splitmix64(s ^ coordinate);
@@ -146,7 +150,7 @@ impl SeedRule {
     }
 
     /// The seed of trial `trial` in `placement`.
-    pub fn seed(self, placement: Placement, trial: u32) -> u64 {
+    pub(crate) fn seed(self, placement: Placement, trial: u32) -> u64 {
         match self {
             SeedRule::Derived(prefix) => {
                 splitmix64(splitmix64(prefix ^ placement_code(placement)) ^ u64::from(trial))
@@ -271,28 +275,32 @@ impl std::error::Error for SetupError {
 pub type Hook<'a> = &'a (dyn Fn(MachineBuilder) -> MachineBuilder + Sync);
 
 /// One cell of a security campaign: everything its shards need to run
-/// any range of its trials.
-#[derive(Clone)]
+/// any range of its trials — the program of each placement, the machine
+/// they run on (design, geometry, secure region and a builder hook), the
+/// seed rule, and the names its reports carry. Built by
+/// [`TrialCell::new`] for a vulnerability, by
+/// [`crate::mitigations::Mitigation::cells`] and by
+/// [`crate::extended::cells`].
 pub struct TrialCell<'a> {
     /// The row: the vulnerability (or Appendix B family) under test. With
-    /// [`TrialCell::column`] it names the cell in oracle contexts
+    /// the column it names the cell in oracle contexts
     /// (`tag|row|column|placement|seed`) and quarantine reports.
-    pub row: String,
+    pub(crate) row: String,
     /// The column: the design's name (or Table 7's design label).
-    pub column: String,
+    pub(crate) column: String,
     /// The TLB design.
-    pub design: TlbDesign,
+    pub(crate) design: TlbDesign,
     /// The TLB geometry.
-    pub config: TlbConfig,
+    pub(crate) config: TlbConfig,
     /// The victim's secure region.
-    pub region: SecureRegion,
+    pub(crate) region: SecureRegion,
     /// The program of each placement, in [`Placement::BOTH`] order. Each
     /// ends with its timed step between two counter reads.
-    pub programs: [Vec<Instr>; 2],
+    pub(crate) programs: [Vec<Instr>; 2],
     /// The machine-builder hook.
-    pub hook: Hook<'a>,
+    pub(crate) hook: Hook<'a>,
     /// How each trial's seed is derived.
-    pub seeds: SeedRule,
+    pub(crate) seeds: SeedRule,
 }
 
 impl std::fmt::Debug for TrialCell<'_> {

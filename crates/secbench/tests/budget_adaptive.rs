@@ -21,8 +21,7 @@ use sectlb_secbench::report::{
 };
 use sectlb_secbench::resilience::{
     cells_fingerprint, measure_cells_resilient_observed, run_sharded_resilient_observed,
-    CampaignError,
-    CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
+    CampaignError, CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::supervisor::{BudgetPolicy, StopReason, EXIT_BUDGET};

@@ -114,7 +114,11 @@ fn hooked_cells(settings: &TrialSettings) -> Vec<(BenchmarkSpec, TlbDesign, Hook
     let vulns = enumerate_vulnerabilities();
     for v in [vulns[0], vulns[12]] {
         out.push((spec(&v, TlbDesign::Sa, fa32), TlbDesign::Sa, flush));
-        out.push((spec(&v, TlbDesign::Rf, settings.config), TlbDesign::Rf, lru_way));
+        out.push((
+            spec(&v, TlbDesign::Rf, settings.config),
+            TlbDesign::Rf,
+            lru_way,
+        ));
     }
     out
 }

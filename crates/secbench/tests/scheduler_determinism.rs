@@ -15,10 +15,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use sectlb_model::enumerate_vulnerabilities;
+use sectlb_secbench::report::trial_cells;
 use sectlb_secbench::resilience::{
     measure_cells_resilient_observed, run_sharded_resilient_observed, FaultPlan, RunPolicy,
 };
-use sectlb_secbench::report::trial_cells;
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::telemetry::Telemetry;
 

@@ -7,9 +7,9 @@
 //! attack against the [`crate::rsa`] victim on each TLB design, using the
 //! machine's TLB-miss counter as the timing oracle (as in Figure 6).
 
+use sectlb_secbench::oracle::{armed_machine, OracleConfig};
 use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
-use sectlb_secbench::oracle::{armed_machine, OracleConfig};
 use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{Asid, Vpn};
 
