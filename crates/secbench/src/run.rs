@@ -164,7 +164,7 @@ impl SeedRule {
 
 /// Derives the RFE seed of one trial from the campaign's base seed and
 /// the trial's full coordinates, by chaining [`splitmix64`] over each
-/// coordinate: the [`SeedRule::Derived`] rule.
+/// coordinate: the rule of every Table 4, survey and ablation cell.
 pub fn derive_trial_seed(
     base_seed: u64,
     vulnerability: &Vulnerability,
