@@ -22,7 +22,7 @@ use std::num::NonZeroUsize;
 use sectlb_secbench::checkpoint::{fingerprint, fingerprint_str, settings_fingerprint, Record};
 use sectlb_secbench::resilience::{
     measure_cells_resilient_observed, run_sharded_resilient_observed, with_campaign_events,
-    CampaignOutcome, CellGap, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
+    CampaignOutcome, CellOutcome, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{TrialCell, TrialSettings};
 use sectlb_secbench::supervisor;
@@ -115,40 +115,27 @@ pub fn flagged(workers: Option<NonZeroUsize>, policy: &RunPolicy) -> bool {
 /// overran `--cell-deadline-ms`), then PARTIAL (the budget stopped the
 /// campaign before the cell was claimed). `None` when every task is done.
 pub fn gap_marker<R>(outcomes: &[ShardOutcome<R>]) -> Option<&'static str> {
-    if outcomes.iter().any(|r| r.failure().is_some()) {
-        Some("QUARANTINED")
-    } else if outcomes
-        .iter()
-        .any(|r| matches!(r, ShardOutcome::TimedOut(_)))
-    {
-        Some("TIMEOUT")
-    } else if outcomes
-        .iter()
-        .any(|r| matches!(r, ShardOutcome::Skipped(_)))
-    {
-        Some("PARTIAL")
-    } else {
-        None
-    }
+    dominant_gap(outcomes.iter().map(|r| match r {
+        ShardOutcome::Done(_) => None,
+        ShardOutcome::Quarantined(_) => Some("QUARANTINED"),
+        ShardOutcome::TimedOut(_) => Some("TIMEOUT"),
+        ShardOutcome::Skipped(_) => Some("PARTIAL"),
+    }))
 }
 
-/// [`gap_marker`] for an aggregate row of cells: QUARANTINED, then
-/// TIMEOUT, then PARTIAL; `None` when every cell is measured.
+/// [`gap_marker`] for an aggregate row of cells.
 pub fn cells_gap_marker(cells: &[CellOutcome]) -> Option<&'static str> {
-    let gaps = || {
-        cells.iter().filter_map(|c| match c {
-            CellOutcome::Partial { gap, .. } => Some(*gap),
-            _ => None,
-        })
-    };
-    if cells
-        .iter()
-        .any(|c| matches!(c, CellOutcome::Quarantined { .. }))
-    {
-        Some("QUARANTINED")
-    } else if gaps().any(|g| g == CellGap::Timeout) {
-        Some("TIMEOUT")
-    } else {
-        gaps().next().map(|g| g.marker())
-    }
+    dominant_gap(cells.iter().map(|c| match c {
+        CellOutcome::Measured(_) => None,
+        CellOutcome::Quarantined { .. } => Some("QUARANTINED"),
+        CellOutcome::Partial { gap, .. } => Some(gap.marker()),
+    }))
+}
+
+/// The first of [`gap_marker`]'s markers in its order of dominance.
+fn dominant_gap(markers: impl Iterator<Item = Option<&'static str>>) -> Option<&'static str> {
+    const ORDER: [&str; 3] = ["QUARANTINED", "TIMEOUT", "PARTIAL"];
+    markers
+        .flatten()
+        .min_by_key(|m| ORDER.iter().position(|o| o == m))
 }

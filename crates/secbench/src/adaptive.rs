@@ -39,7 +39,6 @@ use std::ops::Range;
 use crate::capacity::binary_channel_capacity;
 use crate::checkpoint::Record;
 use crate::parallel::TRIALS_PER_SHARD;
-use crate::report::DEFENDED_THRESHOLD;
 use crate::run::Measurement;
 
 /// The Hoeffding radius: with probability at least `1 - alpha`, both
@@ -91,21 +90,13 @@ pub struct SequentialTest {
     /// stops, stronger agreement margin).
     pub alpha: f64,
     /// The defended-capacity threshold the verdict is measured against
-    /// (Table 4 uses [`DEFENDED_THRESHOLD`]).
+    /// (Table 4 uses [`crate::report::DEFENDED_THRESHOLD`]).
     pub threshold: f64,
 }
 
 impl SequentialTest {
     /// The `alpha` of a bare `--adaptive`.
     pub const DEFAULT_ALPHA: f64 = 0.01;
-
-    /// The Table 4 test at confidence `alpha`.
-    pub fn table4(alpha: f64) -> SequentialTest {
-        SequentialTest {
-            alpha,
-            threshold: DEFENDED_THRESHOLD,
-        }
-    }
 
     /// `Some(true)` once the cell is confidently defended, `Some(false)`
     /// once confidently vulnerable, `None` while undecided.
@@ -180,6 +171,14 @@ pub fn next_trials(m: &Measurement, full: u32, test: &SequentialTest) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::DEFENDED_THRESHOLD;
+
+    fn table4_test() -> SequentialTest {
+        SequentialTest {
+            alpha: 0.01,
+            threshold: DEFENDED_THRESHOLD,
+        }
+    }
 
     fn meas(trials: u32, mm: u32, nm: u32) -> Measurement {
         Measurement {
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn clear_gap_decides_vulnerable_and_no_gap_stays_open_early() {
-        let test = SequentialTest::table4(0.01);
+        let test = table4_test();
         // A maximal-gap cell (the Table 4 vulnerable shape) settles on
         // the very first shard.
         assert_eq!(test.decide(&meas(25, 25, 0)), Some(false));
@@ -223,7 +222,7 @@ mod tests {
 
     #[test]
     fn decisions_are_conservative_about_the_threshold() {
-        let test = SequentialTest::table4(0.01);
+        let test = table4_test();
         for trials in [25u32, 50, 100, 200, 400] {
             for mm in 0..=trials {
                 for nm in [0, trials / 4, trials / 2, trials] {

@@ -92,19 +92,16 @@ impl ExtDesign {
         }
     }
 
-    fn design(self) -> TlbDesign {
+    /// The variant's TLB design and builder hook (precise invalidation is
+    /// every machine's default).
+    fn machine(self) -> (TlbDesign, Hook<'static>) {
         match self {
-            ExtDesign::Sa => TlbDesign::Sa,
-            ExtDesign::Sp => TlbDesign::Sp,
-            ExtDesign::RfPrecise | ExtDesign::RfRegionFlush => TlbDesign::Rf,
-        }
-    }
-
-    fn hook(self) -> Hook<'static> {
-        match self {
-            ExtDesign::RfRegionFlush => &|b| b.rf_invalidation(InvalidationPolicy::RegionFlush),
-            // Precise invalidation is every machine's default.
-            _ => &|b| b,
+            ExtDesign::Sa => (TlbDesign::Sa, &|b| b),
+            ExtDesign::Sp => (TlbDesign::Sp, &|b| b),
+            ExtDesign::RfPrecise => (TlbDesign::Rf, &|b| b),
+            ExtDesign::RfRegionFlush => (TlbDesign::Rf, &|b| {
+                b.rf_invalidation(InvalidationPolicy::RegionFlush)
+            }),
         }
     }
 }
@@ -200,15 +197,16 @@ impl ExtBenchmark {
     /// machine with a 3-page secure region, seeded by
     /// [`SeedRule::AppendixB`], and named `family|design label` in oracle
     /// contexts.
-    pub(crate) fn cell(&self, design: ExtDesign) -> TrialCell<'static> {
+    pub(crate) fn cell(&self, variant: ExtDesign) -> TrialCell<'static> {
+        let (design, hook) = variant.machine();
         TrialCell {
             row: self.name.to_owned(),
-            column: design.label().to_owned(),
-            design: design.design(),
+            column: variant.label().to_owned(),
+            design,
             config: TlbConfig::security_eval(),
             region: SecureRegion::new(SBASE, SEC_PAGES),
             programs: Placement::BOTH.map(|p| self.program(p)),
-            hook: design.hook(),
+            hook,
             seeds: SeedRule::AppendixB,
         }
     }
@@ -227,7 +225,7 @@ pub fn cells(benches: &[ExtBenchmark]) -> Vec<TrialCell<'static>> {
 mod tests {
     use super::*;
 
-    use crate::resilience::measured;
+    use crate::resilience::tests::measured;
     use crate::run::TrialSettings;
 
     const TRIALS: u32 = 120;

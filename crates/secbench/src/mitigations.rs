@@ -154,7 +154,7 @@ impl Mitigation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::measured;
+    use crate::resilience::tests::measured;
     use crate::run::Measurement;
     use sectlb_model::{Strategy, Vulnerability};
 

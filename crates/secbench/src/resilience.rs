@@ -416,16 +416,6 @@ impl<R> ShardOutcome<R> {
     pub fn is_budget_gap(&self) -> bool {
         matches!(self, ShardOutcome::TimedOut(_) | ShardOutcome::Skipped(_))
     }
-
-    /// Maps the completed result, preserving the gap variants.
-    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> ShardOutcome<S> {
-        match self {
-            ShardOutcome::Done(r) => ShardOutcome::Done(f(r)),
-            ShardOutcome::Quarantined(q) => ShardOutcome::Quarantined(q),
-            ShardOutcome::TimedOut(t) => ShardOutcome::TimedOut(t),
-            ShardOutcome::Skipped(s) => ShardOutcome::Skipped(s),
-        }
-    }
 }
 
 /// The outcome of an engine run over a task list.
@@ -474,19 +464,6 @@ impl<R> ResilientRun<R> {
             EXIT_QUARANTINED
         } else {
             0
-        }
-    }
-
-    /// Maps every completed result, preserving gaps and counters — for
-    /// drivers whose task result carries bookkeeping (e.g. adaptive
-    /// trials saved) they strip before rendering.
-    pub fn map<S>(self, f: impl Fn(R) -> S) -> ResilientRun<S> {
-        ResilientRun {
-            results: self.results.into_iter().map(|r| r.map(&f)).collect(),
-            stats: self.stats,
-            resumed: self.resumed,
-            stalls: self.stalls,
-            stop: self.stop,
         }
     }
 
@@ -1633,25 +1610,6 @@ pub fn measure_cells_resilient_observed(
     Ok(outcome)
 }
 
-/// The measurements of `cells` on one engine worker, for unit tests.
-#[cfg(test)]
-pub(crate) fn measured(cells: &[TrialCell<'_>], settings: &TrialSettings) -> Vec<Measurement> {
-    let policy = RunPolicy::default();
-    let run = measure_cells_resilient_observed(
-        cells,
-        0,
-        settings,
-        NonZeroUsize::MIN,
-        &policy,
-        &Telemetry::disabled(),
-    )
-    .expect("clean campaign");
-    run.cells
-        .iter()
-        .map(|c| c.measurement().expect("cell measured"))
-        .collect()
-}
-
 /// The adaptive round scheduler of [`measure_cells_resilient_observed`]:
 /// pool runs of one shard per live cell until every cell is settled,
 /// quarantined or timed out, or the budget stops the campaign. Returns the
@@ -1853,8 +1811,27 @@ fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The measurements of `cells` on one engine worker, for the unit
+    /// tests of the modules that build cells.
+    pub(crate) fn measured(cells: &[TrialCell<'_>], settings: &TrialSettings) -> Vec<Measurement> {
+        let policy = RunPolicy::default();
+        let run = measure_cells_resilient_observed(
+            cells,
+            0,
+            settings,
+            NonZeroUsize::MIN,
+            &policy,
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign");
+        run.cells
+            .iter()
+            .map(|c| c.measurement().expect("cell measured"))
+            .collect()
+    }
 
     fn two() -> NonZeroUsize {
         NonZeroUsize::new(2).expect("nonzero")

@@ -303,17 +303,6 @@ pub struct TrialCell<'a> {
     pub(crate) seeds: SeedRule,
 }
 
-impl std::fmt::Debug for TrialCell<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrialCell")
-            .field("row", &self.row)
-            .field("column", &self.column)
-            .field("design", &self.design)
-            .field("seeds", &self.seeds)
-            .finish_non_exhaustive()
-    }
-}
-
 impl<'a> TrialCell<'a> {
     /// The cell of `spec`'s vulnerability on `design`: the generated
     /// programs, the derived seeds of `base_seed`, and `hook`.

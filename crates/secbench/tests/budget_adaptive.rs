@@ -72,7 +72,10 @@ fn measure(
 
 fn adaptive(policy: RunPolicy) -> RunPolicy {
     RunPolicy {
-        adaptive: Some(SequentialTest::table4(SequentialTest::DEFAULT_ALPHA)),
+        adaptive: Some(SequentialTest {
+            alpha: SequentialTest::DEFAULT_ALPHA,
+            threshold: DEFENDED_THRESHOLD,
+        }),
         ..policy
     }
 }
