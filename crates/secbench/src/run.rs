@@ -432,7 +432,7 @@ fn build_machine(
 }
 
 /// Cycles between two [`Instr::ReadCycleCounter`]s around a fast
-/// one-cycle step: the first read's own cycle and the step's.
+/// one-cycle step: the step's and the second read's own.
 const FAST_STEP_CYCLES: u64 = 2;
 
 /// Runs one trial's program on `m`; returns `true` when the timed step

@@ -37,10 +37,10 @@ pub enum Instr {
     /// Figure 6); the value is appended to
     /// [`ExecStats::counter_reads`].
     ReadMissCounter,
-    /// Read the cycle counter (RISC-V `rdcycle`): the cycles elapsed
-    /// before this instruction are appended to
-    /// [`ExecStats::counter_reads`], and the read itself then takes one
-    /// cycle. Times a targeted invalidation (Appendix B's Flush + Flush).
+    /// Read the cycle counter (RISC-V `rdcycle`): the read takes one
+    /// cycle, and the cycles elapsed through it are appended to
+    /// [`ExecStats::counter_reads`]. Times a targeted invalidation
+    /// (Appendix B's Flush + Flush).
     ReadCycleCounter,
     /// Transfer control to code at a virtual address: subsequent
     /// instruction fetches come from that page. Only meaningful when the

@@ -613,9 +613,10 @@ impl Machine {
                 self.stats.counter_reads.push(misses);
             }
             Instr::ReadCycleCounter => {
-                self.stats.counter_reads.push(self.stats.cycles);
                 self.stats.instret += 1;
                 self.stats.cycles += 1;
+                let cycles = self.stats.cycles;
+                self.stats.counter_reads.push(cycles);
             }
             Instr::JumpTo(vaddr) => {
                 self.stats.instret += 1;
@@ -1261,8 +1262,8 @@ mod tests {
             Instr::FlushPage(0x10_000),
             Instr::ReadCycleCounter,
         ];
-        // The first read's own cycle, then a present entry's two cycles
-        // and an absent entry's one.
+        // Between the reads: a present entry's two cycles (an absent
+        // one's one), plus the second read's own.
         m.run(&timed);
         m.run(&timed);
         let r = &m.stats().counter_reads;
