@@ -193,7 +193,7 @@ impl ExtBenchmark {
         out
     }
 
-    /// The family's cell on `design`: its two programs on a Table 4
+    /// The family's cell on `variant`: its two programs on a Table 4
     /// machine with a 3-page secure region, seeded by
     /// [`SeedRule::AppendixB`], and named `family|design label` in oracle
     /// contexts.
