@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use sectlb_bench::exit::{usage, EXIT_SETUP};
 use sectlb_secbench::chaos::{ChaosAction, ChaosPlan};
+use sectlb_secbench::codec::Word;
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -316,7 +317,7 @@ fn main() {
         return;
     }
     if let Some(required) = flag(&args, "--require-action") {
-        let action = ChaosAction::parse(required)
+        let action = ChaosAction::from_name(required)
             .unwrap_or_else(|| usage(format!("chaos: unknown action {required:?}")));
         if !plan.contains(action) {
             usage(format!(
@@ -406,7 +407,7 @@ fn main() {
 
     let mut sacrifice = 0u64;
     for (step, action) in plan.actions.iter().enumerate() {
-        eprintln!("chaos: step {step}: {}", action.as_str());
+        eprintln!("chaos: step {step}: {}", action.name());
         match action {
             ChaosAction::Kill9 => {
                 harness.wait_any_running(&tracked);

@@ -72,6 +72,7 @@ use std::time::Duration;
 
 use sectlb_bench::cli;
 use sectlb_bench::exit::{EXIT_CANCELLED, EXIT_DEGRADED, EXIT_SETUP, EXIT_USAGE};
+use sectlb_secbench::codec::Word;
 use sectlb_secbench::iofault::{self, IoInjector};
 use sectlb_secbench::report::build_table4_resilient_observed_for;
 use sectlb_secbench::resilience::{FaultPlan, RunPolicy};
@@ -786,7 +787,7 @@ fn main() {
                     Some((final_state, exit)) => {
                         telemetry.emit(Event::JobRecovered {
                             job: e.id,
-                            action: final_state.as_str().to_owned(),
+                            action: final_state.name().to_owned(),
                         });
                         JobRecord::new(e.spec, final_state, Some(exit), e.seq + 1)
                     }

@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use sectlb_bench::exit::{
     usage, EXIT_CANCELLED, EXIT_DEGRADED, EXIT_QUEUE_FULL, EXIT_SETUP, EXIT_WAIT_TIMEOUT,
 };
+use sectlb_secbench::codec::Word;
 use sectlb_secbench::run::splitmix64;
 use sectlb_secbench::service::{JobSpec, JobState, Request, Response};
 
@@ -109,13 +110,13 @@ fn wait_for(socket: &Path, job: u64, wait_timeout: Duration, retry_budget: u32) 
         match watch_once(socket, job, deadline, &mut last_seen) {
             // Terminal transition: report and exit with the job's code.
             Ok(Response::Event { state, exit, .. }) if state.is_terminal() => {
-                println!("job {job} {}", state.as_str());
+                println!("job {job} {}", state.name());
                 std::process::exit(state_exit_code(state, exit));
             }
             // A pre-event server answering the watch with a one-shot
             // terminal status line gets the same treatment.
             Ok(Response::Status { state, exit, .. }) if state.is_terminal() => {
-                println!("job {job} {}", state.as_str());
+                println!("job {job} {}", state.name());
                 std::process::exit(state_exit_code(state, exit));
             }
             Ok(Response::UnknownJob { .. }) => {
@@ -299,8 +300,8 @@ fn main() {
         Response::Rejected { reason } => usage(format!("submit: rejected: {reason}")),
         Response::Status { job, state, exit } => {
             match exit {
-                Some(code) => println!("job {job} {} exit {code}", state.as_str()),
-                None => println!("job {job} {}", state.as_str()),
+                Some(code) => println!("job {job} {} exit {code}", state.name()),
+                None => println!("job {job} {}", state.name()),
             }
             // A cancel of a running job is asynchronous — the engine
             // preempts at its next claim boundary. `--wait` follows it

@@ -65,6 +65,7 @@ use std::time::Duration;
 
 use sectlb_secbench::adaptive::SequentialTest;
 use sectlb_secbench::checkpoint::CheckpointPolicy;
+use sectlb_secbench::codec::Word;
 use sectlb_secbench::iofault::{IoFault, IoFaultKind};
 use sectlb_secbench::oracle::OracleConfig;
 use sectlb_secbench::resilience::{FaultPlan, RunPolicy};
@@ -321,7 +322,7 @@ pub fn parse_inject_io(args: &[String]) -> Result<Option<IoFault>, String> {
             (word, pm)
         }
     };
-    let kind = IoFaultKind::parse(word).ok_or_else(|| {
+    let kind = IoFaultKind::from_name(word).ok_or_else(|| {
         format!(
             "--inject-io needs torn|short-read|enospc|rename-fail (optionally :PM), got {spec:?}"
         )

@@ -37,7 +37,6 @@
 use std::ops::Range;
 
 use crate::capacity::binary_channel_capacity;
-use crate::checkpoint::Record;
 use crate::parallel::TRIALS_PER_SHARD;
 use crate::run::Measurement;
 
@@ -115,9 +114,9 @@ impl SequentialTest {
     }
 }
 
-/// One cell's adaptive progress — the [`Record`] the cell-granular
-/// checkpoint stores: the merged prefix measurement plus whether the
-/// sequential test already settled the cell.
+/// One cell's adaptive progress — the [`crate::checkpoint::Record`] the
+/// cell-granular checkpoint stores: the merged prefix measurement plus
+/// whether the sequential test already settled the cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveCellState {
     /// Merged measurement of the cell's completed prefix.
@@ -126,24 +125,8 @@ pub struct AdaptiveCellState {
     pub decided: bool,
 }
 
-impl Record for AdaptiveCellState {
-    fn encode(&self) -> String {
-        format!("{} {}", self.m.encode(), u8::from(self.decided))
-    }
-
-    fn decode(line: &str) -> Option<AdaptiveCellState> {
-        let (m, decided) = line.rsplit_once(' ')?;
-        let decided = match decided {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        Some(AdaptiveCellState {
-            m: Measurement::decode(m)?,
-            decided,
-        })
-    }
-}
+// The merged measurement's words, then `1` when settled, `0` when not.
+crate::codec::word_struct! { AdaptiveCellState { m, decided } }
 
 /// The adaptive campaign's checkpoint fingerprint: the exhaustive
 /// campaign's fingerprint chained with the test parameters, so an
@@ -171,6 +154,7 @@ pub fn next_trials(m: &Measurement, full: u32, test: &SequentialTest) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Record;
     use crate::report::DEFENDED_THRESHOLD;
 
     fn table4_test() -> SequentialTest {

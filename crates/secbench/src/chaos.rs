@@ -19,6 +19,7 @@
 //! 4. the state dir passes `verify` (`--strict` when no I/O faults were
 //!    injected — torn writes legitimately leave recoverable debris).
 
+use crate::codec::Word;
 use crate::run::splitmix64;
 
 /// One hostile action in a chaos schedule.
@@ -56,40 +57,19 @@ pub enum ChaosAction {
     StatusProbe,
 }
 
-/// Every action, in the fixed order the generator indexes into.
-pub const ALL_ACTIONS: [ChaosAction; 10] = [
-    ChaosAction::Kill9,
-    ChaosAction::Sigterm,
-    ChaosAction::MalformedFrame,
-    ChaosAction::OversizedFrame,
-    ChaosAction::WedgedClient,
-    ChaosAction::ClientDisconnect,
-    ChaosAction::QueueBurst,
-    ChaosAction::CancelJob,
-    ChaosAction::DuplicateSubmit,
-    ChaosAction::StatusProbe,
-];
-
-impl ChaosAction {
-    /// The canonical one-word name (plan rendering, `--require-action`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChaosAction::Kill9 => "kill9",
-            ChaosAction::Sigterm => "sigterm",
-            ChaosAction::MalformedFrame => "malformed-frame",
-            ChaosAction::OversizedFrame => "oversized-frame",
-            ChaosAction::WedgedClient => "wedged-client",
-            ChaosAction::ClientDisconnect => "client-disconnect",
-            ChaosAction::QueueBurst => "queue-burst",
-            ChaosAction::CancelJob => "cancel-job",
-            ChaosAction::DuplicateSubmit => "duplicate-submit",
-            ChaosAction::StatusProbe => "status-probe",
-        }
-    }
-
-    /// Inverse of [`ChaosAction::as_str`].
-    pub fn parse(word: &str) -> Option<ChaosAction> {
-        ALL_ACTIONS.iter().copied().find(|a| a.as_str() == word)
+// The canonical one-word names (plan rendering, `--require-action`).
+crate::codec::words! {
+    ChaosAction {
+        Kill9 = "kill9",
+        Sigterm = "sigterm",
+        MalformedFrame = "malformed-frame",
+        OversizedFrame = "oversized-frame",
+        WedgedClient = "wedged-client",
+        ClientDisconnect = "client-disconnect",
+        QueueBurst = "queue-burst",
+        CancelJob = "cancel-job",
+        DuplicateSubmit = "duplicate-submit",
+        StatusProbe = "status-probe",
     }
 }
 
@@ -152,7 +132,7 @@ impl ChaosPlan {
     pub fn render(&self) -> String {
         let mut out = format!("chaos-plan seed={} len={}\n", self.seed, self.actions.len());
         for (i, a) in self.actions.iter().enumerate() {
-            out.push_str(&format!("{i:3} {}\n", a.as_str()));
+            out.push_str(&format!("{i:3} {}\n", a.name()));
         }
         out
     }
@@ -179,10 +159,10 @@ mod tests {
 
     #[test]
     fn action_names_round_trip() {
-        for action in ALL_ACTIONS {
-            assert_eq!(ChaosAction::parse(action.as_str()), Some(action));
+        for &action in ChaosAction::ALL {
+            assert_eq!(ChaosAction::from_name(action.name()), Some(action));
         }
-        assert_eq!(ChaosAction::parse("nonsense"), None);
+        assert_eq!(ChaosAction::from_name("nonsense"), None);
     }
 
     #[test]
@@ -194,8 +174,8 @@ mod tests {
         for seed in 0..16 {
             seen.extend(ChaosPlan::generate(seed, 32).actions);
         }
-        for action in ALL_ACTIONS {
-            assert!(seen.contains(&action), "{} never rolled", action.as_str());
+        for &action in ChaosAction::ALL {
+            assert!(seen.contains(&action), "{} never rolled", action.name());
         }
     }
 

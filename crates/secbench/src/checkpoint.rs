@@ -43,11 +43,15 @@
 //! chain — it is what keeps `--deadline` honest across `--resume`
 //! (files written before this line existed load as zero consumed). Each
 //! `done` line is a completed task index followed by its
-//! [`Record`]-encoded result.
+//! [`Record`]-encoded result. The lines after the header are one table of
+//! positional-word rows ([`crate::codec`]), which generates both
+//! [`Checkpoint::render`] and [`Checkpoint::parse`]; every [`Record`] is a
+//! table row too.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use crate::codec::{self, Hex, Words};
 use crate::iofault::{self, IoInjector};
 use crate::run::{splitmix64, Measurement, TrialSettings};
 
@@ -56,115 +60,33 @@ const MAGIC: &str = "secbench-checkpoint v1";
 
 /// A task result that can round-trip through a checkpoint line.
 ///
-/// Encodings must be a single line without newlines and must round-trip
-/// **bitwise** (floats are stored as their IEEE-754 bit patterns) — the
-/// resume contract promises output identical to an uninterrupted run.
-pub trait Record: Sized {
+/// Every positional [`Words`] record is one: its encoding is a single
+/// line and round-trips **bitwise** (floats are stored as their IEEE-754
+/// bit patterns) — the resume contract promises output identical to an
+/// uninterrupted run.
+pub trait Record: Words {
     /// Serializes the result as a single line.
-    fn encode(&self) -> String;
+    fn encode(&self) -> String {
+        codec::encode(self)
+    }
     /// Parses a line produced by [`Record::encode`].
-    fn decode(line: &str) -> Option<Self>;
-}
-
-impl Record for Measurement {
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {}",
-            self.trials, self.n_mapped_miss, self.n_not_mapped_miss
-        )
-    }
-
-    fn decode(line: &str) -> Option<Measurement> {
-        let mut parts = line.split_whitespace();
-        let trials = parts.next()?.parse().ok()?;
-        let n_mapped_miss = parts.next()?.parse().ok()?;
-        let n_not_mapped_miss = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Measurement {
-            trials,
-            n_mapped_miss,
-            n_not_mapped_miss,
-        })
+    fn decode(line: &str) -> Option<Self> {
+        codec::decode(line).ok()
     }
 }
 
-impl Record for u64 {
-    fn encode(&self) -> String {
-        format!("{self}")
-    }
+impl<T: Words> Record for T {}
 
-    fn decode(line: &str) -> Option<u64> {
-        line.trim().parse().ok()
-    }
-}
+codec::word_struct! { Measurement { trials, n_mapped_miss, n_not_mapped_miss } }
 
-impl Record for f64 {
-    fn encode(&self) -> String {
-        // Bit-exact: the resume contract is *bitwise* identity, which a
-        // decimal round-trip cannot guarantee for every value.
-        format!("{:016x}", self.to_bits())
-    }
-
-    fn decode(line: &str) -> Option<f64> {
-        u64::from_str_radix(line.trim(), 16)
-            .ok()
-            .map(f64::from_bits)
-    }
-}
-
-impl Record for (f64, f64) {
-    fn encode(&self) -> String {
-        format!("{} {}", self.0.encode(), self.1.encode())
-    }
-
-    fn decode(line: &str) -> Option<(f64, f64)> {
-        let mut parts = line.split_whitespace();
-        let a = f64::decode(parts.next()?)?;
-        let b = f64::decode(parts.next()?)?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some((a, b))
-    }
-}
-
-impl Record for (u64, u64) {
-    fn encode(&self) -> String {
-        format!("{} {}", self.0, self.1)
-    }
-
-    fn decode(line: &str) -> Option<(u64, u64)> {
-        let mut parts = line.split_whitespace();
-        let a = parts.next()?.parse().ok()?;
-        let b = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some((a, b))
-    }
-}
-
-impl Record for (f64, f64, f64) {
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {}",
-            self.0.encode(),
-            self.1.encode(),
-            self.2.encode()
-        )
-    }
-
-    fn decode(line: &str) -> Option<(f64, f64, f64)> {
-        let mut parts = line.split_whitespace();
-        let a = f64::decode(parts.next()?)?;
-        let b = f64::decode(parts.next()?)?;
-        let c = f64::decode(parts.next()?)?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some((a, b, c))
+// Every checkpoint line after the header: its tag, then its fields.
+codec::word_enum! {
+    /// One checkpoint line after the header.
+    enum Line {
+        Settings(hash: Hex) = "settings",
+        Tasks(count: usize) = "tasks",
+        Elapsed(nanos: u64) = "elapsed",
+        Done(index: usize, payload: String) = "done",
     }
 }
 
@@ -329,80 +251,50 @@ impl Checkpoint {
     /// Serializes the checkpoint to its file format.
     pub fn render(&self) -> String {
         let nanos = u64::try_from(self.consumed.as_nanos()).unwrap_or(u64::MAX);
-        let mut out = format!(
-            "{MAGIC}\nsettings {:016x}\ntasks {}\nelapsed {nanos}\n",
-            self.settings_hash, self.tasks
-        );
-        for (index, payload) in &self.done {
-            out.push_str(&format!("done {index} {payload}\n"));
-        }
-        out
+        let head = [
+            Line::Settings(Hex(self.settings_hash)),
+            Line::Tasks(self.tasks),
+            Line::Elapsed(nanos),
+        ];
+        let done = self
+            .done
+            .iter()
+            .map(|(i, payload)| Line::Done(*i, payload.clone()));
+        codec::encode_lines(MAGIC, head.into_iter().chain(done))
     }
 
-    /// Parses the file format produced by [`Checkpoint::render`].
+    /// Parses the file format produced by [`Checkpoint::render`]. The
+    /// `elapsed` line is optional: checkpoints written before deadline
+    /// accounting existed lack it and resume with zero consumed
+    /// wall-clock.
     pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let malformed = |line: usize, reason: &str| CheckpointError::Malformed {
-            line,
-            reason: reason.to_owned(),
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or_else(|| malformed(1, "empty file"))?;
-        if magic.trim() != MAGIC {
-            return Err(malformed(1, "missing `secbench-checkpoint v1` header"));
+        let malformed = |line: usize, reason: String| CheckpointError::Malformed { line, reason };
+        let mut lines = text.lines().zip(1..);
+        if lines.next().map(|(magic, _)| magic.trim()) != Some(MAGIC) {
+            return Err(malformed(1, format!("missing `{MAGIC}` header")));
         }
-        let settings_hash = match lines.next() {
-            Some((_, l)) if l.starts_with("settings ") => {
-                u64::from_str_radix(l["settings ".len()..].trim(), 16)
-                    .map_err(|_| malformed(2, "unparsable settings fingerprint"))?
-            }
-            _ => return Err(malformed(2, "missing `settings` line")),
-        };
-        let tasks = match lines.next() {
-            Some((_, l)) if l.starts_with("tasks ") => l["tasks ".len()..]
-                .trim()
-                .parse()
-                .map_err(|_| malformed(3, "unparsable task count"))?,
-            _ => return Err(malformed(3, "missing `tasks` line")),
-        };
-        // The `elapsed` header is optional: checkpoints written before
-        // deadline accounting existed lack it and resume with zero
-        // consumed wall-clock.
-        let mut consumed = std::time::Duration::ZERO;
-        let mut pending = None;
-        match lines.next() {
-            Some((_, l)) if l.starts_with("elapsed ") => {
-                let nanos: u64 = l["elapsed ".len()..]
-                    .trim()
-                    .parse()
-                    .map_err(|_| malformed(4, "unparsable elapsed nanoseconds"))?;
-                consumed = std::time::Duration::from_nanos(nanos);
-            }
-            Some(other) => pending = Some(other),
-            None => {}
-        }
-        let mut done = Vec::new();
-        for (i, line) in pending.into_iter().chain(lines) {
-            let lineno = i + 1;
-            if line.trim().is_empty() {
+        let mut ck = Checkpoint::new(0, 0);
+        let mut last = 1;
+        for (text, n) in lines {
+            last = n;
+            if n > 3 && text.trim().is_empty() {
                 continue;
             }
-            let rest = line
-                .strip_prefix("done ")
-                .ok_or_else(|| malformed(lineno, "expected a `done` line"))?;
-            let (index, payload) = rest
-                .split_once(' ')
-                .ok_or_else(|| malformed(lineno, "expected `done <index> <result>`"))?;
-            let index: usize = index
-                .parse()
-                .map_err(|_| malformed(lineno, "unparsable task index"))?;
-            done.push((index, payload.to_owned()));
+            match (n, codec::decode(text).map_err(|e| malformed(n, e))?) {
+                (2, Line::Settings(hash)) => ck.settings_hash = hash.0,
+                (3, Line::Tasks(tasks)) => ck.tasks = tasks,
+                (4, Line::Elapsed(nanos)) => ck.consumed = std::time::Duration::from_nanos(nanos),
+                (4.., Line::Done(index, payload)) => ck.done.push((index, payload)),
+                _ => return Err(malformed(n, "unexpected line".to_owned())),
+            }
         }
-        Ok(Checkpoint {
-            settings_hash,
-            tasks,
-            consumed,
-            done,
-        })
+        if last < 3 {
+            return Err(malformed(
+                last + 1,
+                "missing `settings` or `tasks` line".to_owned(),
+            ));
+        }
+        Ok(ck)
     }
 
     /// Writes the checkpoint to `path` crash-safely: the content is

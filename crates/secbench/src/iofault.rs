@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::codec::{self, Crc, Word};
 use crate::run::splitmix64;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
@@ -66,12 +67,10 @@ pub const FRAME_MAGIC: &str = "secbench-frame v1";
 /// so a corrupted *header* is as detectable as a corrupted payload; the
 /// payload CRC covers every payload byte. [`unseal`] verifies both.
 pub fn seal(payload: &str) -> String {
-    let head = format!(
-        "{FRAME_MAGIC} {} {:08x}",
-        payload.len(),
-        crc32(payload.as_bytes())
-    );
-    format!("{head} {:08x}\n{payload}", crc32(head.as_bytes()))
+    let body = (payload.len(), Crc(crc32(payload.as_bytes())));
+    let head = format!("{FRAME_MAGIC} {}", codec::encode(&body));
+    let head_crc = codec::encode(&Crc(crc32(head.as_bytes())));
+    format!("{head} {head_crc}\n{payload}")
 }
 
 /// Whether `text` begins with a [`seal`] envelope (used to keep loading
@@ -95,22 +94,8 @@ pub fn unseal(text: &str) -> Result<&str, String> {
         .strip_prefix(FRAME_MAGIC)
         .and_then(|r| r.strip_prefix(' '))
         .ok_or_else(|| format!("missing `{FRAME_MAGIC}` header"))?;
-    let mut tokens = rest.split(' ');
-    let len: usize = tokens
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| "unparsable payload length".to_owned())?;
-    let payload_crc = tokens
-        .next()
-        .and_then(|t| u32::from_str_radix(t, 16).ok())
-        .ok_or_else(|| "unparsable payload CRC".to_owned())?;
-    let header_crc = tokens
-        .next()
-        .and_then(|t| u32::from_str_radix(t, 16).ok())
-        .ok_or_else(|| "unparsable header CRC".to_owned())?;
-    if tokens.next().is_some() {
-        return Err("trailing tokens after header CRC".to_owned());
-    }
+    let (len, Crc(payload_crc), Crc(header_crc)): (usize, Crc, Crc) =
+        codec::decode(rest).map_err(|e| format!("bad frame header: {e}"))?;
     let covered = &header[..header.len() - 9]; // strip " <8-hex-header-crc>"
     let actual_header = crc32(covered.as_bytes());
     if actual_header != header_crc {
@@ -149,26 +134,10 @@ pub enum IoFaultKind {
     RenameFail,
 }
 
-impl IoFaultKind {
-    /// The canonical flag spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoFaultKind::Torn => "torn",
-            IoFaultKind::ShortRead => "short-read",
-            IoFaultKind::Enospc => "enospc",
-            IoFaultKind::RenameFail => "rename-fail",
-        }
-    }
-
-    /// Parses the canonical flag spelling.
-    pub fn parse(word: &str) -> Option<IoFaultKind> {
-        match word {
-            "torn" => Some(IoFaultKind::Torn),
-            "short-read" => Some(IoFaultKind::ShortRead),
-            "enospc" => Some(IoFaultKind::Enospc),
-            "rename-fail" => Some(IoFaultKind::RenameFail),
-            _ => None,
-        }
+// The canonical `--inject-io` spellings.
+crate::codec::words! {
+    IoFaultKind {
+        Torn = "torn", ShortRead = "short-read", Enospc = "enospc", RenameFail = "rename-fail"
     }
 }
 
@@ -206,7 +175,7 @@ impl std::fmt::Debug for IoInjector {
             Some(s) => write!(
                 f,
                 "IoInjector({} {}\u{2030}, seed {:#x})",
-                s.fault.kind.as_str(),
+                s.fault.kind.name(),
                 s.fault.per_mille,
                 s.seed
             ),
@@ -600,8 +569,8 @@ mod tests {
             IoFaultKind::Enospc,
             IoFaultKind::RenameFail,
         ] {
-            assert_eq!(IoFaultKind::parse(kind.as_str()), Some(kind));
+            assert_eq!(IoFaultKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(IoFaultKind::parse("sparks"), None);
+        assert_eq!(IoFaultKind::from_name("sparks"), None);
     }
 }

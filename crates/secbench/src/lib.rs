@@ -38,6 +38,8 @@
 //!   frame, temp-file + atomic-rename + directory fsync, and a
 //!   previous-good-generation chain) so a killed campaign resumes
 //!   bitwise-identically even when the newest file is torn;
+//! - [`codec`] — the one text codec behind every stored or sent record:
+//!   each record is one table that generates its encoder and its parser;
 //! - [`iofault`] — deterministic I/O fault injection (torn writes, short
 //!   reads, ENOSPC, failed renames) plus the durable-write and
 //!   CRC-framing seam every on-disk format goes through;
@@ -84,6 +86,7 @@ pub mod capacity;
 pub mod channel;
 pub mod chaos;
 pub mod checkpoint;
+pub mod codec;
 pub mod extended;
 pub mod generate;
 pub mod iofault;

@@ -16,7 +16,9 @@
 //!   same invariant;
 //! - [`render_repro`] / [`parse_repro`] / [`replay_file`] — a
 //!   line-oriented `repro/*.ron` file format so the `replay` bench binary
-//!   can re-execute any captured violation deterministically;
+//!   can re-execute any captured violation deterministically. Every
+//!   directive and `op` mnemonic is one row of a table ([`crate::codec`])
+//!   that generates both directions;
 //! - [`conclude`] — the driver epilogue: drain the process-wide suspect
 //!   sink, deduplicate per campaign cell, shrink, write repro files, and
 //!   compute the [`EXIT_SUSPECT`] exit code.
@@ -26,7 +28,6 @@
 //! injected campaigns are exactly reproducible across worker counts and
 //! kill/resume interleavings, like every other part of the engine.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -39,6 +40,7 @@ use sectlb_tlb::check::CorruptionKind;
 use sectlb_tlb::types::{Asid, PageSize, SecureRegion, Vpn};
 use sectlb_tlb::{InvalidationPolicy, RandomFillEviction};
 
+use crate::codec::{self, Addr};
 use crate::run::splitmix64;
 
 /// Exit code drivers use when the shadow oracle flagged at least one
@@ -215,114 +217,104 @@ impl std::error::Error for ReproError {
 
 const REPRO_MAGIC: &str = "sectlb-repro v1";
 
-fn flush_name(p: FlushPolicy) -> &'static str {
-    match p {
-        FlushPolicy::None => "none",
-        FlushPolicy::FlushOnSwitch => "flush-on-switch",
+/// Whether a protected region holds code (I-TLB) or data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    Data,
+    Code,
+}
+
+codec::words! { Region { Data = "data", Code = "code" } }
+
+// Every repro directive: its tag, then its fields in wire order.
+codec::word_enum! {
+    /// One line of a repro file after the magic: a setup directive, an
+    /// address-space record, a trace op, or the violation.
+    enum Line {
+        Design(design: TlbDesign) = "design",
+        Entries(entries: usize) = "entries",
+        Ways(ways: usize) = "ways",
+        Seed(seed: Addr) = "seed",
+        Flush(policy: FlushPolicy) = "flush",
+        SwitchCost(cycles: u64) = "switch_cost",
+        CyclesPerLevel(cycles: u64) = "cycles_per_level",
+        RfEviction(eviction: RandomFillEviction) = "rf_eviction",
+        RfInvalidation(invalidation: InvalidationPolicy) = "rf_invalidation",
+        SpVictimWays(ways: usize) = "sp_victim_ways",
+        L2(l2: (TlbDesign, usize, usize, u64)) = "l2",
+        Itlb(itlb: (TlbDesign, usize, usize)) = "itlb",
+        Processes(count: u16) = "processes",
+        Map(asid: Asid, vpn: Addr, size: PageSize) = "map",
+        Protect(asid: Asid, base: Addr, pages: u64, region: Region) = "protect",
+        Op(instr: Instr) = "op",
+        Corrupt(selector: u64, kind: CorruptionKind) = "corrupt",
+        Violation(op_index: usize, invariant: Invariant) = "violation",
+        VDesign(text: String) = "v_design",
+        VExpected(text: String) = "v_expected",
+        VActual(text: String) = "v_actual",
     }
 }
 
-fn eviction_name(e: RandomFillEviction) -> &'static str {
-    match e {
-        RandomFillEviction::RandomWay => "random-way",
-        RandomFillEviction::LruWay => "lru-way",
+// Every instruction mnemonic of an `op` line, then its operand.
+codec::word_enum! {
+    Instr {
+        Load(address: Addr) = "load",
+        Store(address: Addr) = "store",
+        Compute(count) = "compute",
+        SetAsid(asid) = "setasid",
+        FlushAll = "flushall",
+        FlushAsid(asid) = "flushasid",
+        FlushPage(address: Addr) = "flushpage",
+        ReadMissCounter = "readmiss",
+        ReadCycleCounter = "readcycle",
+        JumpTo(address: Addr) = "jumpto",
     }
 }
 
-fn invalidation_name(i: InvalidationPolicy) -> &'static str {
-    match i {
-        InvalidationPolicy::Precise => "precise",
-        InvalidationPolicy::RegionFlush => "region-flush",
-    }
-}
-
-fn size_name(s: PageSize) -> &'static str {
-    match s {
-        PageSize::Base => "base",
-        PageSize::Mega => "mega",
-        PageSize::Giga => "giga",
-    }
-}
-
-/// Renders a capture as the line-oriented `sectlb-repro v1` text format.
-/// [`parse_repro`] inverts this exactly.
+/// Renders a capture as the line-oriented `sectlb-repro v1` text format:
+/// the magic, then one line per setup directive, mapping, protection,
+/// trace op and violation field. [`parse_repro`] inverts this exactly.
 pub fn render_repro(capture: &TraceCapture) -> String {
     let s = &capture.setup;
-    let mut out = String::new();
-    let _ = writeln!(out, "{REPRO_MAGIC}");
-    let _ = writeln!(out, "design {}", s.design.name());
-    let _ = writeln!(out, "entries {}", s.entries);
-    let _ = writeln!(out, "ways {}", s.ways);
-    let _ = writeln!(out, "seed {:#x}", s.seed);
-    let _ = writeln!(out, "flush {}", flush_name(s.flush_policy));
-    let _ = writeln!(out, "switch_cost {}", s.switch_cost);
-    let _ = writeln!(out, "cycles_per_level {}", s.cycles_per_level);
-    let _ = writeln!(out, "rf_eviction {}", eviction_name(s.rf_eviction));
-    let _ = writeln!(
-        out,
-        "rf_invalidation {}",
-        invalidation_name(s.rf_invalidation)
-    );
-    if let Some(w) = s.sp_victim_ways {
-        let _ = writeln!(out, "sp_victim_ways {w}");
-    }
-    if let Some((design, entries, ways, latency)) = s.l2 {
-        let _ = writeln!(out, "l2 {} {entries} {ways} {latency}", design.name());
-    }
-    if let Some((design, entries, ways)) = s.itlb {
-        let _ = writeln!(out, "itlb {} {entries} {ways}", design.name());
-    }
-    let _ = writeln!(out, "processes {}", capture.processes);
-    for &(asid, vpn, size) in &capture.maps {
-        let _ = writeln!(out, "map {} {:#x} {}", asid.0, vpn.0, size_name(size));
-    }
-    for &(asid, region, is_code) in &capture.protects {
-        let _ = writeln!(
-            out,
-            "protect {} {:#x} {} {}",
-            asid.0,
-            region.base.0,
-            region.pages,
-            if is_code { "code" } else { "data" }
-        );
-    }
-    for op in &capture.ops {
-        match *op {
-            TraceOp::Exec(instr) => {
-                let _ = match instr {
-                    Instr::Load(a) => writeln!(out, "op load {a:#x}"),
-                    Instr::Store(a) => writeln!(out, "op store {a:#x}"),
-                    Instr::Compute(n) => writeln!(out, "op compute {n}"),
-                    Instr::SetAsid(a) => writeln!(out, "op setasid {}", a.0),
-                    Instr::FlushAll => writeln!(out, "op flushall"),
-                    Instr::FlushAsid(a) => writeln!(out, "op flushasid {}", a.0),
-                    Instr::FlushPage(a) => writeln!(out, "op flushpage {a:#x}"),
-                    Instr::ReadMissCounter => writeln!(out, "op readmiss"),
-                    Instr::ReadCycleCounter => writeln!(out, "op readcycle"),
-                    Instr::JumpTo(a) => writeln!(out, "op jumpto {a:#x}"),
-                };
-            }
-            TraceOp::Corrupt { selector, kind } => {
-                let _ = writeln!(out, "corrupt {selector} {}", kind.name());
-            }
-        }
-    }
     let v = &capture.violation;
-    let _ = writeln!(out, "violation {} {}", v.op_index, v.invariant.name());
-    let _ = writeln!(out, "v_design {}", v.design);
-    let _ = writeln!(out, "v_expected {}", v.expected);
-    let _ = writeln!(out, "v_actual {}", v.actual);
-    out
+    let mut lines = vec![
+        Line::Design(s.design),
+        Line::Entries(s.entries),
+        Line::Ways(s.ways),
+        Line::Seed(Addr(s.seed)),
+        Line::Flush(s.flush_policy),
+        Line::SwitchCost(s.switch_cost),
+        Line::CyclesPerLevel(s.cycles_per_level),
+        Line::RfEviction(s.rf_eviction),
+        Line::RfInvalidation(s.rf_invalidation),
+    ];
+    lines.extend(s.sp_victim_ways.map(Line::SpVictimWays));
+    lines.extend(s.l2.map(Line::L2));
+    lines.extend(s.itlb.map(Line::Itlb));
+    lines.push(Line::Processes(capture.processes));
+    let maps = capture.maps.iter();
+    lines.extend(maps.map(|&(asid, vpn, size)| Line::Map(asid, Addr(vpn.0), size)));
+    lines.extend(capture.protects.iter().map(|(asid, region, is_code)| {
+        let kind = if *is_code { Region::Code } else { Region::Data };
+        Line::Protect(*asid, Addr(region.base.0), region.pages, kind)
+    }));
+    lines.extend(capture.ops.iter().map(|op| match *op {
+        TraceOp::Exec(instr) => Line::Op(instr),
+        TraceOp::Corrupt { selector, kind } => Line::Corrupt(selector, kind),
+    }));
+    lines.extend([
+        Line::Violation(v.op_index, v.invariant),
+        Line::VDesign(v.design.clone()),
+        Line::VExpected(v.expected.clone()),
+        Line::VActual(v.actual.clone()),
+    ]);
+    codec::encode_lines(REPRO_MAGIC, lines)
 }
 
-fn parse_u64(token: &str) -> Option<u64> {
-    match token.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => token.parse().ok(),
-    }
-}
-
-/// Parses the `sectlb-repro v1` text format back into a capture.
+/// Parses the `sectlb-repro v1` text format back into a capture. The
+/// setup directives may come in any order, and the optional ones
+/// (`sp_victim_ways`, `l2`, `itlb`) may be absent; `map`, `protect`, `op`
+/// and `corrupt` lines accumulate in file order.
 ///
 /// # Errors
 ///
@@ -330,26 +322,15 @@ fn parse_u64(token: &str) -> Option<u64> {
 /// magic, a field, or a required section is missing or malformed.
 pub fn parse_repro(text: &str) -> Result<TraceCapture, ReproError> {
     let fail = |line: usize, message: String| ReproError::Parse { line, message };
-    fn num<'a>(
-        tokens: &mut impl Iterator<Item = &'a str>,
-        line: usize,
-        key: &str,
-        what: &str,
-    ) -> Result<u64, ReproError> {
-        tokens.next().and_then(parse_u64).ok_or(ReproError::Parse {
-            line,
-            message: format!("{key}: missing or bad {what}"),
-        })
-    }
-    let mut lines = text.lines().enumerate();
+    let mut lines = text.lines().zip(1..);
     match lines.next() {
-        Some((_, l)) if l.trim() == REPRO_MAGIC => {}
+        Some((l, _)) if l.trim() == REPRO_MAGIC => {}
         other => {
             return Err(fail(
                 1,
                 format!(
                     "expected magic {REPRO_MAGIC:?}, found {:?}",
-                    other.map(|(_, l)| l).unwrap_or("<empty file>")
+                    other.map_or("<empty file>", |(l, _)| l)
                 ),
             ))
         }
@@ -374,149 +355,44 @@ pub fn parse_repro(text: &str) -> Result<TraceCapture, ReproError> {
     let mut maps: Vec<(Asid, Vpn, PageSize)> = Vec::new();
     let mut protects: Vec<(Asid, SecureRegion, bool)> = Vec::new();
     let mut ops: Vec<TraceOp> = Vec::new();
-    let mut violation: Option<OracleViolation> = None;
+    let mut violation: Option<(usize, Invariant)> = None;
+    let (mut design, mut expected, mut actual) = (String::new(), String::new(), String::new());
 
-    for (idx, raw) in lines {
-        let line = idx + 1;
-        let l = raw.trim();
-        if l.is_empty() {
+    for (raw, n) in lines {
+        if raw.trim().is_empty() {
             continue;
         }
-        let (key, rest) = l.split_once(' ').unwrap_or((l, ""));
-        let mut tokens = rest.split_whitespace();
-        macro_rules! num {
-            ($what:expr) => {
-                num(&mut tokens, line, key, $what)
-            };
-        }
-        match key {
-            "design" => {
-                setup.design = TlbDesign::from_name(rest)
-                    .ok_or_else(|| fail(line, format!("unknown design {rest:?}")))?;
-            }
-            "entries" => {
-                setup.entries = num!("count")? as usize;
+        match codec::decode(raw).map_err(|message| fail(n, message))? {
+            Line::Design(design) => setup.design = design,
+            Line::Entries(entries) => {
+                setup.entries = entries;
                 seen_geometry = true;
             }
-            "ways" => setup.ways = num!("count")? as usize,
-            "seed" => setup.seed = num!("seed")?,
-            "flush" => {
-                setup.flush_policy = match rest {
-                    "none" => FlushPolicy::None,
-                    "flush-on-switch" => FlushPolicy::FlushOnSwitch,
-                    other => return Err(fail(line, format!("unknown flush policy {other:?}"))),
-                };
+            Line::Ways(ways) => setup.ways = ways,
+            Line::Seed(seed) => setup.seed = seed.0,
+            Line::Flush(policy) => setup.flush_policy = policy,
+            Line::SwitchCost(cycles) => setup.switch_cost = cycles,
+            Line::CyclesPerLevel(cycles) => setup.cycles_per_level = cycles,
+            Line::RfEviction(eviction) => setup.rf_eviction = eviction,
+            Line::RfInvalidation(invalidation) => setup.rf_invalidation = invalidation,
+            Line::SpVictimWays(ways) => setup.sp_victim_ways = Some(ways),
+            Line::L2(l2) => setup.l2 = Some(l2),
+            Line::Itlb(itlb) => setup.itlb = Some(itlb),
+            Line::Processes(count) => processes = Some(count),
+            Line::Map(asid, vpn, size) => maps.push((asid, Vpn(vpn.0), size)),
+            Line::Protect(asid, base, pages, region) => {
+                let secure = SecureRegion::new(Vpn(base.0), pages);
+                protects.push((asid, secure, region == Region::Code));
             }
-            "switch_cost" => setup.switch_cost = num!("cycles")?,
-            "cycles_per_level" => setup.cycles_per_level = num!("cycles")?,
-            "rf_eviction" => {
-                setup.rf_eviction = match rest {
-                    "random-way" => RandomFillEviction::RandomWay,
-                    "lru-way" => RandomFillEviction::LruWay,
-                    other => return Err(fail(line, format!("unknown eviction {other:?}"))),
-                };
+            Line::Op(instr) => ops.push(TraceOp::Exec(instr)),
+            Line::Corrupt(selector, kind) => ops.push(TraceOp::Corrupt { selector, kind }),
+            Line::Violation(op_index, invariant) => violation = Some((op_index, invariant)),
+            Line::VDesign(text) if violation.is_some() => design = text,
+            Line::VExpected(text) if violation.is_some() => expected = text,
+            Line::VActual(text) if violation.is_some() => actual = text,
+            Line::VDesign(_) | Line::VExpected(_) | Line::VActual(_) => {
+                return Err(fail(n, "violation text before the violation line".into()))
             }
-            "rf_invalidation" => {
-                setup.rf_invalidation = match rest {
-                    "precise" => InvalidationPolicy::Precise,
-                    "region-flush" => InvalidationPolicy::RegionFlush,
-                    other => return Err(fail(line, format!("unknown invalidation {other:?}"))),
-                };
-            }
-            "sp_victim_ways" => setup.sp_victim_ways = Some(num!("ways")? as usize),
-            "l2" => {
-                let design = tokens
-                    .next()
-                    .and_then(TlbDesign::from_name)
-                    .ok_or_else(|| fail(line, "l2: bad design".into()))?;
-                setup.l2 = Some((
-                    design,
-                    num!("entries")? as usize,
-                    num!("ways")? as usize,
-                    num!("latency")?,
-                ));
-            }
-            "itlb" => {
-                let design = tokens
-                    .next()
-                    .and_then(TlbDesign::from_name)
-                    .ok_or_else(|| fail(line, "itlb: bad design".into()))?;
-                setup.itlb = Some((design, num!("entries")? as usize, num!("ways")? as usize));
-            }
-            "processes" => processes = Some(num!("count")? as u16),
-            "map" => {
-                let asid = Asid(num!("asid")? as u16);
-                let vpn = Vpn(num!("vpn")?);
-                let size = match tokens.next() {
-                    Some("base") => PageSize::Base,
-                    Some("mega") => PageSize::Mega,
-                    other => return Err(fail(line, format!("map: bad page size {other:?}"))),
-                };
-                maps.push((asid, vpn, size));
-            }
-            "protect" => {
-                let asid = Asid(num!("asid")? as u16);
-                let base = Vpn(num!("base")?);
-                let pages = num!("pages")?;
-                let is_code = match tokens.next() {
-                    Some("data") => false,
-                    Some("code") => true,
-                    other => return Err(fail(line, format!("protect: bad kind {other:?}"))),
-                };
-                protects.push((asid, SecureRegion::new(base, pages), is_code));
-            }
-            "op" => {
-                let mnemonic = tokens
-                    .next()
-                    .ok_or_else(|| fail(line, "op: missing mnemonic".into()))?;
-                let instr = match mnemonic {
-                    "load" => Instr::Load(num!("address")?),
-                    "store" => Instr::Store(num!("address")?),
-                    "compute" => Instr::Compute(num!("count")?),
-                    "setasid" => Instr::SetAsid(Asid(num!("asid")? as u16)),
-                    "flushall" => Instr::FlushAll,
-                    "flushasid" => Instr::FlushAsid(Asid(num!("asid")? as u16)),
-                    "flushpage" => Instr::FlushPage(num!("address")?),
-                    "readmiss" => Instr::ReadMissCounter,
-                    "readcycle" => Instr::ReadCycleCounter,
-                    "jumpto" => Instr::JumpTo(num!("address")?),
-                    other => return Err(fail(line, format!("op: unknown mnemonic {other:?}"))),
-                };
-                ops.push(TraceOp::Exec(instr));
-            }
-            "corrupt" => {
-                let selector = num!("selector")?;
-                let kind = tokens
-                    .next()
-                    .and_then(CorruptionKind::from_name)
-                    .ok_or_else(|| fail(line, "corrupt: bad kind".into()))?;
-                ops.push(TraceOp::Corrupt { selector, kind });
-            }
-            "violation" => {
-                let op_index = num!("op index")? as usize;
-                let invariant = tokens
-                    .next()
-                    .and_then(Invariant::from_name)
-                    .ok_or_else(|| fail(line, "violation: unknown invariant".into()))?;
-                violation = Some(OracleViolation {
-                    design: String::new(),
-                    op_index,
-                    invariant,
-                    expected: String::new(),
-                    actual: String::new(),
-                });
-            }
-            "v_design" | "v_expected" | "v_actual" => {
-                let v = violation
-                    .as_mut()
-                    .ok_or_else(|| fail(line, format!("{key} before violation line")))?;
-                match key {
-                    "v_design" => v.design = rest.to_owned(),
-                    "v_expected" => v.expected = rest.to_owned(),
-                    _ => v.actual = rest.to_owned(),
-                }
-            }
-            other => return Err(fail(line, format!("unknown directive {other:?}"))),
         }
     }
 
@@ -524,7 +400,15 @@ pub fn parse_repro(text: &str) -> Result<TraceCapture, ReproError> {
         return Err(fail(2, "missing machine geometry (entries/ways)".into()));
     }
     let processes = processes.ok_or_else(|| fail(2, "missing processes line".into()))?;
-    let violation = violation.ok_or_else(|| fail(2, "missing violation line".into()))?;
+    let (op_index, invariant) =
+        violation.ok_or_else(|| fail(2, "missing violation line".into()))?;
+    let violation = OracleViolation {
+        design,
+        op_index,
+        invariant,
+        expected,
+        actual,
+    };
     Ok(TraceCapture {
         setup,
         processes,
@@ -835,6 +719,7 @@ mod tests {
         capture.setup.rf_invalidation = InvalidationPolicy::RegionFlush;
         capture.violation.invariant = Invariant::ReplacementOrder;
         capture.maps.push((Asid(2), Vpn(0x200), PageSize::Mega));
+        capture.maps.push((Asid(2), Vpn(0x40000), PageSize::Giga));
         capture
             .protects
             .push((Asid(1), SecureRegion::new(Vpn(0x300), 2), true));
@@ -849,6 +734,38 @@ mod tests {
         ]);
         let parsed = parse_repro(&render_repro(&capture)).expect("parses back");
         assert_eq!(parsed, capture);
+    }
+
+    #[test]
+    fn a_cycle_counter_read_replays_end_to_end() {
+        // Shrinking drops counter reads, so write the unshrunk capture:
+        // its trace reads the cycle counter before the corruption fires.
+        let mut m = test_machine("oracle-readcycle");
+        let mut program = noisy_program();
+        program.insert(4, Instr::ReadCycleCounter);
+        m.run(&program);
+        assert!(m.inject_corruption_now(5, CorruptionKind::Ppn));
+        let capture = drain_suspects_with_prefix("oracle-readcycle")
+            .remove(0)
+            .capture;
+        let read = capture
+            .ops
+            .iter()
+            .position(|op| *op == TraceOp::Exec(Instr::ReadCycleCounter));
+        let corrupt = capture
+            .ops
+            .iter()
+            .position(|op| matches!(op, TraceOp::Corrupt { .. }));
+        assert!(read < corrupt && read.is_some(), "{:?}", capture.ops);
+        let dir = std::env::temp_dir().join(format!("sectlb-readcycle-{}", std::process::id()));
+        let path = write_repro(&dir, "readcycle", &capture).expect("repro written");
+        assert!(fs::read_to_string(&path)
+            .expect("reads")
+            .contains("\nop readcycle\n"));
+        let (replayed, violation) = replay_file(&path).expect("repro loads");
+        assert_eq!(replayed, capture);
+        assert_eq!(violation, Some(capture.violation));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

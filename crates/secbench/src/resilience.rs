@@ -62,6 +62,7 @@ use sectlb_sim::machine::{Machine, TlbDesign};
 
 use crate::adaptive::{self, next_trials, AdaptiveCellState, SequentialTest};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
+use crate::codec::Word;
 use crate::iofault::{IoFault, IoInjector};
 use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, Shard, WorkerStats};
 use crate::run::{
@@ -69,7 +70,7 @@ use crate::run::{
 };
 use crate::scheduler::StealQueues;
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
-use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
+use crate::telemetry::{duration_ns, Event, Telemetry};
 
 /// Exit code drivers use when a campaign completed but quarantined at
 /// least one shard (the results are explicit about which cells are
@@ -1091,7 +1092,7 @@ where
                 if telemetry.is_armed() {
                     telemetry.emit(Event::ShardSkip {
                         task: i as u64,
-                        reason: stop_reason_str(reason).to_owned(),
+                        reason: reason.name().to_owned(),
                     });
                 }
                 ShardOutcome::Skipped(reason)
@@ -1376,7 +1377,7 @@ pub fn with_campaign_events<T>(
         Ok(done) => {
             let (stop, completed, wall) = progress(done);
             telemetry.emit(Event::CampaignStop {
-                reason: stop.map_or("complete", stop_reason_str).to_owned(),
+                reason: stop.map_or("complete", Word::name).to_owned(),
                 completed: completed as u64,
                 total: tasks as u64,
                 wall_ns: duration_ns(wall),

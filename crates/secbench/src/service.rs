@@ -17,8 +17,9 @@
 //!   shed watermark, the lowest-priority queued jobs are degraded rather
 //!   than silently delayed forever).
 //! - [`Request`] / [`Response`] — the one-line-per-message protocol.
-//!   Like the telemetry schema, the grammar is canonical and strict:
-//!   parse ⇄ encode round-trips exactly, and anything else is a typed
+//!   Each is one table of positional-word rows ([`crate::codec`]): a tag,
+//!   then the fields in wire order. The table generates both directions,
+//!   so parse ⇄ encode round-trips exactly, and anything else is a typed
 //!   error, never a guess. Submissions can carry an idempotency key
 //!   ([`JobSpec::key`]), watches resume from a per-job sequence number
 //!   ([`Request::Watch`] / [`Response::Event`]), and [`Request::Cancel`]
@@ -31,10 +32,13 @@
 //!   identically. A `kill -9` is survived the same way, with the
 //!   per-job terminal marker ([`encode_terminal_marker`]) closing the
 //!   completed-but-not-yet-flushed window so no finished job re-runs.
+//!   Manifest lines are rows of their own table too; the legacy entry
+//!   form is the one hand-written special case.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
+use crate::codec;
 use crate::iofault;
 
 /// Magic first line of the job manifest.
@@ -131,56 +135,24 @@ fn valid_tag(tag: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-fn field<'a>(token: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    let token = token.ok_or_else(|| format!("missing field {key}=..."))?;
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=..., found {token:?}"))
+// `key=value` words, in this order; `key=` appears only when an
+// idempotency key was supplied, so key-less specs encode exactly as they
+// always have. Decoding also checks [`JobSpec::validate`].
+codec::kv_record! {
+    JobSpec { driver, trials, seed, priority, tag } optional key check JobSpec::validate
 }
 
 impl JobSpec {
     /// The canonical one-line encoding:
-    /// `driver=<d> trials=<n> seed=<n> priority=<n> tag=<t>[ key=<k>]`
-    /// (the `key=` field appears only when an idempotency key was
-    /// supplied, so key-less specs encode exactly as they always have).
+    /// `driver=<d> trials=<n> seed=<n> priority=<n> tag=<t>[ key=<k>]`.
     pub fn encode(&self) -> String {
-        let mut line = format!(
-            "driver={} trials={} seed={} priority={} tag={}",
-            self.driver, self.trials, self.seed, self.priority, self.tag
-        );
-        if let Some(key) = &self.key {
-            line.push_str(&format!(" key={key}"));
-        }
-        line
+        codec::encode(self)
     }
 
     /// Parses the canonical encoding; fields must appear in order, and
     /// the spec must satisfy [`JobSpec::validate`].
     pub fn decode(line: &str) -> Result<JobSpec, String> {
-        let mut tokens = line.split(' ');
-        let mut spec = JobSpec {
-            driver: field(tokens.next(), "driver")?.to_owned(),
-            trials: field(tokens.next(), "trials")?
-                .parse()
-                .map_err(|_| "trials must be a positive integer".to_owned())?,
-            seed: field(tokens.next(), "seed")?
-                .parse()
-                .map_err(|_| "seed must be an unsigned integer".to_owned())?,
-            priority: field(tokens.next(), "priority")?
-                .parse()
-                .map_err(|_| "priority must be 0..=255".to_owned())?,
-            tag: field(tokens.next(), "tag")?.to_owned(),
-            key: None,
-        };
-        if let Some(token) = tokens.next() {
-            spec.key = Some(field(Some(token), "key")?.to_owned());
-        }
-        if let Some(extra) = tokens.next() {
-            return Err(format!("unexpected trailing token {extra:?}"));
-        }
-        spec.validate()?;
-        Ok(spec)
+        codec::decode(line)
     }
 
     /// Checks the spec's invariants (known driver, nonzero trials, a
@@ -233,32 +205,19 @@ pub enum JobState {
     Cancelled,
 }
 
+// The canonical status words.
+codec::words! {
+    JobState {
+        Queued = "queued",
+        Running = "running",
+        Done = "done",
+        Shed = "shed",
+        Failed = "failed",
+        Cancelled = "cancelled",
+    }
+}
+
 impl JobState {
-    /// The canonical status word.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Shed => "shed",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses a canonical status word.
-    pub fn parse(word: &str) -> Result<JobState, String> {
-        match word {
-            "queued" => Ok(JobState::Queued),
-            "running" => Ok(JobState::Running),
-            "done" => Ok(JobState::Done),
-            "shed" => Ok(JobState::Shed),
-            "failed" => Ok(JobState::Failed),
-            "cancelled" => Ok(JobState::Cancelled),
-            other => Err(format!("unknown job state {other:?}")),
-        }
-    }
-
     /// Whether the state is terminal (the job will never run again).
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -445,55 +404,34 @@ pub enum Request {
     Shutdown,
 }
 
+/// The tag of both a `status` request and its reply.
+const STATUS: &str = "status";
+
+// The wire table of every request: its tag, then its fields in wire order.
+codec::word_enum! {
+    Request {
+        Submit(spec) = "submit",
+        Status(job) = STATUS,
+        Watch { job, from } = "watch",
+        Cancel(job) = "cancel",
+        Ping = "ping",
+        Shutdown = "shutdown",
+    }
+}
+
 impl Request {
     /// Encodes the request as one canonical line.
     pub fn encode(&self) -> String {
-        match self {
-            Request::Submit(spec) => format!("submit {}", spec.encode()),
-            Request::Status(id) => format!("status {id}"),
-            Request::Watch { job, from } => format!("watch {job} {from}"),
-            Request::Cancel(id) => format!("cancel {id}"),
-            Request::Ping => "ping".to_owned(),
-            Request::Shutdown => "shutdown".to_owned(),
-        }
+        codec::encode(self)
     }
 
-    /// Parses one canonical request line. `watch <id>` without a
-    /// sequence number (the pre-resume grammar) is accepted as `from` 0.
+    /// Parses one canonical request line. Legacy: `watch <id>` without a
+    /// sequence number (the pre-resume grammar) decodes as `from` 0.
     pub fn decode(line: &str) -> Result<Request, String> {
-        if let Some(rest) = line.strip_prefix("submit ") {
-            return Ok(Request::Submit(JobSpec::decode(rest)?));
-        }
-        if let Some(rest) = line.strip_prefix("status ") {
-            return rest
-                .parse()
-                .map(Request::Status)
-                .map_err(|_| format!("status takes a job id, found {rest:?}"));
-        }
-        if let Some(rest) = line.strip_prefix("watch ") {
-            let (id, from) = match rest.split_once(' ') {
-                None => (rest, "0"),
-                Some((id, from)) => (id, from),
-            };
-            let job = id
-                .parse()
-                .map_err(|_| format!("watch takes a job id, found {rest:?}"))?;
-            let from = from
-                .parse()
-                .map_err(|_| format!("watch takes an optional sequence number, found {rest:?}"))?;
-            return Ok(Request::Watch { job, from });
-        }
-        if let Some(rest) = line.strip_prefix("cancel ") {
-            return rest
-                .parse()
-                .map(Request::Cancel)
-                .map_err(|_| format!("cancel takes a job id, found {rest:?}"));
-        }
-        match line {
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request {other:?}")),
-        }
+        codec::decode(line).or_else(|err| match codec::decode(&format!("{line} 0")) {
+            Ok(watch @ Request::Watch { .. }) => Ok(watch),
+            _ => Err(err),
+        })
     }
 }
 
@@ -558,113 +496,32 @@ pub enum Response {
     ),
 }
 
+// The wire table of every reply: its tag, then its fields in wire order
+// (an absent exit code is `-`; a reason or message takes the rest of the
+// line).
+codec::word_enum! {
+    Response {
+        Accepted { job } = "accepted",
+        Rejected { reason } = "rejected",
+        Status { job, state, exit } = STATUS,
+        UnknownJob { job } = "unknown-job",
+        Pong = "pong",
+        Heartbeat { job } = "heartbeat",
+        Event { job, seq, state, exit } = "event",
+        Draining = "draining",
+        Error(message) = "error",
+    }
+}
+
 impl Response {
     /// Encodes the response as one canonical line.
     pub fn encode(&self) -> String {
-        match self {
-            Response::Accepted { job } => format!("accepted {job}"),
-            Response::Rejected { reason } => format!("rejected {reason}"),
-            Response::Status { job, state, exit } => match exit {
-                Some(code) => format!("status {job} {} {code}", state.as_str()),
-                None => format!("status {job} {} -", state.as_str()),
-            },
-            Response::UnknownJob { job } => format!("unknown-job {job}"),
-            Response::Pong => "pong".to_owned(),
-            Response::Heartbeat { job } => format!("heartbeat {job}"),
-            Response::Event {
-                job,
-                seq,
-                state,
-                exit,
-            } => match exit {
-                Some(code) => format!("event {job} {seq} {} {code}", state.as_str()),
-                None => format!("event {job} {seq} {} -", state.as_str()),
-            },
-            Response::Draining => "draining".to_owned(),
-            Response::Error(msg) => format!("error {msg}"),
-        }
+        codec::encode(self)
     }
 
     /// Parses one canonical response line.
     pub fn decode(line: &str) -> Result<Response, String> {
-        if let Some(rest) = line.strip_prefix("accepted ") {
-            return rest
-                .parse()
-                .map(|job| Response::Accepted { job })
-                .map_err(|_| format!("accepted takes a job id, found {rest:?}"));
-        }
-        if let Some(rest) = line.strip_prefix("rejected ") {
-            return Ok(Response::Rejected {
-                reason: rest.to_owned(),
-            });
-        }
-        if let Some(rest) = line.strip_prefix("status ") {
-            let mut tokens = rest.split(' ');
-            let job = tokens
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad status id in {rest:?}"))?;
-            let state = JobState::parse(tokens.next().ok_or("status is missing its state")?)?;
-            let exit = match tokens.next().ok_or("status is missing its exit code")? {
-                "-" => None,
-                code => Some(
-                    code.parse()
-                        .map_err(|_| format!("bad exit code in {rest:?}"))?,
-                ),
-            };
-            if let Some(extra) = tokens.next() {
-                return Err(format!("unexpected trailing token {extra:?}"));
-            }
-            return Ok(Response::Status { job, state, exit });
-        }
-        if let Some(rest) = line.strip_prefix("unknown-job ") {
-            return rest
-                .parse()
-                .map(|job| Response::UnknownJob { job })
-                .map_err(|_| format!("unknown-job takes a job id, found {rest:?}"));
-        }
-        if let Some(rest) = line.strip_prefix("heartbeat ") {
-            return rest
-                .parse()
-                .map(|job| Response::Heartbeat { job })
-                .map_err(|_| format!("heartbeat takes a job id, found {rest:?}"));
-        }
-        if let Some(rest) = line.strip_prefix("event ") {
-            let mut tokens = rest.split(' ');
-            let job = tokens
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad event job id in {rest:?}"))?;
-            let seq = tokens
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad event sequence number in {rest:?}"))?;
-            let state = JobState::parse(tokens.next().ok_or("event is missing its state")?)?;
-            let exit = match tokens.next().ok_or("event is missing its exit code")? {
-                "-" => None,
-                code => Some(
-                    code.parse()
-                        .map_err(|_| format!("bad exit code in {rest:?}"))?,
-                ),
-            };
-            if let Some(extra) = tokens.next() {
-                return Err(format!("unexpected trailing token {extra:?}"));
-            }
-            return Ok(Response::Event {
-                job,
-                seq,
-                state,
-                exit,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("error ") {
-            return Ok(Response::Error(rest.to_owned()));
-        }
-        match line {
-            "pong" => Ok(Response::Pong),
-            "draining" => Ok(Response::Draining),
-            other => Err(format!("unknown response {other:?}")),
-        }
+        codec::decode(line)
     }
 }
 
@@ -691,6 +548,32 @@ pub struct ManifestEntry {
     pub spec: JobSpec,
 }
 
+// An entry's words after its `job` tag, in wire order.
+codec::word_struct! { ManifestEntry { id, state, seq, exit, spec } }
+
+codec::word_enum! {
+    /// One manifest line after the header: the next job id the server
+    /// will assign, or one job.
+    enum ManifestLine {
+        Next(id: u64) = "next",
+        Job(entry: ManifestEntry) = "job",
+    }
+}
+
+impl ManifestLine {
+    /// Decodes one manifest line. Legacy: an entry of the form `job <id>
+    /// <state> <spec>`, written before sequence numbers and persisted
+    /// exit codes, decodes as sequence number 1 with no exit code.
+    fn decode(line: &str) -> Result<ManifestLine, String> {
+        codec::decode(line).or_else(|err| match line.splitn(4, ' ').collect::<Vec<_>>()[..] {
+            [tag, id, state, spec] => {
+                codec::decode(&format!("{tag} {id} {state} 1 - {spec}")).map_err(|_| err)
+            }
+            _ => Err(err),
+        })
+    }
+}
+
 /// Parses stored manifest bytes: a checksummed [`crate::iofault`] frame
 /// is verified and stripped first; an unframed manifest from an older
 /// release decodes directly.
@@ -706,81 +589,30 @@ pub fn decode_manifest_stored(text: &str) -> Result<(u64, Vec<ManifestEntry>), S
 /// the checksummed frame and writes it atomically with a generation
 /// chain, like the checkpoint layer).
 pub fn encode_manifest(next_id: u64, entries: &[ManifestEntry]) -> String {
-    let mut out = format!("{MANIFEST_HEADER}\nnext {next_id}\n");
-    for e in entries {
-        let exit = match e.exit {
-            Some(code) => code.to_string(),
-            None => "-".to_owned(),
-        };
-        out.push_str(&format!(
-            "job {} {} {} {} {}\n",
-            e.id,
-            e.state.as_str(),
-            e.seq,
-            exit,
-            e.spec.encode()
-        ));
-    }
-    out
+    let jobs = entries.iter().cloned().map(ManifestLine::Job);
+    codec::encode_lines(
+        MANIFEST_HEADER,
+        [ManifestLine::Next(next_id)].into_iter().chain(jobs),
+    )
 }
 
-/// Parses a manifest written by [`encode_manifest`]. Entries written by
-/// an older server (`job <id> <state> <spec>`, before sequence numbers
-/// and persisted exit codes) still decode: the spec always starts with
-/// `driver=`, which can never be mistaken for a sequence number.
+/// Parses a manifest written by [`encode_manifest`]; legacy entries
+/// still decode.
 pub fn decode_manifest(text: &str) -> Result<(u64, Vec<ManifestEntry>), String> {
     let mut lines = text.lines();
     match lines.next() {
         Some(MANIFEST_HEADER) => {}
         other => return Err(format!("bad manifest header {other:?}")),
     }
-    let next_id = lines
-        .next()
-        .and_then(|l| l.strip_prefix("next "))
-        .and_then(|n| n.parse().ok())
-        .ok_or("manifest is missing its next-id line")?;
-    let mut entries = Vec::new();
-    for line in lines {
-        let rest = line
-            .strip_prefix("job ")
-            .ok_or_else(|| format!("unexpected manifest line {line:?}"))?;
-        let (id, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("truncated manifest entry {line:?}"))?;
-        let (state, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("truncated manifest entry {line:?}"))?;
-        let state = JobState::parse(state)?;
-        let (seq, exit, spec) = if rest.starts_with("driver=") {
-            // Legacy entry: no recorded sequence number or exit code.
-            (1, None, rest)
-        } else {
-            let (seq, rest) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("truncated manifest entry {line:?}"))?;
-            let (exit, spec) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("truncated manifest entry {line:?}"))?;
-            let seq = seq
-                .parse()
-                .map_err(|_| format!("bad sequence number in {line:?}"))?;
-            let exit = match exit {
-                "-" => None,
-                code => Some(
-                    code.parse()
-                        .map_err(|_| format!("bad exit code in {line:?}"))?,
-                ),
-            };
-            (seq, exit, spec)
-        };
-        entries.push(ManifestEntry {
-            id: id.parse().map_err(|_| format!("bad job id in {line:?}"))?,
-            state,
-            seq,
-            exit,
-            spec: JobSpec::decode(spec)?,
-        });
-    }
+    let Some(Ok(ManifestLine::Next(next_id))) = lines.next().map(ManifestLine::decode) else {
+        return Err("manifest is missing its next-id line".to_owned());
+    };
+    let entries = lines
+        .map(|line| match ManifestLine::decode(line)? {
+            ManifestLine::Job(entry) => Ok(entry),
+            ManifestLine::Next(_) => Err(format!("unexpected manifest line {line:?}")),
+        })
+        .collect::<Result<_, String>>()?;
     Ok((next_id, entries))
 }
 
@@ -790,24 +622,17 @@ pub fn decode_manifest(text: &str) -> Result<(u64, Vec<ManifestEntry>), String> 
 /// landing between the two cannot re-run a finished job — the restarted
 /// server reads the marker and restores the terminal state instead.
 pub fn encode_terminal_marker(state: JobState, exit: i32) -> String {
-    format!("{} {exit}\n", state.as_str())
+    codec::encode(&(state, exit)) + "\n"
 }
 
 /// Parses a terminal marker written by [`encode_terminal_marker`].
 /// Rejects non-terminal states: a marker claiming `queued` is corruption,
 /// not a recovery instruction.
 pub fn decode_terminal_marker(text: &str) -> Result<(JobState, i32), String> {
-    let (state, exit) = text
-        .trim_end()
-        .split_once(' ')
-        .ok_or_else(|| format!("truncated terminal marker {text:?}"))?;
-    let state = JobState::parse(state)?;
+    let (state, exit): (JobState, i32) = codec::decode(text.trim_end())?;
     if !state.is_terminal() {
         return Err(format!("marker state {state:?} is not terminal"));
     }
-    let exit = exit
-        .parse()
-        .map_err(|_| format!("bad exit code in marker {text:?}"))?;
     Ok((state, exit))
 }
 

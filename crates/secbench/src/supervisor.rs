@@ -55,6 +55,11 @@ pub enum StopReason {
     Cancelled,
 }
 
+// The stop-reason words of the `shard_skip` and `campaign_stop` events.
+crate::codec::words! {
+    StopReason { DeadlineExpired = "deadline", Interrupted = "signal", Cancelled = "cancel" }
+}
+
 impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -23,13 +23,13 @@
 //!
 //! # Canonical form
 //!
-//! Event lines are *canonical* JSON: objects only, fixed field order per
-//! event type, no whitespace, strings escaped minimally (`\"`, `\\`, and
-//! `\u00XX` for control characters), numbers as unsigned decimal
-//! integers, fingerprints as 16-digit lowercase hex strings. The parser
-//! ([`Envelope::parse`]) accepts exactly this form, so
-//! parse → serialize round-trips byte-identically — the property the
-//! telemetry test suite pins and the CI smoke job validates.
+//! Event lines are canonical JSON objects ([`crate::codec`]): `v`, `seq`,
+//! the `event` tag, then the event's fields in the order of its row in
+//! the event table, with fingerprints as 16-digit lowercase hex strings.
+//! That one table generates both [`Envelope::render`] and
+//! [`Envelope::parse`], and the parser accepts a line only if it renders
+//! back to itself byte for byte — the property the telemetry test suite
+//! pins and the CI smoke job validates.
 //!
 //! # Cost when disabled
 //!
@@ -42,6 +42,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::codec::{self, JsonReader, JsonWriter};
 use crate::parallel::PoolStats;
 
 /// Version of the event schema (the `"v"` field on every line). Bump on
@@ -51,8 +52,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// The schema tag of the metrics snapshot.
 pub const METRICS_SCHEMA: &str = "secbench-metrics v1";
 
-/// One observability event. Field order in the serialized form follows
-/// declaration order here; see the module docs for the canonical form.
+/// One observability event. Its serialized field order is its row in the
+/// event table; see the module docs for the canonical form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A campaign began: driver name, settings fingerprint (the same
@@ -317,262 +318,10 @@ pub enum Event {
     },
 }
 
-/// The stop-reason string used in [`Event::ShardSkip`] and
-/// [`Event::CampaignStop`].
-pub fn stop_reason_str(reason: crate::supervisor::StopReason) -> &'static str {
-    match reason {
-        crate::supervisor::StopReason::DeadlineExpired => "deadline",
-        crate::supervisor::StopReason::Interrupted => "signal",
-        crate::supervisor::StopReason::Cancelled => "cancel",
-    }
-}
-
 /// Saturating conversion of a [`std::time::Duration`] to whole
 /// nanoseconds — event timestamps are u64 fields.
 pub fn duration_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A canonical serialized field value: every event field is either an
-/// unsigned integer or a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Val {
-    Num(u64),
-    Str(String),
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Serializes one key/value pair stream into a canonical JSON object.
-struct LineBuilder {
-    buf: String,
-}
-
-impl LineBuilder {
-    fn new() -> LineBuilder {
-        LineBuilder {
-            buf: String::from("{"),
-        }
-    }
-
-    fn key(&mut self, key: &str) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-    }
-
-    fn num(&mut self, key: &str, v: u64) {
-        self.key(key);
-        self.buf.push_str(&v.to_string());
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        self.key(key);
-        self.buf.push('"');
-        escape_into(v, &mut self.buf);
-        self.buf.push('"');
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// A strict cursor over one canonical event line.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == c => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!("bad escape \\{:?}", other.map(|b| b as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the line is valid UTF-8:
-                    // it came in as &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_owned())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".to_owned());
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        if text.len() > 1 && text.starts_with('0') {
-            return Err(format!("non-canonical number {text:?} (leading zero)"));
-        }
-        text.parse()
-            .map_err(|_| format!("number {text:?} out of range"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-/// Parses one canonical JSON object line into ordered key/value pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, Val)>, String> {
-    let mut cur = Cursor::new(line);
-    cur.expect(b'{')?;
-    let mut fields = Vec::new();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.string()?;
-            cur.expect(b':')?;
-            let val = match cur.peek() {
-                Some(b'"') => Val::Str(cur.string()?),
-                Some(b'0'..=b'9') => Val::Num(cur.number()?),
-                other => {
-                    return Err(format!(
-                        "expected a string or number value, found {:?}",
-                        other.map(|b| b as char)
-                    ))
-                }
-            };
-            fields.push((key, val));
-            match cur.peek() {
-                Some(b',') => {
-                    cur.pos += 1;
-                }
-                Some(b'}') => {
-                    cur.pos += 1;
-                    break;
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}', found {:?}",
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-    if !cur.done() {
-        return Err("trailing bytes after the closing brace".to_owned());
-    }
-    Ok(fields)
-}
-
-/// Pulls the field at position `i`, requiring key `key` — canonical lines
-/// have a fixed field order, so lookup is positional.
-fn field<'a>(fields: &'a [(String, Val)], i: usize, key: &str) -> Result<&'a Val, String> {
-    match fields.get(i) {
-        Some((k, v)) if k == key => Ok(v),
-        Some((k, _)) => Err(format!(
-            "expected field {key:?} at position {i}, found {k:?}"
-        )),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn num(fields: &[(String, Val)], i: usize, key: &str) -> Result<u64, String> {
-    match field(fields, i, key)? {
-        Val::Num(n) => Ok(*n),
-        Val::Str(_) => Err(format!("field {key:?} must be a number")),
-    }
-}
-
-fn str_field(fields: &[(String, Val)], i: usize, key: &str) -> Result<String, String> {
-    match field(fields, i, key)? {
-        Val::Str(s) => Ok(s.clone()),
-        Val::Num(_) => Err(format!("field {key:?} must be a string")),
-    }
 }
 
 /// One serialized event line: the schema version and sequence number
@@ -586,492 +335,74 @@ pub struct Envelope {
     pub event: Event,
 }
 
+// The wire table of every event: its tag, then its fields in wire order,
+// each under its own name. Rendering and parsing are generated from it.
+codec::json_enum! { Event, "event";
+    CampaignStart { driver, fingerprint: Hex, tasks, workers } = "campaign_start",
+    Resume { restored, consumed_ns } = "resume",
+    ShardClaim { task, worker, label } = "shard_claim",
+    ShardComplete { task, worker, wall_ns } = "shard_complete",
+    ShardRetry { task, worker, attempt, error } = "shard_retry",
+    ShardQuarantine { task, worker, attempts, error } = "shard_quarantine",
+    ShardPreempt { task, worker, wall_ns } = "shard_preempt",
+    ShardSkip { task, reason } = "shard_skip",
+    CheckpointFlush { path, done, tasks } = "checkpoint_flush",
+    CheckpointRecovered { path, source, error } = "checkpoint_recovered",
+    CheckpointWriteFailed { path, error } = "checkpoint_write_failed",
+    AdaptiveStop { cell, trials, saved } = "adaptive_stop",
+    OracleViolation { cell, violation } = "oracle_violation",
+    CampaignStop { reason, completed, total, wall_ns } = "campaign_stop",
+    ReplayStart { file } = "replay_start",
+    ReplayOutcome { file, verdict, ops } = "replay_outcome",
+    WorkerStall { task, worker, label, wall_ns } = "worker_stall",
+    WorkerDead { worker, task } = "worker_dead",
+    WorkerReclaim { task, attempt } = "worker_reclaim",
+    StealSummary { worker, stolen } = "steal_summary",
+    JobAccepted { job, spec } = "job_accepted",
+    JobStarted { job } = "job_started",
+    JobRejected { job, reason } = "job_rejected",
+    JobDegraded { job, reason } = "job_degraded",
+    JobCompleted { job, status, wall_ns } = "job_completed",
+    JobCancelled { job, phase } = "job_cancelled",
+    JobRecovered { job, action } = "job_recovered",
+    TmpReaped { count } = "tmp_reaped",
+    WatchConnect { job, from } = "watch_connect",
+    HeartbeatSent { job } = "heartbeat_sent",
+}
+
 impl Envelope {
     /// Serializes the envelope as one canonical JSONL line (no trailing
     /// newline).
     pub fn render(&self) -> String {
-        let mut b = LineBuilder::new();
-        b.num("v", SCHEMA_VERSION);
-        b.num("seq", self.seq);
-        match &self.event {
-            Event::CampaignStart {
-                driver,
-                fingerprint,
-                tasks,
-                workers,
-            } => {
-                b.str("event", "campaign_start");
-                b.str("driver", driver);
-                b.str("fingerprint", &format!("{fingerprint:016x}"));
-                b.num("tasks", *tasks);
-                b.num("workers", *workers);
-            }
-            Event::Resume {
-                restored,
-                consumed_ns,
-            } => {
-                b.str("event", "resume");
-                b.num("restored", *restored);
-                b.num("consumed_ns", *consumed_ns);
-            }
-            Event::ShardClaim {
-                task,
-                worker,
-                label,
-            } => {
-                b.str("event", "shard_claim");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.str("label", label);
-            }
-            Event::ShardComplete {
-                task,
-                worker,
-                wall_ns,
-            } => {
-                b.str("event", "shard_complete");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::ShardRetry {
-                task,
-                worker,
-                attempt,
-                error,
-            } => {
-                b.str("event", "shard_retry");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.num("attempt", *attempt);
-                b.str("error", error);
-            }
-            Event::ShardQuarantine {
-                task,
-                worker,
-                attempts,
-                error,
-            } => {
-                b.str("event", "shard_quarantine");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.num("attempts", *attempts);
-                b.str("error", error);
-            }
-            Event::ShardPreempt {
-                task,
-                worker,
-                wall_ns,
-            } => {
-                b.str("event", "shard_preempt");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::ShardSkip { task, reason } => {
-                b.str("event", "shard_skip");
-                b.num("task", *task);
-                b.str("reason", reason);
-            }
-            Event::CheckpointFlush { path, done, tasks } => {
-                b.str("event", "checkpoint_flush");
-                b.str("path", path);
-                b.num("done", *done);
-                b.num("tasks", *tasks);
-            }
-            Event::CheckpointRecovered {
-                path,
-                source,
-                error,
-            } => {
-                b.str("event", "checkpoint_recovered");
-                b.str("path", path);
-                b.str("source", source);
-                b.str("error", error);
-            }
-            Event::CheckpointWriteFailed { path, error } => {
-                b.str("event", "checkpoint_write_failed");
-                b.str("path", path);
-                b.str("error", error);
-            }
-            Event::AdaptiveStop {
-                cell,
-                trials,
-                saved,
-            } => {
-                b.str("event", "adaptive_stop");
-                b.str("cell", cell);
-                b.num("trials", *trials);
-                b.num("saved", *saved);
-            }
-            Event::OracleViolation { cell, violation } => {
-                b.str("event", "oracle_violation");
-                b.str("cell", cell);
-                b.str("violation", violation);
-            }
-            Event::CampaignStop {
-                reason,
-                completed,
-                total,
-                wall_ns,
-            } => {
-                b.str("event", "campaign_stop");
-                b.str("reason", reason);
-                b.num("completed", *completed);
-                b.num("total", *total);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::ReplayStart { file } => {
-                b.str("event", "replay_start");
-                b.str("file", file);
-            }
-            Event::ReplayOutcome { file, verdict, ops } => {
-                b.str("event", "replay_outcome");
-                b.str("file", file);
-                b.str("verdict", verdict);
-                b.num("ops", *ops);
-            }
-            Event::WorkerStall {
-                task,
-                worker,
-                label,
-                wall_ns,
-            } => {
-                b.str("event", "worker_stall");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.str("label", label);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::WorkerDead { worker, task } => {
-                b.str("event", "worker_dead");
-                b.num("worker", *worker);
-                b.num("task", *task);
-            }
-            Event::WorkerReclaim { task, attempt } => {
-                b.str("event", "worker_reclaim");
-                b.num("task", *task);
-                b.num("attempt", *attempt);
-            }
-            Event::StealSummary { worker, stolen } => {
-                b.str("event", "steal_summary");
-                b.num("worker", *worker);
-                b.num("stolen", *stolen);
-            }
-            Event::JobAccepted { job, spec } => {
-                b.str("event", "job_accepted");
-                b.num("job", *job);
-                b.str("spec", spec);
-            }
-            Event::JobStarted { job } => {
-                b.str("event", "job_started");
-                b.num("job", *job);
-            }
-            Event::JobRejected { job, reason } => {
-                b.str("event", "job_rejected");
-                b.num("job", *job);
-                b.str("reason", reason);
-            }
-            Event::JobDegraded { job, reason } => {
-                b.str("event", "job_degraded");
-                b.num("job", *job);
-                b.str("reason", reason);
-            }
-            Event::JobCompleted {
-                job,
-                status,
-                wall_ns,
-            } => {
-                b.str("event", "job_completed");
-                b.num("job", *job);
-                b.str("status", status);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::JobCancelled { job, phase } => {
-                b.str("event", "job_cancelled");
-                b.num("job", *job);
-                b.str("phase", phase);
-            }
-            Event::JobRecovered { job, action } => {
-                b.str("event", "job_recovered");
-                b.num("job", *job);
-                b.str("action", action);
-            }
-            Event::TmpReaped { count } => {
-                b.str("event", "tmp_reaped");
-                b.num("count", *count);
-            }
-            Event::WatchConnect { job, from } => {
-                b.str("event", "watch_connect");
-                b.num("job", *job);
-                b.num("from", *from);
-            }
-            Event::HeartbeatSent { job } => {
-                b.str("event", "heartbeat_sent");
-                b.num("job", *job);
-            }
-        }
-        b.finish()
+        let mut json = JsonWriter::default();
+        json.field("v", &SCHEMA_VERSION);
+        json.field("seq", &self.seq);
+        self.event.put_json(&mut json);
+        json.finish()
     }
 
     /// Parses one canonical event line. Rejects unknown schema versions,
-    /// unknown event types, out-of-order or extra fields — the strictness
-    /// is what lets the CI smoke job treat a successful parse as schema
-    /// validation.
+    /// unknown event types, out-of-order, missing or extra fields, and
+    /// any line that does not re-render to itself byte for byte — the
+    /// strictness is what lets the CI smoke job treat a successful parse
+    /// as schema validation.
     pub fn parse(line: &str) -> Result<Envelope, String> {
-        let f = parse_object(line)?;
-        let v = num(&f, 0, "v")?;
+        let mut json = JsonReader::new(line)?;
+        let v: u64 = json.field("v")?;
         if v != SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema version {v} (this build reads v{SCHEMA_VERSION})"
             ));
         }
-        let seq = num(&f, 1, "seq")?;
-        let kind = str_field(&f, 2, "event")?;
-        let expect_len = |n: usize| -> Result<(), String> {
-            if f.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{kind} events have {} fields, found {}",
-                    n,
-                    f.len()
-                ))
-            }
+        let envelope = Envelope {
+            seq: json.field("seq")?,
+            event: Event::take_json(&mut json)?,
         };
-        let event = match kind.as_str() {
-            "campaign_start" => {
-                expect_len(7)?;
-                let fp = str_field(&f, 4, "fingerprint")?;
-                if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return Err(format!("fingerprint {fp:?} is not 16 hex digits"));
-                }
-                Event::CampaignStart {
-                    driver: str_field(&f, 3, "driver")?,
-                    fingerprint: u64::from_str_radix(&fp, 16)
-                        .map_err(|_| format!("unparsable fingerprint {fp:?}"))?,
-                    tasks: num(&f, 5, "tasks")?,
-                    workers: num(&f, 6, "workers")?,
-                }
-            }
-            "resume" => {
-                expect_len(5)?;
-                Event::Resume {
-                    restored: num(&f, 3, "restored")?,
-                    consumed_ns: num(&f, 4, "consumed_ns")?,
-                }
-            }
-            "shard_claim" => {
-                expect_len(6)?;
-                Event::ShardClaim {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    label: str_field(&f, 5, "label")?,
-                }
-            }
-            "shard_complete" => {
-                expect_len(6)?;
-                Event::ShardComplete {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    wall_ns: num(&f, 5, "wall_ns")?,
-                }
-            }
-            "shard_retry" => {
-                expect_len(7)?;
-                Event::ShardRetry {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    attempt: num(&f, 5, "attempt")?,
-                    error: str_field(&f, 6, "error")?,
-                }
-            }
-            "shard_quarantine" => {
-                expect_len(7)?;
-                Event::ShardQuarantine {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    attempts: num(&f, 5, "attempts")?,
-                    error: str_field(&f, 6, "error")?,
-                }
-            }
-            "shard_preempt" => {
-                expect_len(6)?;
-                Event::ShardPreempt {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    wall_ns: num(&f, 5, "wall_ns")?,
-                }
-            }
-            "shard_skip" => {
-                expect_len(5)?;
-                Event::ShardSkip {
-                    task: num(&f, 3, "task")?,
-                    reason: str_field(&f, 4, "reason")?,
-                }
-            }
-            "checkpoint_flush" => {
-                expect_len(6)?;
-                Event::CheckpointFlush {
-                    path: str_field(&f, 3, "path")?,
-                    done: num(&f, 4, "done")?,
-                    tasks: num(&f, 5, "tasks")?,
-                }
-            }
-            "checkpoint_recovered" => {
-                expect_len(6)?;
-                Event::CheckpointRecovered {
-                    path: str_field(&f, 3, "path")?,
-                    source: str_field(&f, 4, "source")?,
-                    error: str_field(&f, 5, "error")?,
-                }
-            }
-            "checkpoint_write_failed" => {
-                expect_len(5)?;
-                Event::CheckpointWriteFailed {
-                    path: str_field(&f, 3, "path")?,
-                    error: str_field(&f, 4, "error")?,
-                }
-            }
-            "adaptive_stop" => {
-                expect_len(6)?;
-                Event::AdaptiveStop {
-                    cell: str_field(&f, 3, "cell")?,
-                    trials: num(&f, 4, "trials")?,
-                    saved: num(&f, 5, "saved")?,
-                }
-            }
-            "oracle_violation" => {
-                expect_len(5)?;
-                Event::OracleViolation {
-                    cell: str_field(&f, 3, "cell")?,
-                    violation: str_field(&f, 4, "violation")?,
-                }
-            }
-            "campaign_stop" => {
-                expect_len(7)?;
-                Event::CampaignStop {
-                    reason: str_field(&f, 3, "reason")?,
-                    completed: num(&f, 4, "completed")?,
-                    total: num(&f, 5, "total")?,
-                    wall_ns: num(&f, 6, "wall_ns")?,
-                }
-            }
-            "replay_start" => {
-                expect_len(4)?;
-                Event::ReplayStart {
-                    file: str_field(&f, 3, "file")?,
-                }
-            }
-            "replay_outcome" => {
-                expect_len(6)?;
-                Event::ReplayOutcome {
-                    file: str_field(&f, 3, "file")?,
-                    verdict: str_field(&f, 4, "verdict")?,
-                    ops: num(&f, 5, "ops")?,
-                }
-            }
-            "worker_stall" => {
-                expect_len(7)?;
-                Event::WorkerStall {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    label: str_field(&f, 5, "label")?,
-                    wall_ns: num(&f, 6, "wall_ns")?,
-                }
-            }
-            "worker_dead" => {
-                expect_len(5)?;
-                Event::WorkerDead {
-                    worker: num(&f, 3, "worker")?,
-                    task: num(&f, 4, "task")?,
-                }
-            }
-            "worker_reclaim" => {
-                expect_len(5)?;
-                Event::WorkerReclaim {
-                    task: num(&f, 3, "task")?,
-                    attempt: num(&f, 4, "attempt")?,
-                }
-            }
-            "steal_summary" => {
-                expect_len(5)?;
-                Event::StealSummary {
-                    worker: num(&f, 3, "worker")?,
-                    stolen: num(&f, 4, "stolen")?,
-                }
-            }
-            "job_accepted" => {
-                expect_len(5)?;
-                Event::JobAccepted {
-                    job: num(&f, 3, "job")?,
-                    spec: str_field(&f, 4, "spec")?,
-                }
-            }
-            "job_started" => {
-                expect_len(4)?;
-                Event::JobStarted {
-                    job: num(&f, 3, "job")?,
-                }
-            }
-            "job_rejected" => {
-                expect_len(5)?;
-                Event::JobRejected {
-                    job: num(&f, 3, "job")?,
-                    reason: str_field(&f, 4, "reason")?,
-                }
-            }
-            "job_degraded" => {
-                expect_len(5)?;
-                Event::JobDegraded {
-                    job: num(&f, 3, "job")?,
-                    reason: str_field(&f, 4, "reason")?,
-                }
-            }
-            "job_completed" => {
-                expect_len(6)?;
-                Event::JobCompleted {
-                    job: num(&f, 3, "job")?,
-                    status: str_field(&f, 4, "status")?,
-                    wall_ns: num(&f, 5, "wall_ns")?,
-                }
-            }
-            "job_cancelled" => {
-                expect_len(5)?;
-                Event::JobCancelled {
-                    job: num(&f, 3, "job")?,
-                    phase: str_field(&f, 4, "phase")?,
-                }
-            }
-            "job_recovered" => {
-                expect_len(5)?;
-                Event::JobRecovered {
-                    job: num(&f, 3, "job")?,
-                    action: str_field(&f, 4, "action")?,
-                }
-            }
-            "tmp_reaped" => {
-                expect_len(4)?;
-                Event::TmpReaped {
-                    count: num(&f, 3, "count")?,
-                }
-            }
-            "watch_connect" => {
-                expect_len(5)?;
-                Event::WatchConnect {
-                    job: num(&f, 3, "job")?,
-                    from: num(&f, 4, "from")?,
-                }
-            }
-            "heartbeat_sent" => {
-                expect_len(4)?;
-                Event::HeartbeatSent {
-                    job: num(&f, 3, "job")?,
-                }
-            }
-            other => return Err(format!("unknown event type {other:?}")),
-        };
-        Ok(Envelope { seq, event })
+        json.finish()?;
+        if envelope.render() != line {
+            return Err("the line is not in canonical form".to_owned());
+        }
+        Ok(envelope)
     }
 }
 
@@ -1252,8 +583,8 @@ pub fn render_metrics(
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"schema\": \"{METRICS_SCHEMA}\",\n"));
     {
-        let mut escaped = String::new();
-        escape_into(driver, &mut escaped);
+        let mut escaped = driver.to_owned();
+        codec::escape_tail(&mut escaped, 0);
         out.push_str(&format!("  \"driver\": \"{escaped}\",\n"));
     }
     out.push_str(&format!("  \"engine\": {},\n", stats.is_some()));

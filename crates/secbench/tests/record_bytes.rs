@@ -719,3 +719,16 @@ fn repro_file_is_pinned() {
     assert_eq!(render_repro(&capture), REPRO);
     assert_eq!(parse_repro(REPRO).expect("repro parses"), capture);
 }
+
+#[test]
+fn giga_mappings_are_pinned() {
+    // A 1 GiB mapping renders as `giga`, and the parser reads it back.
+    let mut capture = repro_capture();
+    capture.maps.push((Asid(2), Vpn(0x40000), PageSize::Giga));
+    let text = REPRO.replace(
+        "map 2 0x200 mega\n",
+        "map 2 0x200 mega\nmap 2 0x40000 giga\n",
+    );
+    assert_eq!(render_repro(&capture), text);
+    assert_eq!(parse_repro(&text).expect("repro parses"), capture);
+}
