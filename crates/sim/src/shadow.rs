@@ -32,7 +32,7 @@
 //!   no replacement residue;
 //! - **ReplacementOrder** — every fill replaces the way true LRU
 //!   predicts: the lowest invalid way of its candidate range, else the
-//!   range's least recently used way (see [`replacement_order`]).
+//!   range's least recently used way (see `replacement_order`).
 //!
 //! A violation never panics. It is recorded as a structured
 //! [`OracleViolation`], and — when the machine was given a reporting
@@ -474,13 +474,19 @@ pub(crate) fn replacement_order(
 /// submit and the driver drain afterwards, keyed by context prefix.
 static SINK: Mutex<Vec<SuspectReport>> = Mutex::new(Vec::new());
 
-/// Bound on retained reports: one campaign can corrupt many cells, but
-/// past a few the captures are redundant.
-const SINK_CAP: usize = 256;
-
+/// Keeps the first report per context with its trailing `|seed` field
+/// dropped — one per campaign cell and placement. A campaign that
+/// corrupts thousands of trials keeps memory bounded by its cell count,
+/// and no cell's report is ever crowded out by another's.
 pub(crate) fn submit_suspect(report: SuspectReport) {
+    fn cell(context: &str) -> &str {
+        context.rsplit_once('|').map_or(context, |(cell, _)| cell)
+    }
     let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if sink.len() < SINK_CAP {
+    if !sink
+        .iter()
+        .any(|r| cell(&r.context) == cell(&report.context))
+    {
         sink.push(report);
     }
 }
@@ -863,6 +869,39 @@ mod tests {
         // The same fill is clean when the whole set is the range.
         let post = replaced(&full, 0, 0x900);
         assert_eq!(order(&full, &post, &recency, 0..8), None);
+    }
+
+    #[test]
+    fn a_flood_of_suspects_from_one_cell_never_hides_another() {
+        let mut m = driven_machine(TlbDesign::Sa);
+        m.set_oracle_context("shadow-flood-capture".to_owned());
+        m.run(&[Instr::SetAsid(Asid(1)), Instr::Load(0x10_000)]);
+        assert!(m.inject_corruption_now(0, CorruptionKind::Ppn));
+        let capture = drain_suspects_with_prefix("shadow-flood-capture")
+            .remove(0)
+            .capture;
+        // More reports from one cell than any fixed cap would hold, one
+        // per trial seed, then a single report from a second cell.
+        for seed in 0..300u64 {
+            submit_suspect(SuspectReport {
+                context: format!("shadow-flood|A|SA|Mapped|{seed:#x}"),
+                capture: capture.clone(),
+            });
+        }
+        submit_suspect(SuspectReport {
+            context: "shadow-flood|B|SA|Mapped|0x7".to_owned(),
+            capture,
+        });
+        let drained = drain_suspects_with_prefix("shadow-flood|");
+        let contexts: Vec<&str> = drained.iter().map(|r| r.context.as_str()).collect();
+        assert_eq!(
+            contexts,
+            [
+                "shadow-flood|A|SA|Mapped|0x0",
+                "shadow-flood|B|SA|Mapped|0x7"
+            ],
+            "the first report of each cell, in submission order"
+        );
     }
 
     #[test]
