@@ -29,8 +29,8 @@
 //! Exit codes: `0` clean (recoverable findings are reported but
 //! tolerated, matching the runtime), `1` when anything inconsistent is
 //! found — or, under `--strict`, when anything at all is found.
-//! [`EXIT_USAGE`] for bad flags, [`EXIT_SETUP`] when the state dir
-//! cannot be read.
+//! [`EXIT_USAGE`](sectlb_bench::exit::EXIT_USAGE) for bad flags,
+//! [`EXIT_SETUP`] when the state dir cannot be read.
 
 use std::path::{Path, PathBuf};
 

@@ -23,7 +23,7 @@ pub mod collection {
     use crate::strategy::{Strategy, TestRng};
     use std::fmt::Debug;
 
-    /// Size argument accepted by [`vec`]: an exact size or a half-open
+    /// Size argument accepted by [`vec()`]: an exact size or a half-open
     /// range of sizes.
     pub trait IntoSizeRange {
         /// Lower bound (inclusive) and upper bound (exclusive).
@@ -56,7 +56,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -4,7 +4,7 @@
 //! evaluation: they hold separate 4 KiB / 2 MiB / 1 GiB structures with
 //! distinct entries and ways per class (e.g. Skylake's 64-entry 4K,
 //! 32-entry 2M, 4-entry 1G split). This design models that organization:
-//! three independent [`EntryArray`]s — one per [`PageSize`] class, each
+//! three independent `EntryArray`s — one per [`PageSize`] class, each
 //! with its own [`TlbConfig`] geometry from a [`MultiConfig`] — probed
 //! smallest-class-first on every access, with fills steered to the class
 //! matching the walked translation's size.
