@@ -510,12 +510,18 @@ impl JsonWriter {
         if out.len() > 1 {
             out.push(',');
         }
-        let _ = write!(out, "\"{key}\":");
-        out.extend(quoted.then_some('"'));
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        if quoted {
+            out.push('"');
+        }
         let start = out.len();
         value(out);
-        escape_tail(out, start);
-        out.extend(quoted.then_some('"'));
+        if quoted {
+            escape_tail(out, start);
+            out.push('"');
+        }
     }
 
     /// Closes the object and returns the line.
