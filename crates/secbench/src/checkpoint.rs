@@ -289,10 +289,7 @@ impl Checkpoint {
             }
         }
         if last < 3 {
-            return Err(malformed(
-                last + 1,
-                "missing `settings` or `tasks` line".to_owned(),
-            ));
+            return Err(malformed(last + 1, "missing header line".to_owned()));
         }
         Ok(ck)
     }

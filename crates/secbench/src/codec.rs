@@ -464,21 +464,16 @@ pub(crate) use kv_record;
 /// Escapes `out[start..]` in place as a JSON string body: `\"`, `\\` and
 /// `\u00XX` for control characters; everything else stays raw.
 pub fn escape_tail(out: &mut String, start: usize) {
-    let needs = |c: char| c == '"' || c == '\\' || (c as u32) < 0x20;
-    if !out[start..].contains(needs) {
-        return;
-    }
-    let raw = out.split_off(start);
-    for c in raw.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
+    let needs = |c: char| c == '"' || c == '\\' || c < ' ';
+    if out[start..].contains(needs) {
+        for c in out.split_off(start).chars() {
+            match c {
+                '"' | '\\' => out.extend(['\\', c]),
+                c if needs(c) => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c if needs(c) => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
