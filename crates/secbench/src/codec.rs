@@ -6,7 +6,7 @@
 //! Each value type has exactly one writer and one reader, its [`Field`]
 //! impl. Three grammars place the values on a line:
 //!
-//! - **canonical JSON objects** ([`JsonWriter`], [`JsonReader`]):
+//! - **canonical JSON objects** (`JsonWriter`, `JsonReader`):
 //!   `{"key":value,…}` in a fixed field order, no whitespace, numbers
 //!   bare, everything else a string escaped minimally (`\"`, `\\`, and
 //!   `\u00XX` for control characters);
@@ -87,7 +87,7 @@ macro_rules! hex_fields {
     ($( $(#[$doc:meta])* $name:ident($int:ty) = $format:literal ),*) => {$(
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $name(pub $int);
+        pub(crate) struct $name(pub $int);
 
         impl Field for $name {
             fn put(&self, out: &mut String) {
@@ -109,7 +109,7 @@ hex_fields!(
     Crc(u32) = "{:08x}"
 );
 
-/// Bit-exact: the IEEE-754 bit pattern as [`Hex`], because the resume
+/// Bit-exact: the IEEE-754 bit pattern as `Hex`, because the resume
 /// contract is bitwise identity, which a decimal round trip cannot give
 /// every value.
 impl Field for f64 {
@@ -124,7 +124,7 @@ impl Field for f64 {
 /// A `u64` written as `0x`-prefixed hex (addresses, page numbers, RFE
 /// seeds); reads `0x` hex or decimal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Addr(pub u64);
+pub(crate) struct Addr(pub u64);
 
 impl Field for Addr {
     fn put(&self, out: &mut String) {
@@ -297,7 +297,7 @@ macro_rules! tuple_words {
 tuple_words!((a A, b B) (a A, b B, c C) (a A, b B, c C, d D));
 
 /// Encodes a positional record as one line (no newline).
-pub fn encode<T: Words>(value: &T) -> String {
+pub(crate) fn encode<T: Words>(value: &T) -> String {
     let mut out = String::new();
     value.put_words(&mut out);
     out
@@ -305,7 +305,7 @@ pub fn encode<T: Words>(value: &T) -> String {
 
 /// Encodes a text file: its header line, then one positional record per
 /// line.
-pub fn encode_lines<T: Words>(header: &str, lines: impl IntoIterator<Item = T>) -> String {
+pub(crate) fn encode_lines<T: Words>(header: &str, lines: impl IntoIterator<Item = T>) -> String {
     let mut out = format!("{header}\n");
     for line in lines {
         line.put_words(&mut out);
@@ -316,7 +316,7 @@ pub fn encode_lines<T: Words>(header: &str, lines: impl IntoIterator<Item = T>) 
 
 /// Decodes a whole line as one positional record; trailing text is an
 /// error.
-pub fn decode<T: Words>(line: &str) -> Result<T, String> {
+pub(crate) fn decode<T: Words>(line: &str) -> Result<T, String> {
     let mut words = Cursor::new(line);
     let value = T::take_words(&mut words)?;
     words.end()?;
@@ -416,7 +416,7 @@ macro_rules! word_struct {
 pub(crate) use word_struct;
 
 /// Reads `key=<value>` from the next word.
-pub fn take_kv<T: Field>(words: &mut Cursor<'_>, key: &str) -> Result<T, String> {
+pub(crate) fn take_kv<T: Field>(words: &mut Cursor<'_>, key: &str) -> Result<T, String> {
     let word = words
         .word()
         .map_err(|_| format!("missing field {key}=..."))?;
@@ -463,7 +463,7 @@ pub(crate) use kv_record;
 
 /// Escapes `out[start..]` in place as a JSON string body: `\"`, `\\` and
 /// `\u00XX` for control characters; everything else stays raw.
-pub fn escape_tail(out: &mut String, start: usize) {
+pub(crate) fn escape_tail(out: &mut String, start: usize) {
     let needs = |c: char| c == '"' || c == '\\' || c < ' ';
     if out[start..].contains(needs) {
         for c in out.split_off(start).chars() {
@@ -480,7 +480,7 @@ pub fn escape_tail(out: &mut String, start: usize) {
 
 /// Writes one canonical JSON object straight into one `String`.
 #[derive(Debug)]
-pub struct JsonWriter(String);
+pub(crate) struct JsonWriter(String);
 
 impl Default for JsonWriter {
     fn default() -> JsonWriter {
@@ -530,7 +530,7 @@ impl JsonWriter {
 /// tokenizes: callers accept a line only if it re-renders to itself, so
 /// the writer alone decides what canonical means.
 #[derive(Debug)]
-pub struct JsonReader<'a> {
+pub(crate) struct JsonReader<'a> {
     rest: &'a str,
     sep: &'static str,
 }
