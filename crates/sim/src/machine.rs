@@ -12,8 +12,7 @@ use sectlb_tlb::stats::TlbStats;
 use sectlb_tlb::tlb_trait::{AccessResult, TlbCore};
 use sectlb_tlb::types::{Asid, PageSize, SecureRegion, Vpn};
 use sectlb_tlb::{
-    InvalidationPolicy, MsTlb, RandomFillEviction, RfTlb, SaTlb, SpTlb, TlbHierarchy, TlbUnit,
-    TpTlb,
+    ClearScope, InvalidationPolicy, MsTlb, RandomFillEviction, Tlb, TlbHierarchy, TlbUnit,
 };
 
 use crate::cpu::{ExecStats, Instr};
@@ -222,19 +221,16 @@ impl MachineBuilder {
     /// seed; [`MachineBuilder::build`] reseeds them.
     fn make_tlb(&self, design: TlbDesign, config: TlbConfig) -> TlbUnit {
         match design {
-            TlbDesign::Sa => SaTlb::new(config).into(),
-            TlbDesign::Sp => match self.sp_victim_ways {
-                Some(n) => SpTlb::with_victim_ways(config, n).into(),
-                None => SpTlb::new(config).into(),
-            },
-            TlbDesign::Rf => {
-                let mut tlb = RfTlb::new(config);
-                tlb.set_random_fill_eviction(self.rf_eviction);
-                tlb.set_invalidation_policy(self.rf_invalidation);
-                tlb.into()
+            TlbDesign::Sa => Tlb::sa(config).into(),
+            TlbDesign::Sp => {
+                let victim_ways = self.sp_victim_ways.unwrap_or(config.ways() / 2);
+                Tlb::sp(config, victim_ways)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .into()
             }
-            TlbDesign::Fs => TpTlb::flush_on_switch(config).into(),
-            TlbDesign::Ft => TpTlb::fence_t(config).into(),
+            TlbDesign::Rf => Tlb::rf(config, self.rf_eviction, self.rf_invalidation).into(),
+            TlbDesign::Fs => Tlb::temporal(config, ClearScope::Entries).into(),
+            TlbDesign::Ft => Tlb::temporal(config, ClearScope::Full).into(),
             TlbDesign::Ms => MsTlb::new(MultiConfig::from_base(config)).into(),
         }
     }

@@ -1,36 +1,35 @@
-//! Enum dispatch over the TLB designs — the simulator's one TLB path.
+//! Enum dispatch over the TLB organizations — the simulator's one TLB
+//! path.
 //!
 //! The machine's per-access loop reaches its TLB through [`TlbUnit`]:
-//! the SA, SP, RF, temporal (FS/FT) and multi-size designs and the
-//! two-level hierarchy are enum variants dispatched with a `match`,
-//! which the compiler turns into direct, inlinable calls instead of a
-//! vtable call per translation. The [`TlbCore`] trait remains the
-//! read-only and diagnostic surface: `TlbUnit` implements it and hands
-//! out `&dyn TlbCore` views of its variant.
+//! the single-level [`Tlb`] (SA, SP, RF, FS and FT), the multi-size
+//! [`MsTlb`] and the two-level [`TlbHierarchy`] are enum variants
+//! dispatched with a `match`, which the compiler turns into direct,
+//! inlinable calls instead of a vtable call per translation. The
+//! [`TlbCore`] trait remains the read-only and diagnostic surface:
+//! `TlbUnit` implements it and hands out `&dyn TlbCore` views of its
+//! variant.
 
 use crate::check::{CorruptionKind, CorruptionReport, IntegrityError, SnapshotEntry};
 use crate::config::TlbConfig;
 use crate::hierarchy::TlbHierarchy;
 use crate::multi::MsTlb;
-use crate::partition::SpTlb;
-use crate::random_fill::RfTlb;
-use crate::set_assoc::SaTlb;
+use crate::set_assoc::Tlb;
 use crate::stats::TlbStats;
-use crate::temporal::TpTlb;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, SecureRegion, Vpn};
 
 /// A TLB of any design, dispatched by `match` instead of vtable.
+///
+/// The single-level variant is held inline while the others are a
+/// pointer or two: every translation of a single-level machine reaches
+/// it, and boxing it would put a pointer chase on the hit path.
 #[derive(Clone)]
+#[allow(clippy::large_enum_variant)]
 pub enum TlbUnit {
-    /// The set-associative baseline (also FA / 1E configurations).
-    Sa(SaTlb),
-    /// The Static-Partition design.
-    Sp(SpTlb),
-    /// The Random-Fill design.
-    Rf(RfTlb),
-    /// A temporal-partitioning design (`FS` or `FT`).
-    Tp(TpTlb),
+    /// A single-level TLB: SA (also FA / 1E geometries), SP, RF, FS or
+    /// FT.
+    Single(Tlb),
     /// The multi-size split design. Boxed: its three class arrays would
     /// otherwise quadruple the enum's inline size for every design.
     /// Dispatch stays a direct (inlinable) call; only the state is
@@ -46,27 +45,9 @@ impl std::fmt::Debug for TlbUnit {
     }
 }
 
-impl From<SaTlb> for TlbUnit {
-    fn from(t: SaTlb) -> TlbUnit {
-        TlbUnit::Sa(t)
-    }
-}
-
-impl From<SpTlb> for TlbUnit {
-    fn from(t: SpTlb) -> TlbUnit {
-        TlbUnit::Sp(t)
-    }
-}
-
-impl From<RfTlb> for TlbUnit {
-    fn from(t: RfTlb) -> TlbUnit {
-        TlbUnit::Rf(t)
-    }
-}
-
-impl From<TpTlb> for TlbUnit {
-    fn from(t: TpTlb) -> TlbUnit {
-        TlbUnit::Tp(t)
+impl From<Tlb> for TlbUnit {
+    fn from(t: Tlb) -> TlbUnit {
+        TlbUnit::Single(t)
     }
 }
 
@@ -87,10 +68,7 @@ impl From<TlbHierarchy> for TlbUnit {
 macro_rules! dispatch {
     ($self:expr, $t:ident => $body:expr) => {
         match $self {
-            TlbUnit::Sa($t) => $body,
-            TlbUnit::Sp($t) => $body,
-            TlbUnit::Rf($t) => $body,
-            TlbUnit::Tp($t) => $body,
+            TlbUnit::Single($t) => $body,
             TlbUnit::Ms($t) => $body,
             TlbUnit::Hier($t) => $body,
         }
@@ -100,7 +78,7 @@ macro_rules! dispatch {
 impl TlbUnit {
     /// Handles one translation request (see [`TlbCore::access`]); the
     /// monomorphic fast path the machine's hot loop calls. Inlined
-    /// together with the SA/SP/RF/FS/FT hit paths, so a hit costs no call;
+    /// together with the single-level hit path, so a hit costs no call;
     /// misses and the other variants are out-of-line calls.
     #[inline(always)]
     pub fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
@@ -117,10 +95,7 @@ impl TlbUnit {
     /// expects (read-only accessors, snapshots, diagnostics).
     pub fn as_core(&self) -> &dyn TlbCore {
         match self {
-            TlbUnit::Sa(t) => t,
-            TlbUnit::Sp(t) => t,
-            TlbUnit::Rf(t) => t,
-            TlbUnit::Tp(t) => t,
+            TlbUnit::Single(t) => t,
             TlbUnit::Ms(t) => &**t,
             TlbUnit::Hier(t) => t,
         }
@@ -129,10 +104,7 @@ impl TlbUnit {
     /// Mutable trait-object view (fault injection, manual programming).
     pub fn as_core_mut(&mut self) -> &mut dyn TlbCore {
         match self {
-            TlbUnit::Sa(t) => t,
-            TlbUnit::Sp(t) => t,
-            TlbUnit::Rf(t) => t,
-            TlbUnit::Tp(t) => t,
+            TlbUnit::Single(t) => t,
             TlbUnit::Ms(t) => &mut **t,
             TlbUnit::Hier(t) => t,
         }
@@ -223,20 +195,21 @@ impl TlbCore for TlbUnit {
 mod tests {
     use super::*;
     use crate::config::MultiConfig;
+    use crate::temporal::ClearScope;
 
     #[test]
     fn trait_surface_reaches_every_variant() {
         let config = TlbConfig::sa(32, 8).unwrap();
         let units: Vec<TlbUnit> = vec![
-            SaTlb::new(config).into(),
-            SpTlb::new(config).into(),
-            RfTlb::new(config).into(),
-            TpTlb::flush_on_switch(config).into(),
-            TpTlb::fence_t(config).into(),
+            Tlb::sa(config).into(),
+            Tlb::sp(config, 4).unwrap().into(),
+            Tlb::rf(config, Default::default(), Default::default()).into(),
+            Tlb::temporal(config, ClearScope::Entries).into(),
+            Tlb::temporal(config, ClearScope::Full).into(),
             MsTlb::new(MultiConfig::from_base(config)).into(),
             TlbHierarchy::new(
-                SaTlb::new(config).into(),
-                SaTlb::new(TlbConfig::sa(128, 4).unwrap()).into(),
+                Tlb::sa(config).into(),
+                Tlb::sa(TlbConfig::sa(128, 4).unwrap()).into(),
                 8,
             )
             .into(),

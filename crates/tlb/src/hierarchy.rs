@@ -224,9 +224,8 @@ impl TlbCore for TlbHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_assoc::SaTlb;
+    use crate::set_assoc::Tlb;
     use crate::types::Ppn;
-    use crate::RfTlb;
 
     struct Ident;
     impl Translator for Ident {
@@ -237,8 +236,8 @@ mod tests {
 
     fn hierarchy() -> TlbHierarchy {
         TlbHierarchy::new(
-            SaTlb::new(TlbConfig::sa(8, 4).expect("valid")).into(),
-            SaTlb::new(TlbConfig::sa(64, 4).expect("valid")).into(),
+            Tlb::sa(TlbConfig::sa(8, 4).expect("valid")).into(),
+            Tlb::sa(TlbConfig::sa(64, 4).expect("valid")).into(),
             8,
         )
     }
@@ -318,10 +317,8 @@ mod tests {
         // Seed chosen so the RFE's random fill picks a page other than the
         // requested one (the fill may coincidentally pick 0x100 itself
         // under other seeds, which would make the L1 check vacuous).
-        let mut l1 = RfTlb::with_seed(TlbConfig::sa(8, 4).expect("valid"), 1);
-        l1.set_victim_asid(Some(Asid(1)));
-        l1.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
-        let l2 = SaTlb::new(TlbConfig::sa(64, 4).expect("valid"));
+        let l1 = mk_rf(1);
+        let l2 = Tlb::sa(TlbConfig::sa(64, 4).expect("valid"));
         let mut h = TlbHierarchy::new(l1.into(), l2.into(), 8);
         h.access(Asid(1), Vpn(0x100), &mut Ident);
         assert!(
@@ -335,8 +332,10 @@ mod tests {
     }
 
     /// An 8-entry RF TLB protecting a 3-page region of ASID 1.
-    fn mk_rf(seed: u64) -> RfTlb {
-        let mut t = RfTlb::with_seed(TlbConfig::sa(8, 4).expect("valid"), seed);
+    fn mk_rf(seed: u64) -> Tlb {
+        let config = TlbConfig::sa(8, 4).expect("valid");
+        let mut t = Tlb::rf(config, Default::default(), Default::default());
+        t.reseed(0, seed);
         t.set_victim_asid(Some(Asid(1)));
         t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
         t

@@ -5,12 +5,19 @@
 //!
 //! - the standard **set-associative (SA) TLB** with ASID tags and true-LRU
 //!   replacement (fully-associative and single-entry TLBs are degenerate
-//!   configurations), see [`SaTlb`];
+//!   configurations), see [`Tlb::sa`];
 //! - the **Static-Partition (SP) TLB** of Section 4.1: TLB ways are split
-//!   between a victim process and everything else, see [`SpTlb`];
+//!   between a victim process and everything else, see [`Tlb::sp`];
 //! - the **Random-Fill (RF) TLB** of Section 4.2: misses in or around a
 //!   configured secure region trigger a *random* fill while the requested
-//!   translation is returned through a no-fill buffer, see [`RfTlb`].
+//!   translation is returned through a no-fill buffer, see [`Tlb::rf`].
+//!
+//! All three are one type, [`Tlb`]: the paper builds SP and RF as changes
+//! to the SA TLB, so they share its array, hit path and fill, and differ
+//! only where the paper says they do. The same type also models the
+//! temporal-partitioning designs `FS` and `FT` ([`Tlb::temporal`]). The
+//! multi-size split TLB [`MsTlb`] and the two-level [`TlbHierarchy`]
+//! complete the set; [`TlbUnit`] dispatches over all of them.
 //!
 //! The TLBs are pure hardware models: they do not walk page tables
 //! themselves but call back into a [`Translator`] (the system's page-table
@@ -19,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use sectlb_tlb::{SaTlb, TlbConfig, TlbCore, Translator, WalkResult};
+//! use sectlb_tlb::{Tlb, TlbConfig, TlbCore, Translator, WalkResult};
 //! use sectlb_tlb::types::{Asid, Ppn, Vpn};
 //!
 //! /// An identity "page table" for illustration.
@@ -30,7 +37,7 @@
 //!     }
 //! }
 //!
-//! let mut tlb = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+//! let mut tlb = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
 //! let (asid, vpn) = (Asid(1), Vpn(0x1000));
 //! let miss = tlb.access(asid, vpn, &mut Identity);
 //! assert!(!miss.hit);
@@ -63,11 +70,11 @@ pub use config::{MultiConfig, TlbConfig, TlbOrg};
 pub use dispatch::TlbUnit;
 pub use hierarchy::TlbHierarchy;
 pub use multi::MsTlb;
-pub use partition::{PartitionError, SpTlb};
-pub use random_fill::{InvalidationPolicy, RandomFillEviction, RfTlb};
+pub use partition::PartitionError;
+pub use random_fill::{InvalidationPolicy, RandomFillEviction};
 pub use rfe::RandomFillEngine;
-pub use set_assoc::SaTlb;
+pub use set_assoc::Tlb;
 pub use stats::TlbStats;
-pub use temporal::{ClearScope, TpTlb};
+pub use temporal::ClearScope;
 pub use tlb_trait::{AccessResult, TlbCore, Translator, WalkResult};
 pub use types::{RegionError, SecureRegion};

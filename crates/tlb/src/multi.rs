@@ -24,9 +24,10 @@ use crate::check::{
     CorruptionKind, CorruptionReport, IntegrityError, IntegrityKind, SnapshotEntry,
 };
 use crate::config::{MultiConfig, TlbConfig};
+use crate::set_assoc::walk_and_fill;
 use crate::stats::TlbStats;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, PageSize, TlbEntry, Vpn};
+use crate::types::{Asid, PageSize, Vpn};
 
 /// The multi-size split TLB.
 #[derive(Debug, Clone)]
@@ -91,45 +92,17 @@ impl TlbCore for MsTlb {
             return AccessResult::hit_sized(ppn, size);
         }
         self.stats.misses += 1;
-        let walk = walker.translate(asid, vpn);
-        let Some(ppn) = walk.ppn else {
-            self.stats.faults += 1;
-            return AccessResult {
-                hit: false,
-                fault: true,
-                ppn: None,
-                walk_cycles: walk.cycles,
-                size: walk.size,
-            };
-        };
         // Steer the fill to the class matching the translation's size;
         // the other classes are untouched (class isolation).
-        let array = &mut self.classes[class_index(walk.size)];
-        let set = array.set_of_sized(vpn, walk.size);
-        let way = array.choose_victim(set);
-        let evicted = array.fill_at(
-            set,
-            way,
-            TlbEntry {
-                valid: true,
-                vpn: walk.size.align(vpn),
-                ppn,
-                asid,
-                sec: false,
-                size: walk.size,
-            },
-        );
-        self.stats.fills += 1;
-        if evicted.is_some() {
-            self.stats.evictions += 1;
-        }
-        AccessResult {
-            hit: false,
-            fault: false,
-            ppn: Some(ppn),
-            walk_cycles: walk.cycles,
-            size: walk.size,
-        }
+        let classes = &mut self.classes;
+        walk_and_fill(
+            &mut self.stats,
+            asid,
+            vpn,
+            walker,
+            |size| &mut classes[class_index(size)],
+            EntryArray::choose_victim,
+        )
     }
 
     fn probe(&self, asid: Asid, vpn: Vpn) -> bool {
@@ -263,9 +236,9 @@ impl TlbCore for MsTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_assoc::SaTlb;
+    use crate::set_assoc::Tlb;
     use crate::tlb_trait::WalkResult;
-    use crate::types::Ppn;
+    use crate::types::{Ppn, TlbEntry};
 
     /// Walker mapping three address ranges at three granularities:
     /// gigapages above 0x4_0000, megapages above 0x1000, base below.
@@ -289,7 +262,7 @@ mod tests {
         // campaign's closed-form theory relies on this equivalence.
         let base = TlbConfig::security_eval();
         let mut ms = MsTlb::new(MultiConfig::from_base(base));
-        let mut sa = SaTlb::new(base);
+        let mut sa = Tlb::sa(base);
         for v in [1u64, 2, 3, 1, 9, 2, 17, 1, 40, 3, 9, 77, 1] {
             for asid in [1u16, 2] {
                 let a = ms.access(Asid(asid), Vpn(v), &mut SizedWalker);

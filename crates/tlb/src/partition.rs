@@ -10,14 +10,8 @@
 //! vulnerabilities (Evict + Time, Prime + Probe) on top of what the ASID
 //! check already prevents — 14 of the 24 vulnerability types in total.
 
-use crate::array::EntryArray;
-use crate::check::{
-    CorruptionKind, CorruptionReport, IntegrityError, IntegrityKind, SnapshotEntry,
-};
 use crate::config::TlbConfig;
-use crate::stats::TlbStats;
-use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, TlbEntry, Vpn};
+use crate::set_assoc::{Defense, Tlb};
 
 /// An invalid SP partition split: the victim partition must leave at least
 /// one way on each side (`0 < victim_ways < ways`).
@@ -41,319 +35,40 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// The Static-Partition TLB.
-#[derive(Debug, Clone)]
-pub struct SpTlb {
-    array: EntryArray,
-    stats: TlbStats,
-    victim_asid: Option<Asid>,
-    victim_ways: usize,
-}
-
-impl SpTlb {
-    /// Creates an SP TLB with the paper's default allocation: the victim
-    /// partition takes 50% of the ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has fewer than two ways per set (there
-    /// must be at least one way on each side of the split).
-    pub fn new(config: TlbConfig) -> SpTlb {
-        SpTlb::with_victim_ways(config, config.ways() / 2)
-    }
-
+impl Tlb {
     /// Creates an SP TLB assigning `victim_ways` ways per set to the
-    /// victim partition (`0 < victim_ways < ways`), the design-time
-    /// parameter `N` of Section 4.1.2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `victim_ways` is zero or not strictly less than the way
-    /// count; see [`SpTlb::try_with_victim_ways`] for the fallible form.
-    pub fn with_victim_ways(config: TlbConfig, victim_ways: usize) -> SpTlb {
-        match SpTlb::try_with_victim_ways(config, victim_ways) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`SpTlb::with_victim_ways`]: an out-of-range split is
-    /// reported as a typed [`PartitionError`] instead of panicking.
+    /// victim partition, the design-time parameter `N` of Section 4.1.2
+    /// (the paper's default is half the ways). No victim is programmed
+    /// initially, so every fill lands in the other partition until the OS
+    /// programs [`TlbCore::set_victim_asid`](crate::TlbCore::set_victim_asid).
     ///
     /// # Errors
     ///
-    /// Fails unless `0 < victim_ways < ways`.
-    pub fn try_with_victim_ways(
-        config: TlbConfig,
-        victim_ways: usize,
-    ) -> Result<SpTlb, PartitionError> {
+    /// Fails unless `0 < victim_ways < ways`: there must be at least one
+    /// way on each side of the split.
+    pub fn sp(config: TlbConfig, victim_ways: usize) -> Result<Tlb, PartitionError> {
         if victim_ways == 0 || victim_ways >= config.ways() {
             return Err(PartitionError {
                 victim_ways,
                 ways: config.ways(),
             });
         }
-        Ok(SpTlb {
-            array: EntryArray::new(config),
-            stats: TlbStats::new(),
-            victim_asid: None,
-            victim_ways,
-        })
-    }
-
-    /// Ways per set reserved for the victim partition.
-    pub fn victim_ways(&self) -> usize {
-        self.victim_ways
-    }
-
-    /// Reconfigures the partition split at run time — the dynamic
-    /// extension Section 4.1.1 sketches ("could be further extended to be
-    /// dynamic at run time"). The TLB is flushed so no entry is left on
-    /// the wrong side of the new split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `victim_ways` is zero or not strictly less than the way
-    /// count; see [`SpTlb::try_set_victim_ways`] for the fallible form.
-    pub fn set_victim_ways(&mut self, victim_ways: usize) {
-        if let Err(e) = self.try_set_victim_ways(victim_ways) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`SpTlb::set_victim_ways`]: an out-of-range split is
-    /// reported as a typed [`PartitionError`] and leaves the TLB untouched.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless `0 < victim_ways < ways`.
-    pub fn try_set_victim_ways(&mut self, victim_ways: usize) -> Result<(), PartitionError> {
-        let ways = self.array.config().ways();
-        if victim_ways == 0 || victim_ways >= ways {
-            return Err(PartitionError { victim_ways, ways });
-        }
-        if victim_ways != self.victim_ways {
-            self.flush_all();
-            self.victim_ways = victim_ways;
-        }
-        Ok(())
-    }
-
-    /// The currently programmed victim process, if any.
-    pub fn victim_asid(&self) -> Option<Asid> {
-        self.victim_asid
-    }
-
-    /// Whether a request from `asid` belongs to the victim partition.
-    fn is_victim(&self, asid: Asid) -> bool {
-        self.victim_asid == Some(asid)
-    }
-
-    /// The way range of the partition owning `asid`'s fills.
-    fn partition_ways(&self, asid: Asid) -> std::ops::Range<usize> {
-        if self.is_victim(asid) {
-            0..self.victim_ways
-        } else {
-            self.victim_ways..self.array.config().ways()
-        }
-    }
-
-    /// Number of currently valid entries (diagnostics).
-    pub fn resident_count(&self) -> usize {
-        self.array.valid_entries().count()
-    }
-
-    /// Checks the partition invariant: victim entries only in victim ways,
-    /// attacker entries only in attacker ways (testing/diagnostics).
-    pub fn partition_invariant_holds(&self) -> bool {
-        let config = self.array.config();
-        for set in 0..config.sets() {
-            for way in 0..config.ways() {
-                let e = self.array.entry(set, way);
-                if !e.valid {
-                    continue;
-                }
-                let in_victim_ways = way < self.victim_ways;
-                let owner_is_victim = self.is_victim(e.asid);
-                if in_victim_ways != owner_is_victim {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The miss half of [`TlbCore::access`], out of line like the SA
-    /// design's.
-    #[inline(never)]
-    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.misses += 1;
-        let walk = walker.translate(asid, vpn);
-        let Some(ppn) = walk.ppn else {
-            self.stats.faults += 1;
-            return AccessResult {
-                hit: false,
-                fault: true,
-                ppn: None,
-                walk_cycles: walk.cycles,
-                size: walk.size,
-            };
-        };
-        // Miss path: replacement confined to the requester's partition,
-        // under that partition's own LRU.
-        let set = self.array.set_of_sized(vpn, walk.size);
-        let way = self
-            .array
-            .choose_victim_among(set, self.partition_ways(asid))
-            .expect("partitions are nonempty by construction");
-        let evicted = self.array.fill_at(
-            set,
-            way,
-            TlbEntry {
-                valid: true,
-                vpn: walk.size.align(vpn),
-                ppn,
-                asid,
-                sec: false,
-                size: walk.size,
+        Ok(Tlb::with_defense(
+            config,
+            Defense::Partition {
+                victim_asid: None,
+                victim_ways,
             },
-        );
-        self.stats.fills += 1;
-        if evicted.is_some() {
-            self.stats.evictions += 1;
-        }
-        AccessResult {
-            hit: false,
-            fault: false,
-            ppn: Some(ppn),
-            walk_cycles: walk.cycles,
-            size: walk.size,
-        }
-    }
-}
-
-impl sealed::Sealed for SpTlb {}
-
-impl TlbCore for SpTlb {
-    #[inline(always)]
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        // Hit path identical to the SA TLB (Figure 1): search every way.
-        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
-            self.stats.hits += 1;
-            return AccessResult::hit_sized(ppn, size);
-        }
-        self.miss(asid, vpn, walker)
-    }
-
-    fn probe(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.array.lookup(asid, vpn).is_some()
-    }
-
-    fn flush_all(&mut self) {
-        self.array.clear();
-        self.stats.flushes += 1;
-    }
-
-    fn flush_asid(&mut self, asid: Asid) {
-        let removed = self.array.invalidate_matching(|e| e.asid == asid);
-        self.stats.invalidations += removed;
-    }
-
-    fn flush_page(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.array.invalidate_at(set, way);
-            self.stats.invalidations += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn stats(&self) -> &TlbStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn config(&self) -> TlbConfig {
-        self.array.config()
-    }
-
-    fn design_name(&self) -> &'static str {
-        "SP"
-    }
-
-    fn set_victim_asid(&mut self, victim: Option<Asid>) {
-        // Repurposing the partition for a different victim must not leave
-        // stale entries on the wrong side of the split.
-        if self.victim_asid != victim {
-            self.flush_all();
-        }
-        self.victim_asid = victim;
-    }
-
-    fn snapshot(&self) -> Vec<SnapshotEntry> {
-        self.array.snapshot_level(0)
-    }
-
-    fn integrity(&self) -> Result<(), IntegrityError> {
-        self.array.check_geometry()?;
-        let config = self.array.config();
-        for set in 0..config.sets() {
-            for way in 0..config.ways() {
-                let e = self.array.entry(set, way);
-                if !e.valid {
-                    continue;
-                }
-                if e.sec {
-                    return Err(IntegrityError {
-                        kind: IntegrityKind::SecBit,
-                        detail: format!(
-                            "SP entry ({}, {}) has its Sec bit set; the SP design never \
-                             sets it",
-                            e.asid, e.vpn
-                        ),
-                    });
-                }
-                let in_victim_ways = way < self.victim_ways;
-                let owner_is_victim = self.is_victim(e.asid);
-                if in_victim_ways != owner_is_victim {
-                    return Err(IntegrityError {
-                        kind: IntegrityKind::Partition,
-                        detail: format!(
-                            "entry ({}, {}) at set {set} way {way} is on the wrong side \
-                             of the {}-way victim split (victim asid: {:?})",
-                            e.asid, e.vpn, self.victim_ways, self.victim_asid
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn corrupt_entry(&mut self, selector: u64, kind: CorruptionKind) -> Option<CorruptionReport> {
-        self.array
-            .corrupt_nth(selector, kind)
-            .map(|(set, way, before, after)| CorruptionReport {
-                level: 0,
-                set,
-                way,
-                kind,
-                before,
-                after,
-            })
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb_trait::WalkResult;
+    use crate::tlb_trait::{TlbCore, Translator, WalkResult};
     use crate::types::Ppn;
+    use crate::types::{Asid, Vpn};
 
     struct Ident;
     impl Translator for Ident {
@@ -362,16 +77,11 @@ mod tests {
         }
     }
 
-    fn sp_with_victim() -> SpTlb {
-        let mut t = SpTlb::new(TlbConfig::sa(32, 8).unwrap());
+    /// 32 entries, 8 ways, half of them the victim's (ASID 1).
+    fn sp_with_victim() -> Tlb {
+        let mut t = Tlb::sp(TlbConfig::sa(32, 8).unwrap(), 4).unwrap();
         t.set_victim_asid(Some(Asid(1)));
         t
-    }
-
-    #[test]
-    fn default_split_is_half_the_ways() {
-        let t = SpTlb::new(TlbConfig::sa(32, 8).unwrap());
-        assert_eq!(t.victim_ways(), 4);
     }
 
     #[test]
@@ -389,7 +99,7 @@ mod tests {
             t.probe(Asid(1), victim_page),
             "victim entry must survive attacker flooding"
         );
-        assert!(t.partition_invariant_holds());
+        t.integrity().unwrap();
     }
 
     #[test]
@@ -404,7 +114,7 @@ mod tests {
             t.probe(Asid(2), attacker_page),
             "attacker entry must survive victim flooding"
         );
-        assert!(t.partition_invariant_holds());
+        t.integrity().unwrap();
     }
 
     #[test]
@@ -428,7 +138,7 @@ mod tests {
         t.access(Asid(3), Vpn(4), &mut Ident);
         assert!(t.probe(Asid(2), Vpn(0)));
         assert!(t.probe(Asid(3), Vpn(4)));
-        assert!(t.partition_invariant_holds());
+        t.integrity().unwrap();
     }
 
     #[test]
@@ -443,7 +153,7 @@ mod tests {
     fn without_a_victim_everything_lands_in_the_attacker_partition() {
         // The partition is fixed at design time; with no process designated
         // as the victim, the victim ways simply sit idle.
-        let mut t = SpTlb::new(TlbConfig::sa(8, 4).unwrap());
+        let mut t = Tlb::sp(TlbConfig::sa(8, 4).unwrap(), 2).unwrap();
         for i in 0..8u64 {
             t.access(Asid(5), Vpn(i * 2), &mut Ident); // all set 0
         }
@@ -457,44 +167,23 @@ mod tests {
         t.access(Asid(1), Vpn(3), &mut Ident);
         t.set_victim_asid(Some(Asid(9)));
         assert_eq!(t.resident_count(), 0);
-        assert!(t.partition_invariant_holds());
+        t.integrity().unwrap();
     }
 
     #[test]
-    fn runtime_resplit_flushes_and_rebalances() {
-        let mut t = sp_with_victim();
-        t.access(Asid(1), Vpn(3), &mut Ident);
-        t.access(Asid(2), Vpn(7), &mut Ident);
-        t.set_victim_ways(6);
-        assert_eq!(t.victim_ways(), 6);
-        assert_eq!(t.resident_count(), 0, "resplit must flush");
-        // The victim can now keep 6 same-set pages resident.
-        for i in 0..6u64 {
-            t.access(Asid(1), Vpn(i * 4), &mut Ident);
+    fn a_split_must_leave_a_way_on_each_side() {
+        let config = TlbConfig::sa(32, 4).unwrap();
+        for victim_ways in [0, 4] {
+            let err = Tlb::sp(config, victim_ways).unwrap_err();
+            assert_eq!(
+                err,
+                PartitionError {
+                    victim_ways,
+                    ways: 4
+                }
+            );
+            assert!(err.to_string().contains("victim partition"), "{err}");
         }
-        for i in 0..6u64 {
-            assert!(t.probe(Asid(1), Vpn(i * 4)), "page {i}");
-        }
-        assert!(t.partition_invariant_holds());
-    }
-
-    #[test]
-    fn resplit_to_same_size_keeps_contents() {
-        let mut t = sp_with_victim();
-        t.access(Asid(1), Vpn(3), &mut Ident);
-        t.set_victim_ways(t.victim_ways());
-        assert!(t.probe(Asid(1), Vpn(3)), "no-op resplit must not flush");
-    }
-
-    #[test]
-    #[should_panic(expected = "victim partition")]
-    fn zero_victim_ways_is_rejected() {
-        SpTlb::with_victim_ways(TlbConfig::sa(32, 4).unwrap(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "victim partition")]
-    fn all_ways_to_victim_is_rejected() {
-        SpTlb::with_victim_ways(TlbConfig::sa(32, 4).unwrap(), 4);
+        assert!(Tlb::sp(config, 3).is_ok());
     }
 }

@@ -23,16 +23,13 @@
 //! *cache*) would starve under TLB-intensive secure workloads.
 
 use crate::array::EntryArray;
-use crate::check::{
-    CorruptionKind, CorruptionReport, IntegrityError, IntegrityKind, SnapshotEntry,
-};
+use crate::check::{IntegrityError, IntegrityKind};
 use crate::config::TlbConfig;
 use crate::rfe::RandomFillEngine;
+use crate::set_assoc::{Defense, Tlb};
 use crate::stats::TlbStats;
-use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, SecureRegion, TlbEntry, Vpn};
-
-pub use crate::types::SecureRegion as Region;
+use crate::tlb_trait::{AccessResult, Translator};
+use crate::types::{Asid, PageSize, SecureRegion, TlbEntry, Vpn};
 
 /// Which way a random fill replaces in its target set.
 ///
@@ -71,373 +68,165 @@ pub enum InvalidationPolicy {
     RegionFlush,
 }
 
-/// The Random-Fill TLB.
+/// What RF adds to the SA TLB: the Random Fill Engine, the victim-ASID
+/// and secure-region registers, and the two policies.
 #[derive(Debug, Clone)]
-pub struct RfTlb {
-    array: EntryArray,
-    stats: TlbStats,
-    rfe: RandomFillEngine,
-    victim_asid: Option<Asid>,
-    region: Option<SecureRegion>,
+pub(crate) struct RandomFill {
+    pub(crate) rfe: RandomFillEngine,
+    pub(crate) victim_asid: Option<Asid>,
+    pub(crate) region: Option<SecureRegion>,
     eviction: RandomFillEviction,
-    invalidation: InvalidationPolicy,
+    pub(crate) invalidation: InvalidationPolicy,
 }
 
-impl RfTlb {
-    /// Creates an RF TLB with a default RFE seed. No secure region is
-    /// configured initially, so the design behaves exactly like an SA TLB
-    /// until [`TlbCore::set_secure_region`] and
-    /// [`TlbCore::set_victim_asid`] are programmed by the (trusted) OS.
-    pub fn new(config: TlbConfig) -> RfTlb {
-        RfTlb::with_seed(config, 0x5ec7_1b5e)
+impl Tlb {
+    /// Creates an RF TLB with the given random-fill eviction and
+    /// secure-page invalidation policies (the published design is the
+    /// default of both) and a default RFE seed, which
+    /// [`TlbCore::reseed`](crate::TlbCore::reseed) replaces. No secure
+    /// region is configured initially, so the design behaves exactly like
+    /// an SA TLB until the (trusted) OS programs
+    /// [`TlbCore::set_secure_region`](crate::TlbCore::set_secure_region)
+    /// and [`TlbCore::set_victim_asid`](crate::TlbCore::set_victim_asid).
+    pub fn rf(
+        config: TlbConfig,
+        eviction: RandomFillEviction,
+        invalidation: InvalidationPolicy,
+    ) -> Tlb {
+        Tlb::with_defense(
+            config,
+            Defense::RandomFill(RandomFill {
+                rfe: RandomFillEngine::from_seed(0x5ec7_1b5e),
+                victim_asid: None,
+                region: None,
+                eviction,
+                invalidation,
+            }),
+        )
     }
+}
 
-    /// Creates an RF TLB whose Random Fill Engine is seeded with `seed`
-    /// (for reproducible simulation).
-    pub fn with_seed(config: TlbConfig, seed: u64) -> RfTlb {
-        RfTlb {
-            array: EntryArray::new(config),
-            stats: TlbStats::new(),
-            rfe: RandomFillEngine::from_seed(seed),
-            victim_asid: None,
-            region: None,
-            eviction: RandomFillEviction::default(),
-            invalidation: InvalidationPolicy::default(),
-        }
-    }
-
-    /// Selects the secure-page invalidation policy (the Appendix B
-    /// extension; the published design is [`InvalidationPolicy::Precise`]).
-    pub fn set_invalidation_policy(&mut self, policy: InvalidationPolicy) {
-        self.invalidation = policy;
-    }
-
-    /// The configured invalidation policy.
-    pub fn invalidation_policy(&self) -> InvalidationPolicy {
-        self.invalidation
-    }
-
-    /// Selects the random-fill eviction policy (ablation knob; the secure
-    /// default is [`RandomFillEviction::RandomWay`]).
-    pub fn set_random_fill_eviction(&mut self, eviction: RandomFillEviction) {
-        self.eviction = eviction;
-    }
-
-    /// The configured random-fill eviction policy.
-    pub fn random_fill_eviction(&self) -> RandomFillEviction {
-        self.eviction
-    }
-
-    /// The currently programmed secure region.
-    pub fn secure_region(&self) -> Option<SecureRegion> {
-        self.region
-    }
-
-    /// The currently programmed victim process.
-    pub fn victim_asid(&self) -> Option<Asid> {
-        self.victim_asid
-    }
-
+impl RandomFill {
     /// Whether `(asid, vpn)` falls within the protected secure region —
     /// the `Sec` classification of a request.
-    pub fn is_secure(&self, asid: Asid, vpn: Vpn) -> bool {
+    pub(crate) fn is_secure(&self, asid: Asid, vpn: Vpn) -> bool {
         match (self.victim_asid, self.region) {
             (Some(victim), Some(region)) => asid == victim && region.contains(vpn),
             _ => false,
         }
     }
 
-    /// Number of currently valid entries (diagnostics).
-    pub fn resident_count(&self) -> usize {
-        self.array.valid_entries().count()
+    /// Figure 3's decision for a miss on `D = (asid, vpn)` whose set's
+    /// replacement choice `R` has *Sec* bit `sec_r`: `None` for a normal
+    /// miss, otherwise the random page `D'` filled in `D`'s stead.
+    pub(crate) fn random_target(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        sec_r: bool,
+        config: TlbConfig,
+    ) -> Option<Vpn> {
+        match (sec_r, self.is_secure(asid, vpn)) {
+            (false, false) => None,
+            // R is secure: do not evict it. Fill a non-secure D' with a
+            // randomized set index instead.
+            (true, false) => {
+                let region = self.region.expect("sec_r implies a programmed region");
+                Some(self.rfe.randomize_set_index(vpn, region, config))
+            }
+            // Secure request: fill a random page of the secure region.
+            (_, true) => {
+                let region = self.region.expect("sec_d implies a programmed region");
+                Some(self.rfe.random_secure_page(region))
+            }
+        }
     }
 
-    /// Number of resident entries with the *Sec* bit set (diagnostics).
-    pub fn resident_secure_count(&self) -> usize {
-        self.array.valid_entries().filter(|e| e.sec).count()
-    }
-
-    /// Performs the random fill of `d_prime` on behalf of `asid`, evicting
-    /// the replacement choice `R'` of its set. A faulting walk skips the
-    /// fill (the paper assumes the OS pre-generates PTEs for RFE-visible
-    /// addresses, footnote 5).
-    fn random_fill(&mut self, asid: Asid, d_prime: Vpn, walker: &mut dyn Translator) -> u64 {
-        let walk = walker.translate(asid, d_prime);
-        if let Some(ppn) = walk.ppn {
-            let sec = self.is_secure(asid, d_prime);
+    /// Fills `d_prime` on behalf of `asid`, then walks the requested
+    /// `vpn` and returns it through the one-entry no-fill buffer. The
+    /// random fill evicts its set's `R'`; a faulting walk skips it (the
+    /// paper assumes the OS pre-generates PTEs for RFE-visible addresses,
+    /// footnote 5).
+    pub(crate) fn fill_randomly(
+        &mut self,
+        array: &mut EntryArray,
+        stats: &mut TlbStats,
+        asid: Asid,
+        vpn: Vpn,
+        d_prime: Vpn,
+        walker: &mut dyn Translator,
+    ) -> AccessResult {
+        let fill = walker.translate(asid, d_prime);
+        if let Some(ppn) = fill.ppn {
             // If D' is already resident we must not create a duplicate;
             // refresh its recency instead.
-            if let Some((s, w)) = self.array.lookup(asid, d_prime) {
-                self.array.touch(s, w);
+            if let Some((s, w)) = array.lookup(asid, d_prime) {
+                array.touch(s, w);
             } else {
-                let size = walk.size;
                 // A large-page translation indexes the set of its own
                 // size class, exactly as a normal fill does.
-                let set = self.array.set_of_sized(d_prime, size);
+                let set = array.set_of_sized(d_prime, fill.size);
                 // Random fills evict a uniformly random way (R' in the
                 // paper): the eviction must be indeterministic, and the
                 // Section 5.3.1 probabilities are uniform over the
                 // window's entries. (The LruWay variant exists only for
                 // the ablation showing that choice is load-bearing.)
                 let way = match self.eviction {
-                    RandomFillEviction::RandomWay => {
-                        self.rfe.random_way(self.array.config().ways())
-                    }
-                    RandomFillEviction::LruWay => self.array.choose_victim(set),
+                    RandomFillEviction::RandomWay => self.rfe.random_way(array.config().ways()),
+                    RandomFillEviction::LruWay => array.choose_victim(set),
                 };
-                let evicted = self.array.fill_at(
-                    set,
-                    way,
-                    TlbEntry {
-                        valid: true,
-                        vpn: size.align(d_prime),
-                        ppn,
-                        asid,
-                        sec,
-                        size,
-                    },
-                );
-                if evicted.is_some() {
-                    self.stats.evictions += 1;
+                let entry = TlbEntry {
+                    valid: true,
+                    vpn: fill.size.align(d_prime),
+                    ppn,
+                    asid,
+                    sec: self.is_secure(asid, d_prime),
+                    size: fill.size,
+                };
+                if array.fill_at(set, way, entry).is_some() {
+                    stats.evictions += 1;
                 }
             }
-            self.stats.random_fills += 1;
+            stats.random_fills += 1;
         }
-        walk.cycles
-    }
-
-    /// Walks the requested address and returns it through the no-fill
-    /// buffer.
-    fn no_fill_response(
-        &mut self,
-        asid: Asid,
-        vpn: Vpn,
-        walker: &mut dyn Translator,
-        extra_cycles: u64,
-    ) -> AccessResult {
         let walk = walker.translate(asid, vpn);
-        self.stats.no_fill_responses += 1;
+        stats.no_fill_responses += 1;
         if walk.ppn.is_none() {
-            self.stats.faults += 1;
+            stats.faults += 1;
         }
         AccessResult {
             hit: false,
             fault: walk.ppn.is_none(),
             ppn: walk.ppn,
-            walk_cycles: extra_cycles + walk.cycles,
+            walk_cycles: fill.cycles + walk.cycles,
             size: walk.size,
         }
     }
 
-    /// The miss half of [`TlbCore::access`] — the Figure 3 procedure —
-    /// out of line like the SA design's.
-    #[inline(never)]
-    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.misses += 1;
-        let sec_d = self.is_secure(asid, vpn);
-        // Probe (no fill) the replacement choice R of D's set for its Sec
-        // bit — steps (1)-(3) of Figure 4b.
-        let set = self.array.config().set_of(vpn);
-        let r_way = self.array.choose_victim(set);
-        let r = self.array.entry(set, r_way);
-        let sec_r = r.valid && r.sec;
-
-        match (sec_r, sec_d) {
-            (false, false) => {
-                // Normal TLB miss.
-                let walk = walker.translate(asid, vpn);
-                let Some(ppn) = walk.ppn else {
-                    self.stats.faults += 1;
-                    return AccessResult {
-                        hit: false,
-                        fault: true,
-                        ppn: None,
-                        walk_cycles: walk.cycles,
-                        size: walk.size,
-                    };
-                };
-                // The probed replacement choice R was for the base-page
-                // set; a megapage translation indexes a different set, so
-                // its victim way must be re-chosen there.
-                let fill_set = self.array.set_of_sized(vpn, walk.size);
-                let fill_way = if fill_set == set {
-                    r_way
-                } else {
-                    self.array.choose_victim(fill_set)
-                };
-                let evicted = self.array.fill_at(
-                    fill_set,
-                    fill_way,
-                    TlbEntry {
-                        valid: true,
-                        vpn: walk.size.align(vpn),
-                        ppn,
-                        asid,
-                        sec: false,
-                        size: walk.size,
-                    },
-                );
-                self.stats.fills += 1;
-                if evicted.is_some() {
-                    self.stats.evictions += 1;
-                }
-                AccessResult {
-                    hit: false,
-                    fault: false,
-                    ppn: Some(ppn),
-                    walk_cycles: walk.cycles,
-                    size: walk.size,
-                }
-            }
-            (true, false) => {
-                // R is secure: do not evict it. Random-fill a non-secure
-                // D' with a randomized set index, then answer D directly.
-                let region = self.region.expect("sec_r implies a programmed region");
-                let d_prime = self
-                    .rfe
-                    .randomize_set_index(vpn, region, self.array.config());
-                let fill_cycles = self.random_fill(asid, d_prime, walker);
-                self.no_fill_response(asid, vpn, walker, fill_cycles)
-            }
-            (_, true) => {
-                // Secure request: random-fill a random page of the secure
-                // region, then answer D directly.
-                let region = self.region.expect("sec_d implies a programmed region");
-                let d_prime = self.rfe.random_secure_page(region);
-                let fill_cycles = self.random_fill(asid, d_prime, walker);
-                self.no_fill_response(asid, vpn, walker, fill_cycles)
-            }
+    /// RF's integrity rule: a base entry's *Sec* bit is the exact
+    /// classification of its own tag. Megapage entries are skipped: their
+    /// Sec bit is derived from the unaligned fill address, not the
+    /// aligned tag.
+    pub(crate) fn check_sec_bit(&self, e: TlbEntry) -> Result<(), IntegrityError> {
+        let expected = self.is_secure(e.asid, e.vpn);
+        if e.size != PageSize::Base || e.sec == expected {
+            return Ok(());
         }
-    }
-}
-
-impl sealed::Sealed for RfTlb {}
-
-impl TlbCore for RfTlb {
-    #[inline(always)]
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        // TLB hit: identical to the SA TLB.
-        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
-            self.stats.hits += 1;
-            return AccessResult::hit_sized(ppn, size);
-        }
-        self.miss(asid, vpn, walker)
-    }
-
-    fn probe(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.array.lookup(asid, vpn).is_some()
-    }
-
-    fn flush_all(&mut self) {
-        self.array.clear();
-        self.stats.flushes += 1;
-    }
-
-    fn flush_asid(&mut self, asid: Asid) {
-        let removed = self.array.invalidate_matching(|e| e.asid == asid);
-        self.stats.invalidations += removed;
-    }
-
-    fn flush_page(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        if self.invalidation == InvalidationPolicy::RegionFlush && self.is_secure(asid, vpn) {
-            // De-correlate: drop every secure entry, constant (slow) time.
-            let removed = self.array.invalidate_matching(|e| e.sec);
-            self.stats.invalidations += removed;
-            return true;
-        }
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.array.invalidate_at(set, way);
-            self.stats.invalidations += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn stats(&self) -> &TlbStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn config(&self) -> TlbConfig {
-        self.array.config()
-    }
-
-    fn design_name(&self) -> &'static str {
-        "RF"
-    }
-
-    fn set_victim_asid(&mut self, victim: Option<Asid>) {
-        if self.victim_asid != victim {
-            self.flush_all();
-        }
-        self.victim_asid = victim;
-    }
-
-    fn set_secure_region(&mut self, region: Option<SecureRegion>) {
-        if self.region != region {
-            // Stale Sec bits from a previous region must not linger.
-            self.flush_all();
-        }
-        self.region = region;
-    }
-
-    fn reseed(&mut self, level: usize, seed: u64) {
-        if level == 0 {
-            self.rfe = RandomFillEngine::from_seed(seed);
-        }
-    }
-
-    fn snapshot(&self) -> Vec<SnapshotEntry> {
-        self.array.snapshot_level(0)
-    }
-
-    fn integrity(&self) -> Result<(), IntegrityError> {
-        self.array.check_geometry()?;
-        // Base entries carry an exact Sec classification of their own tag.
-        // Megapage entries are skipped: their Sec bit is derived from the
-        // unaligned fill address, not the aligned tag.
-        for e in self.array.valid_entries() {
-            if e.size != crate::types::PageSize::Base {
-                continue;
-            }
-            let expected = self.is_secure(e.asid, e.vpn);
-            if e.sec != expected {
-                return Err(IntegrityError {
-                    kind: IntegrityKind::SecBit,
-                    detail: format!(
-                        "RF entry ({}, {}) has Sec = {} but the programmed secure region \
-                         (victim {:?}, region {:?}) implies Sec = {}",
-                        e.asid, e.vpn, e.sec, self.victim_asid, self.region, expected
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn corrupt_entry(&mut self, selector: u64, kind: CorruptionKind) -> Option<CorruptionReport> {
-        self.array
-            .corrupt_nth(selector, kind)
-            .map(|(set, way, before, after)| CorruptionReport {
-                level: 0,
-                set,
-                way,
-                kind,
-                before,
-                after,
-            })
+        Err(IntegrityError {
+            kind: IntegrityKind::SecBit,
+            detail: format!(
+                "RF entry ({}, {}) has Sec = {} but the programmed secure region \
+                 (victim {:?}, region {:?}) implies Sec = {}",
+                e.asid, e.vpn, e.sec, self.victim_asid, self.region, expected
+            ),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb_trait::WalkResult;
+    use crate::tlb_trait::{TlbCore, WalkResult};
     use crate::types::Ppn;
 
     struct Ident;
@@ -450,18 +239,40 @@ mod tests {
     const VICTIM: Asid = Asid(1);
     const ATTACKER: Asid = Asid(2);
 
-    /// 32-entry, 8-way RF TLB with a 3-page secure region (the paper's
-    /// security-evaluation setup).
-    fn rf() -> RfTlb {
-        let mut t = RfTlb::with_seed(TlbConfig::security_eval(), 1234);
+    /// An RF TLB of the published design whose engine is seeded with
+    /// `seed`.
+    fn rf_seeded(config: TlbConfig, seed: u64) -> Tlb {
+        let mut t = Tlb::rf(
+            config,
+            RandomFillEviction::RandomWay,
+            InvalidationPolicy::Precise,
+        );
+        t.reseed(0, seed);
+        t
+    }
+
+    /// [`rf_seeded`] protecting a 3-page region of the victim.
+    fn rf_protected(config: TlbConfig, seed: u64) -> Tlb {
+        let mut t = rf_seeded(config, seed);
         t.set_victim_asid(Some(VICTIM));
         t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
         t
     }
 
+    /// 32-entry, 8-way RF TLB with a 3-page secure region (the paper's
+    /// security-evaluation setup).
+    fn rf() -> Tlb {
+        rf_protected(TlbConfig::security_eval(), 1234)
+    }
+
+    /// Number of resident entries with the *Sec* bit set.
+    fn secure_count(t: &Tlb) -> usize {
+        t.snapshot().iter().filter(|s| s.entry.sec).count()
+    }
+
     #[test]
     fn behaves_like_sa_without_a_region() {
-        let mut t = RfTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = rf_seeded(TlbConfig::sa(32, 4).unwrap(), 1);
         let r1 = t.access(Asid(3), Vpn(9), &mut Ident);
         assert!(!r1.hit);
         let r2 = t.access(Asid(3), Vpn(9), &mut Ident);
@@ -481,7 +292,7 @@ mod tests {
         assert!(!r.hit && !r.fault);
         assert_eq!(t.stats().no_fill_responses, 1);
         assert_eq!(t.stats().random_fills, 1);
-        assert_eq!(t.resident_secure_count(), 1);
+        assert_eq!(secure_count(&t), 1);
     }
 
     #[test]
@@ -509,7 +320,7 @@ mod tests {
         }
         // Every resident victim entry must be one of the 3 secure pages.
         // (The victim only ever requested secure pages.)
-        assert!(t.resident_secure_count() <= 3);
+        assert!(secure_count(&t) <= 3);
         for p in [0x100u64, 0x101, 0x102] {
             // Not asserting presence of each — only that nothing outside
             // the region was filled for the victim.
@@ -527,9 +338,7 @@ mod tests {
         let mut survived = 0;
         let trials = 100;
         for seed in 0..trials {
-            let mut t = RfTlb::with_seed(TlbConfig::security_eval(), seed);
-            t.set_victim_asid(Some(VICTIM));
-            t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+            let mut t = rf_protected(TlbConfig::security_eval(), seed);
             // Bring one secure page in deterministically: region of 3 with
             // repeated accesses until page 0x100 resident.
             for _ in 0..100 {
@@ -566,17 +375,20 @@ mod tests {
     #[test]
     fn attacker_addresses_numerically_in_region_are_not_secure() {
         // The region belongs to the victim's address space: the Sec check
-        // requires the victim ASID.
-        let t = rf();
-        assert!(t.is_secure(VICTIM, Vpn(0x100)));
-        assert!(!t.is_secure(ATTACKER, Vpn(0x100)));
+        // requires the victim ASID, so the attacker's miss fills normally.
+        let mut t = rf();
+        t.access(ATTACKER, Vpn(0x100), &mut Ident);
+        assert_eq!(t.stats().no_fill_responses, 0);
+        assert!(t.probe(ATTACKER, Vpn(0x100)));
+        t.access(VICTIM, Vpn(0x100), &mut Ident);
+        assert_eq!(t.stats().no_fill_responses, 1);
     }
 
     #[test]
     fn reprogramming_region_flushes_stale_sec_bits() {
         let mut t = rf();
         t.access(VICTIM, Vpn(0x100), &mut Ident);
-        assert!(t.resident_secure_count() > 0);
+        assert!(secure_count(&t) > 0);
         t.set_secure_region(Some(SecureRegion::new(Vpn(0x500), 4)));
         assert_eq!(t.resident_count(), 0);
     }
@@ -589,17 +401,17 @@ mod tests {
         for i in 0..300u64 {
             t.access(VICTIM, Vpn(0x100 + (i % 3)), &mut Ident);
         }
-        assert!(t.resident_secure_count() <= 3);
+        assert!(secure_count(&t) <= 3);
     }
 
     /// Flattened `(entry, rank)` pairs for every lane — entries from the
     /// store, ranks from the packed-LRU words.
-    fn lanes(t: &RfTlb) -> Vec<(TlbEntry, u16)> {
-        let cfg = t.array.config();
+    fn lanes(t: &Tlb) -> Vec<(TlbEntry, u16)> {
+        let cfg = t.config();
         let mut out = Vec::with_capacity(cfg.entries());
         for s in 0..cfg.sets() {
             for w in 0..cfg.ways() {
-                out.push((t.array.entry(s, w), t.array.lru().rank(s, w)));
+                out.push((t.array().entry(s, w), t.array().lru().rank(s, w)));
             }
         }
         out
@@ -615,9 +427,7 @@ mod tests {
     /// Figure 7 RF results with it.
     #[test]
     fn no_fill_misses_leave_rank_state_untouched() {
-        let mut t = RfTlb::with_seed(TlbConfig::sa(16, 4).unwrap(), 7);
-        t.set_victim_asid(Some(VICTIM));
-        t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+        let mut t = rf_protected(TlbConfig::sa(16, 4).unwrap(), 7);
         let mut no_fill_misses = 0;
         for step in 0..400u64 {
             // Interleave secure misses (the Sec_D = 1 branch), attacker
@@ -674,9 +484,7 @@ mod tests {
         let mut reseeded = rf();
         reseeded.reseed(0, 99);
         reseeded.reseed(1, 7); // no level 1: ignored
-        let mut built = RfTlb::with_seed(TlbConfig::security_eval(), 99);
-        built.set_victim_asid(Some(VICTIM));
-        built.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
+        let mut built = rf_protected(TlbConfig::security_eval(), 99);
         for i in 0..60u64 {
             let (asid, vpn) = if i % 2 == 0 {
                 (VICTIM, Vpn(0x100 + i % 3))
@@ -761,10 +569,10 @@ mod tests {
         }
         for eviction in [RandomFillEviction::RandomWay, RandomFillEviction::LruWay] {
             for seed in 0..64 {
-                let mut t = RfTlb::with_seed(TlbConfig::security_eval(), seed);
+                let mut t = Tlb::rf(TlbConfig::security_eval(), eviction, Default::default());
+                t.reseed(0, seed);
                 t.set_victim_asid(Some(VICTIM));
                 t.set_secure_region(Some(SecureRegion::new(Vpn(0x100), 3)));
-                t.set_random_fill_eviction(eviction);
                 // A secure entry in set 0, then seven base pages behind
                 // it: set 0 is full and its LRU choice R is secure.
                 while !t.probe(VICTIM, Vpn(0x100)) {

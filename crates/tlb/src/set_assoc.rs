@@ -1,33 +1,73 @@
-//! The standard set-associative (SA) TLB — the paper's baseline design.
+//! The single-level TLB: the set-associative (SA) core every design of
+//! the paper builds on, and what each design changes about it.
 //!
 //! Hits require both the page address and the process ID (ASID) to match;
 //! misses walk the page table and fill the LRU way of the indexed set.
 //! Fully-associative (`FA`) and single-entry (`1E`) TLBs are degenerate
-//! configurations of the same design.
+//! geometries of the same design. The paper builds SP and RF as changes
+//! to this TLB (Sections 4.1 and 4.2), and temporal partitioning is this
+//! TLB plus a clear on each domain switch, so [`Tlb`] keeps one array,
+//! one hit path and one fill, and holds the design's difference as data:
+//!
+//! - **SA** (`Tlb::sa`): nothing changes;
+//! - **SP** ([`Tlb::sp`], `partition`): fills stay in the requester's
+//!   partition of the ways;
+//! - **RF** ([`Tlb::rf`], `random_fill`): misses run Figure 3's
+//!   random-fill procedure, and a secure-region register pair and
+//!   optionally region-wide invalidation are added;
+//! - **FS** and **FT** ([`Tlb::temporal`], `temporal`): the array is
+//!   cleared on every context switch, FT resetting replacement state too.
 
 use crate::array::EntryArray;
 use crate::check::{
     CorruptionKind, CorruptionReport, IntegrityError, IntegrityKind, SnapshotEntry,
 };
 use crate::config::TlbConfig;
+use crate::random_fill::{InvalidationPolicy, RandomFill};
+use crate::rfe::RandomFillEngine;
 use crate::stats::TlbStats;
+use crate::temporal::ClearScope;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, TlbEntry, Vpn};
+use crate::types::{Asid, PageSize, SecureRegion, TlbEntry, Vpn};
 
-/// A standard set-associative TLB with ASID tags and true-LRU replacement.
+/// A single-level TLB of any of the SA, SP, RF, FS and FT designs.
 #[derive(Debug, Clone)]
-pub struct SaTlb {
+pub struct Tlb {
     array: EntryArray,
     stats: TlbStats,
+    defense: Defense,
 }
 
-impl SaTlb {
-    /// Creates an SA TLB with the given geometry.
-    pub fn new(config: TlbConfig) -> SaTlb {
-        SaTlb {
+/// What a design changes about the SA TLB.
+#[derive(Debug, Clone)]
+pub(crate) enum Defense {
+    /// SA: nothing.
+    Baseline,
+    /// SP: the first `victim_ways` ways of every set hold the victim's
+    /// translations, the rest everyone else's.
+    Partition {
+        victim_asid: Option<Asid>,
+        victim_ways: usize,
+    },
+    /// RF: the Random Fill Engine and the secure-region registers, held
+    /// inline so that cloning a TLB allocates nothing.
+    RandomFill(RandomFill),
+    /// FS or FT: what a context switch clears.
+    Temporal(ClearScope),
+}
+
+impl Tlb {
+    pub(crate) fn with_defense(config: TlbConfig, defense: Defense) -> Tlb {
+        Tlb {
             array: EntryArray::new(config),
             stats: TlbStats::new(),
+            defense,
         }
+    }
+
+    /// The standard SA TLB with the given geometry.
+    pub fn sa(config: TlbConfig) -> Tlb {
+        Tlb::with_defense(config, Defense::Baseline)
     }
 
     /// Number of currently valid entries (diagnostics).
@@ -35,73 +75,158 @@ impl SaTlb {
         self.array.valid_entries().count()
     }
 
-    /// The underlying entry array (for designs composed on top of SA).
+    /// The entry array, for the design modules' unit tests.
+    #[cfg(test)]
     pub(crate) fn array(&self) -> &EntryArray {
         &self.array
     }
 
-    /// Mutable entry-array view (for designs composed on top of SA).
-    pub(crate) fn array_mut(&mut self) -> &mut EntryArray {
-        &mut self.array
-    }
-
-    /// Mutable counter view (for designs composed on top of SA).
-    pub(crate) fn stats_mut(&mut self) -> &mut TlbStats {
-        &mut self.stats
-    }
-
-    /// The miss half of [`TlbCore::access`]: walk, then fill the set's
-    /// replacement choice. Out of line, so the hit path stays small
-    /// enough to inline into the machine's batch loop.
+    /// The miss half of [`TlbCore::access`], out of line so the hit path
+    /// stays small enough to inline into the machine's batch loop. SA, FS
+    /// and FT fill the set's replacement choice and SP the choice within
+    /// the requester's partition; RF first runs Figure 3's *Sec* checks.
     #[inline(never)]
     fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.misses += 1;
-        let walk = walker.translate(asid, vpn);
-        let Some(ppn) = walk.ppn else {
-            self.stats.faults += 1;
-            return AccessResult {
-                hit: false,
-                fault: true,
-                ppn: None,
-                walk_cycles: walk.cycles,
-                size: walk.size,
-            };
-        };
-        let vpn_aligned = walk.size.align(vpn);
-        let set = self.array.set_of_sized(vpn, walk.size);
-        let way = self.array.choose_victim(set);
-        let evicted = self.array.fill_at(
-            set,
-            way,
-            TlbEntry {
-                valid: true,
-                vpn: vpn_aligned,
-                ppn,
-                asid,
-                sec: false,
-                size: walk.size,
-            },
-        );
-        self.stats.fills += 1;
-        if evicted.is_some() {
-            self.stats.evictions += 1;
+        let config = self.array.config();
+        let mut ways = 0..config.ways();
+        let mut probed = None;
+        match &mut self.defense {
+            Defense::Baseline | Defense::Temporal(_) => {}
+            Defense::Partition {
+                victim_asid,
+                victim_ways,
+            } => {
+                ways = if *victim_asid == Some(asid) {
+                    0..*victim_ways
+                } else {
+                    *victim_ways..ways.end
+                };
+            }
+            Defense::RandomFill(rf) => {
+                // Probe (no fill) the replacement choice R of D's set for
+                // its Sec bit — steps (1)-(3) of Figure 4b.
+                let set = config.set_of(vpn);
+                let r_way = self.array.choose_victim(set);
+                let r = self.array.entry(set, r_way);
+                if let Some(d_prime) = rf.random_target(asid, vpn, r.valid && r.sec, config) {
+                    return rf.fill_randomly(
+                        &mut self.array,
+                        &mut self.stats,
+                        asid,
+                        vpn,
+                        d_prime,
+                        walker,
+                    );
+                }
+                probed = Some((set, r_way));
+            }
         }
-        AccessResult {
-            hit: false,
-            fault: false,
-            ppn: Some(ppn),
-            walk_cycles: walk.cycles,
-            size: walk.size,
+        let array = &mut self.array;
+        walk_and_fill(
+            &mut self.stats,
+            asid,
+            vpn,
+            walker,
+            |_| array,
+            |array, set| match probed {
+                // R was probed in the base-page set; a megapage translation
+                // indexes another set, so its victim is chosen there.
+                Some((r_set, r_way)) if r_set == set => r_way,
+                _ => array
+                    .choose_victim_among(set, ways)
+                    .expect("partitions are nonempty by construction"),
+            },
+        )
+    }
+
+    /// The integrity rule the design adds for one valid entry at
+    /// `(set, way)`: RF's *Sec* bits follow the programmed region, the
+    /// other designs never set one, and SP keeps each entry on its
+    /// owner's side of the split.
+    fn check_entry(&self, set: usize, way: usize, e: TlbEntry) -> Result<(), IntegrityError> {
+        let name = match &self.defense {
+            Defense::RandomFill(rf) => return rf.check_sec_bit(e),
+            Defense::Partition { .. } => "SP",
+            // FS and FT are the SA design plus a clear, and report as SA.
+            Defense::Baseline | Defense::Temporal(_) => "SA",
+        };
+        if e.sec {
+            return Err(IntegrityError {
+                kind: IntegrityKind::SecBit,
+                detail: format!(
+                    "{name} entry ({}, {}) has its Sec bit set; the {name} design never sets it",
+                    e.asid, e.vpn
+                ),
+            });
+        }
+        match self.defense {
+            Defense::Partition {
+                victim_asid,
+                victim_ways,
+            } if (way < victim_ways) != (victim_asid == Some(e.asid)) => Err(IntegrityError {
+                kind: IntegrityKind::Partition,
+                detail: format!(
+                    "entry ({}, {}) at set {set} way {way} is on the wrong side of the \
+                     {victim_ways}-way victim split (victim asid: {victim_asid:?})",
+                    e.asid, e.vpn
+                ),
+            }),
+            _ => Ok(()),
         }
     }
 }
 
-impl sealed::Sealed for SaTlb {}
+/// The walk → fault → fill → count block of every demand miss: walks
+/// `(asid, vpn)`; a fault is counted and fills nothing. Otherwise the
+/// translation fills the array `array_for` picks for its page size, at
+/// the way `victim` picks in the translation's set, and the fill and
+/// any eviction are counted.
+pub(crate) fn walk_and_fill<'a>(
+    stats: &mut TlbStats,
+    asid: Asid,
+    vpn: Vpn,
+    walker: &mut dyn Translator,
+    array_for: impl FnOnce(PageSize) -> &'a mut EntryArray,
+    victim: impl FnOnce(&EntryArray, usize) -> usize,
+) -> AccessResult {
+    let walk = walker.translate(asid, vpn);
+    let result = AccessResult {
+        hit: false,
+        fault: walk.ppn.is_none(),
+        ppn: walk.ppn,
+        walk_cycles: walk.cycles,
+        size: walk.size,
+    };
+    let Some(ppn) = walk.ppn else {
+        stats.faults += 1;
+        return result;
+    };
+    let array = array_for(walk.size);
+    let set = array.set_of_sized(vpn, walk.size);
+    let way = victim(array, set);
+    let entry = TlbEntry {
+        valid: true,
+        vpn: walk.size.align(vpn),
+        ppn,
+        asid,
+        sec: false,
+        size: walk.size,
+    };
+    if array.fill_at(set, way, entry).is_some() {
+        stats.evictions += 1;
+    }
+    stats.fills += 1;
+    result
+}
 
-impl TlbCore for SaTlb {
+impl sealed::Sealed for Tlb {}
+
+impl TlbCore for Tlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         self.stats.accesses += 1;
+        // Every design hits exactly as SA does: search every way.
         if let Some((ppn, size)) = self.array.hit(asid, vpn) {
             self.stats.hits += 1;
             return AccessResult::hit_sized(ppn, size);
@@ -119,18 +244,23 @@ impl TlbCore for SaTlb {
     }
 
     fn flush_asid(&mut self, asid: Asid) {
-        let removed = self.array.invalidate_matching(|e| e.asid == asid);
-        self.stats.invalidations += removed;
+        self.stats.invalidations += self.array.invalidate_matching(|e| e.asid == asid);
     }
 
     fn flush_page(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        if let Some((set, way)) = self.array.lookup(asid, vpn) {
-            self.array.invalidate_at(set, way);
-            self.stats.invalidations += 1;
-            true
-        } else {
-            false
+        if let Defense::RandomFill(rf) = &self.defense {
+            if rf.invalidation == InvalidationPolicy::RegionFlush && rf.is_secure(asid, vpn) {
+                // De-correlate: drop every secure entry, constant (slow) time.
+                self.stats.invalidations += self.array.invalidate_matching(|e| e.sec);
+                return true;
+            }
         }
+        let Some((set, way)) = self.array.lookup(asid, vpn) else {
+            return false;
+        };
+        self.array.invalidate_at(set, way);
+        self.stats.invalidations += 1;
+        true
     }
 
     fn stats(&self) -> &TlbStats {
@@ -146,7 +276,64 @@ impl TlbCore for SaTlb {
     }
 
     fn design_name(&self) -> &'static str {
-        "SA"
+        match self.defense {
+            Defense::Baseline => "SA",
+            Defense::Partition { .. } => "SP",
+            Defense::RandomFill(_) => "RF",
+            Defense::Temporal(ClearScope::Entries) => "FS",
+            Defense::Temporal(ClearScope::Full) => "FT",
+        }
+    }
+
+    fn on_context_switch(&mut self) {
+        let Defense::Temporal(scope) = self.defense else {
+            return;
+        };
+        match scope {
+            ClearScope::Entries => self.array.clear_entries_keep_ranks(),
+            ClearScope::Full => self.array.clear(),
+        }
+        self.stats.flushes += 1;
+    }
+
+    fn replacement_pristine(&self) -> Option<bool> {
+        // Only FT claims a reset replacement state; FS's ranks carry
+        // residue across switches by design.
+        matches!(self.defense, Defense::Temporal(ClearScope::Full))
+            .then(|| self.array.replacement_pristine())
+    }
+
+    fn set_victim_asid(&mut self, victim: Option<Asid>) {
+        let register = match &mut self.defense {
+            Defense::Partition { victim_asid, .. } => victim_asid,
+            Defense::RandomFill(rf) => &mut rf.victim_asid,
+            Defense::Baseline | Defense::Temporal(_) => return,
+        };
+        let changed = *register != victim;
+        *register = victim;
+        // A new victim must not inherit entries on the wrong side of the
+        // split, or Sec bits computed for the old one.
+        if changed {
+            self.flush_all();
+        }
+    }
+
+    fn set_secure_region(&mut self, region: Option<SecureRegion>) {
+        let Defense::RandomFill(rf) = &mut self.defense else {
+            return;
+        };
+        let changed = rf.region != region;
+        rf.region = region;
+        // Stale Sec bits from a previous region must not linger.
+        if changed {
+            self.flush_all();
+        }
+    }
+
+    fn reseed(&mut self, level: usize, seed: u64) {
+        if let (0, Defense::RandomFill(rf)) = (level, &mut self.defense) {
+            rf.rfe = RandomFillEngine::from_seed(seed);
+        }
     }
 
     fn snapshot(&self) -> Vec<SnapshotEntry> {
@@ -155,16 +342,13 @@ impl TlbCore for SaTlb {
 
     fn integrity(&self) -> Result<(), IntegrityError> {
         self.array.check_geometry()?;
-        // The SA design never sets the Sec bit.
-        for e in self.array.valid_entries() {
-            if e.sec {
-                return Err(IntegrityError {
-                    kind: IntegrityKind::SecBit,
-                    detail: format!(
-                        "SA entry ({}, {}) has its Sec bit set; the SA design never sets it",
-                        e.asid, e.vpn
-                    ),
-                });
+        let config = self.array.config();
+        for set in 0..config.sets() {
+            for way in 0..config.ways() {
+                let e = self.array.entry(set, way);
+                if e.valid {
+                    self.check_entry(set, way, e)?;
+                }
             }
         }
         Ok(())
@@ -208,7 +392,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         let r1 = t.access(Asid(1), Vpn(0x10), &mut Ident(60));
         assert!(!r1.hit);
         assert_eq!(r1.walk_cycles, 60);
@@ -224,7 +408,7 @@ mod tests {
     fn hits_require_matching_asid() {
         // The ASID check is what defends the 10 external vulnerabilities in
         // Table 4 (Flush + Reload, Evict + Probe, Prime + Time).
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         t.access(Asid(1), Vpn(0x10), &mut Ident(60));
         let r = t.access(Asid(2), Vpn(0x10), &mut Ident(60));
         assert!(!r.hit, "cross-ASID access must miss");
@@ -233,7 +417,7 @@ mod tests {
     #[test]
     fn set_conflicts_evict_lru() {
         // 2 sets x 2 ways: three pages in the same set overflow it.
-        let mut t = SaTlb::new(TlbConfig::sa(4, 2).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(4, 2).unwrap());
         let (a, b, c) = (Vpn(0), Vpn(2), Vpn(4)); // all map to set 0
         t.access(Asid(1), a, &mut Ident(1));
         t.access(Asid(1), b, &mut Ident(1));
@@ -246,7 +430,7 @@ mod tests {
 
     #[test]
     fn fully_associative_has_no_set_conflicts() {
-        let mut t = SaTlb::new(TlbConfig::fa(4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::fa(4).unwrap());
         for v in [0u64, 4, 8, 12] {
             t.access(Asid(1), Vpn(v), &mut Ident(1));
         }
@@ -257,7 +441,7 @@ mod tests {
 
     #[test]
     fn single_entry_thrashes() {
-        let mut t = SaTlb::new(TlbConfig::single_entry());
+        let mut t = Tlb::sa(TlbConfig::single_entry());
         t.access(Asid(1), Vpn(1), &mut Ident(1));
         t.access(Asid(1), Vpn(2), &mut Ident(1));
         assert!(!t.probe(Asid(1), Vpn(1)));
@@ -266,7 +450,7 @@ mod tests {
 
     #[test]
     fn faults_do_not_fill() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         let r = t.access(Asid(1), Vpn(0x99), &mut Faulting);
         assert!(r.fault && r.ppn.is_none());
         assert_eq!(t.stats().faults, 1);
@@ -275,7 +459,7 @@ mod tests {
 
     #[test]
     fn flush_all_empties_the_tlb() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         for v in 0..10u64 {
             t.access(Asid(1), Vpn(v), &mut Ident(1));
         }
@@ -286,7 +470,7 @@ mod tests {
 
     #[test]
     fn flush_asid_is_selective() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         t.access(Asid(1), Vpn(1), &mut Ident(1));
         t.access(Asid(2), Vpn(2), &mut Ident(1));
         t.flush_asid(Asid(1));
@@ -296,7 +480,7 @@ mod tests {
 
     #[test]
     fn flush_page_reports_presence() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         t.access(Asid(1), Vpn(1), &mut Ident(1));
         assert!(t.flush_page(Asid(1), Vpn(1)), "entry was present");
         assert!(!t.flush_page(Asid(1), Vpn(1)), "entry already gone");
@@ -312,7 +496,7 @@ mod tests {
                 WalkResult::mega(Ppn(0x999), PageSize::Mega.align(vpn).0)
             }
         }
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         let r = t.access(Asid(1), Vpn(0x205), &mut MegaWalker);
         assert!(!r.hit);
         // Different 4 KiB pages (even in different would-be sets) hit the
@@ -326,7 +510,7 @@ mod tests {
 
     #[test]
     fn probe_does_not_perturb_state_or_stats() {
-        let mut t = SaTlb::new(TlbConfig::sa(32, 4).unwrap());
+        let mut t = Tlb::sa(TlbConfig::sa(32, 4).unwrap());
         t.access(Asid(1), Vpn(1), &mut Ident(1));
         let before = *t.stats();
         for _ in 0..5 {
@@ -334,5 +518,22 @@ mod tests {
             t.probe(Asid(1), Vpn(999));
         }
         assert_eq!(*t.stats(), before);
+    }
+
+    #[test]
+    fn an_entry_on_the_wrong_side_of_the_split_is_named() {
+        let mut t = Tlb::sp(TlbConfig::sa(32, 8).unwrap(), 4).unwrap();
+        t.access(Asid(2), Vpn(0), &mut Ident(1));
+        t.integrity().unwrap();
+        // Reprogram the victim register without the flush its setter does.
+        if let Defense::Partition { victim_asid, .. } = &mut t.defense {
+            *victim_asid = Some(Asid(2));
+        }
+        let err = t.integrity().unwrap_err();
+        assert_eq!(err.kind, IntegrityKind::Partition);
+        assert!(
+            err.detail.contains("wrong side of the 4-way victim split"),
+            "{err}"
+        );
     }
 }

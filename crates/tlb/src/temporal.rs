@@ -24,13 +24,8 @@
 //!   replacement residue that richer replacement policies could leak
 //!   through.
 
-use crate::array::EntryArray;
-use crate::check::{CorruptionKind, CorruptionReport, IntegrityError, SnapshotEntry};
 use crate::config::TlbConfig;
-use crate::set_assoc::SaTlb;
-use crate::stats::TlbStats;
-use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, Vpn};
+use crate::set_assoc::{Defense, Tlb};
 
 /// How much state a temporal-partitioning design clears on context
 /// switch.
@@ -42,127 +37,20 @@ pub enum ClearScope {
     Full,
 }
 
-/// A temporal-partitioning TLB: the SA design plus a state clear on every
-/// context switch.
-#[derive(Debug, Clone)]
-pub struct TpTlb {
-    inner: SaTlb,
-    scope: ClearScope,
-}
-
-impl TpTlb {
-    /// Creates a temporal-partitioning TLB with the given geometry and
-    /// clear scope.
-    pub fn new(config: TlbConfig, scope: ClearScope) -> TpTlb {
-        TpTlb {
-            inner: SaTlb::new(config),
-            scope,
-        }
-    }
-
-    /// The flush-on-switch design (`FS`).
-    pub fn flush_on_switch(config: TlbConfig) -> TpTlb {
-        TpTlb::new(config, ClearScope::Entries)
-    }
-
-    /// The `fence.t` full-clear design (`FT`).
-    pub fn fence_t(config: TlbConfig) -> TpTlb {
-        TpTlb::new(config, ClearScope::Full)
-    }
-
-    /// This design's clear scope.
-    pub fn scope(&self) -> ClearScope {
-        self.scope
-    }
-
-    /// Number of currently valid entries (diagnostics).
-    pub fn resident_count(&self) -> usize {
-        self.inner.resident_count()
-    }
-
-    fn array(&self) -> &EntryArray {
-        self.inner.array()
-    }
-}
-
-impl sealed::Sealed for TpTlb {}
-
-impl TlbCore for TpTlb {
-    #[inline(always)]
-    fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.inner.access(asid, vpn, walker)
-    }
-
-    fn probe(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.inner.probe(asid, vpn)
-    }
-
-    fn flush_all(&mut self) {
-        self.inner.flush_all();
-    }
-
-    fn flush_asid(&mut self, asid: Asid) {
-        self.inner.flush_asid(asid);
-    }
-
-    fn flush_page(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        self.inner.flush_page(asid, vpn)
-    }
-
-    fn stats(&self) -> &TlbStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn config(&self) -> TlbConfig {
-        self.inner.config()
-    }
-
-    fn design_name(&self) -> &'static str {
-        match self.scope {
-            ClearScope::Entries => "FS",
-            ClearScope::Full => "FT",
-        }
-    }
-
-    fn on_context_switch(&mut self) {
-        match self.scope {
-            ClearScope::Entries => self.inner.array_mut().clear_entries_keep_ranks(),
-            ClearScope::Full => self.inner.array_mut().clear(),
-        }
-        self.inner.stats_mut().flushes += 1;
-    }
-
-    fn replacement_pristine(&self) -> Option<bool> {
-        match self.scope {
-            // `FS` makes no claim about replacement state; its ranks
-            // legitimately carry residue across switches.
-            ClearScope::Entries => None,
-            ClearScope::Full => Some(self.array().replacement_pristine()),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<SnapshotEntry> {
-        self.inner.snapshot()
-    }
-
-    fn integrity(&self) -> Result<(), IntegrityError> {
-        self.inner.integrity()
-    }
-
-    fn corrupt_entry(&mut self, selector: u64, kind: CorruptionKind) -> Option<CorruptionReport> {
-        self.inner.corrupt_entry(selector, kind)
+impl Tlb {
+    /// Creates a temporal-partitioning TLB: the SA design plus a clear of
+    /// `scope` on every context switch (`FS` for
+    /// [`ClearScope::Entries`], `FT` for [`ClearScope::Full`]).
+    pub fn temporal(config: TlbConfig, scope: ClearScope) -> Tlb {
+        Tlb::with_defense(config, Defense::Temporal(scope))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb_trait::WalkResult;
-    use crate::types::Ppn;
+    use crate::tlb_trait::{TlbCore, Translator, WalkResult};
+    use crate::types::{Asid, Ppn, Vpn};
 
     struct Ident;
     impl Translator for Ident {
@@ -177,8 +65,8 @@ mod tests {
 
     #[test]
     fn behaves_like_sa_between_switches() {
-        let mut tp = TpTlb::flush_on_switch(config());
-        let mut sa = crate::set_assoc::SaTlb::new(config());
+        let mut tp = Tlb::temporal(config(), ClearScope::Entries);
+        let mut sa = Tlb::sa(config());
         for v in [1u64, 2, 3, 1, 2, 17, 1, 40, 3] {
             let a = tp.access(Asid(1), Vpn(v), &mut Ident);
             let b = sa.access(Asid(1), Vpn(v), &mut Ident);
@@ -190,7 +78,10 @@ mod tests {
 
     #[test]
     fn context_switch_empties_both_designs() {
-        for mut t in [TpTlb::flush_on_switch(config()), TpTlb::fence_t(config())] {
+        for mut t in [
+            Tlb::temporal(config(), ClearScope::Entries),
+            Tlb::temporal(config(), ClearScope::Full),
+        ] {
             for v in 0..10u64 {
                 t.access(Asid(1), Vpn(v), &mut Ident);
             }
@@ -206,8 +97,8 @@ mod tests {
 
     #[test]
     fn fence_t_clears_replacement_residue_but_fs_does_not_claim_to() {
-        let mut fs = TpTlb::flush_on_switch(config());
-        let mut ft = TpTlb::fence_t(config());
+        let mut fs = Tlb::temporal(config(), ClearScope::Entries);
+        let mut ft = Tlb::temporal(config(), ClearScope::Full);
         for t in [&mut fs, &mut ft] {
             // Touch enough pages to skew the ranks.
             for v in 0..16u64 {
@@ -224,18 +115,20 @@ mod tests {
 
     #[test]
     fn design_names_distinguish_the_scopes() {
-        assert_eq!(TpTlb::flush_on_switch(config()).design_name(), "FS");
-        assert_eq!(TpTlb::fence_t(config()).design_name(), "FT");
         assert_eq!(
-            TpTlb::flush_on_switch(config()).scope(),
-            ClearScope::Entries
+            Tlb::temporal(config(), ClearScope::Entries).design_name(),
+            "FS"
+        );
+        assert_eq!(
+            Tlb::temporal(config(), ClearScope::Full).design_name(),
+            "FT"
         );
     }
 
     #[test]
     fn sa_replacement_claim_stays_none() {
         // The default hook: non-temporal designs never claim pristineness.
-        let sa = crate::set_assoc::SaTlb::new(config());
+        let sa = Tlb::sa(config());
         assert_eq!(sa.replacement_pristine(), None);
     }
 }

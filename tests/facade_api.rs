@@ -1,15 +1,15 @@
 //! The facade crate's public API: re-exports, trait objects, and
 //! thread-safety guarantees downstream users rely on.
 
-use secure_tlbs::tlb::{RfTlb, SaTlb, SpTlb, TlbConfig, TlbCore};
+use secure_tlbs::tlb::{Tlb, TlbConfig, TlbCore};
 
 #[test]
 fn all_designs_are_usable_through_the_trait_object() {
     let config = TlbConfig::sa(32, 4).unwrap();
     let tlbs: Vec<Box<dyn TlbCore>> = vec![
-        Box::new(SaTlb::new(config)),
-        Box::new(SpTlb::new(config)),
-        Box::new(RfTlb::new(config)),
+        Box::new(Tlb::sa(config)),
+        Box::new(Tlb::sp(config, 2).unwrap()),
+        Box::new(Tlb::rf(config, Default::default(), Default::default())),
     ];
     let names: Vec<&str> = tlbs.iter().map(|t| t.design_name()).collect();
     assert_eq!(names, ["SA", "SP", "RF"]);
@@ -22,9 +22,7 @@ fn all_designs_are_usable_through_the_trait_object() {
 #[test]
 fn core_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SaTlb>();
-    assert_send_sync::<SpTlb>();
-    assert_send_sync::<RfTlb>();
+    assert_send_sync::<Tlb>();
     assert_send_sync::<secure_tlbs::model::Vulnerability>();
     assert_send_sync::<secure_tlbs::tlb::TlbStats>();
     assert_send_sync::<secure_tlbs::sim::ExecStats>();
