@@ -987,29 +987,32 @@ where
         });
 
         // Collecting cannot fail: a failed checkpoint flush degrades to
-        // a warning (see `flush_checkpoint`).
+        // a warning (see `flush_checkpoint`). Every result already queued
+        // is recorded before `every` is consulted: a save rewrites the
+        // whole file, so saving per result would fall ever further behind
+        // fast workers, and a drain would wait on the backlog.
         let mut since_checkpoint = 0usize;
-        for (i, outcome) in rx.iter() {
-            if let ShardOutcome::Done(r) = &outcome {
-                // Only completed shards are checkpointed — a preempted
-                // shard re-runs in full on resume, keeping the final
-                // output bitwise identical.
-                ck.record(i, r);
-                since_checkpoint += 1;
+        while let Ok(first) = rx.recv() {
+            for (i, outcome) in std::iter::once(first).chain(rx.try_iter()) {
+                if let ShardOutcome::Done(r) = &outcome {
+                    // Only completed shards are checkpointed — a
+                    // preempted shard re-runs in full on resume, keeping
+                    // the final output bitwise identical.
+                    ck.record(i, r);
+                    since_checkpoint += 1;
+                }
+                debug_assert!(slots[i].is_none(), "task {i} produced twice");
+                slots[i] = Some(outcome);
+                live_done += 1;
+                if policy.stop_after.is_some_and(|stop| live_done >= stop) {
+                    halt.store(true, Ordering::Release);
+                }
             }
-            debug_assert!(slots[i].is_none(), "task {i} produced twice");
-            slots[i] = Some(outcome);
-            live_done += 1;
             if let Some(cp) = &policy.checkpoint {
                 if since_checkpoint >= cp.every {
                     ck.consumed = supervisor.elapsed();
                     flush_checkpoint(&ck, cp, &injector, telemetry, "");
                     since_checkpoint = 0;
-                }
-            }
-            if let Some(stop) = policy.stop_after {
-                if live_done >= stop {
-                    halt.store(true, Ordering::Release);
                 }
             }
         }

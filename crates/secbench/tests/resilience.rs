@@ -16,8 +16,8 @@ use sectlb_secbench::report::{
     build_table4, build_table4_resilient_observed_for, table4_cells, trial_cells, CampaignReport,
 };
 use sectlb_secbench::resilience::{
-    cells_fingerprint, measure_cells_resilient_observed, CampaignError, CampaignOutcome,
-    CellOutcome, FaultPlan, RunPolicy,
+    cells_fingerprint, measure_cells_resilient_observed, run_sharded_resilient_observed,
+    CampaignError, CampaignOutcome, CellOutcome, FaultPlan, RunPolicy,
 };
 use sectlb_secbench::run::{try_run_trial_range, Hook, Measurement, TrialCell, TrialSettings};
 use sectlb_secbench::spec::BenchmarkSpec;
@@ -377,6 +377,47 @@ fn a_killed_worker_is_detected_and_its_shard_reclaimed_bitwise_identically() {
         run.stats.render()
     );
     assert_eq!(measurements(&run.cells), measurements(&reference.cells));
+}
+
+#[test]
+fn checkpoint_saves_keep_up_with_fast_workers() {
+    // 4,000 instant tasks on two workers, saving after every result. A
+    // save rewrites the whole file, so the collector records every result
+    // already queued before it decides on one; saving per result made
+    // 4,001 saves here, and a drain waited for all of them.
+    let tasks: Vec<u64> = (0..4000).collect();
+    let (path, events) = (tmp_path("cadence-ck"), tmp_path("cadence-events"));
+    let telemetry = Telemetry::to_path("cadence", &events).expect("event file");
+    let policy = RunPolicy {
+        checkpoint: Some(CheckpointPolicy {
+            path: path.clone(),
+            every: 1,
+        }),
+        ..RunPolicy::default()
+    };
+    let run = run_sharded_resilient_observed(
+        &tasks,
+        NonZeroUsize::new(2).expect("nonzero"),
+        &policy,
+        0xcade,
+        &|&t| format!("task {t}"),
+        &telemetry,
+        |&t| t * 3,
+    )
+    .expect("runs to completion");
+    telemetry.flush();
+    assert_eq!(run.results.len(), tasks.len());
+    let stream = std::fs::read_to_string(&events).expect("event stream");
+    let saves = stream
+        .lines()
+        .filter(|l| l.contains("\"checkpoint_flush\""))
+        .count();
+    assert!(saves >= 1, "the final save happened");
+    assert!(saves < 400, "{saves} saves for {} results", tasks.len());
+    for p in [&path, &events] {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_file(path.with_extension("prev")).ok();
 }
 
 #[test]
