@@ -222,11 +222,14 @@ pub struct FaultPlan {
     /// inside the simulated machine where only the shadow oracle can
     /// catch it.
     pub corrupt_per_mille: u16,
-    /// Kill worker `W` (its claim loop exits without delivering the shard
-    /// it just claimed) once it has completed `K` shards — `(W, K)` from
-    /// `--inject-worker-death W:K`. The supervision layer must detect the
-    /// death, reclaim the abandoned shard, and finish the campaign with
-    /// output bitwise identical to an undisturbed run.
+    /// Kill the worker that claims the `K`-th shard (from 0) of worker
+    /// `W`'s initial queue — `(W, K)` from `--inject-worker-death W:K` —
+    /// once per pool run: its claim loop exits without delivering that
+    /// shard. Keying the death to a shard, not to a worker's completed
+    /// count, makes it fire however fast shards run or who steals them.
+    /// The supervision layer must detect the death, reclaim the abandoned
+    /// shard, and finish the campaign with output bitwise identical to an
+    /// undisturbed run.
     pub worker_death: Option<(u32, u32)>,
     /// Storage fault injection (`--inject-io KIND:PM`): torn writes,
     /// short reads, ENOSPC, or failed renames on the durable-write seam
@@ -271,12 +274,6 @@ impl FaultPlan {
             Some(fault) => IoInjector::new(self.seed, fault),
             None => IoInjector::disabled(),
         }
-    }
-
-    /// Whether the plan kills `worker` at its next claim once it has
-    /// completed `shards_done` shards.
-    pub fn kills_worker(&self, worker: usize, shards_done: usize) -> bool {
-        self.worker_death == Some((worker as u32, shards_done as u32))
     }
 
     fn roll(&self, index: usize, salt: u64) -> u16 {
@@ -607,6 +604,14 @@ where
     // busier workers once idle. Claims are still counted globally so the
     // `stop_after` cap keeps its exact min(n, pending) semantics.
     let queues = StealQueues::seed(worker_count, &pending);
+    // The shard whose first claim kills its claimer (`worker_death`),
+    // fixed before any worker starts.
+    let death_shard = policy
+        .faults
+        .as_ref()
+        .and_then(|plan| plan.worker_death)
+        .and_then(|(w, k)| queues.nth_own(w as usize, k as usize));
+    let death_fired = AtomicBool::new(false);
     let claims = AtomicUsize::new(0);
     // Tasks not yet terminally resolved (completed, preempted, or
     // quarantined). With worker death in play an idle worker cannot
@@ -662,6 +667,7 @@ where
                 let claims = &claims;
                 let outstanding = &outstanding;
                 let halt = &halt;
+                let death_fired = &death_fired;
                 let supervisor = &supervisor;
                 let stop_slot = &stop_slot;
                 scope.spawn(move || {
@@ -716,18 +722,13 @@ where
                         watch_slot
                             .started
                             .store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
-                        if death_enabled {
-                            if let Some(plan) = &policy.faults {
-                                if plan.kills_worker(w, stats.shards) {
-                                    // Injected whole-worker loss: exit
-                                    // without delivering the claimed shard.
-                                    // The watch slot stays set so the
-                                    // monitor can detect the abandonment
-                                    // and reclaim the shard.
-                                    alive_flag.store(false, Ordering::Release);
-                                    return stats;
-                                }
-                            }
+                        if death_shard == Some(i) && !death_fired.swap(true, Ordering::AcqRel) {
+                            // Injected whole-worker loss: exit without
+                            // delivering the claimed shard. The watch slot
+                            // stays set so the monitor can detect the
+                            // abandonment and reclaim the shard.
+                            alive_flag.store(false, Ordering::Release);
+                            return stats;
                         }
                         if cell_deadline.is_some() {
                             // Re-arm after the watch slot is current, so a

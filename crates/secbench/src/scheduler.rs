@@ -93,6 +93,15 @@ impl StealQueues {
         self.queues.len()
     }
 
+    /// The `k`-th task (from 0) `worker` would claim from its own deque,
+    /// as the deque stands now; called before any claim, the `k`-th task
+    /// of its seeded chunk.
+    pub fn nth_own(&self, worker: usize, k: usize) -> Option<usize> {
+        let queue = lock(self.queues.get(worker)?);
+        let back = queue.len().checked_sub(k + 1)?;
+        queue.get(back).copied()
+    }
+
     /// Claims a task for `worker`: its own deque first (LIFO), then the
     /// other deques in ring order starting at its right-hand neighbor
     /// (FIFO steal). `None` means every deque was empty *at the time each
