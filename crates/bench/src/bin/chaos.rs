@@ -37,24 +37,22 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use sectlb_bench::cli;
 use sectlb_bench::exit::{usage, EXIT_SETUP};
 use sectlb_secbench::chaos::{ChaosAction, ChaosPlan};
 use sectlb_secbench::codec::Word;
 
+/// The value following `name`; a flag without one exits 2.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    cli::flag_value(args, name).unwrap_or_else(|e| usage(format!("chaos: {e}")))
 }
 
+/// The number following `name`, or `default` without the flag; a
+/// missing or malformed value exits 2.
 fn num_flag(args: &[String], name: &str, default: u64) -> u64 {
-    match flag(args, name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| usage(format!("chaos: {name} needs a number, got {v:?}"))),
-    }
+    cli::flag_num(args, name)
+        .unwrap_or_else(|e| usage(format!("chaos: {e}")))
+        .unwrap_or(default)
 }
 
 /// A sibling binary next to our own executable — the harness always

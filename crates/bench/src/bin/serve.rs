@@ -71,7 +71,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use sectlb_bench::cli;
-use sectlb_bench::exit::{EXIT_CANCELLED, EXIT_DEGRADED, EXIT_SETUP, EXIT_USAGE};
+use sectlb_bench::exit::{usage, EXIT_CANCELLED, EXIT_DEGRADED, EXIT_SETUP};
 use sectlb_secbench::codec::Word;
 use sectlb_secbench::iofault::{self, IoInjector};
 use sectlb_secbench::report::build_table4_resilient_observed_for;
@@ -619,17 +619,12 @@ fn serve_watch(server: &Server, mut stream: UnixStream, id: u64, from: u64) {
     }
 }
 
-fn required_flag(args: &[String], flag: &str) -> String {
-    match args
-        .iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => v.clone(),
-        None => {
-            eprintln!("campaignd: {flag} PATH is required");
-            std::process::exit(EXIT_USAGE);
-        }
+/// The path following `flag`, which must be given.
+fn required_flag(args: &[String], flag: &str) -> PathBuf {
+    match cli::flag_value(args, flag) {
+        Ok(Some(v)) => PathBuf::from(v),
+        Ok(None) => usage(format!("campaignd: {flag} PATH is required")),
+        Err(e) => usage(format!("campaignd: {e}")),
     }
 }
 
@@ -663,27 +658,18 @@ fn reap_orphan_tmps(state_dir: &std::path::Path) -> u64 {
     count
 }
 
+/// The number following `flag`, or `default` without the flag; a
+/// missing or malformed value exits 2.
 fn num_flag(args: &[String], flag: &str, default: usize) -> usize {
-    match args
-        .iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-    {
-        None => default,
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("campaignd: {flag} needs a number, got {v:?}");
-                std::process::exit(EXIT_USAGE);
-            }
-        },
-    }
+    cli::flag_num(args, flag)
+        .unwrap_or_else(|e| usage(format!("campaignd: {e}")))
+        .unwrap_or(default)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let socket = PathBuf::from(required_flag(&args, "--socket"));
-    let state_dir = PathBuf::from(required_flag(&args, "--state"));
+    let socket = required_flag(&args, "--socket");
+    let state_dir = required_flag(&args, "--state");
     let capacity = num_flag(&args, "--queue-capacity", 8);
     let watermark = num_flag(&args, "--shed-watermark", capacity);
     let max_active = num_flag(&args, "--max-active", 2).max(1);

@@ -41,6 +41,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use sectlb_bench::cli;
 use sectlb_bench::exit::{
     usage, EXIT_CANCELLED, EXIT_DEGRADED, EXIT_QUEUE_FULL, EXIT_SETUP, EXIT_WAIT_TIMEOUT,
 };
@@ -191,11 +192,17 @@ fn watch_once(
     }
 }
 
+/// The value following `name`; a flag without one exits 2.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    cli::flag_value(args, name).unwrap_or_else(|e| usage(format!("submit: {e}")))
+}
+
+/// The number following `name`, or `default` without the flag; a
+/// missing or malformed value exits 2.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    cli::flag_num(args, name)
+        .unwrap_or_else(|e| usage(format!("submit: {e}")))
+        .unwrap_or(default)
 }
 
 fn main() {
@@ -214,20 +221,8 @@ fn main() {
             usage("submit: need a command: submit | status ID | cancel ID | ping | shutdown")
         });
 
-    let wait_timeout = Duration::from_secs(
-        flag(&args, "--wait-timeout")
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| usage("--wait-timeout needs a number of seconds"))
-            })
-            .unwrap_or(300),
-    );
-    let retry_budget: u32 = flag(&args, "--retry-budget")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage("--retry-budget needs a number"))
-        })
-        .unwrap_or(32);
+    let wait_timeout = Duration::from_secs(num_flag(&args, "--wait-timeout", 300));
+    let retry_budget: u32 = num_flag(&args, "--retry-budget", 32);
 
     let request = match command {
         "ping" => Request::Ping,
@@ -253,21 +248,9 @@ fn main() {
         _ => {
             let defaults = JobSpec::default();
             let spec = JobSpec {
-                trials: flag(&args, "--trials")
-                    .map(|v| {
-                        v.parse()
-                            .unwrap_or_else(|_| usage("--trials needs a number"))
-                    })
-                    .unwrap_or(defaults.trials),
-                seed: flag(&args, "--seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage("--seed needs a number")))
-                    .unwrap_or(defaults.seed),
-                priority: flag(&args, "--priority")
-                    .map(|v| {
-                        v.parse()
-                            .unwrap_or_else(|_| usage("--priority needs 0..=255"))
-                    })
-                    .unwrap_or(defaults.priority),
+                trials: num_flag(&args, "--trials", defaults.trials),
+                seed: num_flag(&args, "--seed", defaults.seed),
+                priority: num_flag(&args, "--priority", defaults.priority),
                 tag: flag(&args, "--tag").unwrap_or(&defaults.tag).to_owned(),
                 key: flag(&args, "--idempotency-key").map(str::to_owned),
                 ..defaults

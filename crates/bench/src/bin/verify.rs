@@ -34,6 +34,7 @@
 
 use std::path::{Path, PathBuf};
 
+use sectlb_bench::cli;
 use sectlb_bench::exit::{usage, EXIT_SETUP};
 use sectlb_secbench::checkpoint::Checkpoint;
 use sectlb_secbench::iofault::{self, prev_path};
@@ -250,16 +251,10 @@ fn audit_loose_frames(audit: &mut Audit, state: &Path) {
     }
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let state = flag(&args, "--state")
+    let state = cli::flag_value(&args, "--state")
+        .unwrap_or_else(|e| usage(format!("verify: {e}")))
         .map(PathBuf::from)
         .unwrap_or_else(|| usage("verify: --state DIR is required"));
     let strict = args.iter().any(|a| a == "--strict");

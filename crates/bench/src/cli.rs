@@ -21,9 +21,10 @@
 //! - `--inject-corruption[=PM]` — deterministically corrupt one TLB
 //!   entry in PM‰ of trials (default: all), keyed by trial seed; only
 //!   the shadow oracle can catch it
-//! - `--inject-worker-death W:K` — kill worker W's claim loop after K
-//!   completed shards; the supervision layer must reclaim the abandoned
-//!   shard and finish bitwise identical to an undisturbed run
+//! - `--inject-worker-death W:K` — kill the worker that claims the K-th
+//!   shard (from 0) of worker W's initial queue, once; the supervision
+//!   layer must reclaim the abandoned shard and finish bitwise identical
+//!   to an undisturbed run
 //! - `--inject-io KIND[:PM]` — deterministic storage faults on the
 //!   durable-write seam (checkpoints, the campaignd manifest): KIND is
 //!   `torn` (prefix-only flush), `short-read`, `enospc`, or
@@ -38,9 +39,9 @@
 //! - `--cell-deadline-ms MS` — per-shard budget; an overrunning shard is
 //!   cooperatively preempted and its cell rendered TIMEOUT
 //! - `--adaptive[=ALPHA]` ([`parse_adaptive`]) — sequential early
-//!   stopping per cell, guaranteed to agree with the exhaustive verdicts
-//!   (`table4` sets it as [`RunPolicy::adaptive`]; the survey drivers run
-//!   it inside their own tasks)
+//!   stopping per cell, guaranteed to agree with the exhaustive verdicts;
+//!   `table4`, `mitigations` and `ablation_rf` set it as
+//!   [`RunPolicy::adaptive`] and the engine's cells layer runs it
 //!
 //! The shadow-oracle flag ([`parse_oracle`]) arms the lockstep reference
 //! model: `--oracle[=RATE]` checks RATE‰ of trials (default: all).
@@ -56,7 +57,9 @@
 //!
 //! Parsing is split into fallible `parse_*` helpers (unit-testable) and
 //! thin `*_flag` wrappers that print the error and exit 2, matching the
-//! drivers' historical behavior for malformed flags.
+//! drivers' historical behavior for malformed flags. [`flag_value`] and
+//! [`flag_num`] read every single-valued flag, here and in the campaignd
+//! binaries (`serve`, `submit`, `verify`, `chaos`).
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -73,8 +76,9 @@ use sectlb_sim::machine::TlbDesign;
 
 use crate::exit::usage as exit_usage;
 
-/// Looks up the value following `flag`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+/// Looks up the value following `flag`, if the flag is present; a flag
+/// with no value after it is an error.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
         Some(i) => match args.get(i + 1) {
@@ -85,7 +89,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Str
 }
 
 /// Parses the numeric value following `flag`, if the flag is present.
-pub(crate) fn flag_num<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+pub fn flag_num<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
     match flag_value(args, flag)? {
         None => Ok(None),
         Some(v) => v
@@ -286,8 +290,8 @@ pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
             }
             None => {
                 return Err(format!(
-                    "--inject-worker-death needs W:K (kill worker W after K completed \
-                     shards), got {spec:?}"
+                    "--inject-worker-death needs W:K (kill the worker that claims shard K \
+                     of worker W's queue), got {spec:?}"
                 ))
             }
         }
