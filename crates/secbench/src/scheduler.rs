@@ -96,7 +96,7 @@ impl StealQueues {
     /// The `k`-th task (from 0) `worker` would claim from its own deque,
     /// as the deque stands now; called before any claim, the `k`-th task
     /// of its seeded chunk.
-    pub fn nth_own(&self, worker: usize, k: usize) -> Option<usize> {
+    pub(crate) fn nth_own(&self, worker: usize, k: usize) -> Option<usize> {
         let queue = lock(self.queues.get(worker)?);
         let back = queue.len().checked_sub(k + 1)?;
         queue.get(back).copied()

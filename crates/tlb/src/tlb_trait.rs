@@ -108,9 +108,10 @@ impl AccessResult {
     }
 }
 
-/// The interface shared by every TLB design: SA (and its FA / 1E
-/// geometries), SP, RF, the temporal-partitioning FS and FT, the
-/// multi-size MS, a two-level hierarchy of any two of them, and the
+/// The interface shared by every TLB design: the single-level
+/// [`crate::Tlb`] (SA and its FA / 1E geometries, SP, RF, and the
+/// temporal-partitioning FS and FT), the multi-size [`crate::MsTlb`], a
+/// two-level [`crate::TlbHierarchy`] of any two of them, and the
 /// [`crate::TlbUnit`] that dispatches over all of these.
 ///
 /// This trait is sealed: the security and performance evaluations are
@@ -179,12 +180,13 @@ pub trait TlbCore: sealed::Sealed {
         None
     }
 
-    /// Programs the victim process ID register. The SA TLB has no such
-    /// register and ignores this.
+    /// Programs the victim process ID register. Only SP and RF have it,
+    /// and both flush when its value changes; other designs ignore this.
     fn set_victim_asid(&mut self, _victim: Option<Asid>) {}
 
     /// Programs the secure-region registers (`sbase`, `ssize`). Only the
-    /// RF TLB has them; other designs ignore this.
+    /// RF TLB has them, and it flushes when their value changes; other
+    /// designs ignore this.
     fn set_secure_region(&mut self, _region: Option<crate::types::SecureRegion>) {}
 
     /// Replaces the randomness source of `level` (0 is the L1) with one
