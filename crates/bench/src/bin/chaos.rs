@@ -42,19 +42,6 @@ use sectlb_bench::exit::{usage, EXIT_SETUP};
 use sectlb_secbench::chaos::{ChaosAction, ChaosPlan};
 use sectlb_secbench::codec::Word;
 
-/// The value following `name`; a flag without one exits 2.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    cli::flag_value(args, name).unwrap_or_else(|e| usage(format!("chaos: {e}")))
-}
-
-/// The number following `name`, or `default` without the flag; a
-/// missing or malformed value exits 2.
-fn num_flag(args: &[String], name: &str, default: u64) -> u64 {
-    cli::flag_num(args, name)
-        .unwrap_or_else(|e| usage(format!("chaos: {e}")))
-        .unwrap_or(default)
-}
-
 /// A sibling binary next to our own executable — the harness always
 /// drives the binaries it was built with.
 fn sibling(name: &str) -> PathBuf {
@@ -300,21 +287,22 @@ fn reference_outputs(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let root = PathBuf::from(
-        flag(&args, "--state").unwrap_or_else(|| usage("chaos: --state DIR is required")),
+        cli::value_flag(&args, "--state")
+            .unwrap_or_else(|| usage("chaos: --state DIR is required")),
     );
-    let seed = num_flag(&args, "--chaos-seed", 1);
-    let jobs = num_flag(&args, "--jobs", 4).max(1);
-    let actions = num_flag(&args, "--actions", 16) as usize;
-    let trials = num_flag(&args, "--trials", 30).max(1);
-    let inject_io = flag(&args, "--inject-io").map(str::to_owned);
-    let fault_seed = flag(&args, "--fault-seed").map(str::to_owned);
+    let seed: u64 = cli::num_flag(&args, "--chaos-seed", 1);
+    let jobs: u64 = cli::num_flag(&args, "--jobs", 4).max(1);
+    let actions: usize = cli::num_flag(&args, "--actions", 16);
+    let trials: u64 = cli::num_flag(&args, "--trials", 30).max(1);
+    let inject_io = cli::value_flag(&args, "--inject-io").map(str::to_owned);
+    let fault_seed = cli::value_flag(&args, "--fault-seed").map(str::to_owned);
 
     let plan = ChaosPlan::generate(seed, actions);
     print!("{}", plan.render());
     if args.iter().any(|a| a == "--print-plan") {
         return;
     }
-    if let Some(required) = flag(&args, "--require-action") {
+    if let Some(required) = cli::value_flag(&args, "--require-action") {
         let action = ChaosAction::from_name(required)
             .unwrap_or_else(|| usage(format!("chaos: unknown action {required:?}")));
         if !plan.contains(action) {

@@ -621,11 +621,9 @@ fn serve_watch(server: &Server, mut stream: UnixStream, id: u64, from: u64) {
 
 /// The path following `flag`, which must be given.
 fn required_flag(args: &[String], flag: &str) -> PathBuf {
-    match cli::flag_value(args, flag) {
-        Ok(Some(v)) => PathBuf::from(v),
-        Ok(None) => usage(format!("campaignd: {flag} PATH is required")),
-        Err(e) => usage(format!("campaignd: {e}")),
-    }
+    cli::value_flag(args, flag)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| usage(format!("campaignd: {flag} PATH is required")))
 }
 
 /// Removes orphaned `*.tmp.*` staging files a crashed server left
@@ -658,22 +656,14 @@ fn reap_orphan_tmps(state_dir: &std::path::Path) -> u64 {
     count
 }
 
-/// The number following `flag`, or `default` without the flag; a
-/// missing or malformed value exits 2.
-fn num_flag(args: &[String], flag: &str, default: usize) -> usize {
-    cli::flag_num(args, flag)
-        .unwrap_or_else(|e| usage(format!("campaignd: {e}")))
-        .unwrap_or(default)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let socket = required_flag(&args, "--socket");
     let state_dir = required_flag(&args, "--state");
-    let capacity = num_flag(&args, "--queue-capacity", 8);
-    let watermark = num_flag(&args, "--shed-watermark", capacity);
-    let max_active = num_flag(&args, "--max-active", 2).max(1);
-    let io_timeout = Duration::from_millis(num_flag(&args, "--io-timeout-ms", 2000).max(1) as u64);
+    let capacity: usize = cli::num_flag(&args, "--queue-capacity", 8);
+    let watermark: usize = cli::num_flag(&args, "--shed-watermark", capacity);
+    let max_active: usize = cli::num_flag(&args, "--max-active", 2).max(1);
+    let io_timeout = Duration::from_millis(cli::num_flag(&args, "--io-timeout-ms", 2000).max(1));
     // The full engine injector surface (panics, stalls, worker death,
     // I/O faults, the shared seed) reaches every job's run policy, so
     // the chaos harness composes them with server-side kills. The

@@ -192,22 +192,9 @@ fn watch_once(
     }
 }
 
-/// The value following `name`; a flag without one exits 2.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    cli::flag_value(args, name).unwrap_or_else(|e| usage(format!("submit: {e}")))
-}
-
-/// The number following `name`, or `default` without the flag; a
-/// missing or malformed value exits 2.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    cli::flag_num(args, name)
-        .unwrap_or_else(|e| usage(format!("submit: {e}")))
-        .unwrap_or(default)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let socket = flag(&args, "--socket")
+    let socket = cli::value_flag(&args, "--socket")
         .map(Path::new)
         .unwrap_or_else(|| usage("submit: --socket PATH is required"));
     let command = args
@@ -216,13 +203,13 @@ fn main() {
         .find(|a| ["submit", "status", "cancel", "ping", "shutdown"].contains(&a.as_str()))
         .map(String::as_str)
         // `--cancel ID` is sugar for the `cancel ID` command.
-        .or_else(|| flag(&args, "--cancel").map(|_| "cancel"))
+        .or_else(|| cli::value_flag(&args, "--cancel").map(|_| "cancel"))
         .unwrap_or_else(|| {
             usage("submit: need a command: submit | status ID | cancel ID | ping | shutdown")
         });
 
-    let wait_timeout = Duration::from_secs(num_flag(&args, "--wait-timeout", 300));
-    let retry_budget: u32 = num_flag(&args, "--retry-budget", 32);
+    let wait_timeout = Duration::from_secs(cli::num_flag(&args, "--wait-timeout", 300));
+    let retry_budget: u32 = cli::num_flag(&args, "--retry-budget", 32);
 
     let request = match command {
         "ping" => Request::Ping,
@@ -248,11 +235,13 @@ fn main() {
         _ => {
             let defaults = JobSpec::default();
             let spec = JobSpec {
-                trials: num_flag(&args, "--trials", defaults.trials),
-                seed: num_flag(&args, "--seed", defaults.seed),
-                priority: num_flag(&args, "--priority", defaults.priority),
-                tag: flag(&args, "--tag").unwrap_or(&defaults.tag).to_owned(),
-                key: flag(&args, "--idempotency-key").map(str::to_owned),
+                trials: cli::num_flag(&args, "--trials", defaults.trials),
+                seed: cli::num_flag(&args, "--seed", defaults.seed),
+                priority: cli::num_flag(&args, "--priority", defaults.priority),
+                tag: cli::value_flag(&args, "--tag")
+                    .unwrap_or(&defaults.tag)
+                    .to_owned(),
+                key: cli::value_flag(&args, "--idempotency-key").map(str::to_owned),
                 ..defaults
             };
             if let Err(e) = spec.validate() {

@@ -253,8 +253,7 @@ fn audit_loose_frames(audit: &mut Audit, state: &Path) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let state = cli::flag_value(&args, "--state")
-        .unwrap_or_else(|e| usage(format!("verify: {e}")))
+    let state = cli::value_flag(&args, "--state")
         .map(PathBuf::from)
         .unwrap_or_else(|| usage("verify: --state DIR is required"));
     let strict = args.iter().any(|a| a == "--strict");

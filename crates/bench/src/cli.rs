@@ -58,8 +58,9 @@
 //! Parsing is split into fallible `parse_*` helpers (unit-testable) and
 //! thin `*_flag` wrappers that print the error and exit 2, matching the
 //! drivers' historical behavior for malformed flags. [`flag_value`] and
-//! [`flag_num`] read every single-valued flag, here and in the campaignd
-//! binaries (`serve`, `submit`, `verify`, `chaos`).
+//! [`flag_num`] read every single-valued flag; the campaignd binaries
+//! (`serve`, `submit`, `verify`, `chaos`) read theirs through the exiting
+//! twins [`value_flag`] and [`num_flag`].
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -434,6 +435,19 @@ pub fn workers_flag(args: &[String]) -> Option<NonZeroUsize> {
 /// [`parse_trials`], exiting 2 with the error on a malformed value.
 pub fn trials_flag(args: &[String], default: u32) -> u32 {
     parse_trials(args, default).unwrap_or_else(|e| exit_usage(e))
+}
+
+/// [`flag_value`], exiting 2 with the error when the value is missing.
+pub fn value_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    flag_value(args, flag).unwrap_or_else(|e| exit_usage(e))
+}
+
+/// [`flag_num`], or `default` without the flag; exits 2 with the error
+/// on a missing or malformed value.
+pub fn num_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_num(args, flag)
+        .unwrap_or_else(|e| exit_usage(e))
+        .unwrap_or(default)
 }
 
 /// [`parse_campaign`], exiting 2 with the error on a malformed value.
