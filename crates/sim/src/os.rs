@@ -12,8 +12,6 @@
 //!    process, pre-generating page-table entries for every address the
 //!    Random Fill Engine might look up (footnote 5 of the paper).
 
-use std::collections::BTreeMap;
-
 use sectlb_tlb::types::{Asid, SecureRegion, Vpn};
 
 use crate::page_table::{MapError, PageTable, PteFlags};
@@ -81,9 +79,13 @@ impl From<MapError> for OsError {
 }
 
 /// The OS model: a process table, a frame allocator, and policy knobs.
+///
+/// ASIDs are handed out densely from 1 and never freed, so the process
+/// table is a vector indexed by `asid - 1`: a walk finds its address
+/// space with one bounds check, and a cloned machine copies one vector.
 #[derive(Debug, Clone)]
 pub struct Os {
-    processes: BTreeMap<Asid, Process>,
+    processes: Vec<Process>,
     frames: FrameAllocator,
     next_asid: u16,
     flush_policy: FlushPolicy,
@@ -98,7 +100,7 @@ impl Os {
     /// A fresh OS with the given flush policy.
     pub fn new(flush_policy: FlushPolicy) -> Os {
         Os {
-            processes: BTreeMap::new(),
+            processes: Vec::new(),
             frames: FrameAllocator::default(),
             next_asid: 1,
             flush_policy,
@@ -122,7 +124,7 @@ impl Os {
         self.next_asid = self.next_asid.checked_add(1).expect("ASID space exhausted");
         let page_table =
             PageTable::new(&mut self.frames).expect("physical memory exhausted at boot");
-        self.processes.insert(asid, Process { asid, page_table });
+        self.processes.push(Process { asid, page_table });
         asid
     }
 
@@ -132,8 +134,8 @@ impl Os {
     ///
     /// Fails when no such process exists.
     pub fn process(&self, asid: Asid) -> Result<&Process, OsError> {
-        self.processes
-            .get(&asid)
+        slot(asid)
+            .and_then(|i| self.processes.get(i))
             .ok_or(OsError::NoSuchProcess(asid))
     }
 
@@ -143,9 +145,7 @@ impl Os {
     ///
     /// Fails when no such process exists.
     pub fn process_mut(&mut self, asid: Asid) -> Result<&mut Process, OsError> {
-        self.processes
-            .get_mut(&asid)
-            .ok_or(OsError::NoSuchProcess(asid))
+        process_in(&mut self.processes, asid)
     }
 
     /// Maps `pages` fresh frames at `base` in `asid`'s address space.
@@ -167,10 +167,7 @@ impl Os {
     ///
     /// Fails when the process does not exist or frames run out.
     pub fn map_page(&mut self, asid: Asid, vpn: Vpn) -> Result<(), OsError> {
-        let process = self
-            .processes
-            .get_mut(&asid)
-            .ok_or(OsError::NoSuchProcess(asid))?;
+        let process = process_in(&mut self.processes, asid)?;
         if process.page_table.walk(vpn).pte.is_some() {
             return Ok(());
         }
@@ -189,10 +186,7 @@ impl Os {
     ///
     /// Fails when the process does not exist or mapping fails.
     pub fn map_mega_page(&mut self, asid: Asid, base: Vpn) -> Result<(), OsError> {
-        let process = self
-            .processes
-            .get_mut(&asid)
-            .ok_or(OsError::NoSuchProcess(asid))?;
+        let process = process_in(&mut self.processes, asid)?;
         let frame = self.frames.alloc().map_err(MapError::from)?;
         process
             .page_table
@@ -208,10 +202,7 @@ impl Os {
     ///
     /// Fails when the process does not exist or mapping fails.
     pub fn map_giga_page(&mut self, asid: Asid, base: Vpn) -> Result<(), OsError> {
-        let process = self
-            .processes
-            .get_mut(&asid)
-            .ok_or(OsError::NoSuchProcess(asid))?;
+        let process = process_in(&mut self.processes, asid)?;
         let frame = self.frames.alloc().map_err(MapError::from)?;
         process
             .page_table
@@ -225,10 +216,7 @@ impl Os {
     ///
     /// Fails when the process does not exist.
     pub fn unmap_page(&mut self, asid: Asid, vpn: Vpn) -> Result<bool, OsError> {
-        let process = self
-            .processes
-            .get_mut(&asid)
-            .ok_or(OsError::NoSuchProcess(asid))?;
+        let process = process_in(&mut self.processes, asid)?;
         Ok(process.page_table.unmap(vpn).is_some())
     }
 
@@ -255,7 +243,7 @@ impl Os {
 
     /// ASIDs of all live processes, in ascending order.
     pub fn asids(&self) -> impl Iterator<Item = Asid> + '_ {
-        self.processes.keys().copied()
+        self.processes.iter().map(Process::asid)
     }
 
     /// The frame allocator (diagnostics).
@@ -264,11 +252,23 @@ impl Os {
     }
 
     /// Splits the OS into the pieces the walker needs (internal).
-    pub(crate) fn walker_parts(
-        &mut self,
-    ) -> (&mut BTreeMap<Asid, Process>, &mut FrameAllocator, bool) {
+    pub(crate) fn walker_parts(&mut self) -> (&mut [Process], &mut FrameAllocator, bool) {
         (&mut self.processes, &mut self.frames, self.auto_map)
     }
+}
+
+/// The process table index of `asid`: ASIDs count from 1, so `Asid(0)`
+/// has none.
+fn slot(asid: Asid) -> Option<usize> {
+    usize::from(asid.0).checked_sub(1)
+}
+
+/// The live process `asid` names in a process table.
+#[inline]
+pub(crate) fn process_in(processes: &mut [Process], asid: Asid) -> Result<&mut Process, OsError> {
+    slot(asid)
+        .and_then(|i| processes.get_mut(i))
+        .ok_or(OsError::NoSuchProcess(asid))
 }
 
 impl Default for Os {
@@ -345,6 +345,45 @@ mod tests {
             .unwrap();
         let pt = os.process(v).unwrap().page_table();
         assert_eq!(pt.mapped_pages(), 31);
+    }
+
+    #[test]
+    fn asid_zero_and_asids_past_the_last_name_no_process() {
+        let mut os = Os::default();
+        let a = os.create_process();
+        let b = os.create_process();
+        assert_eq!((a, b), (Asid(1), Asid(2)), "ASIDs count from 1");
+        for missing in [Asid(0), Asid(3), Asid(u16::MAX)] {
+            assert_eq!(
+                os.process(missing).err(),
+                Some(OsError::NoSuchProcess(missing))
+            );
+            assert_eq!(
+                os.process_mut(missing).err(),
+                Some(OsError::NoSuchProcess(missing))
+            );
+            assert_eq!(
+                os.map_page(missing, Vpn(7)),
+                Err(OsError::NoSuchProcess(missing))
+            );
+            assert_eq!(
+                os.unmap_page(missing, Vpn(7)),
+                Err(OsError::NoSuchProcess(missing))
+            );
+        }
+        assert_eq!(os.process(b).unwrap().asid(), b);
+    }
+
+    #[test]
+    fn asids_stay_ascending() {
+        let mut os = Os::default();
+        let created: Vec<Asid> = (0..5).map(|_| os.create_process()).collect();
+        let listed: Vec<Asid> = os.asids().collect();
+        assert_eq!(listed, created);
+        assert!(listed.windows(2).all(|w| w[0] < w[1]), "{listed:?}");
+        for asid in listed {
+            assert_eq!(os.process(asid).unwrap().asid(), asid);
+        }
     }
 
     #[test]

@@ -67,8 +67,11 @@ pub struct Pte {
 /// trials build machines by the thousand, so node bookkeeping is squarely
 /// on the hot path. A sorted vector beats a `HashMap` here twice over: no
 /// SipHash per probe, and workloads map regions in ascending VPN order,
-/// which the append fast path turns into a push. Lookups binary-search;
-/// nodes hold at most 512 slots and in practice a handful.
+/// which the append fast path turns into a push. Regions mapped that way
+/// leave dense runs of consecutive slots, and [`SlotMap::find`] finds a
+/// slot inside such a run by its offset from the first slot, in one
+/// compare; only a sparse node pays a search over its (at most 512)
+/// slots.
 #[derive(Debug, Clone)]
 struct SlotMap<T> {
     slots: Vec<(u16, T)>,
@@ -82,8 +85,20 @@ impl<T> Default for SlotMap<T> {
 
 impl<T> SlotMap<T> {
     /// Position of `idx`, or the insertion point keeping slots sorted.
+    ///
+    /// Slots are sorted and distinct, so when no slot is missing between
+    /// the first one and `idx`, `idx` sits at its offset from the first:
+    /// one compare finds it inside a dense run (a leaf node of a mapped
+    /// region). Otherwise an append lands past the last slot, and the
+    /// rest binary-searches.
     #[inline]
     fn find(&self, idx: u16) -> Result<usize, usize> {
+        let first = self.slots.first().map_or(0, |&(first, _)| first);
+        if let Some(offset) = idx.checked_sub(first).map(usize::from) {
+            if self.slots.get(offset).is_some_and(|&(at, _)| at == idx) {
+                return Ok(offset);
+            }
+        }
         match self.slots.last() {
             None => Err(0),
             Some(&(last, _)) if last < idx => Err(self.slots.len()),

@@ -6,12 +6,10 @@
 //! [`WalkerConfig::cycles_per_level`] cycles, which dominates the
 //! fast/slow timing difference the attacks measure.
 
-use std::collections::BTreeMap;
-
 use sectlb_tlb::tlb_trait::{Translator, WalkResult};
 use sectlb_tlb::types::{Asid, Vpn};
 
-use crate::os::{Os, Process};
+use crate::os::{process_in, Os, Process};
 use crate::phys_mem::FrameAllocator;
 
 /// Timing parameters of the walker.
@@ -42,7 +40,7 @@ impl WalkerConfig {
 /// A walker borrowing the OS's process table for the duration of one TLB
 /// access. Implements the [`Translator`] callback the TLB designs use.
 pub struct OsWalker<'a> {
-    processes: &'a mut BTreeMap<Asid, Process>,
+    processes: &'a mut [Process],
     frames: &'a mut FrameAllocator,
     auto_map: bool,
     config: WalkerConfig,
@@ -63,7 +61,7 @@ impl<'a> OsWalker<'a> {
 
 impl Translator for OsWalker<'_> {
     fn translate(&mut self, asid: Asid, vpn: Vpn) -> WalkResult {
-        let Some(process) = self.processes.get_mut(&asid) else {
+        let Ok(process) = process_in(self.processes, asid) else {
             // Translating for a nonexistent address space: fault after one
             // root access.
             return WalkResult::fault(self.config.cycles_per_level);
@@ -142,6 +140,53 @@ mod tests {
         let mut w = OsWalker::new(&mut os, WalkerConfig::default());
         let r = w.translate(Asid(42), Vpn(0));
         assert_eq!(r.ppn, None);
+    }
+
+    #[test]
+    fn asid_zero_and_asids_past_the_last_fault_after_one_level() {
+        let mut os = Os::default();
+        let p = os.create_process();
+        os.map_page(p, Vpn(0x10)).unwrap();
+        let frames = os.frames().allocated();
+        let mut w = OsWalker::new(&mut os, WalkerConfig::default());
+        for missing in [Asid(0), Asid(p.0 + 1), Asid(u16::MAX)] {
+            let r = w.translate(missing, Vpn(0x10));
+            assert_eq!(r, WalkResult::fault(20), "{missing}");
+        }
+        // No address space to auto-map into: nothing was allocated.
+        assert_eq!(os.frames().allocated(), frames);
+    }
+
+    #[test]
+    fn a_cloned_os_walks_identically() {
+        let mut os = Os::default();
+        let a = os.create_process();
+        let b = os.create_process();
+        os.map_region(a, Vpn(0x10_000), 512).unwrap();
+        for vpn in [0x400, 0x401, 0x403, 0x409, 0x480] {
+            os.map_page(b, Vpn(vpn)).unwrap();
+        }
+        os.map_mega_page(b, Vpn(0x600)).unwrap();
+        os.unmap_page(a, Vpn(0x10_100)).unwrap();
+        let mut copy = os.clone();
+        let probes: Vec<u64> = (0x10_000 - 2..0x10_000 + 514)
+            .chain(0x3fe..0x482)
+            .chain([0x600, 0x7ff, 0x800, crate::page_table::MAX_VPN + 1])
+            .collect();
+        // Twice: the first pass auto-maps the unmapped pages in both, and
+        // the second sees the pages it mapped.
+        for _ in 0..2 {
+            for asid in [Asid(0), a, b, Asid(3)] {
+                for &vpn in &probes {
+                    let want =
+                        OsWalker::new(&mut os, WalkerConfig::default()).translate(asid, Vpn(vpn));
+                    let got =
+                        OsWalker::new(&mut copy, WalkerConfig::default()).translate(asid, Vpn(vpn));
+                    assert_eq!(got, want, "{asid} {vpn:#x}");
+                }
+            }
+        }
+        assert_eq!(copy.asids().collect::<Vec<_>>(), vec![a, b]);
     }
 
     #[test]
