@@ -2,9 +2,9 @@
 //!
 //! [`SoaStore`] keeps three lanes: VPNs, PPNs, and one packed tag word
 //! per entry holding the valid bit, page size, ASID, and *Sec* bit. A
-//! way probe compares the tag word (with *Sec* masked off) and the VPN,
-//! two contiguous lanes, instead of dragging whole [`TlbEntry`] structs
-//! through the cache.
+//! way probe compares the VPN and then the tag word (with *Sec* masked
+//! off), two contiguous lanes, instead of dragging whole [`TlbEntry`]
+//! structs through the cache.
 
 use std::ops::Range;
 
@@ -24,8 +24,11 @@ use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 /// A tag word holds the ASID in bits 0..16, the valid bit at 16, the
 /// page-size code (0 base, 1 mega, 2 giga) in bits 17..19 and the *Sec*
 /// bit at 19. With *Sec* masked off, two words are equal exactly when
-/// the entries' valid bits, sizes and ASIDs are, so a way probe is one
-/// word compare plus the VPN compare.
+/// the entries' valid bits, sizes and ASIDs are, so a way probe is the
+/// VPN compare plus one word compare. The VPN goes first: the resident
+/// entries of one address space all pass the tag compare, so it would
+/// filter almost nothing, while the VPN compare rejects all but the one
+/// way that can match.
 #[derive(Debug, Clone)]
 pub(crate) struct SoaStore {
     vpns: Vec<u64>,
@@ -117,11 +120,11 @@ impl SoaStore {
         size: PageSize,
     ) -> Option<usize> {
         let key = Self::tag(true, size, asid, false);
-        let tags = &self.tags[slots.clone()];
-        let vpns = &self.vpns[slots];
-        tags.iter()
-            .zip(vpns)
-            .position(|(&t, &v)| t & !Self::SEC == key && v == aligned.0)
+        let vpns = &self.vpns[slots.clone()];
+        let tags = &self.tags[slots];
+        vpns.iter()
+            .zip(tags)
+            .position(|(&v, &t)| v == aligned.0 && t & !Self::SEC == key)
     }
 
     /// The translation a hit on `idx` returns: its PPN and page size.
