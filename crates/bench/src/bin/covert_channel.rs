@@ -2,10 +2,13 @@
 //! receiver cooperate over Prime + Probe. Reports bit-error rate, Shannon
 //! capacity per use, and throughput for both encodings on each design.
 
+use sectlb_bench::cli;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_workloads::covert::{transmit, CovertSettings, Encoding};
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown_flags(&args, &[]);
     println!("TLB covert channel, 256 random bits per cell:\n");
     println!(
         "{:<20} {:>10} {:>14} {:>16}",

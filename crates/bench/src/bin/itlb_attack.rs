@@ -3,11 +3,14 @@
 //! (Section 4's "can be applied to instruction TLBs as well", made
 //! concrete).
 
+use sectlb_bench::cli;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_workloads::itlb_attack::{itlb_prime_probe_attack, ItlbAttackSettings};
 use sectlb_workloads::rsa::RsaKey;
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown_flags(&args, &[]);
     let key = RsaKey::demo_128();
     println!("I-TLB Prime + Probe on the pointer-swap routine's code page");
     println!("(D-TLB is a fully protected RF TLB in every configuration)\n");

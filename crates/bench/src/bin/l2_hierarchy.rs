@@ -2,6 +2,7 @@
 //! with a fully protected RF L1, does secret-dependent state still reach
 //! the L2?
 
+use sectlb_bench::cli;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_workloads::l2_attack::{
     l2_prime_probe_attack, secret_reaches_unprotected_l2, L2AttackSettings,
@@ -9,6 +10,8 @@ use sectlb_workloads::l2_attack::{
 use sectlb_workloads::rsa::RsaKey;
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown_flags(&args, &[]);
     let key = RsaKey::demo_128();
     println!("L1 = fully protected RF TLB (32-entry); L2 = 128-entry, varying design\n");
     println!(

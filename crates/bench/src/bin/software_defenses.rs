@@ -2,11 +2,14 @@
 //! attack: large pages for the crypto library, and flush-on-switch — next
 //! to the paper's hardware designs.
 
+use sectlb_bench::cli;
 use sectlb_sim::machine::TlbDesign;
 use sectlb_workloads::attack::{prime_probe_attack, AttackSettings};
 use sectlb_workloads::rsa::RsaKey;
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown_flags(&args, &[]);
     let key = RsaKey::demo_128();
     println!(
         "End-to-end TLBleed outcome under each defense ({}-bit key):\n",

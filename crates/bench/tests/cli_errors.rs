@@ -152,3 +152,28 @@ fn drivers_without_adaptive_verdicts_reject_the_flag() {
         );
     }
 }
+
+#[test]
+fn unknown_flags_are_named_and_rejected() {
+    // An unknown flag, a misspelt `--trials` (which used to run the
+    // default 500 trials) and a flag table4 does not have (campaignd
+    // jobs take `--seed`; table4 used to ignore it).
+    for (args, flag) in [
+        (&["--trials", "2", "--no-such-flag"][..], "--no-such-flag"),
+        (&["--trails", "7"], "--trails"),
+        (&["--seed", "5"], "--seed"),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_table4"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {flag}")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "no campaign output before the error");
+    }
+    // Drivers that read no flags refuse them too.
+    let out = run(env!("CARGO_BIN_EXE_table2"), &["--workers", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag --workers"));
+}
