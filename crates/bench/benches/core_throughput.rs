@@ -4,13 +4,17 @@
 //! the most ways (`FA128`, an SA TLB with one 128-way set, and
 //! `SP-FA32`, the SP TLB on a fully associative 32-entry array).
 //!
-//! Two shapes per design, named with [`BenchmarkId`]:
+//! Three shapes per design, named with [`BenchmarkId`]:
 //!
 //! - `trial`: build a fresh machine, map the working set, and run one
 //!   batched program — the per-trial shape of oracle-armed campaign
-//!   trials (unarmed ones restore a shard's template instead, see
-//!   `secbench::run`), which exercises the SlotMap page-table setup path
-//!   too;
+//!   trials, which exercises the SlotMap page-table setup path too;
+//! - `restore`: restore a post-setup template with two address spaces,
+//!   as a Table 4 cell's has, into a scratch machine with `clone_from`,
+//!   reseed it and run one trial-sized batch (the first [`TRIAL_LEN`]
+//!   instructions of the program) — the per-trial shape of unarmed
+//!   campaign trials (see `secbench::run`), short enough that the
+//!   restore is a visible share of it;
 //! - `steady`: re-run the batch on a warm machine — the pure
 //!   translation/dispatch cost the SoA layout and packed LRU optimize.
 
@@ -21,6 +25,8 @@ use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{SecureRegion, Vpn};
 
 const PAGES: u64 = 64;
+/// Instructions in the `restore` shape's batch.
+const TRIAL_LEN: usize = 32;
 
 fn design_points() -> [(&'static str, TlbDesign, TlbConfig); 6] {
     [
@@ -44,6 +50,16 @@ fn build(design: TlbDesign, config: TlbConfig) -> Machine {
     m.protect_victim(p, SecureRegion::new(Vpn(0x100), 3))
         .expect("fresh");
     m.exec(Instr::SetAsid(p));
+    m
+}
+
+/// [`build`]'s machine plus a second process with its own working set.
+fn two_process_template(design: TlbDesign, config: TlbConfig) -> Machine {
+    let mut m = build(design, config);
+    let other = m.os_mut().create_process();
+    m.os_mut()
+        .map_region(other, Vpn(0x100), PAGES)
+        .expect("fresh");
     m
 }
 
@@ -76,6 +92,18 @@ fn bench_core(c: &mut Criterion) {
                 let mut m = build(design, config);
                 m.run_batch(black_box(&prog));
                 m.tlb_stats().hits
+            })
+        });
+        let template = two_process_template(design, config);
+        let mut scratch = template.clone();
+        let mut seed = 0;
+        group.bench_function(BenchmarkId::new("restore", label), |b| {
+            b.iter(|| {
+                seed += 1;
+                scratch.clone_from(&template);
+                scratch.reseed(seed);
+                scratch.run_batch(black_box(&prog[..TRIAL_LEN]));
+                scratch.tlb_stats().hits
             })
         });
         let mut warm = build(design, config);

@@ -19,10 +19,15 @@
 //! Freshness comes from restoring, not rebuilding: a cell's machine is
 //! set up once (processes, mapped regions, programmed secure region) —
 //! on the engine, once per worker for each run of consecutive shards of
-//! the cell — and every trial runs on a clone of it reseeded with the
+//! the cell — and every trial runs on it restored and reseeded with the
 //! trial's seed. A restored trial starts in exactly the state a fresh
 //! build with its seed and the same setup would have — the template has
-//! executed nothing, so its TLBs are empty and no engine has drawn. Trials armed by the shadow
+//! executed nothing, so its TLBs are empty and no engine has drawn.
+//! A shard clones the template once, into a scratch machine, and
+//! restores that in place before each trial (`Clone::clone_from`): the
+//! TLB arrays and the counter-read buffer keep their memory, and the
+//! page tables stay shared with the template unless the trial auto-maps
+//! a page, so a restore allocates nothing. Trials armed by the shadow
 //! oracle (`--oracle`, `--inject-corruption`) still build fresh: the
 //! oracle must watch that machine's setup and carry that trial's
 //! reporting context.
@@ -330,9 +335,10 @@ impl<'a> TrialCell<'a> {
         build_machine(self, settings.rf_eviction, None)
     }
 
-    /// Measures `range` of the cell's trials, each on a reseeded clone of
-    /// `template` (built by [`TrialCell::template`] with the same
-    /// `settings`) or, when the oracle arms it, on a fresh build.
+    /// Measures `range` of the cell's trials, each on `template` (built
+    /// by [`TrialCell::template`] with the same `settings`) restored into
+    /// one scratch machine and reseeded, or, when the oracle arms it, on
+    /// a fresh build.
     pub(crate) fn run(
         &self,
         template: &Machine,
@@ -340,6 +346,7 @@ impl<'a> TrialCell<'a> {
         range: Range<u32>,
     ) -> Result<Measurement, SetupError> {
         let mut slow = [0u32; 2];
+        let mut scratch: Option<Machine> = None;
         for t in range.clone() {
             // Cooperative cell-deadline preemption: unwinds with a typed
             // payload the resilient engine reports as TIMEOUT. A no-op
@@ -348,11 +355,23 @@ impl<'a> TrialCell<'a> {
             crate::supervisor::preempt_point();
             for (i, placement) in Placement::BOTH.into_iter().enumerate() {
                 let seed = self.seeds.seed(placement, t);
-                let mut m = match settings.oracle.filter(|o| o.armed(seed)) {
+                let mut armed;
+                let m = match settings.oracle.filter(|o| o.armed(seed)) {
                     Some(oracle) => {
-                        build_machine(self, settings.rf_eviction, Some((&oracle, placement, seed)))?
+                        armed = build_machine(
+                            self,
+                            settings.rf_eviction,
+                            Some((&oracle, placement, seed)),
+                        )?;
+                        &mut armed
                     }
-                    None => template.clone(),
+                    None => match &mut scratch {
+                        Some(m) => {
+                            m.clone_from(template);
+                            m
+                        }
+                        None => scratch.insert(template.clone()),
+                    },
                 };
                 m.reseed(seed);
                 if timed_step_was_slow(m, &self.programs[i]) {
@@ -440,7 +459,7 @@ const FAST_STEP_CYCLES: u64 = 2;
 /// read is slow when the miss counter advanced; one ending in a cycle
 /// read when the step took more than its fast cycle (Appendix B's
 /// invalidation of a present entry takes an extra one).
-fn timed_step_was_slow(mut m: Machine, program: &[Instr]) -> bool {
+fn timed_step_was_slow(m: &mut Machine, program: &[Instr]) -> bool {
     m.run_batch(program);
     let reads = &m.stats().counter_reads;
     assert_eq!(reads.len(), 2, "benchmark reads the counter exactly twice");
@@ -484,6 +503,7 @@ pub fn try_run_trial_range(
 mod tests {
     use super::*;
     use sectlb_model::{enumerate_vulnerabilities, Strategy};
+    use sectlb_tlb::types::Vpn;
 
     fn settings() -> TrialSettings {
         TrialSettings {
@@ -627,6 +647,319 @@ mod tests {
         let a = derive_trial_seed(1, &v, TlbDesign::Sa, Placement::Mapped, 0);
         let b = derive_trial_seed(2, &v, TlbDesign::Sa, Placement::Mapped, 0);
         assert_ne!(a, b);
+    }
+
+    /// The trials of Table 4's restore shape: 25 per placement, one
+    /// shard.
+    fn shard_settings() -> TrialSettings {
+        TrialSettings {
+            trials: crate::parallel::TRIALS_PER_SHARD,
+            ..TrialSettings::default()
+        }
+    }
+
+    /// Runs trial `t` of `cell`'s placement `i` on `m`, restored from
+    /// `template` in place: the steps of [`TrialCell::run`].
+    fn restore_and_run(
+        m: &mut Machine,
+        template: &Machine,
+        cell: &TrialCell<'_>,
+        i: usize,
+        t: u32,
+    ) -> bool {
+        m.clone_from(template);
+        m.reseed(cell.seeds.seed(Placement::BOTH[i], t));
+        timed_step_was_slow(m, &cell.programs[i])
+    }
+
+    /// Whether trial `t` of `cell`'s placement `i` maps a page, which
+    /// unshares the page tables of the machine it runs on.
+    fn auto_maps(cell: &TrialCell<'_>, template: &Machine, i: usize, t: u32) -> bool {
+        let mut m = template.clone();
+        restore_and_run(&mut m, template, cell, i, t);
+        m.os().frames().allocated() != template.os().frames().allocated()
+    }
+
+    #[test]
+    fn few_table4_trials_write_a_page_table() {
+        // A restored trial copies the template's page tables only when it
+        // auto-maps a page its benchmark never mapped.
+        let settings = shard_settings();
+        let no_oracle = |b: MachineBuilder| b.oracle(false);
+        let mut writers = Vec::new();
+        let mut trials = 0;
+        for v in enumerate_vulnerabilities() {
+            for design in TlbDesign::ALL {
+                let spec = BenchmarkSpec::build_with_config(&v, design, settings.config);
+                let cell = TrialCell::new(&spec, design, settings.base_seed, &no_oracle);
+                let template = cell.template(&settings).unwrap();
+                let mut n = 0;
+                for t in 0..settings.trials {
+                    for i in 0..2 {
+                        trials += 1;
+                        n += u32::from(auto_maps(&cell, &template, i, t));
+                    }
+                }
+                if n > 0 {
+                    writers.push((v.strategy, design, n));
+                }
+            }
+        }
+        assert_eq!(trials, 3600);
+        let total: u32 = writers.iter().map(|w| w.2).sum();
+        assert_eq!(total, 210, "{writers:?}");
+        let mut cells: Vec<_> = writers.iter().map(|w| (w.0, w.1)).collect();
+        cells.sort_by_key(|&(s, d)| (format!("{s:?}"), d.name()));
+        assert_eq!(
+            cells,
+            [
+                (Strategy::Bernstein, TlbDesign::Rf),
+                (Strategy::Bernstein, TlbDesign::Sa),
+                (Strategy::EvictProbe, TlbDesign::Rf),
+                (Strategy::EvictTime, TlbDesign::Rf),
+                (Strategy::EvictTime, TlbDesign::Sa),
+            ]
+        );
+    }
+
+    /// One machine the dirty-scratch test restores between.
+    struct Variant<'h> {
+        design: TlbDesign,
+        config: TlbConfig,
+        hook: Hook<'h>,
+        /// What the template runs or maps after the cell's setup.
+        setup: fn(&mut Machine),
+        /// Every trial's program, from the benchmark's.
+        program: fn(&[Instr]) -> Vec<Instr>,
+    }
+
+    const CODE: Vpn = Vpn(0x800);
+    const MEGA: Vpn = Vpn(0x400);
+    const GIGA: Vpn = Vpn(1 << 18);
+
+    fn no_setup(_: &mut Machine) {}
+
+    /// Leaves a code page and a latched fetch in the template.
+    fn fetch_code(m: &mut Machine) {
+        m.run(&[
+            Instr::SetAsid(VICTIM_ASID),
+            Instr::JumpTo(CODE.base_addr()),
+            Instr::Compute(1),
+        ]);
+    }
+
+    fn map_superpages(m: &mut Machine) {
+        m.os_mut().map_mega_page(ATTACKER_ASID, MEGA).unwrap();
+        m.os_mut().map_giga_page(ATTACKER_ASID, GIGA).unwrap();
+    }
+
+    /// Leaves entries in the template's TLB, so a fill can evict one a
+    /// trial never touched, by its replacement rank.
+    fn warm_tlb(m: &mut Machine) {
+        let mut warm = vec![Instr::SetAsid(ATTACKER_ASID)];
+        warm.extend((60..64).map(|p| Instr::Load(DBASE.offset(p).base_addr())));
+        m.run(&warm);
+    }
+
+    fn as_generated(program: &[Instr]) -> Vec<Instr> {
+        program.to_vec()
+    }
+
+    /// A jump to one of three code pages after every address-space
+    /// switch, so the I-TLB fetches.
+    fn with_jumps(program: &[Instr]) -> Vec<Instr> {
+        let mut out = Vec::new();
+        for (k, &instr) in program.iter().enumerate() {
+            out.push(instr);
+            if matches!(instr, Instr::SetAsid(_)) {
+                out.push(Instr::JumpTo(CODE.offset(k as u64 % 3).base_addr()));
+            }
+        }
+        out
+    }
+
+    /// The attacker loads a megapage and a gigapage, stores, and faults
+    /// past the Sv39 range first.
+    fn with_superpage_accesses(program: &[Instr]) -> Vec<Instr> {
+        let mut out = vec![
+            Instr::SetAsid(ATTACKER_ASID),
+            Instr::Load(MEGA.offset(7).base_addr()),
+            Instr::Load(GIGA.offset(513).base_addr()),
+            Instr::Store(FILLER.base_addr()),
+            Instr::Load(Vpn(sectlb_sim::page_table::MAX_VPN + 1).base_addr()),
+        ];
+        out.extend_from_slice(program);
+        out
+    }
+
+    #[test]
+    fn a_dirty_scratch_machine_restores_to_a_fresh_clone() {
+        // Trial A runs on a scratch machine, which is then restored in
+        // place from trial B's template. B must run exactly as on a fresh
+        // clone of that template, and no template may change. Neighbouring
+        // machines differ in every part of the state a restore copies, so
+        // a `clone_from` that skips any part shows.
+        let settings = shard_settings();
+        let plain = |b: MachineBuilder| b.oracle(false);
+        let rf_l2 = |b: MachineBuilder| {
+            b.oracle(false)
+                .l2(TlbDesign::Rf, TlbConfig::sa(64, 8).unwrap(), 8)
+        };
+        let sa_l2 = |b: MachineBuilder| {
+            b.oracle(false)
+                .l2(TlbDesign::Sa, TlbConfig::sa(64, 4).unwrap(), 20)
+        };
+        let itlb = |b: MachineBuilder| {
+            b.oracle(false)
+                .itlb(TlbDesign::Sa, TlbConfig::sa(8, 2).unwrap())
+        };
+        let timing = |b: MachineBuilder| {
+            b.oracle(false)
+                .switch_cost(7)
+                .walker(sectlb_sim::walker::WalkerConfig {
+                    cycles_per_level: 30,
+                })
+        };
+        let oracle = |b: MachineBuilder| b.oracle(true);
+        let eval = settings.config;
+        let variant = |design, config, hook, setup, program| Variant {
+            design,
+            config,
+            hook,
+            setup,
+            program,
+        };
+        let variants: Vec<Variant<'_>> = [
+            (TlbDesign::Sa, eval, &plain as Hook<'_>),
+            (TlbDesign::Sp, eval, &plain),
+            (TlbDesign::Rf, eval, &plain),
+            (TlbDesign::Fs, eval, &plain),
+            (TlbDesign::Ft, eval, &plain),
+            (TlbDesign::Ms, eval, &plain),
+        ]
+        .into_iter()
+        .map(|(d, c, h)| variant(d, c, h, no_setup, as_generated))
+        .chain([
+            variant(
+                TlbDesign::Ms,
+                TlbConfig::sa(16, 4).unwrap(),
+                &plain,
+                map_superpages,
+                with_superpage_accesses,
+            ),
+            variant(
+                TlbDesign::Sa,
+                eval,
+                &plain,
+                map_superpages,
+                with_superpage_accesses,
+            ),
+            variant(TlbDesign::Sa, eval, &rf_l2, no_setup, as_generated),
+            variant(TlbDesign::Sa, eval, &sa_l2, no_setup, as_generated),
+            variant(TlbDesign::Sa, eval, &itlb, fetch_code, with_jumps),
+            variant(TlbDesign::Sp, eval, &timing, no_setup, as_generated),
+            variant(
+                TlbDesign::Rf,
+                TlbConfig::fa(16).unwrap(),
+                &plain,
+                warm_tlb,
+                as_generated,
+            ),
+            variant(TlbDesign::Sa, eval, &oracle, no_setup, as_generated),
+        ])
+        .collect();
+        let rows: Vec<Vulnerability> = [
+            "V_u ~> A_a ~> V_u",
+            "V_a ~> V_u ~> A_a",
+            "A_d ~> V_u ~> A_d",
+        ]
+        .iter()
+        .map(|pattern| {
+            *enumerate_vulnerabilities()
+                .iter()
+                .find(|v| v.pattern.to_string() == *pattern)
+                .expect("row exists")
+        })
+        .collect();
+        // Cells in variant-major order: the cell `rows.len()` on shares
+        // the row and runs on the next machine.
+        let mut cells = Vec::new();
+        for v in &variants {
+            for row in &rows {
+                let spec = BenchmarkSpec::build_with_config(row, v.design, v.config);
+                let mut cell = TrialCell::new(&spec, v.design, settings.base_seed, v.hook);
+                cell.programs = cell.programs.map(|p| (v.program)(&p));
+                let mut template = cell.template(&settings).unwrap();
+                (v.setup)(&mut template);
+                cells.push((cell, template));
+            }
+        }
+        let before: Vec<String> = cells.iter().map(|(_, t)| format!("{t:?}")).collect();
+        // Each cell's trial A: its first trial that maps a page, else its
+        // first trial.
+        let dirty: Vec<(usize, u32)> = cells
+            .iter()
+            .map(|(cell, template)| {
+                (0..settings.trials)
+                    .flat_map(|t| [(0, t), (1, t)])
+                    .find(|&(i, t)| auto_maps(cell, template, i, t))
+                    .unwrap_or((0, 0))
+            })
+            .collect();
+        let (sa_evict_time, _) = &cells[0];
+        let (i, t) = dirty[0];
+        assert!(
+            auto_maps(sa_evict_time, &cells[0].1, i, t),
+            "Evict + Time on SA maps a page"
+        );
+        let mappings = |m: &Machine| -> Vec<Vec<_>> {
+            m.os()
+                .asids()
+                .map(|a| m.os().process(a).unwrap().page_table().mappings())
+                .collect()
+        };
+        let n = cells.len();
+        for b in 0..n {
+            let (cell, template) = &cells[b];
+            for a in [b, (b + rows.len()) % n, (b + n - rows.len()) % n, 0] {
+                let (a_cell, a_template) = &cells[a];
+                let (a_i, a_t) = dirty[a];
+                for i in 0..2 {
+                    let what = format!(
+                        "B = {} on {} ({i}) after A = {} on {} ({a_i}, {a_t})",
+                        cell.row,
+                        variants[b / rows.len()].design,
+                        a_cell.row,
+                        variants[a / rows.len()].design,
+                    );
+                    let mut scratch = a_template.clone();
+                    restore_and_run(&mut scratch, a_template, a_cell, a_i, a_t);
+                    let slow = restore_and_run(&mut scratch, template, cell, i, 1);
+                    let mut fresh = template.clone();
+                    let want = restore_and_run(&mut fresh, template, cell, i, 1);
+                    assert_eq!(slow, want, "{what}: timed step");
+                    assert_eq!(scratch.stats(), fresh.stats(), "{what}: executor counters");
+                    assert_eq!(
+                        scratch.tlb_stats(),
+                        fresh.tlb_stats(),
+                        "{what}: TLB counters"
+                    );
+                    assert_eq!(
+                        scratch.tlb().snapshot(),
+                        fresh.tlb().snapshot(),
+                        "{what}: TLB contents"
+                    );
+                    assert_eq!(mappings(&scratch), mappings(&fresh), "{what}: page tables");
+                    assert!(
+                        format!("{scratch:?}") == format!("{fresh:?}"),
+                        "{what}: machine state"
+                    );
+                }
+            }
+        }
+        for ((_, template), before) in cells.iter().zip(&before) {
+            assert!(&format!("{template:?}") == before, "a template changed");
+        }
     }
 
     #[test]

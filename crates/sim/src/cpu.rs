@@ -49,7 +49,7 @@ pub enum Instr {
 }
 
 /// Accumulated CPU counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Elapsed cycles.
     pub cycles: u64,
@@ -66,6 +66,27 @@ pub struct ExecStats {
     /// Values captured by [`Instr::ReadMissCounter`] and
     /// [`Instr::ReadCycleCounter`], in program order.
     pub counter_reads: Vec<u64>,
+}
+
+impl Clone for ExecStats {
+    fn clone(&self) -> ExecStats {
+        ExecStats {
+            counter_reads: self.counter_reads.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source`'s counters and reads into this value's read
+    /// buffer, so a machine restored in place records its counter reads
+    /// without allocating.
+    fn clone_from(&mut self, source: &ExecStats) {
+        let mut reads = std::mem::take(&mut self.counter_reads);
+        reads.clone_from(&source.counter_reads);
+        *self = ExecStats {
+            counter_reads: reads,
+            ..*source
+        };
+    }
 }
 
 impl ExecStats {

@@ -273,7 +273,7 @@ impl MachineBuilder {
             walker: self.walker,
             switch_cost: self.switch_cost,
             current_asid: Asid(0),
-            code_pages: std::collections::HashMap::new(),
+            code_pages: Vec::new(),
             fetch_latch: None,
             stats: ExecStats::new(),
             oracle,
@@ -291,12 +291,13 @@ impl Default for MachineBuilder {
 
 /// A simulated single-core machine.
 ///
-/// `Clone` is a deep copy — TLB contents and engine state, page tables,
-/// counters, and the oracle's record — so a clone never shares state
-/// with its source: the walker's auto-map writes, for one, land only in
-/// the copy that ran. Together with [`Machine::reseed`] this lets a
-/// campaign set a machine up once and restore it for every trial.
-#[derive(Clone)]
+/// `Clone` copies TLB contents and engine state, counters, and the
+/// oracle's record, and shares the page tables until one side writes
+/// one (see [`Os`]): the walker's auto-map writes, for one, land only in
+/// the copy that ran. `clone_from` restores a machine in place, so a
+/// machine restored from one of the same configuration allocates
+/// nothing. Together with [`Machine::reseed`] this lets a campaign set a
+/// machine up once and restore it for every trial.
 pub struct Machine {
     tlb: TlbUnit,
     itlb: Option<TlbUnit>,
@@ -305,8 +306,11 @@ pub struct Machine {
     walker: WalkerConfig,
     switch_cost: u64,
     current_asid: Asid,
-    /// Per-process current code page (the PC's page), set by `JumpTo`.
-    code_pages: std::collections::HashMap<Asid, Vpn>,
+    /// Per-process current code page (the PC's page), set by `JumpTo`
+    /// on a machine with an I-TLB, the only reader. A handful of
+    /// processes jump, so a short list, which a restore keeps the buffer
+    /// of.
+    code_pages: Vec<(Asid, Vpn)>,
     /// The fetch unit's translation latch: consecutive fetches from the
     /// same page reuse the last translation instead of re-accessing the
     /// I-TLB (as a real front end does). Cleared on context switches and
@@ -315,6 +319,53 @@ pub struct Machine {
     stats: ExecStats,
     /// Shadow-oracle state, when enabled (see [`crate::shadow`]).
     oracle: Option<Box<Oracle>>,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Machine {
+        Machine {
+            tlb: self.tlb.clone(),
+            itlb: self.itlb.clone(),
+            design: self.design,
+            os: self.os.clone(),
+            walker: self.walker,
+            switch_cost: self.switch_cost,
+            current_asid: self.current_asid,
+            code_pages: self.code_pages.clone(),
+            fetch_latch: self.fetch_latch,
+            stats: self.stats.clone(),
+            oracle: self.oracle.clone(),
+        }
+    }
+
+    /// Restores every part of `source` into this machine's buffers: the
+    /// campaign's per-trial restore.
+    fn clone_from(&mut self, source: &Machine) {
+        let Machine {
+            tlb,
+            itlb,
+            design,
+            os,
+            walker,
+            switch_cost,
+            current_asid,
+            code_pages,
+            fetch_latch,
+            stats,
+            oracle,
+        } = self;
+        tlb.clone_from(&source.tlb);
+        itlb.clone_from(&source.itlb);
+        *design = source.design;
+        os.clone_from(&source.os);
+        *walker = source.walker;
+        *switch_cost = source.switch_cost;
+        *current_asid = source.current_asid;
+        code_pages.clone_from(&source.code_pages);
+        *fetch_latch = source.fetch_latch;
+        stats.clone_from(&source.stats);
+        oracle.clone_from(&source.oracle);
+    }
 }
 
 /// TLB state captured immediately before an instruction executes, for the
@@ -334,14 +385,25 @@ fn touches_dtlb(instr: Instr) -> bool {
     )
 }
 
+/// Every part of the machine's state — TLB contents, replacement and
+/// engine state, page tables, counters — except the oracle's record, of
+/// which it shows only whether there is one. Two machines that print
+/// alike behave alike.
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
+            .field("tlb", &self.tlb)
+            .field("itlb", &self.itlb)
             .field("design", &self.design)
-            .field("config", &self.tlb.config())
+            .field("os", &self.os)
+            .field("walker", &self.walker)
+            .field("switch_cost", &self.switch_cost)
             .field("current_asid", &self.current_asid)
+            .field("code_pages", &self.code_pages)
+            .field("fetch_latch", &self.fetch_latch)
             .field("stats", &self.stats)
-            .finish_non_exhaustive()
+            .field("oracle_enabled", &self.oracle.is_some())
+            .finish()
     }
 }
 
@@ -486,7 +548,11 @@ impl Machine {
     #[inline(never)]
     fn fetch_itlb(&mut self) {
         let Some(itlb) = &mut self.itlb else { return };
-        let Some(&page) = self.code_pages.get(&self.current_asid) else {
+        let Some(&(_, page)) = self
+            .code_pages
+            .iter()
+            .find(|&&(asid, _)| asid == self.current_asid)
+        else {
             return;
         };
         // Sequential fetches within a page reuse the latched translation.
@@ -500,6 +566,15 @@ impl Machine {
             self.stats.faults += 1;
         } else {
             self.fetch_latch = Some((self.current_asid, page));
+        }
+    }
+
+    /// Records `page` as the current process's code page.
+    fn set_code_page(&mut self, page: Vpn) {
+        let asid = self.current_asid;
+        match self.code_pages.iter_mut().find(|(a, _)| *a == asid) {
+            Some(entry) => entry.1 = page,
+            None => self.code_pages.push((asid, page)),
         }
     }
 
@@ -617,8 +692,9 @@ impl Machine {
             Instr::JumpTo(vaddr) => {
                 self.stats.instret += 1;
                 self.stats.cycles += 1;
-                self.code_pages
-                    .insert(self.current_asid, Vpn::of_addr(vaddr));
+                if self.itlb.is_some() {
+                    self.set_code_page(Vpn::of_addr(vaddr));
+                }
                 // A control transfer redirects the fetch stream.
                 self.fetch_latch = None;
             }

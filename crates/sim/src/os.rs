@@ -12,6 +12,8 @@
 //!    process, pre-generating page-table entries for every address the
 //!    Random Fill Engine might look up (footnote 5 of the paper).
 
+use std::sync::Arc;
+
 use sectlb_tlb::types::{Asid, SecureRegion, Vpn};
 
 use crate::page_table::{MapError, PageTable, PteFlags};
@@ -81,11 +83,17 @@ impl From<MapError> for OsError {
 /// The OS model: a process table, a frame allocator, and policy knobs.
 ///
 /// ASIDs are handed out densely from 1 and never freed, so the process
-/// table is a vector indexed by `asid - 1`: a walk finds its address
-/// space with one bounds check, and a cloned machine copies one vector.
+/// table is a slice indexed by `asid - 1`: a walk finds its address
+/// space with one bounds check.
+///
+/// The table is copy-on-write: a clone shares its source's page tables
+/// until either side writes one, and every writer goes through
+/// [`Arc::make_mut`], which copies the table first if it is shared. A
+/// campaign trial restored from a template therefore copies no page
+/// table unless it auto-maps a page.
 #[derive(Debug, Clone)]
 pub struct Os {
-    processes: Vec<Process>,
+    processes: Arc<[Process]>,
     frames: FrameAllocator,
     next_asid: u16,
     flush_policy: FlushPolicy,
@@ -100,7 +108,7 @@ impl Os {
     /// A fresh OS with the given flush policy.
     pub fn new(flush_policy: FlushPolicy) -> Os {
         Os {
-            processes: Vec::new(),
+            processes: Arc::new([]),
             frames: FrameAllocator::default(),
             next_asid: 1,
             flush_policy,
@@ -113,7 +121,10 @@ impl Os {
         self.flush_policy
     }
 
-    /// Creates a process with a fresh ASID and empty address space.
+    /// Creates a process with a fresh ASID and empty address space. The
+    /// process table grows by being rebuilt, which copies the page tables
+    /// mapped so far; a machine that creates its processes before mapping
+    /// copies none.
     ///
     /// # Panics
     ///
@@ -124,7 +135,9 @@ impl Os {
         self.next_asid = self.next_asid.checked_add(1).expect("ASID space exhausted");
         let page_table =
             PageTable::new(&mut self.frames).expect("physical memory exhausted at boot");
-        self.processes.push(Process { asid, page_table });
+        let mut processes = self.processes.to_vec();
+        processes.push(Process { asid, page_table });
+        self.processes = processes.into();
         asid
     }
 
@@ -134,9 +147,8 @@ impl Os {
     ///
     /// Fails when no such process exists.
     pub fn process(&self, asid: Asid) -> Result<&Process, OsError> {
-        slot(asid)
-            .and_then(|i| self.processes.get(i))
-            .ok_or(OsError::NoSuchProcess(asid))
+        let i = self.slot(asid)?;
+        Ok(&self.processes[i])
     }
 
     /// The process for `asid`, mutably.
@@ -145,7 +157,19 @@ impl Os {
     ///
     /// Fails when no such process exists.
     pub fn process_mut(&mut self, asid: Asid) -> Result<&mut Process, OsError> {
-        process_in(&mut self.processes, asid)
+        Ok(self.writable(asid)?.0)
+    }
+
+    /// The process for `asid`, unshared for writing, and the frame
+    /// allocator its mappings draw on.
+    fn writable(&mut self, asid: Asid) -> Result<(&mut Process, &mut FrameAllocator), OsError> {
+        let i = self.slot(asid)?;
+        Ok((&mut Arc::make_mut(&mut self.processes)[i], &mut self.frames))
+    }
+
+    /// The process table index of `asid`.
+    fn slot(&self, asid: Asid) -> Result<usize, OsError> {
+        slot_in(self.processes.len(), asid).ok_or(OsError::NoSuchProcess(asid))
     }
 
     /// Maps `pages` fresh frames at `base` in `asid`'s address space.
@@ -154,10 +178,7 @@ impl Os {
     ///
     /// Fails when the process does not exist or mapping fails.
     pub fn map_region(&mut self, asid: Asid, base: Vpn, pages: u64) -> Result<(), OsError> {
-        for i in 0..pages {
-            self.map_page(asid, base.offset(i))?;
-        }
-        Ok(())
+        self.map_pages(asid, (0..pages).map(|i| base.offset(i)))
     }
 
     /// Maps one fresh frame at `vpn`; mapping an already-mapped page is a
@@ -167,14 +188,25 @@ impl Os {
     ///
     /// Fails when the process does not exist or frames run out.
     pub fn map_page(&mut self, asid: Asid, vpn: Vpn) -> Result<(), OsError> {
-        let process = process_in(&mut self.processes, asid)?;
-        if process.page_table.walk(vpn).pte.is_some() {
-            return Ok(());
+        self.map_pages(asid, [vpn])
+    }
+
+    /// [`Os::map_page`] for each of `vpns`, unsharing the table once.
+    fn map_pages(
+        &mut self,
+        asid: Asid,
+        vpns: impl IntoIterator<Item = Vpn>,
+    ) -> Result<(), OsError> {
+        let (process, frames) = self.writable(asid)?;
+        for vpn in vpns {
+            if process.page_table.walk(vpn).pte.is_some() {
+                continue;
+            }
+            let frame = frames.alloc().map_err(MapError::from)?;
+            process
+                .page_table
+                .map(vpn, frame, PteFlags::rw_user(), frames)?;
         }
-        let frame = self.frames.alloc().map_err(MapError::from)?;
-        process
-            .page_table
-            .map(vpn, frame, PteFlags::rw_user(), &mut self.frames)?;
         Ok(())
     }
 
@@ -186,11 +218,11 @@ impl Os {
     ///
     /// Fails when the process does not exist or mapping fails.
     pub fn map_mega_page(&mut self, asid: Asid, base: Vpn) -> Result<(), OsError> {
-        let process = process_in(&mut self.processes, asid)?;
-        let frame = self.frames.alloc().map_err(MapError::from)?;
+        let (process, frames) = self.writable(asid)?;
+        let frame = frames.alloc().map_err(MapError::from)?;
         process
             .page_table
-            .map_mega(base, frame, PteFlags::rw_user(), &mut self.frames)?;
+            .map_mega(base, frame, PteFlags::rw_user(), frames)?;
         Ok(())
     }
 
@@ -202,8 +234,8 @@ impl Os {
     ///
     /// Fails when the process does not exist or mapping fails.
     pub fn map_giga_page(&mut self, asid: Asid, base: Vpn) -> Result<(), OsError> {
-        let process = process_in(&mut self.processes, asid)?;
-        let frame = self.frames.alloc().map_err(MapError::from)?;
+        let (process, frames) = self.writable(asid)?;
+        let frame = frames.alloc().map_err(MapError::from)?;
         process
             .page_table
             .map_giga(base, frame, PteFlags::rw_user())?;
@@ -216,8 +248,7 @@ impl Os {
     ///
     /// Fails when the process does not exist.
     pub fn unmap_page(&mut self, asid: Asid, vpn: Vpn) -> Result<bool, OsError> {
-        let process = process_in(&mut self.processes, asid)?;
-        Ok(process.page_table.unmap(vpn).is_some())
+        Ok(self.writable(asid)?.0.page_table.unmap(vpn).is_some())
     }
 
     /// Registers `region` as the secure region of victim `asid` on behalf
@@ -235,10 +266,7 @@ impl Os {
         asid: Asid,
         region: SecureRegion,
     ) -> Result<(), OsError> {
-        for vpn in region.iter().collect::<Vec<_>>() {
-            self.map_page(asid, vpn)?;
-        }
-        Ok(())
+        self.map_pages(asid, region.iter())
     }
 
     /// ASIDs of all live processes, in ascending order.
@@ -251,24 +279,18 @@ impl Os {
         &self.frames
     }
 
-    /// Splits the OS into the pieces the walker needs (internal).
-    pub(crate) fn walker_parts(&mut self) -> (&mut [Process], &mut FrameAllocator, bool) {
+    /// Splits the OS into the pieces the walker needs (internal): it
+    /// reads the shared table and unshares it only to auto-map.
+    pub(crate) fn walker_parts(&mut self) -> (&mut Arc<[Process]>, &mut FrameAllocator, bool) {
         (&mut self.processes, &mut self.frames, self.auto_map)
     }
 }
 
-/// The process table index of `asid`: ASIDs count from 1, so `Asid(0)`
-/// has none.
-fn slot(asid: Asid) -> Option<usize> {
-    usize::from(asid.0).checked_sub(1)
-}
-
-/// The live process `asid` names in a process table.
+/// The index of `asid` in a process table of `len` processes: ASIDs
+/// count from 1, so `Asid(0)` has none.
 #[inline]
-pub(crate) fn process_in(processes: &mut [Process], asid: Asid) -> Result<&mut Process, OsError> {
-    slot(asid)
-        .and_then(|i| processes.get_mut(i))
-        .ok_or(OsError::NoSuchProcess(asid))
+pub(crate) fn slot_in(len: usize, asid: Asid) -> Option<usize> {
+    usize::from(asid.0).checked_sub(1).filter(|&i| i < len)
 }
 
 impl Default for Os {
@@ -280,6 +302,8 @@ impl Default for Os {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walker::{OsWalker, WalkerConfig};
+    use sectlb_tlb::tlb_trait::Translator;
 
     #[test]
     fn processes_get_distinct_asids() {
@@ -384,6 +408,45 @@ mod tests {
         for asid in listed {
             assert_eq!(os.process(asid).unwrap().asid(), asid);
         }
+    }
+
+    #[test]
+    fn a_clone_shares_page_tables_until_one_side_writes() {
+        let mapped = |os: &Os, asid, vpn| {
+            os.process(asid)
+                .unwrap()
+                .page_table()
+                .walk(vpn)
+                .pte
+                .is_some()
+        };
+        let shared = |a: &Os, b: &Os| Arc::ptr_eq(&a.processes, &b.processes);
+        let mut os = Os::default();
+        let a = os.create_process();
+        let b = os.create_process();
+        os.map_region(a, Vpn(0x10), 4).unwrap();
+        let mut copy = os.clone();
+        assert!(shared(&os, &copy));
+        // Reads and a refused write leave the table shared.
+        assert!(mapped(&copy, a, Vpn(0x10)));
+        assert!(copy.map_page(Asid(9), Vpn(0x10)).is_err());
+        assert!(shared(&os, &copy));
+        copy.map_page(b, Vpn(0x20)).unwrap();
+        assert!(!shared(&os, &copy));
+        assert!(!mapped(&os, b, Vpn(0x20)));
+        assert!(mapped(&copy, b, Vpn(0x20)));
+        // Restoring shares the source's table again.
+        copy.clone_from(&os);
+        assert!(shared(&os, &copy));
+        assert!(!mapped(&copy, b, Vpn(0x20)));
+        // A walk that finds its page leaves the table shared; one that
+        // auto-maps a page unshares it first.
+        let walk = |os: &mut Os, vpn| OsWalker::new(os, WalkerConfig::default()).translate(a, vpn);
+        assert!(walk(&mut copy, Vpn(0x10)).ppn.is_some());
+        assert!(shared(&os, &copy));
+        assert!(walk(&mut copy, Vpn(0x30)).ppn.is_some());
+        assert!(!shared(&os, &copy));
+        assert!(!mapped(&os, a, Vpn(0x30)));
     }
 
     #[test]

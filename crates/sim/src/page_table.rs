@@ -143,11 +143,12 @@ impl<T> SlotMap<T> {
 
 /// One radix node: a frame plus its (sparse) entries. `leaves` at the
 /// middle level hold megapage mappings; `leaves` at the root hold
-/// gigapage mappings.
+/// gigapage mappings. Children sit inline in their parent's slots, so a
+/// walk steps from a slot to the child without loading a pointer.
 #[derive(Debug, Clone, Default)]
 struct Node {
     frame: Ppn,
-    children: SlotMap<Box<Node>>,
+    children: SlotMap<Node>,
     leaves: SlotMap<Pte>,
 }
 
@@ -232,7 +233,8 @@ impl PageTable {
     ///
     /// # Errors
     ///
-    /// Fails when `vpn` is out of range, already mapped, or intermediate
+    /// Fails when `vpn` is out of range, already mapped (by a base page,
+    /// or by a megapage or gigapage whose span holds it), or intermediate
     /// node allocation runs out of frames.
     pub fn map(
         &mut self,
@@ -247,16 +249,21 @@ impl PageTable {
         let mut node = &mut self.root;
         for level in 0..LEVELS - 1 {
             let idx = index_at(vpn, level);
+            // A superpage leaf ends every walk through this slot, so a
+            // subtree under it would be unreachable.
+            if node.leaves.contains(idx) {
+                return Err(MapError::AlreadyMapped(vpn));
+            }
             if !node.children.contains(idx) {
                 // Allocate before inserting so an allocation failure
                 // leaves the table untouched.
                 let frame = frames.alloc()?;
                 node.children.try_insert(
                     idx,
-                    Box::new(Node {
+                    Node {
                         frame,
                         ..Node::default()
-                    }),
+                    },
                 );
             }
             node = node.children.get_mut(idx).expect("just inserted");
@@ -294,14 +301,17 @@ impl PageTable {
             return Err(MapError::VpnOutOfRange(vpn));
         }
         let idx0 = index_at(vpn, 0);
+        if self.root.leaves.contains(idx0) {
+            return Err(MapError::AlreadyMapped(vpn));
+        }
         if !self.root.children.contains(idx0) {
             let frame = frames.alloc()?;
             self.root.children.try_insert(
                 idx0,
-                Box::new(Node {
+                Node {
                     frame,
                     ..Node::default()
-                }),
+                },
             );
         }
         let mid = self.root.children.get_mut(idx0).expect("just inserted");
@@ -348,35 +358,46 @@ impl PageTable {
         Ok(())
     }
 
-    /// Removes the mapping for `vpn`; returns the removed PTE if present.
+    /// Removes the base-page mapping for `vpn`; returns the removed PTE
+    /// if present. A VPN past the Sv39 range maps nothing and is left
+    /// alone.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
-        let mut node = &mut self.root;
-        for level in 0..LEVELS - 1 {
-            node = node.children.get_mut(index_at(vpn, level))?;
-        }
-        let removed = node.leaves.remove(index_at(vpn, LEVELS - 1));
+        let removed = self
+            .leaf_node_mut(vpn)?
+            .leaves
+            .remove(index_at(vpn, LEVELS - 1));
         if removed.is_some() {
             self.mapped_pages -= 1;
         }
         removed
     }
 
-    /// Changes the flags of an existing mapping (the `mprotect()` of the
-    /// Appendix B discussion); returns `false` if `vpn` is unmapped.
+    /// Changes the flags of an existing base-page mapping (the
+    /// `mprotect()` of the Appendix B discussion); returns `false` if
+    /// `vpn` is unmapped or past the Sv39 range.
     pub fn protect(&mut self, vpn: Vpn, flags: PteFlags) -> bool {
-        let Some(pte) = self.lookup_mut(vpn) else {
+        let Some(pte) = self
+            .leaf_node_mut(vpn)
+            .and_then(|node| node.leaves.get_mut(index_at(vpn, LEVELS - 1)))
+        else {
             return false;
         };
         pte.flags = flags;
         true
     }
 
-    fn lookup_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
+    /// The last-level node holding `vpn`'s base-page slot, if it exists.
+    /// `index_at` keeps nine bits per level, so a VPN past the range
+    /// would alias a page inside it: such a VPN has no node.
+    fn leaf_node_mut(&mut self, vpn: Vpn) -> Option<&mut Node> {
+        if vpn.0 > MAX_VPN {
+            return None;
+        }
         let mut node = &mut self.root;
         for level in 0..LEVELS - 1 {
             node = node.children.get_mut(index_at(vpn, level))?;
         }
-        node.leaves.get_mut(index_at(vpn, LEVELS - 1))
+        Some(node)
     }
 
     /// Every leaf mapping `(vpn, pte)` currently in the table, in
@@ -499,6 +520,49 @@ mod tests {
             Err(MapError::VpnOutOfRange(bad))
         );
         assert_eq!(pt.walk(bad).pte, None);
+    }
+
+    #[test]
+    fn out_of_range_unmap_and_protect_leave_the_aliased_page_alone() {
+        let (mut pt, mut frames) = setup();
+        let ppn = frames.alloc().unwrap();
+        pt.map(Vpn(5), ppn, PteFlags::rw_user(), &mut frames)
+            .unwrap();
+        let alias = Vpn((MAX_VPN + 1) | 5);
+        assert_eq!(pt.unmap(alias), None);
+        assert!(!pt.protect(alias, PteFlags::default()));
+        assert_eq!(
+            pt.walk(Vpn(5)).pte.map(|p| (p.ppn, p.flags)),
+            Some((ppn, PteFlags::rw_user()))
+        );
+        assert_eq!(pt.mapped_pages(), 1);
+    }
+
+    #[test]
+    fn base_pages_inside_a_superpage_are_refused() {
+        let (mut pt, mut frames) = setup();
+        let mega = frames.alloc().unwrap();
+        pt.map_mega(Vpn(0x400), mega, PteFlags::rw_user(), &mut frames)
+            .unwrap();
+        let giga_base = PageSize::Giga.span_pages();
+        let giga = frames.alloc().unwrap();
+        pt.map_giga(Vpn(giga_base), giga, PteFlags::rw_user())
+            .unwrap();
+        let nodes = frames.allocated();
+        for vpn in [Vpn(0x405), Vpn(giga_base + 0x405)] {
+            assert_eq!(
+                pt.map(vpn, Ppn(9), PteFlags::rw_user(), &mut frames),
+                Err(MapError::AlreadyMapped(vpn))
+            );
+        }
+        let inside = Vpn(giga_base + 0x400);
+        assert_eq!(
+            pt.map_mega(inside, Ppn(9), PteFlags::rw_user(), &mut frames),
+            Err(MapError::AlreadyMapped(inside))
+        );
+        assert_eq!(frames.allocated(), nodes, "no node was built under a leaf");
+        assert_eq!(pt.mapped_pages(), 512 + giga_base);
+        assert_eq!(pt.mappings().len(), 2);
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! [`WalkerConfig::cycles_per_level`] cycles, which dominates the
 //! fast/slow timing difference the attacks measure.
 
+use std::sync::Arc;
+
 use sectlb_tlb::tlb_trait::{Translator, WalkResult};
 use sectlb_tlb::types::{Asid, Vpn};
 
-use crate::os::{process_in, Os, Process};
+use crate::os::{slot_in, Os, Process};
 use crate::phys_mem::FrameAllocator;
 
 /// Timing parameters of the walker.
@@ -39,8 +41,11 @@ impl WalkerConfig {
 
 /// A walker borrowing the OS's process table for the duration of one TLB
 /// access. Implements the [`Translator`] callback the TLB designs use.
+///
+/// A walk only reads the table, which a restored machine shares with its
+/// template; an auto-map unshares it first (see [`Os`]).
 pub struct OsWalker<'a> {
-    processes: &'a mut [Process],
+    processes: &'a mut Arc<[Process]>,
     frames: &'a mut FrameAllocator,
     auto_map: bool,
     config: WalkerConfig,
@@ -61,12 +66,12 @@ impl<'a> OsWalker<'a> {
 
 impl Translator for OsWalker<'_> {
     fn translate(&mut self, asid: Asid, vpn: Vpn) -> WalkResult {
-        let Ok(process) = process_in(self.processes, asid) else {
+        let Some(i) = slot_in(self.processes.len(), asid) else {
             // Translating for a nonexistent address space: fault after one
             // root access.
             return WalkResult::fault(self.config.cycles_per_level);
         };
-        let walk = process.page_table().walk(vpn);
+        let walk = self.processes[i].page_table().walk(vpn);
         let mut cycles = self.config.cycles_per_level * u64::from(walk.levels_accessed);
         let mut pte = walk.pte;
         if pte.is_none() && self.auto_map && vpn.0 <= crate::page_table::MAX_VPN {
@@ -74,6 +79,7 @@ impl Translator for OsWalker<'_> {
             // address; materialize it now at full-walk cost.
             if let Ok(frame) = self.frames.alloc() {
                 let flags = crate::page_table::PteFlags::rw_user();
+                let process = &mut Arc::make_mut(self.processes)[i];
                 if process
                     .page_table_mut()
                     .map(vpn, frame, flags, self.frames)

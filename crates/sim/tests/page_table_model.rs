@@ -9,7 +9,9 @@
 //! mapped in ascending, descending and shuffled order, sparse pages,
 //! unmaps and remaps inside a run, superpages, and pages past the Sv39
 //! range, so that a radix node's dense-run lookup and its search fallback
-//! both answer, before and after a run gets holes.
+//! both answer, before and after a run gets holes. The table must refuse
+//! a base page or megapage inside a mapped superpage, and an unmap or
+//! protect past the range, which would otherwise alias a page inside it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,8 +36,9 @@ fn slot(vpn: u64, level: u32) -> u64 {
 }
 
 /// What the table holds, keyed the way its nodes are. Nodes are created
-/// by maps (also by maps that then fail as already mapped) and never
-/// removed, and only base pages can be unmapped or protected.
+/// by maps (also by maps that then fail as already mapped, unless a
+/// superpage holds the slot) and never removed, and only base pages can
+/// be unmapped or protected.
 #[derive(Default)]
 struct Model {
     /// Root slot → gigapage leaf.
@@ -80,7 +83,13 @@ impl Model {
             return Err(MapError::VpnOutOfRange(Vpn(vpn)));
         }
         let (i0, i1) = (slot(vpn, 0), slot(vpn, 1));
+        if self.giga.contains_key(&i0) {
+            return Err(MapError::AlreadyMapped(Vpn(vpn)));
+        }
         self.middles.insert(i0);
+        if self.mega.contains_key(&(i0, i1)) {
+            return Err(MapError::AlreadyMapped(Vpn(vpn)));
+        }
         self.leaf_nodes.insert((i0, i1));
         if self.base.contains_key(&vpn) {
             return Err(MapError::AlreadyMapped(Vpn(vpn)));
@@ -94,6 +103,9 @@ impl Model {
             return Err(MapError::VpnOutOfRange(Vpn(vpn)));
         }
         let (i0, i1) = (slot(vpn, 0), slot(vpn, 1));
+        if self.giga.contains_key(&i0) {
+            return Err(MapError::AlreadyMapped(Vpn(vpn)));
+        }
         self.middles.insert(i0);
         if self.mega.contains_key(&(i0, i1)) || self.leaf_nodes.contains(&(i0, i1)) {
             return Err(MapError::AlreadyMapped(Vpn(vpn)));
@@ -114,6 +126,10 @@ impl Model {
         Ok(())
     }
 
+    fn unmap(&mut self, vpn: u64) -> Option<Pte> {
+        self.base.remove(&vpn)
+    }
+
     fn protect(&mut self, vpn: u64, flags: PteFlags) -> bool {
         self.base
             .get_mut(&vpn)
@@ -127,22 +143,19 @@ impl Model {
             + PageSize::Giga.span_pages() * self.giga.len() as u64
     }
 
-    /// Every leaf at its aligned VPN in ascending order; at one VPN a
-    /// gigapage comes before a megapage before a base page, the order in
-    /// which the table visits its levels.
+    /// Every leaf at its aligned VPN in ascending order. No two leaves
+    /// share a VPN: a map inside a superpage's span is refused.
     fn mappings(&self) -> Vec<(Vpn, Pte)> {
-        let mut out: Vec<(u64, u8, Pte)> = Vec::new();
-        out.extend(self.giga.iter().map(|(&i0, &pte)| (i0 << 18, 0, pte)));
+        let mut out: Vec<(Vpn, Pte)> = Vec::new();
+        out.extend(self.giga.iter().map(|(&i0, &pte)| (Vpn(i0 << 18), pte)));
         out.extend(
             self.mega
                 .iter()
-                .map(|(&(i0, i1), &pte)| (i0 << 18 | i1 << 9, 1, pte)),
+                .map(|(&(i0, i1), &pte)| (Vpn(i0 << 18 | i1 << 9), pte)),
         );
-        out.extend(self.base.iter().map(|(&vpn, &pte)| (vpn, 2, pte)));
-        out.sort_by_key(|&(vpn, level, _)| (vpn, level));
-        out.into_iter()
-            .map(|(vpn, _, pte)| (Vpn(vpn), pte))
-            .collect()
+        out.extend(self.base.iter().map(|(&vpn, &pte)| (Vpn(vpn), pte)));
+        out.sort_by_key(|&(vpn, _)| vpn.0);
+        out
     }
 }
 
@@ -154,6 +167,17 @@ fn pick(rng: &mut SmallRng) -> u64 {
         7 => MEGA + rng.gen_range(0..512),
         8 => GIGA + rng.gen_range(0..2048),
         _ => MAX_VPN - rng.gen_range(0..4),
+    }
+}
+
+/// [`pick`], or now and then that page with a bit past the Sv39 range
+/// set: an alias the table must refuse to unmap or protect.
+fn pick_or_alias(rng: &mut SmallRng) -> u64 {
+    let vpn = pick(rng);
+    if rng.gen_range(0..8) == 0 {
+        ((MAX_VPN + 1) * rng.gen_range(1..4)) | vpn
+    } else {
+        vpn
     }
 }
 
@@ -282,24 +306,26 @@ impl Lockstep {
                 self.map(vpn, PteFlags::rw_user());
             }
             12..=21 => {
-                let vpn = pick(rng);
+                let vpn = pick_or_alias(rng);
                 let got = self.table.unmap(Vpn(vpn));
-                let want = self.model.base.remove(&vpn);
+                let want = self.model.unmap(vpn);
                 assert_eq!(got, want, "unmap({vpn:#x}) at {}", self.at());
             }
             22..=25 => {
-                let (vpn, flags) = (pick(rng), random_flags(rng));
+                let (vpn, flags) = (pick_or_alias(rng), random_flags(rng));
                 let got = self.table.protect(Vpn(vpn), flags);
                 let want = self.model.protect(vpn, flags);
                 assert_eq!(got, want, "protect({vpn:#x}) at {}", self.at());
             }
             26 | 27 => {
-                // Aligned slots (free, holding a leaf node, or past the
-                // range) and, now and then, an unaligned page.
-                let vpn = match rng.gen_range(0..5) {
+                // Aligned slots (free, holding a leaf node, inside a
+                // gigapage's span, or past the range) and, now and then,
+                // an unaligned page.
+                let vpn = match rng.gen_range(0..6) {
                     0 => MEGA + 1,
                     1 => RUNS[0],
                     2 => (MAX_VPN + 1) & !511,
+                    3 => GIGA + (rng.gen_range(0..3) << 9),
                     _ => MEGA + (rng.gen_range(0..3) << 9),
                 };
                 let pte = self.pte(PageSize::Mega, PteFlags::rw_user());
@@ -361,7 +387,7 @@ fn a_hole_in_a_dense_run_is_not_found_and_its_neighbours_are() {
     }
     for hole in [0, 1, 255, 510, 511] {
         let removed = lockstep.table.unmap(Vpn(run + hole));
-        assert_eq!(removed, lockstep.model.base.remove(&(run + hole)));
+        assert_eq!(removed, lockstep.model.unmap(run + hole));
         assert!(removed.is_some());
     }
     lockstep.check_all(&probes());

@@ -16,7 +16,7 @@ use crate::store::SoaStore;
 use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 
 /// The `sets × ways` entry array plus replacement state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct EntryArray {
     config: TlbConfig,
     /// `sets - 1`: the set-index mask, cached so a probe does not divide
@@ -31,6 +31,15 @@ pub(crate) struct EntryArray {
     /// Resident gigapage entries, gating the third probe the same way.
     giga_entries: usize,
 }
+
+clone_in_place!(EntryArray {
+    config,
+    set_mask,
+    store,
+    lru,
+    mega_entries,
+    giga_entries,
+});
 
 impl EntryArray {
     pub(crate) fn new(config: TlbConfig) -> EntryArray {

@@ -24,7 +24,7 @@ use crate::types::{Asid, SecureRegion, Vpn};
 /// The single-level variant is held inline while the others are a
 /// pointer or two: every translation of a single-level machine reaches
 /// it, and boxing it would put a pointer chase on the hit path.
-#[derive(Clone)]
+#[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum TlbUnit {
     /// A single-level TLB: SA (also FA / 1E geometries), SP, RF, FS or
@@ -39,9 +39,25 @@ pub enum TlbUnit {
     Hier(TlbHierarchy),
 }
 
-impl std::fmt::Debug for TlbUnit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TlbUnit({})", self.design_name())
+impl Clone for TlbUnit {
+    fn clone(&self) -> TlbUnit {
+        match self {
+            TlbUnit::Single(t) => TlbUnit::Single(t.clone()),
+            TlbUnit::Ms(t) => TlbUnit::Ms(t.clone()),
+            TlbUnit::Hier(t) => TlbUnit::Hier(t.clone()),
+        }
+    }
+
+    /// Restores a unit of the same organization in place, allocating
+    /// nothing when the geometry matches too; a unit of another
+    /// organization is cloned whole.
+    fn clone_from(&mut self, source: &TlbUnit) {
+        match (self, source) {
+            (TlbUnit::Single(t), TlbUnit::Single(s)) => t.clone_from(s),
+            (TlbUnit::Ms(t), TlbUnit::Ms(s)) => t.clone_from(s),
+            (TlbUnit::Hier(t), TlbUnit::Hier(s)) => t.clone_from(s),
+            (this, source) => *this = source.clone(),
+        }
     }
 }
 

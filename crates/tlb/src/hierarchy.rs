@@ -24,22 +24,15 @@ use crate::types::{Asid, SecureRegion, Vpn};
 ///
 /// The levels are boxed: a hierarchy is itself a [`TlbUnit`] variant, so
 /// holding the units inline would make the type infinitely large.
-#[derive(Clone)]
+/// `clone_from` restores both levels in their boxes.
+#[derive(Debug)]
 pub struct TlbHierarchy {
     l1: Box<TlbUnit>,
     l2: Box<TlbUnit>,
     l2_latency: u64,
 }
 
-impl std::fmt::Debug for TlbHierarchy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TlbHierarchy")
-            .field("l1", &self.l1.design_name())
-            .field("l2", &self.l2.design_name())
-            .field("l2_latency", &self.l2_latency)
-            .finish()
-    }
-}
+clone_in_place!(TlbHierarchy { l1, l2, l2_latency });
 
 /// Adapter presenting the L2 (plus the real walker behind it) as the L1's
 /// page-table walker.

@@ -48,6 +48,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that restores every field in place: a `Vec` keeps its buffer and a
+/// nested TLB part restores itself the same way, so restoring a TLB from
+/// a template of the same geometry allocates nothing. `clone` builds the
+/// struct from the same list, so a field missing from it does not
+/// compile.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> $ty {
+                $ty {
+                    $($field: self.$field.clone()),+
+                }
+            }
+
+            fn clone_from(&mut self, source: &$ty) {
+                $(self.$field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+
 mod array;
 pub mod check;
 pub mod config;

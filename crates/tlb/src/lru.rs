@@ -35,13 +35,15 @@ use std::ops::Range;
 /// For `ways <= 8` each set's ranks live in one `u64` of 8-bit lanes;
 /// wider sets (the paper's FA 32 and FA 128 configurations) fall back to
 /// a flat `u16` rank array with the same semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PackedLru {
     ways: usize,
     ranks: Ranks,
 }
 
-#[derive(Debug, Clone)]
+clone_in_place!(PackedLru { ways, ranks });
+
+#[derive(Debug)]
 enum Ranks {
     /// One rank word per set; lane `w` (bits `8w .. 8w+8`) holds way
     /// `w`'s rank. Unused high lanes stay zero and are never selected
@@ -50,6 +52,49 @@ enum Ranks {
     Swar { words: Vec<u64>, clocks: Vec<u8> },
     /// `sets * ways` ranks, row-major by set.
     Wide { ranks: Vec<u16>, clocks: Vec<u16> },
+}
+
+impl Clone for Ranks {
+    fn clone(&self) -> Ranks {
+        match self {
+            Ranks::Swar { words, clocks } => Ranks::Swar {
+                words: words.clone(),
+                clocks: clocks.clone(),
+            },
+            Ranks::Wide { ranks, clocks } => Ranks::Wide {
+                ranks: ranks.clone(),
+                clocks: clocks.clone(),
+            },
+        }
+    }
+
+    /// Restores ranks of the same layout in place; the other layout is
+    /// cloned whole.
+    fn clone_from(&mut self, source: &Ranks) {
+        match (self, source) {
+            (
+                Ranks::Swar { words, clocks },
+                Ranks::Swar {
+                    words: w,
+                    clocks: c,
+                },
+            ) => {
+                words.clone_from(w);
+                clocks.clone_from(c);
+            }
+            (
+                Ranks::Wide { ranks, clocks },
+                Ranks::Wide {
+                    ranks: r,
+                    clocks: c,
+                },
+            ) => {
+                ranks.clone_from(r);
+                clocks.clone_from(c);
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 /// Compacts a set's positive ranks to `1 ..= k` preserving their

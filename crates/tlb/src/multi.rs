@@ -29,14 +29,21 @@ use crate::stats::TlbStats;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, PageSize, Vpn};
 
-/// The multi-size split TLB.
-#[derive(Debug, Clone)]
+/// The multi-size split TLB. `clone_from` restores its class arrays in
+/// place.
+#[derive(Debug)]
 pub struct MsTlb {
     /// One array per page-size class, indexed by [`PageSize::ALL`] order.
     classes: [EntryArray; 3],
     multi: MultiConfig,
     stats: TlbStats,
 }
+
+clone_in_place!(MsTlb {
+    classes,
+    multi,
+    stats,
+});
 
 /// The class index a page size maps to (its position in
 /// [`PageSize::ALL`]).

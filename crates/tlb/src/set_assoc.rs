@@ -31,12 +31,21 @@ use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
 use crate::types::{Asid, PageSize, SecureRegion, TlbEntry, Vpn};
 
 /// A single-level TLB of any of the SA, SP, RF, FS and FT designs.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` restores the array in place, so restoring a TLB from one
+/// of the same geometry allocates nothing.
+#[derive(Debug)]
 pub struct Tlb {
     array: EntryArray,
     stats: TlbStats,
     defense: Defense,
 }
+
+clone_in_place!(Tlb {
+    array,
+    stats,
+    defense,
+});
 
 /// What a design changes about the SA TLB.
 #[derive(Debug, Clone)]

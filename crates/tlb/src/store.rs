@@ -29,12 +29,14 @@ use crate::types::{Asid, PageSize, Ppn, TlbEntry, Vpn};
 /// entries of one address space all pass the tag compare, so it would
 /// filter almost nothing, while the VPN compare rejects all but the one
 /// way that can match.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SoaStore {
     vpns: Vec<u64>,
     ppns: Vec<u64>,
     tags: Vec<u32>,
 }
+
+clone_in_place!(SoaStore { vpns, ppns, tags });
 
 impl SoaStore {
     const VALID: u32 = 1 << 16;
