@@ -106,7 +106,8 @@ const CO_RUNNER: Asid = Asid(2);
 /// The pages of the omnetpp-like co-runner's accesses, in stream order.
 fn omnetpp_pages(accesses: usize) -> Vec<Vpn> {
     SpecBenchmark::Omnetpp
-        .stream(SPEC_BASE, accesses, 7)
+        .trace(SPEC_BASE, accesses, 7)
+        .into_iter()
         .filter_map(|instr| match instr {
             Instr::Load(addr) => Some(Vpn::of_addr(addr)),
             _ => None,

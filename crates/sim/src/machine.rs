@@ -368,6 +368,27 @@ impl Clone for Machine {
     }
 }
 
+/// The counts a run of instructions keeps in locals — registers, in
+/// [`Machine::run_batch`]'s loop — instead of in the machine, so a D-TLB
+/// hit or a compute burst writes no memory: a hit adds one to `loads` or
+/// `stores` and nothing else. [`Machine::write_back`] derives the
+/// machine's counters from them at the end of the run, and before any
+/// instruction that reads or changes those counters out of line.
+#[derive(Default)]
+struct Pending {
+    loads: u64,
+    stores: u64,
+    /// Other instructions retired, one cycle each: compute bursts, and a
+    /// control instruction as it starts.
+    other: u64,
+    /// Loads and stores [`TlbUnit::try_hit`] did not serve: the D-TLB
+    /// counted these accesses itself.
+    tlb_rest: u64,
+    /// Page-walk cycles, on top of one cycle per instruction.
+    walk_cycles: u64,
+    faults: u64,
+}
+
 /// TLB state captured immediately before an instruction executes, for the
 /// oracle's post-execution checks.
 struct OraclePre {
@@ -534,17 +555,9 @@ impl Machine {
         Ok(())
     }
 
-    /// Performs the instruction fetch for this execution step: with an
-    /// I-TLB configured and a code page established by `JumpTo`, the code
+    /// [`Machine::step`]'s instruction fetch on a machine with an I-TLB,
+    /// out of line: with a code page established by `JumpTo`, the code
     /// page is translated (sequential fetches within the page hit).
-    #[inline]
-    fn fetch(&mut self) {
-        if self.itlb.is_some() {
-            self.fetch_itlb();
-        }
-    }
-
-    /// [`Machine::fetch`] on a machine with an I-TLB, out of line.
     #[inline(never)]
     fn fetch_itlb(&mut self) {
         let Some(itlb) = &mut self.itlb else { return };
@@ -581,45 +594,105 @@ impl Machine {
     /// Executes one instruction.
     pub fn exec(&mut self, instr: Instr) {
         let pre = self.oracle_pre(instr);
-        let r = self.exec_inner(instr);
+        let mut pending = Pending::default();
+        let r = self.step(&instr, &mut pending);
+        self.write_back(&mut pending);
         if let Some(pre) = pre {
             self.oracle_post(instr, &pre, r);
         }
     }
 
-    /// The instruction semantics proper; returns the D-TLB access result
-    /// for memory instructions (the oracle checks it against a pure walk).
-    /// Inlined into [`Machine::run_batch`]'s loop, so a TLB hit there
-    /// makes no out-of-line call.
+    /// Adds the counts `pending` holds to the machine's and zeroes them.
     #[inline(always)]
-    fn exec_inner(&mut self, instr: Instr) -> Option<AccessResult> {
-        self.fetch();
-        match instr {
+    fn write_back(&mut self, pending: &mut Pending) {
+        let Pending {
+            loads,
+            stores,
+            other,
+            tlb_rest,
+            walk_cycles,
+            faults,
+        } = std::mem::take(pending);
+        let instret = loads + stores + other;
+        // Nothing is pending (every count comes with an instruction), as
+        // after `exec` runs a control instruction: storing zeros would
+        // only make the next instruction's counter loads wait (DESIGN.md
+        // §9).
+        if instret == 0 {
+            return;
+        }
+        self.stats.cycles += instret + walk_cycles;
+        self.stats.instret += instret;
+        self.stats.loads += loads;
+        self.stats.stores += stores;
+        self.stats.faults += faults;
+        // Likewise after a miss, which has just counted its own access.
+        let hits = loads + stores - tlb_rest;
+        if hits > 0 {
+            self.tlb.add_hits(hits);
+        }
+    }
+
+    /// The instruction semantics proper, the one implementation
+    /// [`Machine::exec`] and [`Machine::run_batch`] share. Loads, stores
+    /// and compute bursts count in `pending`; every other instruction
+    /// counts its own retirement and cycle there too, and then, like the
+    /// I-TLB fetch, writes `pending` back and runs out of line on the
+    /// machine's own counters. Returns the D-TLB access result of a
+    /// memory instruction, which the oracle checks against a pure walk
+    /// and the batch loop drops. A D-TLB hit builds no walker, makes no
+    /// call and writes no counter. The instruction comes by reference: a
+    /// by-value copy would make `exec` reload its caller's just-stored
+    /// instruction in one wide load, which waits for those stores
+    /// (DESIGN.md §9).
+    #[inline(always)]
+    fn step(&mut self, instr: &Instr, pending: &mut Pending) -> Option<AccessResult> {
+        if self.itlb.is_some() {
+            self.write_back(pending);
+            self.fetch_itlb();
+        }
+        match *instr {
             Instr::Load(vaddr) | Instr::Store(vaddr) => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 if matches!(instr, Instr::Load(_)) {
-                    self.stats.loads += 1;
+                    pending.loads += 1;
                 } else {
-                    self.stats.stores += 1;
+                    pending.stores += 1;
                 }
                 let vpn = Vpn::of_addr(vaddr);
                 let asid = self.current_asid;
-                let mut walker = OsWalker::new(&mut self.os, self.walker);
-                let r = self.tlb.access(asid, vpn, &mut walker);
-                self.stats.cycles += r.walk_cycles;
-                if r.fault {
-                    self.stats.faults += 1;
+                if let Some((ppn, size)) = self.tlb.try_hit(asid, vpn) {
+                    return Some(AccessResult::hit_sized(ppn, size));
                 }
-                return Some(r);
+                let mut walker = OsWalker::new(&mut self.os, self.walker);
+                let r = self.tlb.access_rest(asid, vpn, &mut walker);
+                pending.tlb_rest += 1;
+                pending.walk_cycles += r.walk_cycles;
+                if r.fault {
+                    pending.faults += 1;
+                }
+                Some(r)
             }
             Instr::Compute(n) => {
-                self.stats.instret += n;
-                self.stats.cycles += n;
+                pending.other += n;
+                None
             }
+            _ => {
+                pending.other += 1;
+                self.write_back(pending);
+                self.exec_control(instr);
+                None
+            }
+        }
+    }
+
+    /// Every instruction but loads, stores and compute bursts: context
+    /// switches, flushes, counter reads and jumps, out of line and on the
+    /// machine's own counters, which already count the instruction's
+    /// retirement and its first cycle.
+    #[inline(never)]
+    fn exec_control(&mut self, instr: &Instr) {
+        match *instr {
             Instr::SetAsid(asid) => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 if asid != self.current_asid {
                     self.stats.context_switches += 1;
                     self.stats.cycles += self.switch_cost;
@@ -642,8 +715,6 @@ impl Machine {
                 self.current_asid = asid;
             }
             Instr::FlushAll => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 self.tlb.flush_all();
                 if let Some(itlb) = &mut self.itlb {
                     itlb.flush_all();
@@ -651,8 +722,6 @@ impl Machine {
                 self.fetch_latch = None;
             }
             Instr::FlushAsid(asid) => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 self.tlb.flush_asid(asid);
                 if let Some(itlb) = &mut self.itlb {
                     itlb.flush_asid(asid);
@@ -660,8 +729,6 @@ impl Machine {
                 self.fetch_latch = None;
             }
             Instr::FlushPage(vaddr) => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 let asid = self.current_asid;
                 // Invalidating a present entry takes an extra cycle — the
                 // Flush + Flush channel of Appendix B.
@@ -678,28 +745,24 @@ impl Machine {
                 }
             }
             Instr::ReadMissCounter => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 let misses = self.tlb.stats().misses;
                 self.stats.counter_reads.push(misses);
             }
             Instr::ReadCycleCounter => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 let cycles = self.stats.cycles;
                 self.stats.counter_reads.push(cycles);
             }
             Instr::JumpTo(vaddr) => {
-                self.stats.instret += 1;
-                self.stats.cycles += 1;
                 if self.itlb.is_some() {
                     self.set_code_page(Vpn::of_addr(vaddr));
                 }
                 // A control transfer redirects the fetch stream.
                 self.fetch_latch = None;
             }
+            Instr::Load(_) | Instr::Store(_) | Instr::Compute(_) => {
+                unreachable!("step executes {instr:?} itself")
+            }
         }
-        None
     }
 
     /// Whether the shadow oracle was enabled at build time.
@@ -1262,10 +1325,11 @@ impl Machine {
     /// Executes a program as one batch — the trial drivers' entry point.
     ///
     /// Semantically identical to calling [`Machine::exec`] per
-    /// instruction (the differential equivalence suite pins this), but
-    /// when the shadow oracle is inactive the whole batch runs through
-    /// the instruction semantics directly, skipping the per-instruction
-    /// oracle bookkeeping. An empty batch is a no-op.
+    /// instruction (the differential suites pin this), but when the
+    /// shadow oracle is inactive the whole batch runs through the
+    /// instruction semantics directly, skipping the per-instruction
+    /// oracle bookkeeping, and keeps its counters in locals until the
+    /// batch ends. An empty batch is a no-op.
     pub fn run_batch(&mut self, program: &[Instr]) {
         if self.oracle_active() {
             for &i in program {
@@ -1273,9 +1337,11 @@ impl Machine {
             }
             return;
         }
-        for &i in program {
-            self.exec_inner(i);
+        let mut pending = Pending::default();
+        for i in program {
+            self.step(i, &mut pending);
         }
+        self.write_back(&mut pending);
     }
 }
 

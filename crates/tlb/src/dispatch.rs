@@ -17,7 +17,7 @@ use crate::multi::MsTlb;
 use crate::set_assoc::Tlb;
 use crate::stats::TlbStats;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, SecureRegion, Vpn};
+use crate::types::{Asid, PageSize, Ppn, SecureRegion, Vpn};
 
 /// A TLB of any design, dispatched by `match` instead of vtable.
 ///
@@ -99,6 +99,48 @@ impl TlbUnit {
     #[inline(always)]
     pub fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
         dispatch!(self, t => t.access(asid, vpn, walker))
+    }
+
+    /// The hit half of [`TlbUnit::access`], for a caller that counts hits
+    /// in registers: on a single-level TLB, marks a hit's way most
+    /// recently used and returns the translation. Counts nothing: the
+    /// caller counts each hit and adds them with [`TlbUnit::add_hits`].
+    /// The other organizations return `None`; [`TlbUnit::access_rest`]
+    /// makes and counts their whole access. Inlined, so a hit makes no
+    /// call and writes no counter.
+    #[inline(always)]
+    pub fn try_hit(&mut self, asid: Asid, vpn: Vpn) -> Option<(Ppn, PageSize)> {
+        match self {
+            TlbUnit::Single(t) => t.try_hit(asid, vpn),
+            TlbUnit::Ms(_) | TlbUnit::Hier(_) => None,
+        }
+    }
+
+    /// The rest of an access [`TlbUnit::try_hit`] did not serve, counted:
+    /// a single-level TLB's miss (a direct call to its out-of-line miss
+    /// half), or another organization's whole access.
+    #[inline(always)]
+    pub fn access_rest(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        walker: &mut dyn Translator,
+    ) -> AccessResult {
+        match self {
+            TlbUnit::Single(t) => t.miss(asid, vpn, walker),
+            TlbUnit::Ms(t) => t.access(asid, vpn, walker),
+            TlbUnit::Hier(t) => t.access(asid, vpn, walker),
+        }
+    }
+
+    /// Counts `hits` accesses served by [`TlbUnit::try_hit`].
+    #[inline(always)]
+    pub fn add_hits(&mut self, hits: u64) {
+        match self {
+            TlbUnit::Single(t) => t.add_hits(hits),
+            // `try_hit` serves no access of these.
+            TlbUnit::Ms(_) | TlbUnit::Hier(_) => debug_assert_eq!(hits, 0),
+        }
     }
 
     /// Residency probe without disturbing state (see [`TlbCore::probe`]).

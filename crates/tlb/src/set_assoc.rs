@@ -28,7 +28,7 @@ use crate::rfe::RandomFillEngine;
 use crate::stats::TlbStats;
 use crate::temporal::ClearScope;
 use crate::tlb_trait::{sealed, AccessResult, TlbCore, Translator};
-use crate::types::{Asid, PageSize, SecureRegion, TlbEntry, Vpn};
+use crate::types::{Asid, PageSize, Ppn, SecureRegion, TlbEntry, Vpn};
 
 /// A single-level TLB of any of the SA, SP, RF, FS and FT designs.
 ///
@@ -90,12 +90,35 @@ impl Tlb {
         &self.array
     }
 
+    /// The hit half of [`TlbCore::access`]: on a hit, marks the way most
+    /// recently used and returns the translation. Counts nothing: the
+    /// caller counts a hit ([`Tlb::add_hits`]), and [`Tlb::miss`]
+    /// counts a miss. Every design hits exactly as SA does: search every
+    /// way.
+    #[inline(always)]
+    pub(crate) fn try_hit(&mut self, asid: Asid, vpn: Vpn) -> Option<(Ppn, PageSize)> {
+        self.array.hit(asid, vpn)
+    }
+
+    /// Counts `hits` accesses served by [`Tlb::try_hit`].
+    #[inline(always)]
+    pub(crate) fn add_hits(&mut self, hits: u64) {
+        self.stats.accesses += hits;
+        self.stats.hits += hits;
+    }
+
     /// The miss half of [`TlbCore::access`], out of line so the hit path
     /// stays small enough to inline into the machine's batch loop. SA, FS
     /// and FT fill the set's replacement choice and SP the choice within
     /// the requester's partition; RF first runs Figure 3's *Sec* checks.
     #[inline(never)]
-    fn miss(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
+    pub(crate) fn miss(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        walker: &mut dyn Translator,
+    ) -> AccessResult {
+        self.stats.accesses += 1;
         self.stats.misses += 1;
         let config = self.array.config();
         let mut ways = 0..config.ways();
@@ -242,13 +265,13 @@ impl sealed::Sealed for Tlb {}
 impl TlbCore for Tlb {
     #[inline(always)]
     fn access(&mut self, asid: Asid, vpn: Vpn, walker: &mut dyn Translator) -> AccessResult {
-        self.stats.accesses += 1;
-        // Every design hits exactly as SA does: search every way.
-        if let Some((ppn, size)) = self.array.hit(asid, vpn) {
-            self.stats.hits += 1;
-            return AccessResult::hit_sized(ppn, size);
+        match self.try_hit(asid, vpn) {
+            Some((ppn, size)) => {
+                self.add_hits(1);
+                AccessResult::hit_sized(ppn, size)
+            }
+            None => self.miss(asid, vpn, walker),
         }
-        self.miss(asid, vpn, walker)
     }
 
     fn probe(&self, asid: Asid, vpn: Vpn) -> bool {
@@ -389,7 +412,6 @@ impl TlbCore for Tlb {
 mod tests {
     use super::*;
     use crate::tlb_trait::WalkResult;
-    use crate::types::Ppn;
 
     /// Identity translator charging a fixed walk cost.
     pub(crate) struct Ident(pub u64);

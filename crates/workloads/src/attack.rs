@@ -169,9 +169,7 @@ fn attack_window(
     }
     // Victim executes one square-and-multiply iteration.
     m.exec(Instr::SetAsid(victim));
-    for &i in window {
-        m.exec(i);
-    }
+    m.run_batch(window);
     // Probe in reverse order (avoids the probe-refill cascade that would
     // otherwise perturb the primed set into the next round).
     m.exec(Instr::SetAsid(attacker));

@@ -112,9 +112,7 @@ fn attack_window(
     }
     // Victim runs one square-and-multiply iteration (with its jumps).
     m.exec(Instr::SetAsid(victim));
-    for &i in window {
-        m.exec(i);
-    }
+    m.run_batch(window);
     // Probe: re-execute from the eviction set in *reverse* order (the
     // classic Prime + Probe trick: probing in prime order lets each
     // probe-miss refill evict the next page about to be probed, and the

@@ -86,9 +86,7 @@ pub fn secret_reaches_unprotected_l2(key: &RsaKey, settings: &L2AttackSettings) 
         // Shoot the signal page down between iterations so residency
         // reflects this window's activity alone.
         m.exec(Instr::FlushPage(signal.base_addr()));
-        for &i in traced.window_instrs(window) {
-            m.exec(i);
-        }
+        m.run_batch(traced.window_instrs(window));
         if window.bit {
             one_bits += 1;
             if m.tlb().probe_level(1, victim, signal).expect("hierarchy") {
@@ -179,9 +177,7 @@ fn attack_window(
         m.exec(Instr::Load(f.base_addr()));
     }
     m.exec(Instr::SetAsid(victim));
-    for &i in window {
-        m.exec(i);
-    }
+    m.run_batch(window);
     m.exec(Instr::SetAsid(attacker));
     let before = l2_misses(m);
     for &p in primes.iter().rev() {

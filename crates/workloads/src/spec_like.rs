@@ -88,14 +88,18 @@ impl SpecBenchmark {
 
     /// Generates `accesses` memory operations (plus compute interludes)
     /// over a region starting at `base`: [`SpecBenchmark::stream`],
-    /// collected.
+    /// filled in one go.
     pub fn trace(self, base: Vpn, accesses: usize, seed: u64) -> Vec<Instr> {
-        self.stream(base, accesses, seed).collect()
+        let mut stream = self.stream(base, accesses, seed);
+        let mut trace = Vec::new();
+        stream.fill(&mut trace, stream.remaining());
+        trace
     }
 
-    /// The instructions of [`SpecBenchmark::trace`], generated one at a
-    /// time: each access is a `Load` followed by its compute interlude,
-    /// and the stream can stop between the two.
+    /// The instructions of [`SpecBenchmark::trace`], generated a slice at
+    /// a time (see [`InstrSource::fill`]): each access is a `Load`
+    /// followed by its compute interlude, and a slice can end between
+    /// the two.
     pub fn stream(self, base: Vpn, accesses: usize, seed: u64) -> SpecStream {
         SpecStream {
             sig: self.signature(),
@@ -131,36 +135,51 @@ pub struct SpecStream {
     compute_due: bool,
 }
 
-impl Iterator for SpecStream {
-    type Item = Instr;
-
-    #[inline]
-    fn next(&mut self) -> Option<Instr> {
-        if self.compute_due {
-            self.compute_due = false;
-            return Some(Instr::Compute(self.sig.compute));
-        }
-        self.accesses = self.accesses.checked_sub(1)?;
-        let page = if self.rng.gen_bool(self.sig.hot_prob) {
-            self.rng.gen_range(0..self.sig.hot_pages)
-        } else {
-            self.rng.gen_range(0..self.sig.pages)
-        };
-        let offset = self.rng.gen_range(0u64..512) * 8;
-        self.compute_due = self.sig.compute > 0;
-        Some(Instr::Load(self.base.offset(page).base_addr() + offset))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
+impl SpecStream {
+    /// Instructions still to come.
+    fn remaining(&self) -> usize {
         let per_access = if self.sig.compute > 0 { 2 } else { 1 };
-        let left = self.accesses * per_access + usize::from(self.compute_due);
-        (left, Some(left))
+        self.accesses * per_access + usize::from(self.compute_due)
     }
 }
 
 impl InstrSource for SpecStream {
+    /// Appends the next `max` instructions to `buf`, reserved up front.
+    /// An access draws a hot-or-cold choice, a page and an offset,
+    /// through the shim's own `gen_bool` and `gen_range`, in that order;
+    /// the draws inline into this loop, on a copy of the generator held
+    /// in registers for the call.
     fn fill(&mut self, buf: &mut Vec<Instr>, max: usize) {
-        buf.extend(self.by_ref().take(max));
+        let sig = self.sig;
+        let compute = Instr::Compute(sig.compute);
+        let mut left = max.min(self.remaining());
+        buf.reserve(left);
+        if left > 0 && std::mem::take(&mut self.compute_due) {
+            buf.push(compute);
+            left -= 1;
+        }
+        let mut rng = self.rng.clone();
+        while left > 0 {
+            let page = if rng.gen_bool(sig.hot_prob) {
+                rng.gen_range(0..sig.hot_pages)
+            } else {
+                rng.gen_range(0..sig.pages)
+            };
+            let offset = rng.gen_range(0u64..512) * 8;
+            buf.push(Instr::Load(self.base.offset(page).base_addr() + offset));
+            self.accesses -= 1;
+            left -= 1;
+            if sig.compute > 0 {
+                if left == 0 {
+                    // The interlude starts the next slice.
+                    self.compute_due = true;
+                    break;
+                }
+                buf.push(compute);
+                left -= 1;
+            }
+        }
+        self.rng = rng;
     }
 }
 
@@ -206,28 +225,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_stream_yields_the_trace_in_any_chunking() {
-        for b in SpecBenchmark::ALL {
-            let trace = b.trace(Vpn(0x1000), 1_000, 5);
-            assert_eq!(trace.len(), 2_000, "{b}: a load and a compute per access");
-            for chunk in [1, 2, 3, 199, 200, 201] {
-                let mut stream = b.stream(Vpn(0x1000), 1_000, 5);
-                let mut streamed = Vec::new();
-                loop {
-                    let before = streamed.len();
-                    let left = trace.len() - before;
-                    assert_eq!(stream.size_hint(), (left, Some(left)), "{b}: size hint");
-                    stream.fill(&mut streamed, chunk);
-                    let added = streamed.len() - before;
-                    if added == 0 {
-                        break;
-                    }
-                    assert_eq!(added, chunk.min(left), "{b}: chunk {chunk}");
-                }
-                assert_eq!(streamed, trace, "{b}: chunk {chunk}");
+    /// The stream as it was generated one access at a time, drawing
+    /// through `rand::Rng` — the reference `fill` must reproduce.
+    struct Reference {
+        sig: Signature,
+        base: Vpn,
+        rng: SmallRng,
+        accesses: usize,
+        compute_due: bool,
+    }
+
+    impl Reference {
+        fn new(bench: SpecBenchmark, base: Vpn, accesses: usize, seed: u64) -> Reference {
+            Reference {
+                sig: bench.signature(),
+                base,
+                rng: SmallRng::seed_from_u64(seed ^ bench as u64),
+                accesses,
+                compute_due: false,
             }
         }
+    }
+
+    impl Iterator for Reference {
+        type Item = Instr;
+
+        fn next(&mut self) -> Option<Instr> {
+            if self.compute_due {
+                self.compute_due = false;
+                return Some(Instr::Compute(self.sig.compute));
+            }
+            self.accesses = self.accesses.checked_sub(1)?;
+            let page = if self.rng.gen_bool(self.sig.hot_prob) {
+                self.rng.gen_range(0..self.sig.hot_pages)
+            } else {
+                self.rng.gen_range(0..self.sig.pages)
+            };
+            let offset = self.rng.gen_range(0u64..512) * 8;
+            self.compute_due = self.sig.compute > 0;
+            Some(Instr::Load(self.base.offset(page).base_addr() + offset))
+        }
+    }
+
+    #[test]
+    fn fill_matches_the_one_access_reference_in_any_chunking() {
+        let base = Vpn(0x1000);
+        let mut split_accesses = 0;
+        for b in SpecBenchmark::ALL {
+            for seed in 0..12u64 {
+                for accesses in [0, 1, 2, 3, 64, 333] {
+                    let want: Vec<Instr> = Reference::new(b, base, accesses, seed).collect();
+                    assert_eq!(
+                        want.len(),
+                        2 * accesses,
+                        "{b}: a load and a compute per access"
+                    );
+                    assert_eq!(b.trace(base, accesses, seed), want, "{b} seed {seed}");
+                    for chunk in [1, 2, 3, 7, 199, 200, 201] {
+                        let mut stream = b.stream(base, accesses, seed);
+                        // A non-empty buffer: `fill` appends.
+                        let mut got = vec![Instr::FlushAll];
+                        loop {
+                            let before = got.len();
+                            let left = want.len() + 1 - before;
+                            assert_eq!(stream.remaining(), left, "{b}: remaining");
+                            stream.fill(&mut got, chunk);
+                            let added = got.len() - before;
+                            assert_eq!(added, chunk.min(left), "{b}: chunk {chunk}");
+                            if added == 0 {
+                                break;
+                            }
+                            // This fill stopped between a load and its
+                            // compute interlude.
+                            if matches!(got.last(), Some(Instr::Load(_))) {
+                                assert!(stream.compute_due, "{b}: chunk {chunk}");
+                                split_accesses += 1;
+                            }
+                        }
+                        assert_eq!(got[1..], want[..], "{b} seed {seed} chunk {chunk}");
+                    }
+                }
+            }
+        }
+        assert!(split_accesses > 0, "no fill stopped inside an access");
     }
 
     #[test]

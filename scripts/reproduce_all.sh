@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, and extension study of the Secure TLBs
-# reproduction into results/. Takes about 40 s on a 2-vCPU host (35.8
-# and 38.4 s measured with a warm build; fig7, sharded over both cores, is
-# all but about 1 s of it).
+# reproduction into results/. Takes 33-43 s on a shared 2-vCPU host
+# (32.8, 35.6 and 38.5 s measured with a warm build; fig7, sharded over
+# both cores, is all but about 1.3 s of it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

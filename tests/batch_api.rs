@@ -7,6 +7,10 @@
 //! a batch must never be split by checkpoint preemption — the
 //! supervisor's cooperative `preempt_point()` sits *between* trials, so
 //! an armed preemption flag fires only after the in-flight batch ends.
+//!
+//! Every batched machine runs without the shadow oracle, so `run_batch`
+//! takes its own loop; with the oracle armed it would step through
+//! `exec`. The machines it is compared with run under the oracle.
 
 use secure_tlbs::secbench::supervisor::{preempt_point, set_preempt_flag, ShardPreempted};
 use secure_tlbs::sim::cpu::Instr;
@@ -18,11 +22,14 @@ use std::sync::Arc;
 
 const BASE: u64 = 0x100;
 
-fn machine(design: TlbDesign) -> (Machine, [Asid; 2]) {
+/// A machine of `design` with two address spaces, the shadow oracle on
+/// or off.
+fn machine(design: TlbDesign, oracle: bool) -> (Machine, [Asid; 2]) {
     let mut m = MachineBuilder::new()
         .design(design)
         .tlb_config(TlbConfig::sa(16, 4).expect("valid"))
         .seed(99)
+        .oracle(oracle)
         .build();
     let a = m.os_mut().create_process();
     let b = m.os_mut().create_process();
@@ -38,7 +45,8 @@ fn addr(page: u64) -> u64 {
 
 /// A program that crosses every batch-internal boundary the engine can
 /// produce: context switches, a per-ASID flush, a targeted invalidation,
-/// and a whole-TLB flush, with reuse on both sides of each.
+/// and a whole-TLB flush, with reuse on both sides of each, and counter
+/// reads between them.
 fn boundary_program(asids: &[Asid; 2]) -> Vec<Instr> {
     let [a, b] = *asids;
     vec![
@@ -52,20 +60,25 @@ fn boundary_program(asids: &[Asid; 2]) -> Vec<Instr> {
         Instr::FlushAsid(a),
         Instr::SetAsid(a),
         Instr::Load(addr(0)),
+        Instr::ReadCycleCounter,
         Instr::FlushPage(addr(0)),
+        Instr::ReadCycleCounter,
         Instr::Load(addr(0)),
+        Instr::ReadMissCounter,
         Instr::FlushAll,
         Instr::SetAsid(b),
         Instr::Load(addr(7)),
         Instr::Compute(3),
         Instr::Load(addr(7)),
+        Instr::ReadCycleCounter,
+        Instr::ReadMissCounter,
     ]
 }
 
 #[test]
 fn empty_batch_is_a_no_op() {
     for design in TlbDesign::ALL {
-        let (mut m, _) = machine(design);
+        let (mut m, _) = machine(design, false);
         let stats_before = m.stats().clone();
         let tlb_before = *m.tlb_stats();
         m.run_batch(&[]);
@@ -85,8 +98,8 @@ fn empty_batch_is_a_no_op() {
 #[test]
 fn batch_spanning_switches_and_flushes_matches_stepped_execution() {
     for design in TlbDesign::ALL {
-        let (mut batched, asids) = machine(design);
-        let (mut stepped, _) = machine(design);
+        let (mut batched, asids) = machine(design, false);
+        let (mut stepped, _) = machine(design, true);
         let program = boundary_program(&asids);
         batched.run_batch(&program);
         for &instr in &program {
@@ -104,15 +117,22 @@ fn batch_spanning_switches_and_flushes_matches_stepped_execution() {
 
 #[test]
 fn batch_split_across_run_calls_equals_one_batch() {
-    let (mut whole, asids) = machine(TlbDesign::Sp);
-    let (mut split, _) = machine(TlbDesign::Sp);
+    let (mut whole, asids) = machine(TlbDesign::Sp, false);
+    let (mut split, _) = machine(TlbDesign::Sp, false);
+    let (mut stepped, _) = machine(TlbDesign::Sp, true);
     let program = boundary_program(&asids);
     whole.run_batch(&program);
     let (head, tail) = program.split_at(program.len() / 2);
     split.run(head);
     split.run(tail);
-    assert_eq!(whole.stats(), split.stats());
-    assert_eq!(whole.tlb().snapshot(), split.tlb().snapshot());
+    for &instr in &program {
+        stepped.exec(instr);
+    }
+    for m in [&whole, &split] {
+        assert_eq!(m.stats(), stepped.stats());
+        assert_eq!(m.tlb_stats(), stepped.tlb_stats());
+        assert_eq!(m.tlb().snapshot(), stepped.tlb().snapshot());
+    }
 }
 
 #[test]
@@ -126,8 +146,8 @@ fn armed_preemption_never_splits_a_batch() {
     set_preempt_flag(Some(flag.clone()));
     flag.store(true, Ordering::Release);
 
-    let (mut m, asids) = machine(TlbDesign::Rf);
-    let (mut calm, _) = machine(TlbDesign::Rf);
+    let (mut m, asids) = machine(TlbDesign::Rf, false);
+    let (mut calm, _) = machine(TlbDesign::Rf, true);
     let program = boundary_program(&asids);
     m.run_batch(&program);
     calm.run_batch(&program);

@@ -17,7 +17,9 @@
 //!   four Figure 7 geometries) and RF with LRU random-fill eviction, and
 //!   requires every multi-way point to evict — the only fills where LRU
 //!   order decides anything.
-//! - Batched execution must end exactly where stepped execution does.
+//! - Batched execution must end exactly where stepped execution does,
+//!   counter reads, jumps and compute bursts included, also on an L2 and
+//!   an I-TLB machine.
 //! - An MS sweep maps megapages and gigapages, so every entry class
 //!   fills, evicts, invalidates and flushes under the oracle.
 
@@ -417,45 +419,150 @@ fn every_design_point_satisfies_the_oracle() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// One operation of the batched-execution property: a sweep [`Op`], or
+/// one of the instructions that touch no D-TLB entry — a compute burst,
+/// a counter read, or a jump to a code page of the current address
+/// space.
+#[derive(Debug, Clone, Copy)]
+enum BatchOp {
+    Op(Op),
+    Compute(u8),
+    ReadMissCounter,
+    ReadCycleCounter,
+    JumpTo { page: u8 },
+}
 
-    /// The batched API must end exactly where instruction-at-a-time
-    /// execution does. The batched machine runs without the oracle, so
-    /// `run_batch` takes its oracle-free loop; the stepped one runs
-    /// under it.
-    #[test]
-    fn batched_execution_matches_stepped_execution(
-        ops in collection::vec(op_strategy(), 1..300),
-        seed in 0u64..1000,
-    ) {
-        for point in design_points() {
-            let name = point.0;
-            let (mut batched, asids) = build(point_builder(&point, seed).oracle(false));
-            let (mut stepped, _) = build(point_builder(&point, seed));
+fn batch_op_strategy() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        40 => op_strategy().prop_map(BatchOp::Op),
+        4 => (1u8..9).prop_map(BatchOp::Compute),
+        2 => Just(BatchOp::ReadMissCounter),
+        2 => Just(BatchOp::ReadCycleCounter),
+        2 => (0..PAGES).prop_map(|page| BatchOp::JumpTo { page }),
+    ]
+}
+
+fn batch_instr(op: BatchOp, asids: &[Asid; 2]) -> Instr {
+    match op {
+        BatchOp::Op(op) => to_instr(op, asids),
+        BatchOp::Compute(n) => Instr::Compute(u64::from(n)),
+        BatchOp::ReadMissCounter => Instr::ReadMissCounter,
+        BatchOp::ReadCycleCounter => Instr::ReadCycleCounter,
+        BatchOp::JumpTo { page: p } => Instr::JumpTo(page(p).base_addr()),
+    }
+}
+
+/// A machine builder for a seed.
+type BuilderFn = Box<dyn Fn(u64) -> MachineBuilder>;
+
+/// The sweep's design points, plus an RF L1 backed by an RF L2 and an SA
+/// machine with an RF I-TLB. [`build`] protects the first address
+/// space's first pages on the D-TLB (and so on both RF levels), so
+/// random fills run at every RF point; the I-TLB point protects them as
+/// code too, so jumps there random-fill the I-TLB.
+fn batch_points() -> Vec<(&'static str, BuilderFn, bool)> {
+    let points = design_points();
+    let mut out: Vec<(&'static str, BuilderFn, bool)> = points
+        .into_iter()
+        .map(|point| {
+            let builder: BuilderFn = Box::new(move |seed| point_builder(&point, seed));
+            (point.0, builder, false)
+        })
+        .collect();
+    let [sa, _, _, rf, ..] = points;
+    out.push((
+        "RF + RF L2",
+        Box::new(move |seed| {
+            point_builder(&rf, seed).l2(TlbDesign::Rf, TlbConfig::sa(64, 4).expect("valid"), 8)
+        }),
+        false,
+    ));
+    out.push((
+        "SA + RF I-TLB",
+        Box::new(move |seed| {
+            point_builder(&sa, seed).itlb(TlbDesign::Rf, TlbConfig::sa(16, 4).expect("valid"))
+        }),
+        true,
+    ));
+    out
+}
+
+/// [`build`], plus the secure code region on a machine with an I-TLB.
+fn build_batch_point(builder: MachineBuilder, code: bool) -> (Machine, [Asid; 2]) {
+    let (mut machine, asids) = build(builder);
+    if code {
+        machine
+            .protect_victim_code(asids[0], SecureRegion::new(Vpn(BASE), 3))
+            .expect("fresh");
+    }
+    (machine, asids)
+}
+
+/// The batched API must end exactly where instruction-at-a-time
+/// execution does, counter reads included: `run_batch` keeps its counts
+/// in locals and writes them back around every instruction that reads
+/// or changes them out of line. The batched machine runs without the
+/// oracle, so `run_batch` takes its own loop; the stepped one runs
+/// under it. Driven from the proptest shim's deterministic per-test
+/// seeds, so the random fills can be summed across cases: every RF
+/// level and the RF I-TLB must random-fill somewhere in the sweep.
+#[test]
+fn batched_execution_matches_stepped_execution() {
+    let mut rng = TestRng::for_test("batched_execution_matches_stepped_execution");
+    let points = batch_points();
+    // Random fills per point: at the L1, the L2 and the I-TLB.
+    let mut random_fills = vec![[0u64; 3]; points.len()];
+    for case in 0..16 {
+        let ops = collection::vec(batch_op_strategy(), 1..300).generate(&mut rng);
+        let seed = (0u64..1000).generate(&mut rng);
+        for ((name, builder, code), fills) in points.iter().zip(&mut random_fills) {
+            let context = || format!("[{name}] case {case} seed {seed}");
+            let (mut batched, asids) = build_batch_point(builder(seed).oracle(false), *code);
+            let (mut stepped, _) = build_batch_point(builder(seed).oracle(true), *code);
             assert!(!batched.oracle_enabled() && stepped.oracle_enabled());
-            let program: Vec<Instr> = ops.iter().map(|&op| to_instr(op, &asids)).collect();
+            let program: Vec<Instr> = ops.iter().map(|&op| batch_instr(op, &asids)).collect();
             batched.run_batch(&program);
             for &instr in &program {
                 stepped.exec(instr);
             }
-            prop_assert_eq!(
-                batched.tlb_stats(),
-                stepped.tlb_stats(),
-                "[{}] batched TLB counters diverged", name
-            );
-            prop_assert_eq!(
+            assert_eq!(
                 batched.stats(),
                 stepped.stats(),
-                "[{}] batched executor counters diverged", name
+                "{}: executor counters",
+                context()
             );
-            prop_assert_eq!(
+            for level in 0..2 {
+                assert_eq!(
+                    batched.tlb().level_stats(level),
+                    stepped.tlb().level_stats(level),
+                    "{}: TLB level {level} counters",
+                    context()
+                );
+            }
+            assert_eq!(
                 batched.tlb().snapshot(),
                 stepped.tlb().snapshot(),
-                "[{}] batched TLB contents diverged", name
+                "{}",
+                context()
             );
-            assert_oracle_clean(&stepped, || name.to_string());
+            let itlb = |m: &Machine| m.itlb().map(|t| (*t.stats(), t.snapshot()));
+            assert_eq!(itlb(&batched), itlb(&stepped), "{}: I-TLB", context());
+            assert_oracle_clean(&stepped, context);
+            let counted = [
+                batched.tlb().level_stats(0),
+                batched.tlb().level_stats(1),
+                batched.itlb().map(|t| t.stats()),
+            ];
+            for (sum, stats) in fills.iter_mut().zip(counted) {
+                *sum += stats.map_or(0, |s| s.random_fills);
+            }
         }
+    }
+    for ((name, _, _), [l1, l2, itlb]) in points.iter().zip(random_fills) {
+        let never = |level| format!("[{name}] the sweep never random-filled its {level}");
+        assert!(!name.starts_with("RF") || l1 > 0, "{}", never("L1"));
+        assert!(!name.contains("L2") || l2 > 0, "{}", never("L2"));
+        assert!(!name.contains("I-TLB") || itlb > 0, "{}", never("I-TLB"));
     }
 }
 
