@@ -54,11 +54,12 @@ fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
         return rng.next_u64() & (span - 1);
     }
     // Rejection zone: the low `2^64 mod span` products are over-represented.
-    let zone = span.wrapping_neg() % span;
+    // The zone lies below `span`, so only a low word below `span` needs the
+    // division that finds it.
     loop {
-        let x = rng.next_u64();
-        let m = u128::from(x) * u128::from(span);
-        if (m as u64) >= zone {
+        let m = u128::from(rng.next_u64()) * u128::from(span);
+        let low = m as u64;
+        if low >= span || low >= span.wrapping_neg() % span {
             return (m >> 64) as u64;
         }
     }
@@ -226,7 +227,76 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, RngCore, SeedableRng};
+    use super::{uniform_u64, Rng, RngCore, SeedableRng};
+
+    /// The reference for `uniform_u64`: Lemire's rejection with the zone
+    /// computed before every draw.
+    fn eager_uniform_u64<R: RngCore>(rng: &mut R, span: u64) -> u64 {
+        if span.is_power_of_two() {
+            return rng.next_u64() & (span - 1);
+        }
+        let zone = span.wrapping_neg() % span;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(span);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// A generator that counts the words it hands out.
+    struct Counted(SmallRng, usize);
+
+    impl RngCore for Counted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn the_lazy_zone_draws_what_the_eager_one_does() {
+        // Small spans, the spans the simulator draws from, random spans,
+        // and spans just past 2^63 and 2^64 * 2/3, which reject about every
+        // second and third draw, so the rejection loop runs often.
+        let mut spans: Vec<u64> = vec![3, 5, 6, 7, 10, 24, 31, 72, 100, 248, 1000, 4097];
+        spans.extend([
+            (1 << 32) + 1,
+            (1 << 63) + 1,
+            u64::MAX / 3 * 2 + 1,
+            u64::MAX - 1,
+        ]);
+        let mut pick = SmallRng::seed_from_u64(0x5eed);
+        spans.extend((0..64).map(|_| pick.next_u64() >> (pick.next_u64() % 63)));
+        let samples = 500;
+        let mut rejected = 0;
+        for &span in spans.iter().filter(|s| **s > 1 && !s.is_power_of_two()) {
+            for seed in 0..8 {
+                let mut lazy = Counted(SmallRng::seed_from_u64(seed), 0);
+                let mut eager = Counted(SmallRng::seed_from_u64(seed), 0);
+                for _ in 0..samples {
+                    let want = eager_uniform_u64(&mut eager, span);
+                    assert_eq!(
+                        uniform_u64(&mut lazy, span),
+                        want,
+                        "span {span} seed {seed}"
+                    );
+                }
+                assert_eq!(
+                    lazy.1, eager.1,
+                    "same draws consumed: span {span} seed {seed}"
+                );
+                rejected += eager.1 - samples;
+            }
+        }
+        assert!(
+            rejected > 5_000,
+            "the rejection loop ran only {rejected} times"
+        );
+    }
 
     #[test]
     fn same_seed_same_stream() {

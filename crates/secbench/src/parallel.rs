@@ -29,7 +29,7 @@ use std::time::Duration;
 pub const TRIALS_PER_SHARD: u32 = 25;
 
 /// What one worker did during a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
     /// Shards this worker completed.
     pub shards: usize,
@@ -44,7 +44,7 @@ pub struct WorkerStats {
 }
 
 /// Timing and throughput of one sharded run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Wall-clock time of the whole run.
     pub wall: Duration,

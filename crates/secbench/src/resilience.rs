@@ -33,9 +33,6 @@
 //!   atomic rename). A resumed run skips recorded shards and, by the
 //!   determinism contract, produces bitwise-identical final output to an
 //!   uninterrupted run.
-//! - **Watchdog** — an optional per-shard deadline; workers that exceed
-//!   it are reported as [`StallEvent`]s and counted in
-//!   [`PoolStats::stalled`].
 //! - **Fault injection** — a deterministic [`FaultPlan`] (seeded by shard
 //!   index, enabled only through test/CLI flags) makes chosen shards
 //!   panic or stall, so the integration suite can *prove* the properties
@@ -47,6 +44,29 @@
 //!   per-shard deadline is set), flushes the checkpoint, and returns a
 //!   *partial* [`ResilientRun`] whose unexecuted shards are explicit
 //!   [`ShardOutcome::Skipped`]/[`ShardOutcome::TimedOut`] entries.
+//!
+//! # The pool's stages
+//!
+//! A pool run is a crate-private `Pool` that owns what its threads share,
+//! with one method per stage. Each stage touches only these fields:
+//!
+//! - **resume** (before the pool exists; the adaptive rounds share it):
+//!   the result slots, and the consumed time the `supervisor` starts from.
+//! - **claim** (each worker): `supervisor` (a stop lands in `stop_slot`),
+//!   `claims` (capped by `stop_after`) and `queues`; with an injected
+//!   death, an idle worker waits while `outstanding` is nonzero.
+//! - **run a shard** (each worker): its `WorkerSlot` (`task`, `started`,
+//!   `preempt`, and `dead` if it claims `death_shard` first, per
+//!   `death_fired`), then `outstanding` and the collector's channel.
+//! - **monitor sweep** (one thread, only under a stall or cell deadline or
+//!   an injected death): every `WorkerSlot` at the clock it is given —
+//!   stalls become [`StallEvent`]s, an overrun sets `preempt` — and a dead
+//!   worker's shard goes back on `queues` or is quarantined
+//!   (`outstanding`). It stops after the sweep that follows `done`.
+//! - **collect** (the calling thread): the result slots and, only when a
+//!   checkpoint is configured, the checkpoint, saved every `every` shards.
+//! - **settle** (after the join): the result slots, the monitor's report
+//!   and `stop_slot`, into a [`ResilientRun`] after a final save.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -54,7 +74,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use sectlb_model::Vulnerability;
@@ -68,7 +88,7 @@ use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, Shard, Wo
 use crate::run::{
     splitmix64, vulnerability_code, Measurement, SetupError, TrialCell, TrialSettings,
 };
-use crate::scheduler::StealQueues;
+use crate::scheduler::{Claim, StealQueues};
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
 use crate::telemetry::{duration_ns, Event, Telemetry};
 
@@ -267,15 +287,6 @@ impl FaultPlan {
             || self.io.is_some()
     }
 
-    /// The I/O fault injector this plan configures (disabled when
-    /// `--inject-io` was not given).
-    pub fn io_injector(&self) -> IoInjector {
-        match self.io {
-            Some(fault) => IoInjector::new(self.seed, fault),
-            None => IoInjector::disabled(),
-        }
-    }
-
     fn roll(&self, index: usize, salt: u64) -> u16 {
         (splitmix64(splitmix64(self.seed ^ salt) ^ index as u64) % 1000) as u16
     }
@@ -366,6 +377,20 @@ impl RunPolicy {
             || self.budget.is_active()
             || self.cancel.is_some()
             || self.adaptive.is_some()
+    }
+
+    /// The storage fault injector of `--inject-io` (disabled without it).
+    /// One per run: its rolls are keyed by an operation counter that the
+    /// resume load and every save share.
+    fn io_injector(&self) -> IoInjector {
+        match self.faults {
+            Some(FaultPlan {
+                seed,
+                io: Some(fault),
+                ..
+            }) => IoInjector::new(seed, fault),
+            _ => IoInjector::disabled(),
+        }
     }
 }
 
@@ -504,19 +529,538 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker watchdog bookkeeping: when (nanos since run start, +1 so 0
-/// means idle) the worker started its current shard, and which shard.
-struct WatchSlot {
+/// One worker's slot, shared with the monitor: when (nanos since the run
+/// started, +1 so 0 means idle) the worker started its current shard,
+/// which shard, that shard's preemption flag (which the worker arms as
+/// its thread's `preempt_point` flag), and whether the worker has died.
+#[derive(Default)]
+struct WorkerSlot {
     started: AtomicU64,
     task: AtomicUsize,
+    preempt: Arc<AtomicBool>,
+    dead: AtomicBool,
 }
 
-/// What the monitor thread observed: watchdog stalls plus the worker
-/// deaths it detected and the abandoned shards it re-enqueued.
-struct MonitorReport {
+/// One pool run: the state its workers and its monitor share through
+/// `&self`, with one method per stage (see the module docs).
+struct Pool<'a, T, R> {
+    tasks: &'a [T],
+    policy: &'a RunPolicy,
+    label: &'a (dyn Fn(&T) -> String + Sync),
+    run: &'a (dyn Fn(&T) -> R + Sync),
+    telemetry: &'a Telemetry,
+    injector: IoInjector,
+    /// The clock of the watch slots and of the pool's wall time.
+    started: Instant,
+    supervisor: Supervisor,
+    queues: StealQueues,
+    claims: AtomicUsize,
+    /// Tasks not yet completed, preempted or quarantined.
+    outstanding: AtomicUsize,
+    /// The shard whose first claim kills its claimer (`worker_death`).
+    death_shard: Option<usize>,
+    death_fired: AtomicBool,
+    /// Set once the workers have joined; the monitor's last sweep follows.
+    done: AtomicBool,
+    /// The first supervisor stop the claims saw.
+    stop_slot: OnceLock<StopReason>,
+    workers: Vec<WorkerSlot>,
+    /// Tasks restored from the resume checkpoint.
+    resumed: usize,
+}
+
+/// The collector's side of a pool run: one result slot per task and,
+/// only when checkpointing is configured, the checkpoint that records
+/// the completed ones.
+struct Outcomes<R> {
+    slots: Vec<Option<ShardOutcome<R>>>,
+    ck: Option<Checkpoint>,
+}
+
+impl<R: Record> Outcomes<R> {
+    /// Puts task `i`'s outcome in its slot and returns whether the
+    /// checkpoint recorded it. Only completed shards are recorded: a
+    /// preempted shard re-runs in full on resume, keeping the final
+    /// output bitwise identical.
+    fn put(&mut self, i: usize, outcome: ShardOutcome<R>) -> bool {
+        debug_assert!(self.slots[i].is_none(), "task {i} produced twice");
+        let recorded = match (&outcome, &mut self.ck) {
+            (ShardOutcome::Done(r), Some(ck)) => {
+                ck.record(i, r);
+                true
+            }
+            _ => false,
+        };
+        self.slots[i] = Some(outcome);
+        recorded
+    }
+}
+
+/// The monitor's state between sweeps, and its report: watchdog stalls,
+/// worker deaths, reclaimed shards, and the abandoned shards it
+/// quarantined (returned, not sent: the monitor holds no sender, so the
+/// collector ends exactly when the workers hang up).
+#[derive(Default)]
+struct Monitor {
+    /// `(worker, task)` pairs already reported stalled.
+    flagged: HashSet<(usize, usize)>,
+    /// How often each task has been abandoned by a dying worker.
+    abandoned: HashMap<usize, u32>,
+    /// Re-enqueues waiting out their backoff: `(due, task, attempt)`.
+    backlog: Vec<(Duration, usize, u32)>,
     stalls: Vec<StallEvent>,
     deaths: usize,
     reclaimed: usize,
+    quarantined: Vec<ShardFailure>,
+}
+
+impl<'a, T: Sync, R: Send + Record> Pool<'a, T, R> {
+    /// Sets a pool run up: the resume stage, then one steal deque and one
+    /// slot per worker over the tasks still pending.
+    fn new(
+        tasks: &'a [T],
+        workers: NonZeroUsize,
+        policy: &'a RunPolicy,
+        fingerprint: u64,
+        label: &'a (dyn Fn(&T) -> String + Sync),
+        telemetry: &'a Telemetry,
+        run: &'a (dyn Fn(&T) -> R + Sync),
+    ) -> Result<(Pool<'a, T, R>, Outcomes<R>), CampaignError> {
+        let (started, n) = (Instant::now(), tasks.len());
+        let injector = policy.io_injector();
+        let ck = policy
+            .checkpoint
+            .as_ref()
+            .map(|_| Checkpoint::new(fingerprint, n));
+        let slots = std::iter::repeat_with(|| None).take(n).collect();
+        let mut outcomes = Outcomes { slots, ck };
+        let restore = |i: usize, r: R| {
+            let fresh = outcomes.slots[i].is_none();
+            if fresh {
+                outcomes.put(i, ShardOutcome::Done(r));
+            }
+            fresh
+        };
+        let (resumed, prior) = resume(policy, &injector, telemetry, fingerprint, n, restore)?;
+        let pending: Vec<usize> = (0..n).filter(|&i| outcomes.slots[i].is_none()).collect();
+        // Work-stealing deques over the pending task indices: each worker
+        // drains its own contiguous chunk in index order and steals from
+        // busier workers once idle.
+        let queues = StealQueues::seed(workers.get().min(pending.len().max(1)), &pending);
+        let death = policy.faults.as_ref().and_then(|plan| plan.worker_death);
+        let pool = Pool {
+            tasks,
+            policy,
+            label,
+            run,
+            telemetry,
+            injector,
+            started,
+            // Wall-clock consumed by earlier runs in the resume chain
+            // counts against `--deadline`: a resumed campaign gets the
+            // remainder of its budget, never a fresh one.
+            supervisor: Supervisor::with_cancel(policy.budget, prior, policy.cancel.clone()),
+            claims: AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(pending.len()),
+            death_shard: death.and_then(|(w, k)| queues.nth_own(w as usize, k as usize)),
+            death_fired: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            stop_slot: OnceLock::new(),
+            workers: std::iter::repeat_with(WorkerSlot::default)
+                .take(queues.workers())
+                .collect(),
+            queues,
+            resumed,
+        };
+        Ok((pool, outcomes))
+    }
+
+    /// The claim stage: worker `w`'s next task, or `None` once it should
+    /// stop. The budget is enforced here, at the claim boundary: in-flight
+    /// shards drain, new ones are not started.
+    fn claim(&self, w: usize) -> Option<Claim> {
+        let cap = self.policy.stop_after.unwrap_or(usize::MAX);
+        loop {
+            if let Some(reason) = self.supervisor.should_stop() {
+                let _ = self.stop_slot.set(reason);
+                return None;
+            }
+            if self.claims.fetch_add(1, Ordering::Relaxed) >= cap {
+                return None;
+            }
+            if let Some(claim) = self.queues.claim(w) {
+                return Some(claim);
+            }
+            // Nothing was consumed: release the claim so the cap stays exact.
+            self.claims.fetch_sub(1, Ordering::Relaxed);
+            if self.death_shard.is_none() || self.outstanding.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            // A dead worker's shard may be in flight between abandonment
+            // and reclamation: stay available to pick it up.
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// One worker: claims and runs shards until the claim stage says
+    /// stop, sending each outcome to the collector.
+    fn work(&self, w: usize, tx: &mpsc::Sender<(usize, ShardOutcome<R>)>) -> WorkerStats {
+        let mut stats = WorkerStats::default();
+        let slot = &self.workers[w];
+        while let Some(claim) = self.claim(w) {
+            let i = claim.task;
+            stats.stolen += usize::from(claim.stolen);
+            if self.telemetry.is_armed() {
+                self.telemetry.emit(Event::ShardClaim {
+                    task: i as u64,
+                    worker: w as u64,
+                    label: (self.label)(&self.tasks[i]),
+                });
+            }
+            let now = self.started.elapsed().as_nanos() as u64;
+            slot.task.store(i, Ordering::Release);
+            slot.started.store(now + 1, Ordering::Release);
+            if self.death_shard == Some(i) && !self.death_fired.swap(true, Ordering::AcqRel) {
+                // Injected whole-worker loss: exit without delivering the
+                // claimed shard. The watch slot stays set so the monitor
+                // can detect the abandonment and reclaim the shard.
+                slot.dead.store(true, Ordering::Release);
+                break;
+            }
+            let (outcome, wall) = self.run_shard(w, i, &mut stats.retried);
+            slot.started.store(0, Ordering::Release);
+            stats.busy += wall;
+            stats.shards += 1;
+            self.announce(i, w, &outcome, wall);
+            self.outstanding.fetch_sub(1, Ordering::AcqRel);
+            if tx.send((i, outcome)).is_err() {
+                break;
+            }
+        }
+        stats
+    }
+
+    /// The run-a-shard stage: task `i` on worker `w` under `catch_unwind`,
+    /// retried identically after a panic up to `max_retries` times, then
+    /// quarantined, or timed out by the cell deadline; with its wall time.
+    fn run_shard(&self, w: usize, i: usize, retried: &mut usize) -> (ShardOutcome<R>, Duration) {
+        if self.supervisor.cell_deadline().is_some() {
+            // Re-arm after the watch slot is current, so a monitor
+            // reading the *previous* shard's start time can at worst
+            // preempt this shard a few trials early — never let it run
+            // unbounded.
+            let flag = &self.workers[w].preempt;
+            flag.store(false, Ordering::Release);
+            supervisor::set_preempt_flag(Some(flag.clone()));
+        }
+        let t0 = Instant::now();
+        let task = &self.tasks[i];
+        let mut attempt = 0u32;
+        let outcome = loop {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(plan) = &self.policy.faults {
+                    plan.inject(i, attempt);
+                }
+                (self.run)(task)
+            }));
+            let payload = match run {
+                Ok(r) => break ShardOutcome::Done(r),
+                Err(payload) => payload,
+            };
+            if payload.downcast_ref::<ShardPreempted>().is_some() {
+                // Preemption is not a fault: no retry, no quarantine — the
+                // shard simply ran out of time.
+                break ShardOutcome::TimedOut(t0.elapsed());
+            }
+            let error = panic_message(payload.as_ref());
+            if attempt >= self.policy.max_retries {
+                break ShardOutcome::Quarantined(ShardFailure {
+                    index: i,
+                    task: (self.label)(task),
+                    attempts: attempt + 1,
+                    payload: error,
+                });
+            }
+            if self.telemetry.is_armed() {
+                self.telemetry.emit(Event::ShardRetry {
+                    task: i as u64,
+                    worker: w as u64,
+                    attempt: u64::from(attempt),
+                    error,
+                });
+            }
+            attempt += 1;
+            *retried += 1;
+        };
+        supervisor::set_preempt_flag(None);
+        (outcome, t0.elapsed())
+    }
+
+    /// Emits the event that ends shard `task`'s run on `worker` (the
+    /// worker count for a shard the monitor quarantined): complete after
+    /// `wall`, quarantine, or preempt.
+    fn announce(&self, task: usize, worker: usize, outcome: &ShardOutcome<R>, wall: Duration) {
+        if !self.telemetry.is_armed() {
+            return;
+        }
+        let (task, worker) = (task as u64, worker as u64);
+        self.telemetry.emit(match outcome {
+            ShardOutcome::Done(_) => Event::ShardComplete {
+                task,
+                worker,
+                wall_ns: duration_ns(wall),
+            },
+            ShardOutcome::Quarantined(failure) => Event::ShardQuarantine {
+                task,
+                worker,
+                attempts: u64::from(failure.attempts),
+                error: failure.payload.clone(),
+            },
+            ShardOutcome::TimedOut(t) => Event::ShardPreempt {
+                task,
+                worker,
+                wall_ns: duration_ns(*t),
+            },
+            ShardOutcome::Skipped(_) => return,
+        });
+    }
+
+    /// The monitor's polling period, or `None` when nothing needs a
+    /// monitor: an eighth of the tightest of the stall deadline, the cell
+    /// deadline and, with an injected death, 8 ms, within 2–200 ms.
+    fn poll(&self) -> Option<Duration> {
+        let death = self.death_shard.map(|_| Duration::from_millis(8));
+        let bounds = [
+            self.policy.stall_deadline,
+            self.supervisor.cell_deadline(),
+            death,
+        ];
+        let tightest = bounds.into_iter().flatten().min()?;
+        Some((tightest / 8).clamp(Duration::from_millis(2), Duration::from_millis(200)))
+    }
+
+    /// The monitor thread: a sweep every `poll` until the workers have
+    /// joined, then one more. `done` is read before the sweep, so that
+    /// last sweep follows the join, when an undetected abandonment or a
+    /// pending re-enqueue can only be quarantined, never re-run.
+    fn monitor(&self, poll: Duration) -> Monitor {
+        let mut m = Monitor::default();
+        loop {
+            let finished = self.done.load(Ordering::Acquire);
+            self.sweep(self.started.elapsed(), finished, &mut m);
+            if finished {
+                return m;
+            }
+            std::thread::sleep(poll);
+        }
+    }
+
+    /// The monitor sweep at `now` (time since the run started): reports
+    /// each stalled `(worker, task)` once, flags a shard past the cell
+    /// deadline for preemption, and clears a dead worker's slot. Its
+    /// abandoned shard is re-enqueued on a surviving worker 5·2^(a−1) ms
+    /// after its `a`-th abandonment, up to `max(max_retries, 1)` times,
+    /// and quarantined after that, when no worker survives, or once
+    /// `finished` says the workers have joined.
+    fn sweep(&self, now: Duration, finished: bool, m: &mut Monitor) {
+        for (w, slot) in self.workers.iter().enumerate() {
+            let started = slot.started.load(Ordering::Acquire);
+            if started == 0 {
+                continue;
+            }
+            let task = slot.task.load(Ordering::Acquire);
+            if slot.dead.load(Ordering::Acquire) {
+                slot.started.store(0, Ordering::Release);
+                m.deaths += 1;
+                if self.telemetry.is_armed() {
+                    self.telemetry.emit(Event::WorkerDead {
+                        worker: w as u64,
+                        task: task as u64,
+                    });
+                }
+                let attempt = *m.abandoned.entry(task).and_modify(|a| *a += 1).or_insert(1);
+                if attempt <= self.policy.max_retries.max(1) && !finished {
+                    let backoff = Duration::from_millis(5 << (attempt - 1).min(6));
+                    m.backlog.push((now + backoff, task, attempt));
+                } else {
+                    self.quarantine_abandoned(task, attempt, m);
+                }
+                continue;
+            }
+            let ran = Duration::from_nanos((now.as_nanos() as u64).saturating_sub(started - 1));
+            if self.policy.stall_deadline.is_some_and(|d| ran > d) && m.flagged.insert((w, task)) {
+                if self.telemetry.is_armed() {
+                    self.telemetry.emit(Event::WorkerStall {
+                        task: task as u64,
+                        worker: w as u64,
+                        label: (self.label)(&self.tasks[task]),
+                        wall_ns: duration_ns(ran),
+                    });
+                }
+                m.stalls.push(StallEvent {
+                    worker: w,
+                    task,
+                    waited: ran,
+                });
+            }
+            if self.supervisor.cell_deadline().is_some_and(|d| ran > d) {
+                slot.preempt.store(true, Ordering::Release);
+            }
+        }
+        // Reclaims whose backoff has elapsed go onto a surviving worker's
+        // deque, where any idle worker can steal them.
+        let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut m.backlog)
+            .into_iter()
+            .partition(|&(at, _, _)| at <= now || finished);
+        m.backlog = waiting;
+        for (_, task, attempt) in due {
+            match self
+                .workers
+                .iter()
+                .position(|s| !s.dead.load(Ordering::Acquire))
+            {
+                Some(survivor) if !finished => {
+                    self.queues.push(survivor, task);
+                    m.reclaimed += 1;
+                    if self.telemetry.is_armed() {
+                        self.telemetry.emit(Event::WorkerReclaim {
+                            task: task as u64,
+                            attempt: u64::from(attempt),
+                        });
+                    }
+                }
+                _ => self.quarantine_abandoned(task, attempt, m),
+            }
+        }
+    }
+
+    /// Quarantines a shard whose owning worker died `attempts` times.
+    fn quarantine_abandoned(&self, task: usize, attempts: u32, m: &mut Monitor) {
+        let failure = ShardFailure {
+            index: task,
+            task: (self.label)(&self.tasks[task]),
+            attempts,
+            payload: "owning worker died before delivering the shard".to_owned(),
+        };
+        let outcome = ShardOutcome::Quarantined(failure.clone());
+        self.announce(task, self.workers.len(), &outcome, Duration::ZERO);
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
+        m.quarantined.push(failure);
+    }
+
+    /// The collector stage: puts each delivered outcome in its slot until
+    /// the last worker hangs up. Every result already queued is recorded
+    /// before the checkpoint's `every` is consulted: a save rewrites the
+    /// whole file, so saving per result would fall ever further behind
+    /// fast workers, and a drain would wait on the backlog.
+    fn collect(&self, rx: &mpsc::Receiver<(usize, ShardOutcome<R>)>, outcomes: &mut Outcomes<R>) {
+        let every = self
+            .policy
+            .checkpoint
+            .as_ref()
+            .map_or(usize::MAX, |c| c.every);
+        let mut recorded = 0usize;
+        while let Ok(first) = rx.recv() {
+            for (i, outcome) in std::iter::once(first).chain(rx.try_iter()) {
+                recorded += usize::from(outcomes.put(i, outcome));
+            }
+            if recorded >= every {
+                self.save(outcomes, "");
+                recorded = 0;
+            }
+        }
+    }
+
+    /// Saves the checkpoint, if one is configured, with the campaign's
+    /// wall-clock time so far. A failed save degrades to a warning (see
+    /// [`flush_checkpoint`]); `which` prefixes it.
+    fn save(&self, outcomes: &mut Outcomes<R>, which: &str) {
+        if let (Some(ck), Some(cp)) = (&mut outcomes.ck, &self.policy.checkpoint) {
+            ck.consumed = self.supervisor.elapsed();
+            flush_checkpoint(ck, cp, &self.injector, self.telemetry, which);
+        }
+    }
+
+    /// The settle stage: the run's [`ResilientRun`], or
+    /// [`CampaignError::Interrupted`] when the `stop_after` kill switch
+    /// left tasks unrun.
+    fn settle(
+        &self,
+        mut outcomes: Outcomes<R>,
+        workers: Vec<WorkerStats>,
+        monitor: Monitor,
+    ) -> Result<ResilientRun<R>, CampaignError> {
+        for failure in monitor.quarantined {
+            outcomes.slots[failure.index].get_or_insert(ShardOutcome::Quarantined(failure));
+        }
+        // Steal counters, summarized once per worker so event streams
+        // expose rebalancing without a per-claim firehose.
+        if self.telemetry.is_armed() {
+            for (w, stats) in workers.iter().enumerate() {
+                if stats.stolen > 0 {
+                    self.telemetry.emit(Event::StealSummary {
+                        worker: w as u64,
+                        stolen: stats.stolen as u64,
+                    });
+                }
+            }
+        }
+        // A final write so the file always reflects the run's end state —
+        // complete on success, maximal on interruption or budget stop.
+        self.save(&mut outcomes, "final ");
+
+        let total = self.tasks.len();
+        let completed = outcomes.slots.iter().filter(|s| s.is_some()).count();
+        // A supervisor stop only counts if shards actually went unclaimed:
+        // a signal that lands as the queue drains changes nothing, and the
+        // campaign is reported complete.
+        let stop = self.stop_slot.get().copied().filter(|_| completed < total);
+        if completed < total && stop.is_none() {
+            // The legacy deterministic kill switch (`--kill-after`) keeps
+            // its hard-interrupt semantics and exit code.
+            return Err(CampaignError::Interrupted {
+                completed,
+                total,
+                checkpoint: self.policy.checkpoint.as_ref().map(|cp| cp.path.clone()),
+            });
+        }
+        let results: Vec<ShardOutcome<R>> = outcomes
+            .slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.unwrap_or_else(|| {
+                    let reason = stop.expect("missing shards imply a supervisor stop");
+                    if self.telemetry.is_armed() {
+                        self.telemetry.emit(Event::ShardSkip {
+                            task: i as u64,
+                            reason: reason.name().to_owned(),
+                        });
+                    }
+                    ShardOutcome::Skipped(reason)
+                })
+            })
+            .collect();
+        let count = |kind: fn(&ShardOutcome<R>) -> bool| results.iter().filter(|r| kind(r)).count();
+        let stats = PoolStats {
+            wall: self.started.elapsed(),
+            workers,
+            quarantined: count(|r| r.failure().is_some()),
+            stalled: monitor.stalls.len(),
+            skipped: count(|r| matches!(r, ShardOutcome::Skipped(_))),
+            preempted: count(|r| matches!(r, ShardOutcome::TimedOut(_))),
+            deaths: monitor.deaths,
+            reclaimed: monitor.reclaimed,
+            ..PoolStats::default()
+        };
+        Ok(ResilientRun {
+            results,
+            stats,
+            resumed: self.resumed,
+            stalls: monitor.stalls,
+            stop,
+        })
+    }
 }
 
 /// Runs `f` over every task on a panic-isolated worker pool with
@@ -553,583 +1097,32 @@ where
     R: Send + Record,
     F: Fn(&T) -> R + Sync,
 {
-    let started = Instant::now();
-    let injector = policy
-        .faults
-        .as_ref()
-        .map(FaultPlan::io_injector)
-        .unwrap_or_default();
-    let mut slots: Vec<Option<ShardOutcome<R>>> =
-        std::iter::repeat_with(|| None).take(tasks.len()).collect();
-    let mut ck = Checkpoint::new(fingerprint, tasks.len());
-    let mut resumed = 0usize;
-    let mut prior = Duration::ZERO;
-    if let Some(loaded) = policy
-        .resume
-        .as_deref()
-        .and_then(|path| load_resume(path, &injector, telemetry))
-    {
-        loaded.validate(fingerprint, tasks.len())?;
-        prior = loaded.consumed;
-        for (i, r) in loaded.decoded::<R>()? {
-            if slots[i].is_none() {
-                resumed += 1;
-                ck.record(i, &r);
-                slots[i] = Some(ShardOutcome::Done(r));
-            }
-        }
-        if telemetry.is_armed() {
-            telemetry.emit(Event::Resume {
-                restored: resumed as u64,
-                consumed_ns: duration_ns(prior),
-            });
-        }
-    }
-    ck.consumed = prior;
-    // Wall-clock consumed by earlier runs in the resume chain counts
-    // against `--deadline`: a resumed campaign gets the remainder of its
-    // budget, never a fresh one.
-    let supervisor = Supervisor::with_cancel(policy.budget, prior, policy.cancel.clone());
-
-    let pending: Vec<usize> = (0..tasks.len()).filter(|&i| slots[i].is_none()).collect();
-    // The kill switch is enforced at claim time: with `stop_after: Some(n)`
-    // exactly `min(n, pending)` shards execute, for any worker count and
-    // any shard runtime — the kill point is deterministic, not a race
-    // between the collector's halt flag and fast workers draining the
-    // queue.
-    let claim_cap = policy.stop_after.unwrap_or(usize::MAX);
-    let worker_count = workers.get().min(pending.len().max(1));
-    // Work-stealing deques over the pending task indices: each worker
-    // drains its own contiguous chunk in index order and steals from
-    // busier workers once idle. Claims are still counted globally so the
-    // `stop_after` cap keeps its exact min(n, pending) semantics.
-    let queues = StealQueues::seed(worker_count, &pending);
-    // The shard whose first claim kills its claimer (`worker_death`),
-    // fixed before any worker starts.
-    let death_shard = policy
-        .faults
-        .as_ref()
-        .and_then(|plan| plan.worker_death)
-        .and_then(|(w, k)| queues.nth_own(w as usize, k as usize));
-    let death_fired = AtomicBool::new(false);
-    let claims = AtomicUsize::new(0);
-    // Tasks not yet terminally resolved (completed, preempted, or
-    // quarantined). With worker death in play an idle worker cannot
-    // treat empty deques as "campaign over": a dead worker's shard may
-    // still be waiting for the monitor to reclaim it.
-    let outstanding = AtomicUsize::new(pending.len());
-    let death_enabled = policy
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.worker_death.is_some());
-    let alive: Vec<AtomicBool> = (0..worker_count).map(|_| AtomicBool::new(true)).collect();
-    // Shards the monitor quarantined on behalf of a dead worker; merged
-    // into the result slots after the worker scope ends. A side channel
-    // (not the mpsc queue) so the monitor never holds a sender alive —
-    // the collector's `rx.iter()` ends exactly when the workers drop
-    // theirs.
-    let dead_failures: StdMutex<Vec<(usize, ShardFailure)>> = StdMutex::new(Vec::new());
-    let halt = AtomicBool::new(false);
-    let done = AtomicBool::new(false);
-    // First supervisor stop observed at a claim boundary; set-once so the
-    // reported reason is the one that actually stopped the claim loop.
-    let stop_slot: OnceLock<StopReason> = OnceLock::new();
-    let watch: Vec<WatchSlot> = (0..worker_count)
-        .map(|_| WatchSlot {
-            started: AtomicU64::new(0),
-            task: AtomicUsize::new(0),
-        })
-        .collect();
-    // One preemption flag per worker, shared with the monitor thread; the
-    // worker arms its thread-local alias around each shard so the trial
-    // loop's `preempt_point` can observe it.
-    let preempt: Vec<Arc<AtomicBool>> = (0..worker_count)
-        .map(|_| Arc::new(AtomicBool::new(false)))
-        .collect();
-    let cell_deadline = supervisor.cell_deadline();
-    let (tx, rx) = mpsc::channel::<(usize, ShardOutcome<R>)>();
-
-    let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(worker_count);
-    let mut stalls: Vec<StallEvent> = Vec::new();
-    let mut deaths = 0usize;
-    let mut reclaimed = 0usize;
-    let mut live_done = 0usize;
-
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..worker_count)
+    let (pool, mut outcomes) =
+        Pool::new(tasks, workers, policy, fingerprint, label, telemetry, &f)?;
+    let pool = &pool;
+    let (tx, rx) = mpsc::channel();
+    let (workers, monitor) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..pool.workers.len())
             .map(|w| {
                 let tx = tx.clone();
-                let watch_slot = &watch[w];
-                let preempt_flag = &preempt[w];
-                let alive_flag = &alive[w];
-                let queues = &queues;
-                let claims = &claims;
-                let outstanding = &outstanding;
-                let halt = &halt;
-                let death_fired = &death_fired;
-                let supervisor = &supervisor;
-                let stop_slot = &stop_slot;
-                scope.spawn(move || {
-                    let mut stats = WorkerStats {
-                        shards: 0,
-                        trials: 0,
-                        busy: Duration::ZERO,
-                        retried: 0,
-                        stolen: 0,
-                    };
-                    loop {
-                        if halt.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // The budget is enforced here, at the claim
-                        // boundary: in-flight shards drain, new ones are
-                        // not started.
-                        if let Some(reason) = supervisor.should_stop() {
-                            let _ = stop_slot.set(reason);
-                            break;
-                        }
-                        let k = claims.fetch_add(1, Ordering::Relaxed);
-                        if k >= claim_cap {
-                            break;
-                        }
-                        let Some(claim) = queues.claim(w) else {
-                            // Nothing was consumed: release the claim slot
-                            // so the `stop_after` cap stays exact.
-                            claims.fetch_sub(1, Ordering::Relaxed);
-                            if death_enabled && outstanding.load(Ordering::Acquire) > 0 {
-                                // A dead worker's shard may be in flight
-                                // between abandonment and reclamation —
-                                // stay available to pick it up.
-                                std::thread::sleep(Duration::from_micros(200));
-                                continue;
-                            }
-                            break;
-                        };
-                        let i = claim.task;
-                        if claim.stolen {
-                            stats.stolen += 1;
-                        }
-                        let task = &tasks[i];
-                        if telemetry.is_armed() {
-                            telemetry.emit(Event::ShardClaim {
-                                task: i as u64,
-                                worker: w as u64,
-                                label: label(task),
-                            });
-                        }
-                        watch_slot.task.store(i, Ordering::Release);
-                        watch_slot
-                            .started
-                            .store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
-                        if death_shard == Some(i) && !death_fired.swap(true, Ordering::AcqRel) {
-                            // Injected whole-worker loss: exit without
-                            // delivering the claimed shard. The watch slot
-                            // stays set so the monitor can detect the
-                            // abandonment and reclaim the shard.
-                            alive_flag.store(false, Ordering::Release);
-                            return stats;
-                        }
-                        if cell_deadline.is_some() {
-                            // Re-arm after the watch slot is current, so a
-                            // monitor reading the *previous* shard's start
-                            // time can at worst preempt this shard a few
-                            // trials early — never let it run unbounded.
-                            preempt_flag.store(false, Ordering::Release);
-                            supervisor::set_preempt_flag(Some(preempt_flag.clone()));
-                        }
-                        let t0 = Instant::now();
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if let Some(plan) = &policy.faults {
-                                    plan.inject(i, attempt);
-                                }
-                                f(task)
-                            }));
-                            match run {
-                                Ok(r) => break ShardOutcome::Done(r),
-                                Err(payload) => {
-                                    if payload.downcast_ref::<ShardPreempted>().is_some() {
-                                        // Preemption is not a fault: no
-                                        // retry, no quarantine — the shard
-                                        // simply ran out of time.
-                                        break ShardOutcome::TimedOut(t0.elapsed());
-                                    }
-                                    if attempt >= policy.max_retries {
-                                        break ShardOutcome::Quarantined(ShardFailure {
-                                            index: i,
-                                            task: label(task),
-                                            attempts: attempt + 1,
-                                            payload: panic_message(payload.as_ref()),
-                                        });
-                                    }
-                                    if telemetry.is_armed() {
-                                        telemetry.emit(Event::ShardRetry {
-                                            task: i as u64,
-                                            worker: w as u64,
-                                            attempt: u64::from(attempt),
-                                            error: panic_message(payload.as_ref()),
-                                        });
-                                    }
-                                    attempt += 1;
-                                    stats.retried += 1;
-                                }
-                            }
-                        };
-                        supervisor::set_preempt_flag(None);
-                        watch_slot.started.store(0, Ordering::Release);
-                        stats.busy += t0.elapsed();
-                        stats.shards += 1;
-                        if telemetry.is_armed() {
-                            match &outcome {
-                                ShardOutcome::Done(_) => {
-                                    telemetry.emit(Event::ShardComplete {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        wall_ns: duration_ns(t0.elapsed()),
-                                    });
-                                }
-                                ShardOutcome::Quarantined(failure) => {
-                                    telemetry.emit(Event::ShardQuarantine {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        attempts: u64::from(failure.attempts),
-                                        error: failure.payload.clone(),
-                                    });
-                                }
-                                ShardOutcome::TimedOut(t) => {
-                                    telemetry.emit(Event::ShardPreempt {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        wall_ns: duration_ns(*t),
-                                    });
-                                }
-                                ShardOutcome::Skipped(_) => {}
-                            }
-                        }
-                        outstanding.fetch_sub(1, Ordering::AcqRel);
-                        if tx.send((i, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    stats
-                })
+                scope.spawn(move || pool.work(w, &tx))
             })
             .collect();
         drop(tx);
-
-        // One monitor thread serves the supervision layer: the stall
-        // watchdog (report-only), the budget's cell deadline (preempting),
-        // and worker-death detection + shard reclamation. Polling
-        // granularity follows the tightest configured bound.
-        let stall_deadline = policy.stall_deadline;
-        let max_retries = policy.max_retries;
-        let monitor_needed = stall_deadline.is_some() || cell_deadline.is_some() || death_enabled;
-        let monitor = monitor_needed.then(|| {
-            let watch = &watch;
-            let done = &done;
-            let preempt = &preempt;
-            let alive = &alive;
-            let queues = &queues;
-            let outstanding = &outstanding;
-            let dead_failures = &dead_failures;
-            scope.spawn(move || {
-                let mut candidates: Vec<Duration> = Vec::new();
-                candidates.extend(stall_deadline);
-                candidates.extend(cell_deadline);
-                if death_enabled {
-                    // Death detection has no configured deadline of its
-                    // own; poll fast enough that reclamation latency is
-                    // negligible against shard runtimes.
-                    candidates.push(Duration::from_millis(8));
-                }
-                let tightest = candidates
-                    .iter()
-                    .min()
-                    .copied()
-                    .expect("monitor spawned without a bound");
-                let poll = (tightest / 8)
-                    .max(Duration::from_millis(2))
-                    .min(Duration::from_millis(200));
-                let mut flagged: HashSet<(usize, usize)> = HashSet::new();
-                let mut report = MonitorReport {
-                    stalls: Vec::new(),
-                    deaths: 0,
-                    reclaimed: 0,
-                };
-                // Reclamation bookkeeping: how often each task has been
-                // abandoned by a dying worker, and re-enqueues scheduled
-                // for after their exponential backoff.
-                let mut death_attempts: HashMap<usize, u32> = HashMap::new();
-                let mut backlog: Vec<(Duration, usize, u32)> = Vec::new();
-                let quarantine = |task: usize, attempts: u32| {
-                    let failure = ShardFailure {
-                        index: task,
-                        task: label(&tasks[task]),
-                        attempts,
-                        payload: "owning worker died before delivering the shard".to_owned(),
-                    };
-                    if telemetry.is_armed() {
-                        telemetry.emit(Event::ShardQuarantine {
-                            task: task as u64,
-                            worker: worker_count as u64,
-                            attempts: u64::from(attempts),
-                            error: failure.payload.clone(),
-                        });
-                    }
-                    dead_failures
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((task, failure));
-                    outstanding.fetch_sub(1, Ordering::AcqRel);
-                };
-                loop {
-                    // Read the exit flag *before* the sweep so one final
-                    // pass always runs after the workers have joined —
-                    // by then any undetected abandonment or undue backlog
-                    // entry can only be quarantined, never re-run.
-                    let finished = done.load(Ordering::Acquire);
-                    let now = started.elapsed();
-                    let now_ns = now.as_nanos() as u64;
-                    for (w, slot) in watch.iter().enumerate() {
-                        let s = slot.started.load(Ordering::Acquire);
-                        if s == 0 {
-                            continue;
-                        }
-                        if death_enabled && !alive[w].load(Ordering::Acquire) {
-                            // The worker died after claiming this shard:
-                            // clear the slot and schedule a deterministic
-                            // re-execution on a surviving worker.
-                            let task = slot.task.load(Ordering::Acquire);
-                            slot.started.store(0, Ordering::Release);
-                            report.deaths += 1;
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::WorkerDead {
-                                    worker: w as u64,
-                                    task: task as u64,
-                                });
-                            }
-                            let attempt = {
-                                let a = death_attempts.entry(task).or_insert(0);
-                                *a += 1;
-                                *a
-                            };
-                            if attempt <= max_retries.max(1) && !finished {
-                                let backoff = Duration::from_millis(5 << (attempt - 1).min(6));
-                                backlog.push((now + backoff, task, attempt));
-                            } else {
-                                quarantine(task, attempt);
-                            }
-                            continue;
-                        }
-                        let elapsed = now_ns.saturating_sub(s - 1);
-                        if let Some(deadline) = stall_deadline {
-                            if elapsed > deadline.as_nanos() as u64 {
-                                let task = slot.task.load(Ordering::Acquire);
-                                if flagged.insert((w, task)) {
-                                    let waited = Duration::from_nanos(elapsed);
-                                    if telemetry.is_armed() {
-                                        telemetry.emit(Event::WorkerStall {
-                                            task: task as u64,
-                                            worker: w as u64,
-                                            label: label(&tasks[task]),
-                                            wall_ns: duration_ns(waited),
-                                        });
-                                    }
-                                    report.stalls.push(StallEvent {
-                                        worker: w,
-                                        task,
-                                        waited,
-                                    });
-                                }
-                            }
-                        }
-                        if let Some(deadline) = cell_deadline {
-                            if elapsed > deadline.as_nanos() as u64 {
-                                preempt[w].store(true, Ordering::Release);
-                            }
-                        }
-                    }
-                    // Re-enqueue reclaims whose backoff has elapsed onto a
-                    // surviving worker's deque (any idle worker can steal
-                    // the shard from there).
-                    let mut k = 0;
-                    while k < backlog.len() {
-                        let (due, task, attempt) = backlog[k];
-                        if due > now && !finished {
-                            k += 1;
-                            continue;
-                        }
-                        backlog.remove(k);
-                        let survivor =
-                            (0..worker_count).find(|&v| alive[v].load(Ordering::Acquire));
-                        match survivor {
-                            Some(v) if !finished => {
-                                queues.push(v, task);
-                                report.reclaimed += 1;
-                                if telemetry.is_armed() {
-                                    telemetry.emit(Event::WorkerReclaim {
-                                        task: task as u64,
-                                        attempt: u64::from(attempt),
-                                    });
-                                }
-                            }
-                            _ => quarantine(task, attempt),
-                        }
-                    }
-                    if finished {
-                        break;
-                    }
-                    std::thread::sleep(poll);
-                }
-                report
-            })
-        });
-
-        // Collecting cannot fail: a failed checkpoint flush degrades to
-        // a warning (see `flush_checkpoint`). Every result already queued
-        // is recorded before `every` is consulted: a save rewrites the
-        // whole file, so saving per result would fall ever further behind
-        // fast workers, and a drain would wait on the backlog.
-        let mut since_checkpoint = 0usize;
-        while let Ok(first) = rx.recv() {
-            for (i, outcome) in std::iter::once(first).chain(rx.try_iter()) {
-                if let ShardOutcome::Done(r) = &outcome {
-                    // Only completed shards are checkpointed — a
-                    // preempted shard re-runs in full on resume, keeping
-                    // the final output bitwise identical.
-                    ck.record(i, r);
-                    since_checkpoint += 1;
-                }
-                debug_assert!(slots[i].is_none(), "task {i} produced twice");
-                slots[i] = Some(outcome);
-                live_done += 1;
-                if policy.stop_after.is_some_and(|stop| live_done >= stop) {
-                    halt.store(true, Ordering::Release);
-                }
-            }
-            if let Some(cp) = &policy.checkpoint {
-                if since_checkpoint >= cp.every {
-                    ck.consumed = supervisor.elapsed();
-                    flush_checkpoint(&ck, cp, &injector, telemetry, "");
-                    since_checkpoint = 0;
-                }
-            }
-        }
-
-        for handle in handles {
-            // Workers isolate task panics internally; a join failure can
-            // only come from an engine bug. Degrade to missing stats
-            // rather than aborting the campaign.
-            if let Ok(stats) = handle.join() {
-                worker_stats.push(stats);
-            }
-        }
-        done.store(true, Ordering::Release);
-        if let Some(handle) = monitor {
-            if let Ok(observed) = handle.join() {
-                stalls = observed.stalls;
-                deaths = observed.deaths;
-                reclaimed = observed.reclaimed;
-            }
-        }
+        let monitor = pool
+            .poll()
+            .map(|poll| scope.spawn(move || pool.monitor(poll)));
+        pool.collect(&rx, &mut outcomes);
+        // Workers isolate task panics internally; a join failure can only
+        // come from an engine bug. Degrade to missing stats rather than
+        // aborting the campaign. The vector is sized to fit: callers keep
+        // runs' stats, and a collected `filter_map` reserves four.
+        let mut workers = Vec::with_capacity(handles.len());
+        workers.extend(handles.into_iter().filter_map(|h| h.join().ok()));
+        pool.done.store(true, Ordering::Release);
+        (workers, monitor.and_then(|h| h.join().ok()))
     });
-
-    // Shards the monitor quarantined on behalf of dead workers land in
-    // their slots now, after every live sender is gone.
-    for (i, failure) in dead_failures
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        if slots[i].is_none() {
-            slots[i] = Some(ShardOutcome::Quarantined(failure));
-        }
-    }
-
-    // Steal counters, summarized once per worker so event streams expose
-    // rebalancing without a per-claim firehose.
-    if telemetry.is_armed() {
-        for (w, stats) in worker_stats.iter().enumerate() {
-            if stats.stolen > 0 {
-                telemetry.emit(Event::StealSummary {
-                    worker: w as u64,
-                    stolen: stats.stolen as u64,
-                });
-            }
-        }
-    }
-
-    // A final write so the file always reflects the run's end state —
-    // complete on success, maximal on interruption or budget stop.
-    if let Some(cp) = &policy.checkpoint {
-        ck.consumed = supervisor.elapsed();
-        flush_checkpoint(&ck, cp, &injector, telemetry, "final ");
-    }
-
-    let completed = slots.iter().filter(|s| s.is_some()).count();
-    // A supervisor stop only counts if shards actually went unclaimed: a
-    // signal that lands as the queue drains changes nothing, and the
-    // campaign is reported complete.
-    let stop = if completed < tasks.len() {
-        stop_slot.get().copied()
-    } else {
-        None
-    };
-    if completed < tasks.len() && stop.is_none() {
-        // The legacy deterministic kill switch (`--kill-after`) keeps its
-        // hard-interrupt semantics and exit code.
-        return Err(CampaignError::Interrupted {
-            completed,
-            total: tasks.len(),
-            checkpoint: policy.checkpoint.as_ref().map(|cp| cp.path.clone()),
-        });
-    }
-
-    let results: Vec<ShardOutcome<R>> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Some(outcome) => outcome,
-            None => {
-                let reason = stop.expect("missing shards imply a supervisor stop");
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::ShardSkip {
-                        task: i as u64,
-                        reason: reason.name().to_owned(),
-                    });
-                }
-                ShardOutcome::Skipped(reason)
-            }
-        })
-        .collect();
-    let quarantined = results.iter().filter(|r| r.failure().is_some()).count();
-    let preempted = results
-        .iter()
-        .filter(|r| matches!(r, ShardOutcome::TimedOut(_)))
-        .count();
-    let skipped = results
-        .iter()
-        .filter(|r| matches!(r, ShardOutcome::Skipped(_)))
-        .count();
-    let stats = PoolStats {
-        wall: started.elapsed(),
-        workers: worker_stats,
-        quarantined,
-        stalled: stalls.len(),
-        skipped,
-        preempted,
-        trials_saved: 0,
-        deaths,
-        reclaimed,
-    };
-    Ok(ResilientRun {
-        results,
-        stats,
-        resumed,
-        stalls,
-        stop,
-    })
+    pool.settle(outcomes, workers, monitor.unwrap_or_default())
 }
 
 /// Loads a resume checkpoint through the recovery chain. A corrupt
@@ -1169,6 +1162,38 @@ fn load_resume(path: &Path, injector: &IoInjector, telemetry: &Telemetry) -> Opt
         });
     }
     checkpoint
+}
+
+/// The resume stage, shared by the pool and the adaptive rounds: loads
+/// `policy.resume` through the recovery chain, rejects a checkpoint of
+/// another campaign (`fingerprint`, `tasks`), and hands each record to
+/// `restore`, which says whether it took it. Announces [`Event::Resume`]
+/// and returns the records taken and the wall-clock time the resume chain
+/// already consumed; a fresh start restores nothing.
+fn resume<Rec: Record>(
+    policy: &RunPolicy,
+    injector: &IoInjector,
+    telemetry: &Telemetry,
+    fingerprint: u64,
+    tasks: usize,
+    mut restore: impl FnMut(usize, Rec) -> bool,
+) -> Result<(usize, Duration), CampaignError> {
+    let path = policy.resume.as_deref();
+    let Some(loaded) = path.and_then(|path| load_resume(path, injector, telemetry)) else {
+        return Ok((0, Duration::ZERO));
+    };
+    loaded.validate(fingerprint, tasks)?;
+    let mut restored = 0;
+    for (i, record) in loaded.decoded::<Rec>()? {
+        restored += usize::from(restore(i, record));
+    }
+    if telemetry.is_armed() {
+        telemetry.emit(Event::Resume {
+            restored: restored as u64,
+            consumed_ns: duration_ns(loaded.consumed),
+        });
+    }
+    Ok((restored, loaded.consumed))
 }
 
 /// Writes `ck` through the I/O fault seam. A failed flush (disk full,
@@ -1638,48 +1663,19 @@ fn adaptive_rounds(
     tally: &mut [CellTally],
     pool: impl Fn(&[Shard], &RunPolicy) -> Result<ResilientRun<Measurement>, CampaignError>,
 ) -> Result<(CampaignOutcome, usize), CampaignError> {
-    let injector = policy
-        .faults
-        .as_ref()
-        .map(FaultPlan::io_injector)
-        .unwrap_or_default();
-    let mut resumed = 0usize;
-    let mut prior = Duration::ZERO;
-    if let Some(loaded) = policy
-        .resume
-        .as_deref()
-        .and_then(|path| load_resume(path, &injector, telemetry))
-    {
-        loaded.validate(fingerprint, cells.len())?;
-        prior = loaded.consumed;
-        for (i, state) in loaded.decoded::<AdaptiveCellState>()? {
-            tally[i].m = state.m;
-            tally[i].settled = state.decided;
-            resumed += 1;
-        }
-        if telemetry.is_armed() {
-            telemetry.emit(Event::Resume {
-                restored: resumed as u64,
-                consumed_ns: duration_ns(prior),
-            });
-        }
-    }
+    let (injector, tasks) = (policy.io_injector(), cells.len());
+    let restore = |i: usize, state: AdaptiveCellState| {
+        tally[i].m = state.m;
+        tally[i].settled = state.decided;
+        true
+    };
+    let (resumed, prior) = resume(policy, &injector, telemetry, fingerprint, tasks, restore)?;
 
     // Wall-clock already consumed by the resume chain counts against the
     // whole-campaign deadline, exactly as on an exhaustive run.
     let outer = Supervisor::with_consumed(policy.budget, prior);
     let mut stop: Option<StopReason> = None;
-    let mut stats = PoolStats {
-        wall: Duration::ZERO,
-        workers: Vec::new(),
-        quarantined: 0,
-        stalled: 0,
-        skipped: 0,
-        preempted: 0,
-        trials_saved: 0,
-        deaths: 0,
-        reclaimed: 0,
-    };
+    let mut stats = PoolStats::default();
     let mut stalls: Vec<StallEvent> = Vec::new();
     let started = Instant::now();
 
@@ -1754,16 +1750,11 @@ fn adaptive_rounds(
             // Settle decisions before persisting so a resumed process
             // sees the same decided set this one would compute.
             settle(tally);
-            let mut ck = Checkpoint::new(fingerprint, cells.len());
+            let mut ck = Checkpoint::new(fingerprint, tasks);
             for (i, t) in tally.iter().enumerate() {
-                if t.m.trials > 0 || t.settled {
-                    ck.record(
-                        i,
-                        &AdaptiveCellState {
-                            m: t.m,
-                            decided: t.settled,
-                        },
-                    );
+                let (m, decided) = (t.m, t.settled);
+                if m.trials > 0 || decided {
+                    ck.record(i, &AdaptiveCellState { m, decided });
                 }
             }
             ck.consumed = outer.elapsed();
@@ -1795,17 +1786,14 @@ fn adaptive_rounds(
 /// Worker vectors are merged index-wise (round `k`'s worker `w` is the
 /// same logical slot as round `k+1`'s worker `w`).
 fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
-    for (w, stats) in round.workers.iter().enumerate() {
-        if w >= total.workers.len() {
-            total.workers.push(*stats);
-        } else {
-            let slot = &mut total.workers[w];
-            slot.shards += stats.shards;
-            slot.trials += stats.trials;
-            slot.busy += stats.busy;
-            slot.retried += stats.retried;
-            slot.stolen += stats.stolen;
-        }
+    let workers = total.workers.len().max(round.workers.len());
+    total.workers.resize(workers, WorkerStats::default());
+    for (slot, stats) in total.workers.iter_mut().zip(&round.workers) {
+        slot.shards += stats.shards;
+        slot.trials += stats.trials;
+        slot.busy += stats.busy;
+        slot.retried += stats.retried;
+        slot.stolen += stats.stolen;
     }
     total.quarantined += round.quarantined;
     total.stalled += round.stalled;
@@ -2088,5 +2076,253 @@ pub(crate) mod tests {
         for i in [0usize, 2, 3] {
             assert!(run.results[i].is_done(), "shard {i} unaffected");
         }
+    }
+
+    // The stages on their own: no worker threads, and the monitor sweeps
+    // at clock readings the test picks, so nothing sleeps.
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Worker `w` of `pool` starts `task` at `at` into the run.
+    fn start(pool: &Pool<'_, u64, u64>, w: usize, task: usize, at: Duration) {
+        pool.workers[w].task.store(task, Ordering::Release);
+        pool.workers[w]
+            .started
+            .store(at.as_nanos() as u64 + 1, Ordering::Release);
+    }
+
+    #[test]
+    fn the_collector_saves_once_for_a_queued_batch_and_fills_every_slot() {
+        // Every result already queued is recorded before the checkpoint's
+        // `every` is consulted, so 40 queued results at `every: 1` make one
+        // save, plus the final one. Saving per result falls ever further
+        // behind fast workers.
+        let tasks: Vec<u64> = (0..40).collect();
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("sectlb-collector-ck-{}", std::process::id()));
+        let events = dir.join(format!("sectlb-collector-events-{}", std::process::id()));
+        let telemetry = Telemetry::to_path("collector", &events).expect("event file");
+        let policy = RunPolicy {
+            checkpoint: Some(CheckpointPolicy {
+                path: path.clone(),
+                every: 1,
+            }),
+            ..RunPolicy::default()
+        };
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t * 3);
+        let (pool, mut outcomes) =
+            Pool::new(&tasks, two(), &policy, 0xc011, &label, &telemetry, &f).expect("set up");
+        let (tx, rx) = mpsc::channel();
+        for &t in &tasks {
+            tx.send((t as usize, ShardOutcome::Done(t * 3)))
+                .expect("queued");
+        }
+        drop(tx);
+        pool.collect(&rx, &mut outcomes);
+        assert!(
+            outcomes.slots.iter().all(Option::is_some),
+            "every slot filled"
+        );
+        let run = pool
+            .settle(outcomes, Vec::new(), Monitor::default())
+            .expect("complete");
+        telemetry.flush();
+        let tripled: Vec<u64> = tasks.iter().map(|t| t * 3).collect();
+        assert_eq!(done(&run), tripled);
+        let stream = std::fs::read_to_string(&events).expect("event stream");
+        let saves = stream
+            .lines()
+            .filter(|l| l.contains("\"checkpoint_flush\""))
+            .count();
+        assert_eq!(
+            saves, 2,
+            "one save for the batch and the final one:\n{stream}"
+        );
+        let saved = Checkpoint::load(&path).expect("final file");
+        let mut decoded = saved.decoded::<u64>().expect("decodes");
+        decoded.sort_unstable();
+        assert_eq!(decoded, tripled.into_iter().enumerate().collect::<Vec<_>>());
+        for p in [crate::iofault::prev_path(&path), path, events] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn without_a_checkpoint_policy_the_collector_keeps_no_checkpoint() {
+        let tasks: Vec<u64> = (0..5).collect();
+        let policy = RunPolicy::default();
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t);
+        let telemetry = Telemetry::disabled();
+        let (pool, mut outcomes) =
+            Pool::new(&tasks, two(), &policy, 1, &label, &telemetry, &f).expect("set up");
+        assert!(outcomes.ck.is_none());
+        let (tx, rx) = mpsc::channel();
+        for &t in &tasks {
+            tx.send((t as usize, ShardOutcome::Done(t)))
+                .expect("queued");
+        }
+        drop(tx);
+        pool.collect(&rx, &mut outcomes);
+        assert!(outcomes.ck.is_none());
+        let run = pool
+            .settle(outcomes, Vec::new(), Monitor::default())
+            .expect("complete");
+        assert_eq!(done(&run), tasks);
+    }
+
+    #[test]
+    fn the_monitor_reports_a_stall_once_and_preempts_past_the_cell_deadline() {
+        let tasks: Vec<u64> = (0..4).collect();
+        let policy = RunPolicy {
+            stall_deadline: Some(ms(10)),
+            budget: BudgetPolicy {
+                deadline: None,
+                cell_deadline: Some(ms(20)),
+            },
+            ..RunPolicy::default()
+        };
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t);
+        let telemetry = Telemetry::disabled();
+        let (pool, _) =
+            Pool::new(&tasks, two(), &policy, 1, &label, &telemetry, &f).expect("set up");
+        // An eighth of the 10 ms stall deadline, raised to the 2 ms floor.
+        assert_eq!(pool.poll(), Some(ms(2)));
+        let mut m = Monitor::default();
+        let preempted = |w: usize| pool.workers[w].preempt.load(Ordering::Acquire);
+        start(&pool, 0, 2, ms(1));
+        pool.sweep(ms(11), false, &mut m);
+        assert!(m.stalls.is_empty(), "10 ms is not past a 10 ms deadline");
+        pool.sweep(ms(12), false, &mut m);
+        let stall = StallEvent {
+            worker: 0,
+            task: 2,
+            waited: ms(11),
+        };
+        assert_eq!(m.stalls, vec![stall]);
+        pool.sweep(ms(21), false, &mut m);
+        assert!(!preempted(0), "20 ms is not past a 20 ms cell deadline");
+        pool.sweep(ms(22), false, &mut m);
+        assert!(preempted(0));
+        assert!(!preempted(1), "an idle worker is left alone");
+        pool.sweep(ms(40), false, &mut m);
+        assert_eq!(m.stalls.len(), 1, "one report per (worker, task)");
+        // The same worker stalling on another task is a new report, and so
+        // is another worker stalling on the same task.
+        start(&pool, 0, 3, ms(40));
+        start(&pool, 1, 2, ms(40));
+        pool.sweep(ms(51), false, &mut m);
+        let reported: Vec<(usize, usize)> = m.stalls.iter().map(|s| (s.worker, s.task)).collect();
+        assert_eq!(reported, vec![(0, 2), (0, 3), (1, 2)]);
+        assert_eq!((m.deaths, m.reclaimed), (0, 0));
+    }
+
+    #[test]
+    fn the_monitor_reenqueues_a_dead_workers_shard_with_backoff_then_quarantines_it() {
+        // max_retries 2: the shard goes back on a survivor's deque after
+        // its first and second abandonment, 5 and 10 ms later, and the
+        // third abandonment quarantines it.
+        let tasks: Vec<u64> = (0..4).collect();
+        let policy = RunPolicy::default();
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t);
+        let telemetry = Telemetry::disabled();
+        let (pool, _) =
+            Pool::new(&tasks, two(), &policy, 1, &label, &telemetry, &f).expect("set up");
+        assert_eq!(pool.poll(), None, "no deadline and no death: no monitor");
+        let mut m = Monitor::default();
+        pool.workers[1].dead.store(true, Ordering::Release);
+        let queued = pool.queues.remaining();
+        for (attempt, (died, backoff)) in [(100, 5), (200, 10)].into_iter().enumerate() {
+            start(&pool, 1, 3, ms(died - 1));
+            pool.sweep(ms(died), false, &mut m);
+            assert_eq!(m.deaths, attempt + 1);
+            assert_eq!(
+                pool.workers[1].started.load(Ordering::Acquire),
+                0,
+                "slot cleared"
+            );
+            pool.sweep(ms(died + backoff - 1), false, &mut m);
+            assert_eq!(pool.queues.remaining(), queued, "still backing off");
+            pool.sweep(ms(died + backoff), false, &mut m);
+            assert_eq!(m.reclaimed, attempt + 1);
+            // On the survivor's deque, at the end its owner pops next.
+            let claim = pool.queues.claim(0).expect("re-enqueued");
+            assert_eq!((claim.task, claim.stolen), (3, false));
+        }
+        start(&pool, 1, 3, ms(299));
+        pool.sweep(ms(300), false, &mut m);
+        assert_eq!(m.reclaimed, 2);
+        assert_eq!(m.quarantined.len(), 1);
+        let failure = &m.quarantined[0];
+        assert_eq!((failure.index, failure.attempts), (3, 3));
+        assert!(failure.task.contains("task 3"), "{failure}");
+        assert!(failure.payload.contains("worker died"), "{failure}");
+        assert_eq!(pool.outstanding.load(Ordering::Acquire), tasks.len() - 1);
+    }
+
+    #[test]
+    fn an_abandoned_shard_is_quarantined_once_no_worker_survives_or_the_workers_joined() {
+        let tasks: Vec<u64> = (0..4).collect();
+        let policy = RunPolicy {
+            max_retries: 0,
+            ..RunPolicy::default()
+        };
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t);
+        let telemetry = Telemetry::disabled();
+        let (pool, _) =
+            Pool::new(&tasks, two(), &policy, 1, &label, &telemetry, &f).expect("set up");
+        let mut m = Monitor::default();
+        // max_retries 0 still re-enqueues once: max(max_retries, 1).
+        pool.workers[1].dead.store(true, Ordering::Release);
+        start(&pool, 1, 2, ms(0));
+        pool.sweep(ms(1), false, &mut m);
+        assert_eq!(m.backlog.len(), 1);
+        // Worker 0 dies too before the backoff ends: nobody survives.
+        pool.workers[0].dead.store(true, Ordering::Release);
+        start(&pool, 0, 0, ms(2));
+        pool.sweep(ms(6), false, &mut m);
+        assert_eq!(m.reclaimed, 0);
+        let quarantined: Vec<(usize, u32)> = m
+            .quarantined
+            .iter()
+            .map(|f| (f.index, f.attempts))
+            .collect();
+        assert_eq!(quarantined, vec![(2, 1)], "task 0 is still backing off");
+        // After the join nothing is re-run: the backlog is quarantined.
+        pool.sweep(ms(7), true, &mut m);
+        let quarantined: Vec<(usize, u32)> = m
+            .quarantined
+            .iter()
+            .map(|f| (f.index, f.attempts))
+            .collect();
+        assert_eq!(quarantined, vec![(2, 1), (0, 1)]);
+        assert!(m.backlog.is_empty());
+        assert_eq!(m.deaths, 2);
+    }
+
+    #[test]
+    fn the_claim_cap_alone_stops_every_worker_after_stop_after_claims() {
+        let tasks: Vec<u64> = (0..10).collect();
+        let policy = RunPolicy {
+            stop_after: Some(3),
+            ..RunPolicy::default()
+        };
+        let (label, f) = (|t: &u64| format!("task {t}"), |&t: &u64| t);
+        let telemetry = Telemetry::disabled();
+        let (pool, _) =
+            Pool::new(&tasks, two(), &policy, 1, &label, &telemetry, &f).expect("set up");
+        let claimed: Vec<usize> = [0, 1, 0, 1, 0]
+            .iter()
+            .filter_map(|&w| pool.claim(w))
+            .map(|c| c.task)
+            .collect();
+        assert_eq!(claimed, vec![0, 5, 1]);
+        assert!(pool.claim(0).is_none() && pool.claim(1).is_none());
+        assert_eq!(
+            pool.stop_slot.get(),
+            None,
+            "a kill switch is no supervisor stop"
+        );
     }
 }

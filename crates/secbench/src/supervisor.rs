@@ -261,8 +261,10 @@ pub fn preempt_point() {
     });
     if preempt {
         // Disarm before unwinding so the panic path cannot re-trigger.
+        // `resume_unwind` skips the panic hook: a preemption is a budget
+        // outcome, not a fault, and prints no panic report.
         set_preempt_flag(None);
-        std::panic::panic_any(ShardPreempted);
+        std::panic::resume_unwind(Box::new(ShardPreempted));
     }
 }
 

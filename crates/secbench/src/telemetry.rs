@@ -592,17 +592,7 @@ pub fn render_metrics(
         "  \"phases\": {{\"setup_ns\": {}, \"campaign_ns\": {}, \"report_ns\": {}}},\n",
         phases.setup_ns, phases.campaign_ns, phases.report_ns
     ));
-    let zero = PoolStats {
-        wall: std::time::Duration::ZERO,
-        workers: Vec::new(),
-        quarantined: 0,
-        stalled: 0,
-        skipped: 0,
-        preempted: 0,
-        trials_saved: 0,
-        deaths: 0,
-        reclaimed: 0,
-    };
+    let zero = PoolStats::default();
     let s = stats.unwrap_or(&zero);
     let workers = s.workers.len();
     let wall_ns = s.wall.as_nanos() as u64;

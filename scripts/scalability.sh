@@ -8,7 +8,10 @@
 # `--workers 1` run as BENCH_core.json: the committed baseline the
 # perf-floor test in tests/performance_end_to_end.rs checks against,
 # which re-measures one worker. One run follows the host's speed of
-# the moment; the median of several does not.
+# the moment, and so do runs made back to back: a rung's runs take well
+# under a second together. So the rungs are interleaved — run i of
+# every rung before run i + 1 of any — and a rung's median draws on
+# the whole sweep.
 #
 # Usage: scripts/scalability.sh [TRIALS] (default 500)
 set -euo pipefail
@@ -27,13 +30,17 @@ throughput() {
   grep -o '"throughput_pairs_per_s": [0-9.]*' "$1" | awk '{print $2}'
 }
 
-echo "table4 --trials $TRIALS, median of $RUNS runs per rung"
-echo "workers  pairs/s"
-for w in 1 2 4 auto; do
-  for i in $(seq "$RUNS"); do
+RUNGS="1 2 4 auto"
+for i in $(seq "$RUNS"); do
+  for w in $RUNGS; do
     ./target/release/table4 --trials "$TRIALS" --workers "$w" \
       --metrics "$TMP/core_${w}_$i.json" > /dev/null
   done
+done
+
+echo "table4 --trials $TRIALS, median of $RUNS interleaved runs per rung"
+echo "workers  pairs/s"
+for w in $RUNGS; do
   median=$(for i in $(seq "$RUNS"); do
     echo "$(throughput "$TMP/core_${w}_$i.json") $i"
   done | sort -g | sed -n "$(((RUNS + 1) / 2))p" | cut -d' ' -f2)
