@@ -19,6 +19,7 @@
 
 use std::num::NonZeroUsize;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sectlb_bench::exit::EXIT_SETUP;
 use sectlb_bench::observe::Observability;
@@ -90,7 +91,11 @@ fn main() {
     }
     // Each engine result is the cell's (ipc, mpki) pair; an incomplete
     // cell renders its gap marker (QUAR / TIMEOUT / PARTIAL) in both
-    // panels instead of a number.
+    // panels instead of a number. The cells this run simulated and their
+    // instructions are counted beside the results, which a checkpoint
+    // stores as they are.
+    let simulated = AtomicU64::new(0);
+    let instret = AtomicU64::new(0);
     obs.campaign_begin();
     let outcome = campaign::run_campaign_observed(
         "fig7",
@@ -107,7 +112,11 @@ fn main() {
             // deterministically and renders the cell QUAR if it keeps
             // failing.
             match run_cell_oracle(d, c, w, r, oracle_cfg, |b| b) {
-                Ok(cell) => (cell.ipc, cell.mpki),
+                Ok(cell) => {
+                    simulated.fetch_add(1, Ordering::Relaxed);
+                    instret.fetch_add(cell.instret, Ordering::Relaxed);
+                    (cell.ipc, cell.mpki)
+                }
                 Err(e) => panic!("{e}"),
             }
         },
@@ -198,6 +207,15 @@ fn main() {
 
     if campaign::flagged(workers, &policy) {
         outcome.eprint_summary();
+        // Figure 7's own units: cells and simulated instructions per
+        // second of pool time.
+        let seconds = outcome.stats.wall.as_secs_f64().max(1e-9);
+        let cells = simulated.load(Ordering::Relaxed);
+        eprintln!(
+            "fig7: {cells} cells simulated ({:.1} cells/s, {:.1} simulated Minstr/s)",
+            cells as f64 / seconds,
+            instret.load(Ordering::Relaxed) as f64 / seconds / 1e6
+        );
     }
     summary.eprint();
     obs.oracle_summary(&summary);

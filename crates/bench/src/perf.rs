@@ -103,6 +103,9 @@ pub struct PerfCell {
     pub ipc: f64,
     /// TLB misses per kilo-instruction.
     pub mpki: f64,
+    /// Instructions the cell's machine retired: what `fig7` divides by
+    /// its pool time to report simulated Minstr/s.
+    pub instret: u64,
 }
 
 /// Runs one Figure 7 cell.
@@ -150,6 +153,7 @@ pub fn run_cell_oracle(
         runs,
         ipc: m.ipc().ok_or(PerfError::NoInstructions)?,
         mpki: m.mpki().ok_or(PerfError::NoInstructions)?,
+        instret: m.stats().instret,
     })
 }
 

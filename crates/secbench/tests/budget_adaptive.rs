@@ -54,6 +54,17 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+/// Removes a checkpoint and its previous generation (`<path>.prev`) when
+/// dropped, so a test leaves neither behind, whether it passes or not.
+struct Cleanup(PathBuf);
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+        std::fs::remove_file(prev_path(&self.0)).ok();
+    }
+}
+
 fn measure(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
@@ -120,6 +131,7 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("deadline-resume");
+    let _cleanup = Cleanup(path.clone());
     let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
         .expect("uninterrupted campaign");
 
@@ -154,7 +166,6 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
         measure(&cells, &settings, workers(), &resumed_policy).expect("resumed campaign completes");
     assert_eq!(resumed.stop, None);
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -162,6 +173,7 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("mid-deadline");
+    let _cleanup = Cleanup(path.clone());
     let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
         .expect("uninterrupted campaign");
 
@@ -185,7 +197,6 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
         run // the machine beat the deadline; the run is already complete
     };
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -230,6 +241,7 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
     let fingerprint = 0x5eed;
     let tasks = [1u64, 2, 3, 4];
     let path = tmp_path("consumed-deadline");
+    let _cleanup = Cleanup(path.clone());
     let mut ck = Checkpoint::new(fingerprint, tasks.len());
     ck.consumed = Duration::from_secs(2 * 3600);
     ck.save(&path).expect("checkpoint saved");
@@ -265,7 +277,6 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
         .filter_map(|r| r.done().copied())
         .collect();
     assert_eq!(done, vec![2, 4, 6, 8]);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -276,6 +287,7 @@ fn interrupted_runs_checkpoint_their_consumed_wall_clock() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("consumed-persisted");
+    let _cleanup = Cleanup(path.clone());
     let run = measure(
         &cells,
         &settings,
@@ -291,7 +303,6 @@ fn interrupted_runs_checkpoint_their_consumed_wall_clock() {
         "the stop path must persist the elapsed wall clock, got {:?}",
         ck.consumed
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -388,6 +399,7 @@ fn adaptive_resume_recovers_a_torn_checkpoint_from_the_previous_generation() {
         ..TrialSettings::default()
     };
     let path = tmp_path("adaptive-torn");
+    let _cleanup = Cleanup(path.clone());
     let reference = measure(
         &cells,
         &settings,
@@ -421,6 +433,4 @@ fn adaptive_resume_recovers_a_torn_checkpoint_from_the_previous_generation() {
     assert!(resumed.resumed > 0, "resumed from the previous generation");
     assert_eq!(resumed.stop, None);
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(prev_path(&path)).ok();
 }

@@ -12,6 +12,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
+use sectlb_secbench::iofault::prev_path;
 use sectlb_secbench::report::{
     build_table4, build_table4_resilient_observed_for, table4_cells, trial_cells, CampaignReport,
 };
@@ -51,6 +52,17 @@ fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("sectlb-resilience-{}-{name}", std::process::id()));
     p
+}
+
+/// Removes a checkpoint and its previous generation (`<path>.prev`) when
+/// dropped, so a test leaves neither behind, whether it passes or not.
+struct Cleanup(PathBuf);
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+        std::fs::remove_file(prev_path(&self.0)).ok();
+    }
 }
 
 fn measure(
@@ -170,6 +182,7 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("kill-resume");
+    let _cleanup = Cleanup(path.clone());
     let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
         .expect("uninterrupted campaign");
 
@@ -208,7 +221,6 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
         measure(&cells, &settings, workers(), &resumed_policy).expect("resumed campaign completes");
     assert!(resumed.resumed >= 5, "checkpointed shards were skipped");
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -216,6 +228,7 @@ fn repeated_kills_then_resume_still_converge() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("double-kill");
+    let _cleanup = Cleanup(path.clone());
     let reference = measure(&cells, &settings, workers(), &RunPolicy::default())
         .expect("uninterrupted campaign");
 
@@ -247,7 +260,6 @@ fn repeated_kills_then_resume_still_converge() {
         measurements(&finished.cells),
         measurements(&reference.cells)
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -255,6 +267,7 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("mismatch");
+    let _cleanup = Cleanup(path.clone());
     let killed = RunPolicy {
         checkpoint: Some(CheckpointPolicy::new(path.clone())),
         stop_after: Some(2),
@@ -275,7 +288,6 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
         .expect_err("stale checkpoint rejected");
     assert!(matches!(&err, CampaignError::Checkpoint(_)), "got {err:?}");
     assert_eq!(err.exit_code(), 2);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -417,7 +429,7 @@ fn checkpoint_saves_keep_up_with_fast_workers() {
     for p in [&path, &events] {
         std::fs::remove_file(p).ok();
     }
-    std::fs::remove_file(path.with_extension("prev")).ok();
+    std::fs::remove_file(prev_path(&path)).ok();
 }
 
 #[test]

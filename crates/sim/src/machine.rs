@@ -297,7 +297,9 @@ impl Default for MachineBuilder {
 /// the copy that ran. `clone_from` restores a machine in place, so a
 /// machine restored from one of the same configuration allocates
 /// nothing. Together with [`Machine::reseed`] this lets a campaign set a
-/// machine up once and restore it for every trial.
+/// machine up once and restore it for every trial. A restore keeps the
+/// machine's page-walk memo, whose entries are tied to a page-table
+/// version (see [`Os`]); `Debug` leaves the memo out.
 pub struct Machine {
     tlb: TlbUnit,
     itlb: Option<TlbUnit>,
@@ -408,8 +410,9 @@ fn touches_dtlb(instr: Instr) -> bool {
 
 /// Every part of the machine's state — TLB contents, replacement and
 /// engine state, page tables, counters — except the oracle's record, of
-/// which it shows only whether there is one. Two machines that print
-/// alike behave alike.
+/// which it shows only whether there is one, and the page-walk memo,
+/// which caches the page tables it shows (see [`Os`]). Two machines that
+/// print alike behave alike.
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")

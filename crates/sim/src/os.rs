@@ -12,12 +12,14 @@
 //!    process, pre-generating page-table entries for every address the
 //!    Random Fill Engine might look up (footnote 5 of the paper).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sectlb_tlb::types::{Asid, SecureRegion, Vpn};
 
 use crate::page_table::{MapError, PageTable, PteFlags};
 use crate::phys_mem::FrameAllocator;
+use crate::walker::WalkMemo;
 
 /// What the OS does to the TLB on a context switch (Section 2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,7 +93,19 @@ impl From<MapError> for OsError {
 /// [`Arc::make_mut`], which copies the table first if it is shared. A
 /// campaign trial restored from a template therefore copies no page
 /// table unless it auto-maps a page.
-#[derive(Debug, Clone)]
+///
+/// **Page-walk memo.** The walker remembers each walk's result (PPN,
+/// page size, levels accessed, or a fault) in a small direct-mapped
+/// table keyed by `(ASID, VPN)`, so a miss on a page walked before skips
+/// the radix walk but is still charged every level it accesses. A memo
+/// entry holds for one *version* of the page tables: every writer moves
+/// the OS to a fresh, process-unique version id, and an entry of another
+/// version never matches. Equal versions therefore mean equal tables:
+/// a clone and a restore copy the version together with the tables they
+/// share. A clone starts with an empty memo; `clone_from` keeps this
+/// OS's memo buffer, so a restored machine allocates nothing, and its
+/// entries of the restored version stay valid. The memo is a cache of
+/// the tables, so `Debug` leaves it out.
 pub struct Os {
     processes: Arc<[Process]>,
     frames: FrameAllocator,
@@ -102,6 +116,56 @@ pub struct Os {
     /// assumption that the OS has pre-generated PTEs for every address the
     /// hardware may look up (footnote 5). Enabled by default.
     pub auto_map: bool,
+    /// The page tables' version id (see the memo, above).
+    pub(crate) version: u64,
+    pub(crate) memo: WalkMemo,
+}
+
+/// A page-table version id no `Os` has used yet.
+pub(crate) fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: an id only has to differ from every other; it publishes
+    // no data.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Clone for Os {
+    fn clone(&self) -> Os {
+        Os {
+            processes: Arc::clone(&self.processes),
+            frames: self.frames.clone(),
+            next_asid: self.next_asid,
+            flush_policy: self.flush_policy,
+            auto_map: self.auto_map,
+            version: self.version,
+            memo: WalkMemo::default(),
+        }
+    }
+
+    /// Takes the source's tables and version, and keeps this OS's memo
+    /// buffer.
+    fn clone_from(&mut self, source: &Os) {
+        self.processes.clone_from(&source.processes);
+        self.frames.clone_from(&source.frames);
+        self.next_asid = source.next_asid;
+        self.flush_policy = source.flush_policy;
+        self.auto_map = source.auto_map;
+        self.version = source.version;
+    }
+}
+
+/// Every field but the version and the memo, which only cache the page
+/// tables: two OSes that print alike translate alike.
+impl std::fmt::Debug for Os {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Os")
+            .field("processes", &self.processes)
+            .field("frames", &self.frames)
+            .field("next_asid", &self.next_asid)
+            .field("flush_policy", &self.flush_policy)
+            .field("auto_map", &self.auto_map)
+            .finish()
+    }
 }
 
 impl Os {
@@ -113,6 +177,8 @@ impl Os {
             next_asid: 1,
             flush_policy,
             auto_map: true,
+            version: fresh_version(),
+            memo: WalkMemo::default(),
         }
     }
 
@@ -138,6 +204,7 @@ impl Os {
         let mut processes = self.processes.to_vec();
         processes.push(Process { asid, page_table });
         self.processes = processes.into();
+        self.version = fresh_version();
         asid
     }
 
@@ -161,9 +228,11 @@ impl Os {
     }
 
     /// The process for `asid`, unshared for writing, and the frame
-    /// allocator its mappings draw on.
+    /// allocator its mappings draw on. Every page-table writer comes
+    /// through here, and moves the tables to a fresh version.
     fn writable(&mut self, asid: Asid) -> Result<(&mut Process, &mut FrameAllocator), OsError> {
         let i = self.slot(asid)?;
+        self.version = fresh_version();
         Ok((&mut Arc::make_mut(&mut self.processes)[i], &mut self.frames))
     }
 
@@ -279,10 +348,37 @@ impl Os {
         &self.frames
     }
 
-    /// Splits the OS into the pieces the walker needs (internal): it
-    /// reads the shared table and unshares it only to auto-map.
-    pub(crate) fn walker_parts(&mut self) -> (&mut Arc<[Process]>, &mut FrameAllocator, bool) {
-        (&mut self.processes, &mut self.frames, self.auto_map)
+    /// The shared process table, for the walker (internal).
+    pub(crate) fn processes(&self) -> &[Process] {
+        &self.processes
+    }
+
+    /// Footnote 5's auto-map, for the walker (internal): maps a fresh
+    /// frame at `vpn` in the process at table index `i`, unsharing the
+    /// table first, and moves the tables to a fresh version. Returns
+    /// whether it mapped.
+    pub(crate) fn auto_map_page(&mut self, i: usize, vpn: Vpn) -> bool {
+        let Ok(frame) = self.frames.alloc() else {
+            return false;
+        };
+        let process = &mut Arc::make_mut(&mut self.processes)[i];
+        let mapped = process
+            .page_table
+            .map(vpn, frame, PteFlags::rw_user(), &mut self.frames)
+            .is_ok();
+        if mapped {
+            self.version = fresh_version();
+        }
+        mapped
+    }
+
+    /// Pages mapped over every process, superpages counted by their
+    /// span: what the walk memo is sized from.
+    pub(crate) fn mapped_pages(&self) -> u64 {
+        self.processes
+            .iter()
+            .map(|p| p.page_table.mapped_pages())
+            .sum()
     }
 }
 

@@ -5,14 +5,17 @@
 //! paper notes RISC-V has none). Each level costs
 //! [`WalkerConfig::cycles_per_level`] cycles, which dominates the
 //! fast/slow timing difference the attacks measure.
-
-use std::sync::Arc;
+//!
+//! The simulated walker has no cache, but the host-side one remembers
+//! each walk's result for as long as the page tables do not change (see
+//! [`Os`]'s page-walk memo): a remembered walk is charged exactly the
+//! levels the radix walk would access.
 
 use sectlb_tlb::tlb_trait::{Translator, WalkResult};
-use sectlb_tlb::types::{Asid, Vpn};
+use sectlb_tlb::types::{Asid, PageSize, Ppn, Vpn};
 
-use crate::os::{slot_in, Os, Process};
-use crate::phys_mem::FrameAllocator;
+use crate::os::{slot_in, Os};
+use crate::page_table::{Walk, LEVELS, MAX_VPN};
 
 /// Timing parameters of the walker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,68 +38,167 @@ impl Default for WalkerConfig {
 impl WalkerConfig {
     /// The cost of a full successful walk.
     pub fn full_walk_cycles(self) -> u64 {
-        self.cycles_per_level * u64::from(crate::page_table::LEVELS)
+        self.cycles_per_level * u64::from(LEVELS)
     }
 }
 
-/// A walker borrowing the OS's process table for the duration of one TLB
-/// access. Implements the [`Translator`] callback the TLB designs use.
+/// One remembered walk: the key, the page-table version it was walked
+/// at, and what the walk found.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memoized {
+    /// Zero, which no version id takes, marks an empty slot.
+    version: u64,
+    vpn: u64,
+    asid: u16,
+    present: bool,
+    levels: u8,
+    size: PageSize,
+    ppn: u64,
+}
+
+impl Memoized {
+    /// The walk's result, charged `levels` levels.
+    #[inline]
+    fn result(&self, config: WalkerConfig) -> WalkResult {
+        let cycles = config.cycles_per_level * u64::from(self.levels);
+        if self.present {
+            WalkResult {
+                ppn: Some(Ppn(self.ppn)),
+                cycles,
+                size: self.size,
+            }
+        } else {
+            WalkResult::fault(cycles)
+        }
+    }
+}
+
+/// The page-walk memo (see [`Os`]): a direct-mapped table of walk
+/// results, each valid for the page-table version it was walked at.
 ///
-/// A walk only reads the table, which a restored machine shares with its
-/// template; an auto-map unshares it first (see [`Os`]).
+/// It is sized when it first sees a version: a power of two of at least
+/// twice the pages the OS maps, between [`WalkMemo::MIN_SLOTS`] and
+/// [`WalkMemo::MAX_SLOTS`]. It only grows, so a restore to a version it
+/// has seen allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct WalkMemo {
+    slots: Vec<Memoized>,
+    /// The last version it was sized for.
+    seen: u64,
+}
+
+impl WalkMemo {
+    const MIN_SLOTS: usize = 64;
+    /// 4,096 slots (128 KiB) hold Figure 7's largest address spaces
+    /// (omnetpp's 512 pages beside RSA's) twice over.
+    const MAX_SLOTS: usize = 1 << 12;
+
+    #[inline]
+    fn index(&self, asid: Asid, vpn: Vpn) -> usize {
+        // Regions are runs of consecutive pages, so the low VPN bits
+        // spread one process's pages over distinct slots; the ASID term
+        // offsets the processes from each other.
+        (vpn.0 as usize ^ usize::from(asid.0).wrapping_mul(0x9e37)) & (self.slots.len() - 1)
+    }
+
+    /// The remembered walk of `(asid, vpn)` at `version`, if any. A
+    /// remembered fault is final only with auto-map off.
+    #[inline]
+    fn get(&self, version: u64, asid: Asid, vpn: Vpn, auto_map: bool) -> Option<&Memoized> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let m = &self.slots[self.index(asid, vpn)];
+        (m.version == version && m.vpn == vpn.0 && m.asid == asid.0 && (m.present || !auto_map))
+            .then_some(m)
+    }
+
+    /// Sizes the memo for a version it has not seen, with `pages` mapped.
+    fn refit(&mut self, version: u64, pages: u64) {
+        let want = (2 * pages)
+            .min(Self::MAX_SLOTS as u64)
+            .next_power_of_two()
+            .max(Self::MIN_SLOTS as u64) as usize;
+        if self.slots.len() < want {
+            // Slots store their whole key, so entries left where a
+            // smaller mask put them stay exact.
+            self.slots.resize(want, Memoized::default());
+        }
+        self.seen = version;
+    }
+
+    /// Remembers `walk` of `(asid, vpn)` at `version`.
+    fn put(&mut self, version: u64, asid: Asid, vpn: Vpn, walk: Walk) -> Memoized {
+        let (present, size, ppn) = match walk.pte {
+            Some(pte) => (true, pte.size, pte.ppn.0),
+            None => (false, PageSize::Base, 0),
+        };
+        let i = self.index(asid, vpn);
+        self.slots[i] = Memoized {
+            version,
+            vpn: vpn.0,
+            asid: asid.0,
+            present,
+            levels: walk.levels_accessed as u8,
+            size,
+            ppn,
+        };
+        self.slots[i]
+    }
+}
+
+/// A walker borrowing the OS for the duration of one TLB access.
+/// Implements the [`Translator`] callback the TLB designs use.
+///
+/// A walk only reads the page tables, which a restored machine shares
+/// with its template; an auto-map unshares them first (see [`Os`]).
 pub struct OsWalker<'a> {
-    processes: &'a mut Arc<[Process]>,
-    frames: &'a mut FrameAllocator,
-    auto_map: bool,
+    os: &'a mut Os,
     config: WalkerConfig,
 }
 
 impl<'a> OsWalker<'a> {
     /// Borrows the walker view out of the OS.
     pub fn new(os: &'a mut Os, config: WalkerConfig) -> OsWalker<'a> {
-        let (processes, frames, auto_map) = os.walker_parts();
-        OsWalker {
-            processes,
-            frames,
-            auto_map,
-            config,
-        }
+        OsWalker { os, config }
     }
-}
 
-impl Translator for OsWalker<'_> {
-    fn translate(&mut self, asid: Asid, vpn: Vpn) -> WalkResult {
-        let Some(i) = slot_in(self.processes.len(), asid) else {
+    /// The radix walk, with footnote 5's auto-map of a missing page, and
+    /// remembering what it found.
+    #[inline(never)]
+    fn walk(&mut self, asid: Asid, vpn: Vpn) -> WalkResult {
+        let Some(i) = slot_in(self.os.processes().len(), asid) else {
             // Translating for a nonexistent address space: fault after one
             // root access.
             return WalkResult::fault(self.config.cycles_per_level);
         };
-        let walk = self.processes[i].page_table().walk(vpn);
-        let mut cycles = self.config.cycles_per_level * u64::from(walk.levels_accessed);
-        let mut pte = walk.pte;
-        if pte.is_none() && self.auto_map && vpn.0 <= crate::page_table::MAX_VPN {
+        let mut walk = self.os.processes()[i].page_table().walk(vpn);
+        if walk.pte.is_none() && self.os.auto_map && vpn.0 <= MAX_VPN {
             // Footnote-5 behavior: the OS pre-generated a PTE for this
             // address; materialize it now at full-walk cost.
-            if let Ok(frame) = self.frames.alloc() {
-                let flags = crate::page_table::PteFlags::rw_user();
-                let process = &mut Arc::make_mut(self.processes)[i];
-                if process
-                    .page_table_mut()
-                    .map(vpn, frame, flags, self.frames)
-                    .is_ok()
-                {
-                    pte = process.page_table().walk(vpn).pte;
-                    cycles = self.config.full_walk_cycles();
-                }
+            if self.os.auto_map_page(i, vpn) {
+                walk = Walk {
+                    pte: self.os.processes()[i].page_table().walk(vpn).pte,
+                    levels_accessed: LEVELS,
+                };
             }
         }
-        match pte {
-            Some(p) => WalkResult {
-                ppn: Some(p.ppn),
-                cycles,
-                size: p.size,
-            },
-            None => WalkResult::fault(cycles),
+        let os = &mut *self.os;
+        if os.memo.seen != os.version {
+            let pages = os.mapped_pages();
+            os.memo.refit(os.version, pages);
+        }
+        os.memo.put(os.version, asid, vpn, walk).result(self.config)
+    }
+}
+
+impl Translator for OsWalker<'_> {
+    #[inline]
+    fn translate(&mut self, asid: Asid, vpn: Vpn) -> WalkResult {
+        let os = &*self.os;
+        match os.memo.get(os.version, asid, vpn, os.auto_map) {
+            Some(m) => m.result(self.config),
+            None => self.walk(asid, vpn),
         }
     }
 }

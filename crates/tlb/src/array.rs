@@ -46,7 +46,7 @@ impl EntryArray {
         EntryArray {
             config,
             set_mask: config.sets() - 1,
-            store: SoaStore::new(config.entries()),
+            store: SoaStore::new(config.sets(), config.ways()),
             lru: PackedLru::new(config.sets(), config.ways()),
             mega_entries: 0,
             giga_entries: 0,

@@ -14,6 +14,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use secure_tlbs::secbench::checkpoint::CheckpointPolicy;
+use secure_tlbs::secbench::iofault::prev_path;
 use secure_tlbs::secbench::report::{
     build_table4_resilient_observed_for, table4_cells, CampaignReport,
 };
@@ -52,9 +53,21 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+/// Removes a checkpoint and its previous generation (`<path>.prev`) when
+/// dropped, so a test leaves neither behind, whether it passes or not.
+struct Cleanup(PathBuf);
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+        std::fs::remove_file(prev_path(&self.0)).ok();
+    }
+}
+
 #[test]
 fn killed_and_resumed_table4_is_bitwise_identical() {
     let path = tmp_path("table4-kill-resume");
+    let _cleanup = Cleanup(path.clone());
     let reference = table4(workers(), &RunPolicy::default()).expect("uninterrupted campaign");
     assert!(reference.quarantined.is_empty());
 
@@ -87,7 +100,6 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         reference.table.render(),
         "rendered output diverged"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
